@@ -11,13 +11,23 @@
 //! * **Hash-consed nodes** — every composite [`RtVal`] built through the
 //!   cache is interned, so structurally equal routines share one `Rc` and
 //!   a node is counted in `rt_nodes_built` only the first time it exists.
-//! * **Evaluation memo** — [`RtCache::eval`] keys on
-//!   `(SxId, env fingerprint)`; the fingerprint is the interned id of each
-//!   environment entry, so equal environments hit without re-hashing
-//!   trees.
+//! * **Interned environments** — an environment (a frame's, a datatype
+//!   instance's arguments, a callee's θ) is interned by the ids of its
+//!   entries into a small [`EnvIx`]. Lookups compute the entry ids into a
+//!   reused buffer, so a hit allocates nothing.
+//! * **Evaluation memo** — [`RtCache::eval`] keys on `(SxId, EnvIx)`.
 //! * **Extraction / descriptor memos** — Figure-3 path extraction and
 //!   descriptor conversion ([`RtCache::extract`], [`RtCache::desc`]) are
-//!   pure given their inputs and memoize the same way.
+//!   pure given their inputs and memoize the same way (paths are interned
+//!   once, so an extraction hit allocates nothing either).
+//! * **Frame-step memo** — the forward walk's unit of work. A frame's
+//!   environment is a pure function of its call site and of what its
+//!   caller's routine handed it (the evaluated θ or closure routine, §3),
+//!   interned as a [`StateId`]. One [`FrameStep`] per `(site, state)`
+//!   records the frame's slot plans, its routine's op count and the
+//!   interned state it hands on, so tracing a chain of activations costs
+//!   one small-integer lookup per frame. Each frame-step lookup counts in
+//!   [`RtCache::hits`]/[`RtCache::misses`] like any other memo lookup.
 //!
 //! Correctness: `eval_sx` is a pure function of the template and the
 //! environment, so memoization cannot change any collection outcome —
@@ -27,9 +37,10 @@
 //! reference immutable metadata). Disabling it ([`RtCache::enabled`] =
 //! false) routes every call through the plain builders.
 
+use crate::collect::WTy;
 use crate::desc::{DescArena, DescId, DescNode};
 use crate::ground::GroundTable;
-use crate::plan::PlanStore;
+use crate::plan::{PlanId, PlanStore};
 use crate::rtval::{desc_to_rt, eval_sx, extract_path, param_lookup, EvalCx, RtBuildStats, RtVal};
 use crate::sx::{SxId, SxTable, TypeSx};
 use std::collections::HashMap;
@@ -41,13 +52,61 @@ use tfgc_ir::IrProgram;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct RtId(u32);
 
+/// Interned environment id: an environment by the ids of its entries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct EnvIx(u32);
+
+/// Interned incoming state of a frame: what its caller's frame routine
+/// passes on (§3) — nothing, an evaluated θ, or a closure routine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct StateId(u32);
+
+/// The state of the oldest frame, which no routine calls.
+pub(crate) const NO_STATE: StateId = StateId(0);
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum StateKey {
+    None,
+    Theta(EnvIx),
+    Clos(RtId),
+}
+
+/// One traced slot of a memoized frame step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum SlotStep {
+    /// Relocate the slot under an already-lowered plan.
+    Plan { slot: u16, plan: PlanId },
+    /// Interpreted method: decode the descriptor at `pos` under the
+    /// step's byte environment, as every activation must (§2.4).
+    Bytes { slot: u16, pos: u32 },
+}
+
+/// A memoized frame step: everything the forward walk needs to trace one
+/// activation of a call site entered with one incoming state.
+#[derive(Debug, Clone)]
+pub(crate) struct FrameStep {
+    /// Op count of the site's frame routine (`RoutineRun`,
+    /// `slots_traced`); no-op slots are absent from the step list.
+    pub ops: u32,
+    /// `(start, len)` of the slot steps; set by [`RtCache::insert_frame`].
+    pub steps: (u32, u32),
+    /// The state this frame's routine hands the next (newer) frame.
+    pub out: StateId,
+    /// The frame's own environment (the newest frame's environment types
+    /// the pending allocation operands).
+    pub env: EnvIx,
+    /// The environment as byte-descriptor entries, when the routine has
+    /// [`SlotStep::Bytes`] steps.
+    pub benv: Option<Rc<Vec<WTy>>>,
+}
+
 /// The collector's memoization state. One per [`crate::meta::GcMeta`].
 #[derive(Debug, Clone)]
 pub struct RtCache {
     /// When false, every call falls through to the unmemoized builders
     /// (the differential baseline; `VmConfig::rt_cache(false)`).
     pub enabled: bool,
-    /// Memo lookups that returned a previously computed routine.
+    /// Memo lookups that returned a previously computed result.
     pub hits: u64,
     /// Memo lookups that had to evaluate.
     pub misses: u64,
@@ -59,9 +118,21 @@ pub struct RtCache {
     /// Full-identity pointer key → id, valid because `nodes` pins every
     /// registered allocation for the cache's lifetime.
     by_ptr: HashMap<PtrKey, RtId>,
-    eval_memo: HashMap<(SxId, Box<[RtId]>), RtVal>,
+    envs: HashMap<Box<[RtId]>, EnvIx>,
+    env_vals: Vec<Rc<[RtVal]>>,
+    /// Reused buffer for computing an environment's entry ids.
+    ids_buf: Vec<RtId>,
+    eval_memo: HashMap<(SxId, EnvIx), RtVal>,
     desc_memo: HashMap<DescId, RtVal>,
-    extract_memo: HashMap<(RtId, Box<[u16]>), RtVal>,
+    paths: HashMap<Box<[u16]>, u32>,
+    extract_memo: HashMap<(RtId, u32), RtVal>,
+    states: Vec<StateKey>,
+    state_ix: HashMap<StateKey, StateId>,
+    /// Per call site, the recorded `(incoming state, frame step)` pairs:
+    /// a site meets few distinct states, so a short scan beats hashing.
+    frame_ix: Vec<Vec<(StateId, u32)>>,
+    frames: Vec<FrameStep>,
+    slot_steps: Vec<SlotStep>,
     /// Flat trace plans lowered from interned routine values (the fast
     /// execution tier on top of this identity layer — see `plan.rs`).
     pub plans: PlanStore,
@@ -107,9 +178,18 @@ impl RtCache {
             nodes: Vec::new(),
             interned: HashMap::new(),
             by_ptr: HashMap::new(),
+            envs: HashMap::new(),
+            env_vals: Vec::new(),
+            ids_buf: Vec::new(),
             eval_memo: HashMap::new(),
             desc_memo: HashMap::new(),
+            paths: HashMap::new(),
             extract_memo: HashMap::new(),
+            states: vec![StateKey::None],
+            state_ix: HashMap::from([(StateKey::None, NO_STATE)]),
+            frame_ix: Vec::new(),
+            frames: Vec::new(),
+            slot_steps: Vec::new(),
             plans: PlanStore::new(),
         }
     }
@@ -121,7 +201,7 @@ impl RtCache {
     }
 
     /// Evaluates template `id` under `env`, memoized per
-    /// `(id, env fingerprint)`.
+    /// `(id, interned env)`.
     ///
     /// # Panics
     ///
@@ -144,7 +224,7 @@ impl RtCache {
             TypeSx::Param(i) => return param_lookup(*i, env, cx),
             _ => {}
         }
-        let key = (id, env.iter().map(|v| self.rt_id(v)).collect());
+        let key = (id, self.env_ix(env));
         if let Some(v) = self.eval_memo.get(&key) {
             self.hits += 1;
             return v.clone();
@@ -153,6 +233,119 @@ impl RtCache {
         let v = self.build(sxs.get(id), env, stats, cx);
         self.eval_memo.insert(key, v.clone());
         v
+    }
+
+    /// Interns an environment. Allocates only the first time an
+    /// environment is seen.
+    pub(crate) fn env_ix(&mut self, env: &[RtVal]) -> EnvIx {
+        let mut ids = std::mem::take(&mut self.ids_buf);
+        ids.clear();
+        ids.extend(env.iter().map(|v| self.rt_id(v)));
+        let ix = match self.envs.get(ids.as_slice()) {
+            Some(ix) => *ix,
+            None => {
+                let ix = EnvIx(self.env_vals.len() as u32);
+                self.envs.insert(ids.as_slice().into(), ix);
+                self.env_vals.push(env.into());
+                ix
+            }
+        };
+        self.ids_buf = ids;
+        ix
+    }
+
+    /// The environment behind an interned id.
+    pub(crate) fn env(&self, ix: EnvIx) -> &Rc<[RtVal]> {
+        &self.env_vals[ix.0 as usize]
+    }
+
+    /// Interns the state a frame routine hands the next frame.
+    pub(crate) fn intern_state(
+        &mut self,
+        theta: Option<&[RtVal]>,
+        clos: Option<&RtVal>,
+    ) -> StateId {
+        let key = match (theta, clos) {
+            (Some(t), _) => StateKey::Theta(self.env_ix(t)),
+            (None, Some(rt)) => StateKey::Clos(self.rt_id(rt)),
+            (None, None) => StateKey::None,
+        };
+        if let Some(s) = self.state_ix.get(&key) {
+            return *s;
+        }
+        let s = StateId(self.states.len() as u32);
+        self.states.push(key);
+        self.state_ix.insert(key, s);
+        s
+    }
+
+    /// The θ and closure routine behind an interned state.
+    pub(crate) fn state(&self, s: StateId) -> (Option<Rc<[RtVal]>>, Option<RtVal>) {
+        match self.states[s.0 as usize] {
+            StateKey::None => (None, None),
+            StateKey::Theta(e) => (Some(self.env(e).clone()), None),
+            StateKey::Clos(r) => (None, Some(self.nodes[r.0 as usize].clone())),
+        }
+    }
+
+    /// Looks up the frame step of `site` entered with `state`, counting
+    /// the lookup as a hit or a miss.
+    pub(crate) fn find_frame(&mut self, site: u32, state: StateId) -> Option<u32> {
+        let f = self
+            .frame_ix
+            .get(site as usize)
+            .and_then(|steps| steps.iter().find(|(s, _)| *s == state))
+            .map(|&(_, f)| f);
+        if f.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        f
+    }
+
+    /// Records the frame step of `site` entered with `state`.
+    pub(crate) fn insert_frame(
+        &mut self,
+        site: u32,
+        state: StateId,
+        mut step: FrameStep,
+        slots: &[SlotStep],
+    ) -> u32 {
+        step.steps = (self.slot_steps.len() as u32, slots.len() as u32);
+        self.slot_steps.extend_from_slice(slots);
+        let f = self.frames.len() as u32;
+        self.frames.push(step);
+        let site = site as usize;
+        if self.frame_ix.len() <= site {
+            self.frame_ix.resize_with(site + 1, Vec::new);
+        }
+        self.frame_ix[site].push((state, f));
+        f
+    }
+
+    /// A recorded frame step.
+    pub(crate) fn frame(&self, f: u32) -> &FrameStep {
+        &self.frames[f as usize]
+    }
+
+    /// Indices of frame step `f`'s slot steps, for [`RtCache::slot_step`].
+    pub(crate) fn frame_slots(&self, f: u32) -> std::ops::Range<usize> {
+        let (start, len) = self.frames[f as usize].steps;
+        start as usize..(start + len) as usize
+    }
+
+    /// One recorded slot step.
+    pub(crate) fn slot_step(&self, i: usize) -> SlotStep {
+        self.slot_steps[i]
+    }
+
+    /// Drops every frame step, for when the frames' parameter sources
+    /// change under a live cache (fault injection truncates them).
+    pub fn forget_frames(&mut self) {
+        self.frame_ix.clear();
+        self.frames.clear();
+        self.slot_steps.clear();
     }
 
     /// Extracts the sub-routine at `path`, memoized per (value, path).
@@ -171,7 +364,15 @@ impl RtCache {
         if !self.enabled || path.is_empty() {
             return extract_path(rt, path, prog, ground, cx);
         }
-        let key = (self.rt_id(rt), Box::from(path));
+        let path_ix = match self.paths.get(path) {
+            Some(p) => *p,
+            None => {
+                let p = self.paths.len() as u32;
+                self.paths.insert(path.into(), p);
+                p
+            }
+        };
+        let key = (self.rt_id(rt), path_ix);
         if let Some(v) = self.extract_memo.get(&key) {
             self.hits += 1;
             return v.clone();
@@ -337,6 +538,13 @@ mod tests {
     use super::*;
     use tfgc_types::LIST_DATA;
 
+    fn prog(src: &str) -> IrProgram {
+        use tfgc_ir::lower;
+        use tfgc_syntax::parse_program;
+        use tfgc_types::elaborate;
+        lower(&elaborate(&parse_program(src).unwrap()).unwrap()).unwrap()
+    }
+
     fn table_with(sx: TypeSx) -> (SxTable, SxId) {
         let mut t = SxTable::new();
         let id = t.intern(sx);
@@ -420,6 +628,56 @@ mod tests {
             RtVal::Data(LIST_DATA, Rc::new(vec![inner])),
             "environment distinguishes memo entries"
         );
+    }
+
+    #[test]
+    fn equal_envs_and_paths_hit_across_allocations() {
+        let sx = TypeSx::Data(LIST_DATA, vec![TypeSx::Param(0)]);
+        let (t, id) = table_with(sx);
+        let mut cache = RtCache::new();
+        let mut stats = RtBuildStats::default();
+        let env = || vec![RtVal::Data(LIST_DATA, Rc::new(vec![RtVal::Const]))];
+        let a = cache.eval(&t, id, &env(), &mut stats, EvalCx::None);
+        let b = cache.eval(&t, id, &env(), &mut stats, EvalCx::None);
+        assert_eq!(a, b);
+        assert_eq!((cache.hits, cache.misses), (1, 1), "a fresh equal env hits");
+
+        let p = prog("0");
+        let mut g = GroundTable::new();
+        let rt = RtVal::Tuple(Rc::new(vec![a.clone(), RtVal::Const]));
+        let (p1, p2): (Vec<u16>, Vec<u16>) = (vec![0, 0], vec![0, 0]);
+        let x = cache.extract(&rt, &p1, &p, &mut g, EvalCx::None);
+        let y = cache.extract(&rt, &p2, &p, &mut g, EvalCx::None);
+        assert_eq!(x, env()[0]);
+        assert_eq!(x, y);
+        assert_eq!(
+            (cache.hits, cache.misses),
+            (2, 2),
+            "a fresh equal path hits"
+        );
+    }
+
+    #[test]
+    fn frame_states_intern_by_content() {
+        let mut cache = RtCache::new();
+        let list = |v| RtVal::Data(LIST_DATA, Rc::new(vec![v]));
+        assert_eq!(cache.intern_state(None, None), NO_STATE);
+        let ints = cache.intern_state(Some(&[list(RtVal::Const)]), None);
+        let again = cache.intern_state(Some(&[list(RtVal::Const)]), None);
+        let nested = cache.intern_state(Some(&[list(list(RtVal::Const))]), None);
+        let clos = cache.intern_state(None, Some(&list(RtVal::Const)));
+        let empty = cache.intern_state(Some(&[]), None);
+        assert_eq!(ints, again, "equal θ, one state");
+        let all = [NO_STATE, ints, nested, clos, empty];
+        for (i, a) in all.iter().enumerate() {
+            for b in &all[i + 1..] {
+                assert_ne!(a, b, "distinct incoming states never alias");
+            }
+        }
+        let (theta, c) = cache.state(nested);
+        assert_eq!(theta.as_deref(), Some(&[list(list(RtVal::Const))][..]));
+        assert_eq!(c, None);
+        assert_eq!(cache.state(clos), (None, Some(list(RtVal::Const))));
     }
 
     #[test]

@@ -20,15 +20,21 @@
 //! depth), so million-element lists collect in constant Rust stack space.
 //!
 //! Template evaluation, Figure-3 path extraction, and descriptor
-//! conversion all route through the metadata's [`RtCache`], so a deep
-//! chain of activations of the same call site evaluates each θ once
-//! instead of once per frame. The worklist and the decoded-frame vector
-//! live in [`CollectorScratch`] (owned by `GcMeta`) and are reused across
-//! collections; the heap's forwarding bitmap is likewise allocated once
-//! and only zeroed per collection (see `tfgc_runtime::Heap`).
+//! conversion all route through the metadata's [`RtCache`]. With the
+//! cache and trace plans both on, the forward walk goes further: each
+//! frame is keyed on its call site and the interned state its caller's
+//! routine hands it, and only the first activation with a key evaluates
+//! anything. Later ones replay the recorded frame step — the traced
+//! slots with their resolved plans and the outgoing state — so a deep
+//! chain of activations costs one small-integer lookup per frame, not a
+//! θ evaluation, an environment vector and plan lookups. The worklist
+//! and the decoded-frame vector live in [`CollectorScratch`] (owned by
+//! `GcMeta`) and are reused across collections; the heap's forwarding
+//! bitmap is likewise allocated once and only zeroed per collection (see
+//! `tfgc_runtime::Heap`).
 
 use crate::bytes::{BytePool, DescView};
-use crate::cache::RtCache;
+use crate::cache::{FrameStep, RtCache, SlotStep, StateId, NO_STATE};
 use crate::desc::{DescArena, DescId};
 use crate::ground::{GroundTable, TypeRt, TypeRtId};
 use crate::meta::{CalleePlan, ClosParamSrc, FnGcMeta, FrameParamSrc, GcMeta, SiteMeta};
@@ -184,6 +190,7 @@ pub fn collect_tagfree(
     heap.begin_collection(minor);
     let frames_buf = &mut meta.scratch.frames;
     let plans_on = meta.rt_cache.plans.enabled;
+    let memo_on = plans_on && meta.rt_cache.enabled;
     let mut cx = Collector {
         prog,
         heap,
@@ -205,6 +212,7 @@ pub fn collect_tagfree(
         work: &mut meta.scratch.work,
         enc: Encoding::new(HeapMode::TagFree),
         plans_on,
+        memo_on,
     };
 
     // Globals first: their routines are known statically (§1.1).
@@ -320,6 +328,9 @@ struct Collector<'c> {
     /// relocations lower to flat plans and execute through the plan
     /// interpreter instead of the `RtVal` closure walk.
     plans_on: bool,
+    /// Frame-step memo enabled: exactly when both the cache and the plan
+    /// tier are.
+    memo_on: bool,
 }
 
 /// Head classification of a pointer-object relocation.
@@ -359,6 +370,9 @@ impl Collector<'_> {
     /// environments through the recorded θ / closure-type plans. Returns
     /// the newest frame's environment.
     fn forward_walk(&mut self, frames: &[FrameInfo], stack: &mut [Word]) -> Vec<RtVal> {
+        if self.memo_on {
+            return self.forward_walk_memo(frames, stack);
+        }
         let mut theta_rts: Option<Vec<RtVal>> = None;
         let mut clos_rt: Option<RtVal> = None;
         let mut env: Vec<RtVal> = Vec::new();
@@ -368,10 +382,122 @@ impl Collector<'_> {
                 site: fr.site.0,
             };
             env = self.frame_env(fr, stack, theta_rts.as_deref(), clos_rt.as_ref());
-            self.run_frame_routine(fr, &env, stack);
+            self.run_frame_routine(fr, &env, stack, None);
             (theta_rts, clos_rt) = self.eval_plan(fr.site, &env);
         }
         env
+    }
+
+    /// The forward walk through the frame-step memo: each frame is one
+    /// `(site, incoming state)` lookup — skipped outright when the frame
+    /// repeats the previous frame's key, as every frame of a recursion
+    /// does — then a plan relocation per traced slot. A miss traces the
+    /// frame on the plain path and records its step. Frames that read a
+    /// type parameter from a descriptor slot depend on their own stack
+    /// words, so they always take the plain path; their outgoing state is
+    /// interned so the frames above them stay memoized.
+    fn forward_walk_memo(&mut self, frames: &[FrameInfo], stack: &mut [Word]) -> Vec<RtVal> {
+        let mut state = NO_STATE;
+        let mut last: Option<(CallSiteId, StateId, u32)> = None;
+        let mut newest = self.cache.env_ix(&[]);
+        for fr in frames.iter().rev() {
+            self.cur = EvalCx::Frame {
+                fn_id: fr.fn_id.0,
+                site: fr.site.0,
+            };
+            let found = match last {
+                Some((site, s, f)) if site == fr.site && s == state => {
+                    self.cache.hits += 1;
+                    Some(f)
+                }
+                _ if self.reads_desc_slot(fr) => {
+                    let (step, _) = self.trace_plain(fr, state, stack);
+                    (state, newest, last) = (step.out, step.env, None);
+                    continue;
+                }
+                _ => self.cache.find_frame(fr.site.0, state),
+            };
+            let f = match found {
+                Some(f) => {
+                    self.replay_frame(fr, f, stack);
+                    f
+                }
+                None => {
+                    let (step, slots) = self.trace_plain(fr, state, stack);
+                    self.cache.insert_frame(fr.site.0, state, step, &slots)
+                }
+            };
+            last = Some((fr.site, state, f));
+            let step = self.cache.frame(f);
+            (state, newest) = (step.out, step.env);
+        }
+        self.cache.env(newest).to_vec()
+    }
+
+    /// True when the frame's function reads a type parameter from one of
+    /// its own descriptor slots.
+    fn reads_desc_slot(&self, fr: &FrameInfo) -> bool {
+        self.fns[fr.fn_id.0 as usize]
+            .frame_param_src
+            .iter()
+            .any(|s| matches!(s, FrameParamSrc::DescSlot(_)))
+    }
+
+    /// Traces a frame on the plain path from its incoming state. Returns
+    /// the frame step this activation amounts to and its traced slots.
+    fn trace_plain(
+        &mut self,
+        fr: &FrameInfo,
+        state: StateId,
+        stack: &mut [Word],
+    ) -> (FrameStep, Vec<SlotStep>) {
+        let (theta, clos) = self.cache.state(state);
+        let env = self.frame_env(fr, stack, theta.as_deref(), clos.as_ref());
+        let mut slots = Vec::new();
+        let (ops, benv) = self.run_frame_routine(fr, &env, stack, Some(&mut slots));
+        let (theta, clos) = self.eval_plan(fr.site, &env);
+        let step = FrameStep {
+            ops,
+            steps: (0, 0),
+            out: self.cache.intern_state(theta.as_deref(), clos.as_ref()),
+            env: self.cache.env_ix(&env),
+            benv,
+        };
+        (step, slots)
+    }
+
+    /// Traces a frame from its recorded step: the same routine run, the
+    /// same relocations in the same order, with every plan already
+    /// resolved.
+    fn replay_frame(&mut self, fr: &FrameInfo, f: u32, stack: &mut [Word]) {
+        let ops = self.cache.frame(f).ops;
+        self.stats.routine_invocations += 1;
+        self.stats.slots_traced += u64::from(ops);
+        let seq = self.seq;
+        self.obs.emit(|_| GcEvent::RoutineRun {
+            seq,
+            site: fr.site.0,
+            ops,
+        });
+        for i in self.cache.frame_slots(f) {
+            match self.cache.slot_step(i) {
+                SlotStep::Plan { slot, plan } => {
+                    let idx = fr.fp + FRAME_HDR + slot as usize;
+                    stack[idx] = self.reloc_plan(stack[idx], plan, false);
+                }
+                SlotStep::Bytes { slot, pos } => {
+                    let env = self
+                        .cache
+                        .frame(f)
+                        .benv
+                        .clone()
+                        .expect("bytes step has an env");
+                    let idx = fr.fp + FRAME_HDR + slot as usize;
+                    let p = self.plan_for_wty(&WTy::Bytes { pos, env });
+                    stack[idx] = self.reloc_plan(stack[idx], p, false);
+                }
+            }
+        }
     }
 
     /// Appel's traversal: newest to oldest, re-deriving each frame's
@@ -385,7 +511,7 @@ impl Collector<'_> {
                 fn_id: frames[k].fn_id.0,
                 site: frames[k].site.0,
             };
-            self.run_frame_routine(&frames[k], &env, stack);
+            self.run_frame_routine(&frames[k], &env, stack, None);
             if k == 0 {
                 newest_env = env;
             }
@@ -471,8 +597,16 @@ impl Collector<'_> {
     }
 
     /// Runs the frame routine selected by the frame's suspension site —
-    /// the gc_word lookup of §2.1.
-    fn run_frame_routine(&mut self, fr: &FrameInfo, env: &[RtVal], stack: &mut [Word]) {
+    /// the gc_word lookup of §2.1. With `record`, each traced slot's step
+    /// is appended for the frame-step memo. Returns the routine's op
+    /// count and the byte environment its descriptor ops ran under.
+    fn run_frame_routine(
+        &mut self,
+        fr: &FrameInfo,
+        env: &[RtVal],
+        stack: &mut [Word],
+        mut record: Option<&mut Vec<SlotStep>>,
+    ) -> (u32, Option<Rc<Vec<WTy>>>) {
         let sites = self.sites;
         let rid = sites[fr.site.0 as usize].routine.unwrap_or_else(|| {
             panic!(
@@ -490,26 +624,41 @@ impl Collector<'_> {
             site: fr.site.0,
             ops: ops.len() as u32,
         });
+        let mut benv: Option<Rc<Vec<WTy>>> = None;
         for op in ops {
             self.stats.slots_traced += 1;
             match *op {
                 TraceOp::Slot { slot, sx } => {
                     let rt = self.eval(sx, env);
                     let idx = fr.fp + FRAME_HDR + slot.0 as usize;
-                    stack[idx] = self.reloc_rt_root(stack[idx], rt);
+                    stack[idx] = if self.plans_on {
+                        let plan = self.plan_for_rt(&rt);
+                        if let Some(steps) = record.as_deref_mut().filter(|_| plan != NOOP_PLAN) {
+                            steps.push(SlotStep::Plan { slot: slot.0, plan });
+                        }
+                        self.reloc_plan(stack[idx], plan, false)
+                    } else {
+                        self.reloc(stack[idx], &WTy::Rt(rt))
+                    };
                 }
                 TraceOp::SlotBytes { slot, pos } => {
-                    let benv: Rc<Vec<WTy>> = Rc::new(env.iter().cloned().map(WTy::Rt).collect());
+                    let env = benv
+                        .get_or_insert_with(|| Rc::new(env.iter().cloned().map(WTy::Rt).collect()))
+                        .clone();
                     let idx = fr.fp + FRAME_HDR + slot.0 as usize;
+                    if let Some(steps) = record.as_deref_mut() {
+                        steps.push(SlotStep::Bytes { slot: slot.0, pos });
+                    }
                     stack[idx] = if self.plans_on {
-                        let p = self.plan_for_wty(&WTy::Bytes { pos, env: benv });
+                        let p = self.plan_for_wty(&WTy::Bytes { pos, env });
                         self.reloc_plan(stack[idx], p, false)
                     } else {
-                        self.reloc(stack[idx], &WTy::Bytes { pos, env: benv })
+                        self.reloc(stack[idx], &WTy::Bytes { pos, env })
                     };
                 }
             }
         }
+        (ops.len() as u32, benv)
     }
 
     /// Relocates a root word typed by an evaluated routine value, through

@@ -24,9 +24,11 @@ pub struct GcStats {
     pub desc_bytes_read: u64,
     /// Closure environments reconstructed while tracing closure values.
     pub closure_envs_built: u64,
-    /// GC-time cache lookups that returned a memoized routine.
+    /// GC-time cache lookups that returned a memoized result: a routine,
+    /// or a whole frame step of the forward walk.
     pub rt_cache_hits: u64,
-    /// GC-time cache lookups that had to evaluate.
+    /// GC-time cache lookups that had to evaluate (or trace a frame on the
+    /// plain path and record its step).
     pub rt_cache_misses: u64,
     /// Trace-plan lookups that found an already-lowered plan.
     pub plan_hits: u64,
@@ -98,14 +100,18 @@ impl GcStats {
     /// A copy with wall-clock *and* cache-accounting fields zeroed: the
     /// part of the stats that must be bit-identical between a memoized
     /// and an unmemoized collection. The cache changes how many routine
-    /// nodes are physically constructed (`rt_nodes_built`) and reports
-    /// its own hit/miss traffic, but nothing the mutator can observe.
+    /// nodes are physically constructed (`rt_nodes_built`), reports its
+    /// own hit/miss traffic, and — through the frame-step memo, which
+    /// stores each frame's resolved plans — how many plan lookups run
+    /// (`plan_hits`; the plans lowered stay the same), but nothing the
+    /// mutator can observe.
     pub fn cache_insensitive(&self) -> GcStats {
         GcStats {
             pause_nanos: 0,
             rt_nodes_built: 0,
             rt_cache_hits: 0,
             rt_cache_misses: 0,
+            plan_hits: 0,
             ..*self
         }
     }
@@ -233,6 +239,8 @@ mod tests {
             rt_cache_hits: 6,
             rt_cache_misses: 7,
             slots_traced: 8,
+            plan_hits: 9,
+            plan_misses: 10,
             pause_nanos: 999,
             ..GcStats::default()
         };
@@ -240,6 +248,11 @@ mod tests {
         assert_eq!(c.rt_nodes_built, 0);
         assert_eq!(c.rt_cache_hits, 0);
         assert_eq!(c.rt_cache_misses, 0);
+        assert_eq!(c.plan_hits, 0);
+        assert_eq!(
+            c.plan_misses, 10,
+            "the plans lowered do not depend on the cache"
+        );
         assert_eq!(c.pause_nanos, 0);
         assert_eq!(c.collections, 3);
         assert_eq!(c.slots_traced, 8);

@@ -276,6 +276,8 @@ impl<'p> Vm<'p> {
         {
             if let Some(fm) = meta.fns.get_mut(f as usize) {
                 fm.frame_param_src.clear();
+                // Recorded frame steps embed the old sources.
+                meta.rt_cache.forget_frames();
             }
         }
         let enc = Encoding::new(cfg.strategy.heap_mode());

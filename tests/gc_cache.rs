@@ -113,6 +113,14 @@ fn deep_recursion_builds_o_sites_not_o_frames() {
             out.gc.rt_nodes_built,
             out.gc.frames_visited
         );
+        // The frame-step memo: every frame is one memo lookup, and only
+        // the first activation of each (site, incoming state) misses.
+        assert!(
+            out.gc.rt_cache_misses * 100 < out.gc.frames_visited,
+            "{s}: {} cache misses for {} frame visits — misses must be per shape",
+            out.gc.rt_cache_misses,
+            out.gc.frames_visited
+        );
     }
 }
 
@@ -272,6 +280,111 @@ fn planned_collections_are_bit_identical_suite() {
         total += plans_closures_differential(name, &src, 1 << 15, 200);
     }
     assert!(total > 0, "the suite must lower plans somewhere");
+}
+
+/// The frame-step memo keys each frame on (call site, incoming state).
+/// `tests/corpus/frame_memo_alternating.tfml` repeats one polymorphic
+/// call site down the stack with alternating `int list` / `bool list
+/// list` environments, interleaved with closure frames whose type
+/// parameters come from the entered closure's arrow routine and from a
+/// hidden descriptor slot, and collects at every depth. With the heap
+/// verifier on, the memoized collection must match the uncached one
+/// event for event and the tagged collector result for result.
+#[test]
+fn frame_memo_is_exact_on_adjacent_frames_that_differ() {
+    use tfgc::gc::meta::FrameParamSrc;
+    use tfgc::obs::GcEvent;
+
+    let src = include_str!("corpus/frame_memo_alternating.tfml");
+    let c = Compiled::compile(src).expect("compiles");
+    let fn_named = |prefix: &str| {
+        c.program
+            .funs
+            .iter()
+            .position(|f| f.name.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no function {prefix}")) as u32
+    };
+    let via = fn_named("via");
+    let fns_with = |pred: fn(&FrameParamSrc) -> bool| -> Vec<u32> {
+        let meta = c.metadata(Strategy::Compiled);
+        (0..meta.fns.len() as u32)
+            .filter(|f| meta.fns[*f as usize].frame_param_src.iter().any(pred))
+            .collect()
+    };
+    let desc_fns = fns_with(|s| matches!(s, FrameParamSrc::DescSlot(_)));
+    let arrow_fns = fns_with(|s| matches!(s, FrameParamSrc::ArrowPath(_)));
+    assert!(
+        !desc_fns.is_empty(),
+        "the program has descriptor-slot frames"
+    );
+    assert!(
+        !arrow_fns.is_empty(),
+        "the program has closure-entered frames"
+    );
+
+    let base = |s: Strategy| {
+        VmConfig::new(s)
+            .heap_words(1 << 10)
+            .heap_max_words(1 << 16)
+            .force_gc_every(3)
+            .verify_heap(true)
+    };
+    let tagged = c.run_with(base(Strategy::Tagged)).expect("tagged run");
+    for s in Strategy::ALL {
+        let (memo, mrec) = c
+            .run_profiled(base(s).rt_cache(true), 1 << 20)
+            .unwrap_or_else(|e| panic!("{s} (cached): {e}"));
+        let (plain, prec) = c
+            .run_profiled(base(s).rt_cache(false), 1 << 20)
+            .unwrap_or_else(|e| panic!("{s} (uncached): {e}"));
+        assert_eq!(memo.result, tagged.result, "{s}: result vs tagged");
+        assert_eq!(memo.printed, tagged.printed, "{s}: printed vs tagged");
+        assert_eq!(memo.result, plain.result, "{s}: result vs uncached");
+        assert_eq!(memo.printed, plain.printed, "{s}: printed vs uncached");
+        assert_eq!(memo.heap, plain.heap, "{s}: HeapStats");
+        assert_eq!(memo.mutator, plain.mutator, "{s}: MutatorStats");
+        assert_eq!(
+            memo.gc.cache_insensitive(),
+            plain.gc.cache_insensitive(),
+            "{s}: GcStats minus cache accounting"
+        );
+        assert_eq!(mrec.dropped() + prec.dropped(), 0, "{s}: ring large enough");
+        let me: Vec<_> = mrec.events().iter().map(normalize_event).collect();
+        let pe: Vec<_> = prec.events().iter().map(normalize_event).collect();
+        assert_eq!(me, pe, "{s}: normalized event streams");
+        if s == Strategy::Tagged {
+            continue;
+        }
+        assert!(
+            memo.heap.collections > 10,
+            "{s}: collections strike at depth"
+        );
+
+        // Every shape the test is about was on the stack when a
+        // collection struck, and one collection saw `via` more than once.
+        let mut visits: std::collections::HashMap<u64, Vec<u32>> = Default::default();
+        for ev in mrec.events() {
+            if let GcEvent::FrameVisit { seq, fn_id, .. } = ev {
+                visits.entry(*seq).or_default().push(*fn_id);
+            }
+        }
+        let seen = |f: &u32| visits.values().any(|v| v.contains(f));
+        assert!(
+            desc_fns.iter().any(seen),
+            "{s}: a descriptor-slot frame was traced"
+        );
+        assert!(
+            arrow_fns.iter().any(seen),
+            "{s}: a closure-entered frame was traced"
+        );
+        assert!(
+            visits
+                .values()
+                .any(|v| v.iter().filter(|f| **f == via).count() >= 4),
+            "{s}: one collection traced several `via` frames"
+        );
+        assert!(memo.gc.rt_cache_hits > 0, "{s}: the memo served frames");
+    }
 }
 
 /// Plans are lowered per distinct routine shape, then hit: across a deep
