@@ -300,38 +300,33 @@ fn e9_json() -> Json {
     let src = tfgc::workloads::programs::poly_deep_alloc(depth);
     let c = Compiled::compile(&src).expect("compiles");
 
-    // …and a deep cached-vs-uncached comparison under the forward
-    // strategies: ≥10⁴ frames on the stack at collection time, with
-    // routine construction per collection O(distinct sites) when the
-    // cache is on.
+    // …and deep rows under the forward strategies: ≥10⁴ frames on the
+    // stack at collection time, with routine construction per
+    // collection O(distinct sites).
     let deep_depth = 50_000usize;
     let deep_src = tfgc::workloads::programs::poly_deep_alloc(deep_depth);
     let dc = Compiled::compile(&deep_src).expect("compiles");
     let deep = Json::Arr(
         [Strategy::Compiled, Strategy::Interpreted]
             .iter()
-            .flat_map(|s| {
-                [true, false].map(|cache| {
-                    let out = dc
-                        .run_with(
-                            VmConfig::new(*s)
-                                .heap_words(1 << 21)
-                                .force_gc_every((deep_depth / 2) as u64)
-                                .rt_cache(cache),
-                        )
-                        .expect("deep run");
-                    Json::obj([
-                        ("strategy", Json::str(s.name())),
-                        ("rt_cache", Json::Bool(cache)),
-                        ("result", Json::str(&out.result)),
-                        ("collections", Json::from(out.heap.collections)),
-                        ("frames_visited", Json::from(out.gc.frames_visited)),
-                        ("rt_nodes_built", Json::from(out.gc.rt_nodes_built)),
-                        ("rt_cache_hits", Json::from(out.gc.rt_cache_hits)),
-                        ("rt_cache_misses", Json::from(out.gc.rt_cache_misses)),
-                        ("pause_ns_total", Json::from(out.gc.pause_nanos)),
-                    ])
-                })
+            .map(|s| {
+                let out = dc
+                    .run_with(
+                        VmConfig::new(*s)
+                            .heap_words(1 << 21)
+                            .force_gc_every((deep_depth / 2) as u64),
+                    )
+                    .expect("deep run");
+                Json::obj([
+                    ("strategy", Json::str(s.name())),
+                    ("result", Json::str(&out.result)),
+                    ("collections", Json::from(out.heap.collections)),
+                    ("frames_visited", Json::from(out.gc.frames_visited)),
+                    ("rt_nodes_built", Json::from(out.gc.rt_nodes_built)),
+                    ("rt_cache_hits", Json::from(out.gc.rt_cache_hits)),
+                    ("rt_cache_misses", Json::from(out.gc.rt_cache_misses)),
+                    ("pause_ns_total", Json::from(out.gc.pause_nanos)),
+                ])
             })
             .collect(),
     );
@@ -412,78 +407,78 @@ fn e10_json() -> Json {
 }
 
 fn e13_json() -> Json {
-    // Per-strategy profiles on moderate polymorphic recursion with
-    // plans on (the default) — the counters show every strategy's plan
-    // traffic, including the tagged baseline's zeros.
+    // Per-strategy profiles on moderate polymorphic recursion — the
+    // counters show every strategy's plan traffic, including the tagged
+    // baseline's zeros.
     let depth = 2_000usize;
     let src = tfgc::workloads::programs::poly_deep_alloc(depth);
     let c = Compiled::compile(&src).expect("compiles");
 
-    // Plans-vs-closures stress rows: a deep polymorphic stack (many
-    // frames, few shapes) and a wide list spine (many objects, one
-    // shape), each under both forward tracing methods with plans on
-    // and off. Pause totals accumulate per mode so the document can
-    // carry a regression verdict for CI.
+    // Engine stress rows: a deep polymorphic stack (many frames, few
+    // shapes) and a wide list spine (many objects, one shape), each
+    // under Compiled (trace plans) and Interpreted (per-object
+    // descriptor walk). Pause totals accumulate per engine so the
+    // document can carry a regression verdict for CI.
     let mut plan_pause = 0u64;
     let mut walk_pause = 0u64;
+    let mut per_object = true;
     let mut stress_row = |c: &Compiled, label: &str, s: Strategy, heap: usize, force: u64| {
-        [true, false].map(|plans| {
-            let out = c
-                .run_with(
-                    VmConfig::new(s)
-                        .heap_words(heap)
-                        .force_gc_every(force)
-                        .trace_plans(plans),
-                )
-                .expect("stress run");
-            if plans {
-                plan_pause += out.gc.pause_nanos;
-            } else {
-                walk_pause += out.gc.pause_nanos;
-            }
-            Json::obj([
-                ("workload", Json::str(label)),
-                ("strategy", Json::str(s.name())),
-                ("trace_plans", Json::Bool(plans)),
-                ("result", Json::str(&out.result)),
-                ("collections", Json::from(out.heap.collections)),
-                ("words_copied", Json::from(out.heap.words_copied)),
-                ("desc_bytes_read", Json::from(out.gc.desc_bytes_read)),
-                ("plan_hits", Json::from(out.gc.plan_hits)),
-                ("plan_misses", Json::from(out.gc.plan_misses)),
-                ("plans_compiled", Json::from(out.gc.plans_compiled)),
-                ("pause_ns_total", Json::from(out.gc.pause_nanos)),
-            ])
-        })
+        let out = c
+            .run_with(VmConfig::new(s).heap_words(heap).force_gc_every(force))
+            .expect("stress run");
+        if s == Strategy::Interpreted {
+            walk_pause += out.gc.pause_nanos;
+            per_object &= out.gc.desc_bytes_read >= out.heap.objects_copied;
+        } else {
+            plan_pause += out.gc.pause_nanos;
+        }
+        Json::obj([
+            ("workload", Json::str(label)),
+            ("strategy", Json::str(s.name())),
+            ("result", Json::str(&out.result)),
+            ("collections", Json::from(out.heap.collections)),
+            ("words_copied", Json::from(out.heap.words_copied)),
+            ("objects_copied", Json::from(out.heap.objects_copied)),
+            ("desc_bytes_read", Json::from(out.gc.desc_bytes_read)),
+            ("plan_hits", Json::from(out.gc.plan_hits)),
+            ("plan_misses", Json::from(out.gc.plan_misses)),
+            ("plans_compiled", Json::from(out.gc.plans_compiled)),
+            ("pause_ns_total", Json::from(out.gc.pause_nanos)),
+        ])
     };
     let deep_depth = 50_000usize;
     let deep_src = tfgc::workloads::programs::poly_deep_alloc(deep_depth);
     let dc = Compiled::compile(&deep_src).expect("compiles");
-    let wide_src = tfgc::workloads::programs::sumlist(3_000, 40);
+    // The wide spine lives in a stack slot, so every collection after
+    // it is built recopies it through the slot's tracing engine.
+    let wide_src = tfgc::workloads::programs::live_and_dead(3_000, 40, 50);
     let wc = Compiled::compile(&wide_src).expect("compiles");
     let mut stress = Vec::new();
     for s in [Strategy::Compiled, Strategy::Interpreted] {
-        stress.extend(stress_row(&dc, "deep", s, 1 << 21, (deep_depth / 2) as u64));
-        // sumlist allocates ~3000 cons cells total, so force a
-        // collection every 500: each one recopies the growing spine.
-        stress.extend(stress_row(&wc, "wide", s, 1 << 17, 500));
+        stress.push(stress_row(&dc, "deep", s, 1 << 21, (deep_depth / 2) as u64));
+        stress.push(stress_row(&wc, "wide", s, 1 << 17, 500));
     }
     doc(
         "E13",
-        "trace plans vs closure walks: flattened routines on deep and wide heaps",
-        "poly_deep_alloc(2000) / poly_deep_alloc(50000) / sumlist(3000, 40)",
+        "trace plans (compiled) vs per-object descriptor walks (interpreted) on deep and wide heaps",
+        "poly_deep_alloc(2000) / poly_deep_alloc(50000) / live_and_dead(3000, 40, 50)",
         profiles(&c, 1 << 19, Some((depth / 2) as u64)),
         vec![
             ("stress".to_string(), Json::Arr(stress)),
-            // True when the plan path's accumulated stress pauses
-            // exceed the closure walk's by more than 1.5× — the CI gate
-            // greps for `"plan_pause_regression": false`. A generous
-            // margin: single-run pause totals are noisy, and the plan
-            // tier must merely not be a regression, with the honest
-            // comparison living in the wall-clock rows above.
+            // True when the plan engine's accumulated stress pauses
+            // exceed the descriptor walk's by more than 1.5× — the CI
+            // gate greps for `"plan_pause_regression": false`. A
+            // generous margin: single-run pause totals are noisy.
             (
                 "plan_pause_regression".to_string(),
                 Json::Bool(plan_pause * 2 > walk_pause * 3),
+            ),
+            // True when every Interpreted stress row parsed at least one
+            // descriptor byte per object it copied: the interpreted
+            // method decodes per object (§2.4), it does not lower once.
+            (
+                "interpreted_walks_per_object".to_string(),
+                Json::Bool(per_object),
             ),
         ],
     )
@@ -797,7 +792,7 @@ mod tests {
     }
 
     #[test]
-    fn e13_compares_plans_against_closure_walks() {
+    fn e13_compares_plans_against_descriptor_walks() {
         let d = bench_json("E13");
         let profiles = d.get("profiles").unwrap().as_arr().unwrap();
         assert_eq!(profiles.len(), Strategy::ALL.len());
@@ -811,20 +806,28 @@ mod tests {
             }
         }
         let stress = d.get("stress").unwrap().as_arr().unwrap();
-        assert_eq!(stress.len(), 8, "2 workloads × 2 strategies × on/off");
+        assert_eq!(stress.len(), 4, "2 workloads × 2 strategies");
         for row in stress {
-            let plans = matches!(row.get("trace_plans"), Some(Json::Bool(true)));
-            let compiled = row.get("plans_compiled").and_then(Json::as_f64).unwrap();
-            let hits = row.get("plan_hits").and_then(Json::as_f64).unwrap();
-            if plans {
-                assert!(compiled > 0.0);
-                assert!(hits > compiled, "plans are reused across collections");
+            let num = |k: &str| row.get(k).and_then(Json::as_f64).unwrap();
+            if matches!(row.get("strategy"), Some(Json::Str(s)) if s == "interpreted") {
+                assert!(
+                    num("desc_bytes_read") >= num("objects_copied"),
+                    "the descriptor walk parses per object: {row:?}"
+                );
             } else {
-                assert_eq!(compiled, 0.0, "plans off must not lower plans");
-                assert_eq!(hits, 0.0);
+                assert_eq!(num("desc_bytes_read"), 0.0, "plans parse no descriptors");
+                assert!(num("plans_compiled") > 0.0);
+                assert!(
+                    num("plan_hits") > num("plans_compiled"),
+                    "plans are reused across collections"
+                );
             }
         }
         assert!(d.get("plan_pause_regression").is_some());
+        assert_eq!(
+            d.get("interpreted_walks_per_object"),
+            Some(&Json::Bool(true))
+        );
         // Everything but the pause rows is deterministic.
         let a = deterministic_view(&bench_json("E13"));
         let b = deterministic_view(&d);

@@ -367,13 +367,11 @@ pub fn e8_append() -> String {
 
 /// E9 — GC-time metadata cache on deep polymorphic recursion: per
 /// collection, routine construction is O(distinct call sites), not
-/// O(stack frames), and disabling the cache changes construction counts
-/// but nothing the mutator can observe.
+/// O(stack frames).
 pub fn e9_deep_recursion() -> String {
     let mut t = Table::new(&[
         "depth",
         "strategy",
-        "cache",
         "GCs",
         "frames visited",
         "rt closures",
@@ -393,29 +391,25 @@ pub fn e9_deep_recursion() -> String {
             if s == Strategy::AppelPerFn && depth > 2_000 {
                 continue;
             }
-            for cache in [true, false] {
-                let out = c
-                    .run_with(
-                        VmConfig::new(s)
-                            .heap_words(1 << 19)
-                            .force_gc_every((depth / 2).max(1) as u64)
-                            .rt_cache(cache),
-                    )
-                    .expect("runs");
-                t.row(vec![
-                    depth.to_string(),
-                    s.to_string(),
-                    if cache { "on" } else { "off" }.to_string(),
-                    out.gc.collections.to_string(),
-                    out.gc.frames_visited.to_string(),
-                    out.gc.rt_nodes_built.to_string(),
-                    format!(
-                        "{:.4}",
-                        out.gc.rt_nodes_built as f64 / out.gc.frames_visited.max(1) as f64
-                    ),
-                    out.gc.rt_cache_hits.to_string(),
-                ]);
-            }
+            let out = c
+                .run_with(
+                    VmConfig::new(s)
+                        .heap_words(1 << 19)
+                        .force_gc_every((depth / 2).max(1) as u64),
+                )
+                .expect("runs");
+            t.row(vec![
+                depth.to_string(),
+                s.to_string(),
+                out.gc.collections.to_string(),
+                out.gc.frames_visited.to_string(),
+                out.gc.rt_nodes_built.to_string(),
+                format!(
+                    "{:.4}",
+                    out.gc.rt_nodes_built as f64 / out.gc.frames_visited.max(1) as f64
+                ),
+                out.gc.rt_cache_hits.to_string(),
+            ]);
         }
     }
     format!(
@@ -446,60 +440,48 @@ pub fn e10_serve() -> String {
     )
 }
 
-/// E13 — trace plans vs closure walks: each routine and descriptor is
-/// lowered once into a branch-free linear plan, then reused across
-/// collections (`plan hits ≫ plans compiled`), with results and copy
-/// orders bit-identical to the closure walk (`tests/gc_cache.rs`
-/// proves the differential; this table shows the traffic).
-pub fn e13_trace_plans() -> String {
+/// E13 — the two tracing engines on deep and wide heaps: Compiled
+/// lowers each routine once into a branch-free plan and reuses it across
+/// collections (`plan hits ≫ plans compiled`); Interpreted parses a
+/// byte descriptor at every object it copies (`desc bytes ≥ objects
+/// copied`), §2.4's interpreted method.
+pub fn e13_plans_vs_descriptors() -> String {
     let mut t = Table::new(&[
         "workload",
         "strategy",
-        "plans",
         "GCs",
         "words copied",
+        "objects copied",
         "desc bytes",
         "plans compiled",
         "plan hits",
-        "hits/compile",
     ]);
     let deep = tfgc::workloads::programs::poly_deep_alloc(20_000);
-    let wide = tfgc::workloads::programs::sumlist(3_000, 40);
+    let wide = tfgc::workloads::programs::live_and_dead(3_000, 40, 50);
     for (label, src, heap, force) in [
         ("deep", &deep, 1usize << 20, 10_000u64),
         ("wide", &wide, 1 << 17, 500),
     ] {
         let c = Compiled::compile(src).expect("compiles");
         for s in [Strategy::Compiled, Strategy::Interpreted] {
-            for plans in [true, false] {
-                let out = c
-                    .run_with(
-                        VmConfig::new(s)
-                            .heap_words(heap)
-                            .force_gc_every(force)
-                            .trace_plans(plans),
-                    )
-                    .expect("runs");
-                t.row(vec![
-                    label.to_string(),
-                    s.to_string(),
-                    if plans { "on" } else { "off" }.to_string(),
-                    out.heap.collections.to_string(),
-                    out.heap.words_copied.to_string(),
-                    out.gc.desc_bytes_read.to_string(),
-                    out.gc.plans_compiled.to_string(),
-                    out.gc.plan_hits.to_string(),
-                    format!(
-                        "{:.1}",
-                        out.gc.plan_hits as f64 / out.gc.plans_compiled.max(1) as f64
-                    ),
-                ]);
-            }
+            let out = c
+                .run_with(VmConfig::new(s).heap_words(heap).force_gc_every(force))
+                .expect("runs");
+            t.row(vec![
+                label.to_string(),
+                s.to_string(),
+                out.heap.collections.to_string(),
+                out.heap.words_copied.to_string(),
+                out.heap.objects_copied.to_string(),
+                out.gc.desc_bytes_read.to_string(),
+                out.gc.plans_compiled.to_string(),
+                out.gc.plan_hits.to_string(),
+            ]);
         }
     }
     format!(
-        "E13 — flattened trace plans: shape lowering is O(shapes), \
-         execution is branch-free\n{}",
+        "E13 — trace plans (compiled) vs per-object descriptor walks \
+         (interpreted)\n{}",
         t.render()
     )
 }
@@ -518,7 +500,7 @@ pub fn all_experiments() -> String {
         e8_append(),
         e9_deep_recursion(),
         e10_serve(),
-        e13_trace_plans(),
+        e13_plans_vs_descriptors(),
     ]
     .join("\n")
 }
@@ -548,15 +530,5 @@ mod tests {
     fn e8_append_never_traces() {
         let s = e8_append();
         assert!(s.contains("append sites that trace  0"), "{s}");
-    }
-
-    #[test]
-    fn e9_reports_cache_effect() {
-        let s = e9_deep_recursion();
-        assert!(s.contains("cache"), "{s}");
-        assert!(s.contains("20000"), "deep row present:\n{s}");
-        // The cached rows report hits; the uncached rows report none.
-        assert!(s.lines().any(|l| l.contains(" on ")), "{s}");
-        assert!(s.lines().any(|l| l.contains(" off ")), "{s}");
     }
 }

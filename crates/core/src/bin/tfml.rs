@@ -20,10 +20,10 @@
 //!                                          watermark-flap scenarios)
 //! tfml fuzz [FUZZ OPTS]                    differential fuzzing campaign:
 //!                                          generated programs across every
-//!                                          strategy × plans × cache × heap
-//!                                          tier, tagged-oracle snapshots,
-//!                                          seeded faults; findings shrunk
-//!                                          by typed delta-debugging
+//!                                          strategy × heap tier, tagged-
+//!                                          oracle snapshots, seeded
+//!                                          faults; findings shrunk by
+//!                                          typed delta-debugging
 //!
 //! OPTS:
 //!   --strategy S     compiled | compiled-nolive | interpreted | appel | tagged
@@ -35,8 +35,6 @@
 //!                    failing fast on any inconsistency
 //!   --verify-oracle  replay under the tagged collector and require
 //!                    identical reachable graphs at every collection
-//!   --no-trace-plans trace with the nested-closure walk instead of the
-//!                    flattened trace plans (differential baseline)
 //!   --generational   bump-pointer nursery + minor/major cycles (barrier-
 //!                    free: the immutable heap has no old-to-young edges)
 //!   --nursery-words N  nursery size in words (implies --generational;
@@ -57,7 +55,6 @@
 //!   --quantum N               instructions per scheduling quantum
 //!   --window-ms N             steady-state metrics window (default 10)
 //!   --sample-every N          occupancy sample period in quanta (default 32)
-//!   --no-trace-plans          closure-walk tracing (plans differential)
 //!   --generational            nursery + minor/major cycles per strategy
 //!   --nursery-words N         nursery words (implies --generational)
 //!   --promote-after K         survivals before promotion (default 0)
@@ -153,7 +150,6 @@ struct Opts {
     trace: Option<String>,
     metrics: Option<String>,
     events: usize,
-    trace_plans: bool,
     generational: bool,
     nursery_words: Option<usize>,
     promote_after: u32,
@@ -215,7 +211,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
     let mut trace = None;
     let mut metrics = None;
     let mut events = 1usize << 16;
-    let mut trace_plans = true;
     let mut generational = false;
     let mut nursery_words = None;
     let mut promote_after = 0u32;
@@ -251,7 +246,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
             "--stats" => stats = true,
             "--verify-heap" => verify_heap = true,
             "--verify-oracle" => verify_oracle = true,
-            "--no-trace-plans" => trace_plans = false,
             "--generational" => generational = true,
             "--nursery-words" => {
                 i += 1;
@@ -325,7 +319,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
         trace,
         metrics,
         events,
-        trace_plans,
         generational,
         nursery_words,
         promote_after,
@@ -343,10 +336,10 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
         println!(
             "tfml run|profile|disasm|gcmap|analyze|compare [--strategy S] [--heap N] \
              [--force-gc N] [--refined] [--stats] [--verify-heap] [--verify-oracle] \
-             [--trace FILE] [--metrics FILE] [--events N] [--no-trace-plans] <file | -e SRC>\n\
+             [--trace FILE] [--metrics FILE] [--events N] <file | -e SRC>\n\
              tfml serve [--strategy S|all] [--requests N] [--pool N] [--seed N] [--heap N] \
              [--heap-max N] [--quantum N] [--window-ms N] [--sample-every N] \
-             [--no-trace-plans] [--json FILE] \
+             [--json FILE] \
              [--trace FILE] [--slo-p99-latency-ms F] [--slo-p99-pause-ms F] \
              [--deadline-quanta N] [--fuel N] [--queue-cap N] \
              [--admission reject|backoff[:A:B]|degrade[:K]] [--soft-watermark PCT] \
@@ -388,8 +381,7 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
 fn vm_config(opts: &Opts) -> VmConfig {
     let mut cfg = VmConfig::new(opts.strategy)
         .heap_words(opts.heap)
-        .verify_heap(opts.verify_heap)
-        .trace_plans(opts.trace_plans);
+        .verify_heap(opts.verify_heap);
     if let Some(n) = opts.force_gc {
         cfg = cfg.force_gc_every(n);
     }
@@ -661,7 +653,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
                         .clone(),
                 );
             }
-            "--no-trace-plans" => base.trace_plans = false,
             "--generational" => serve_generational = true,
             "--nursery-words" => {
                 i += 1;
@@ -1044,9 +1035,7 @@ fn cmd_compare(compiled: &Compiled, opts: &Opts) -> Result<(), String> {
         "strategy", "result", "words", "GCs", "copied", "tag-ops", "meta B",
     ]);
     for s in Strategy::ALL {
-        let mut cfg = VmConfig::new(s)
-            .heap_words(opts.heap)
-            .trace_plans(opts.trace_plans);
+        let mut cfg = VmConfig::new(s).heap_words(opts.heap);
         if let Some(n) = opts.force_gc {
             cfg = cfg.force_gc_every(n);
         }

@@ -147,9 +147,6 @@ pub struct ServeConfig {
     pub sample_every: u64,
     /// Fault schedule for torture runs.
     pub fault_plan: Option<FaultPlan>,
-    /// Flattened trace-plan execution (`--no-trace-plans` turns it off
-    /// for the plans≡closures serve differential).
-    pub trace_plans: bool,
     /// Bump-pointer nursery size in words (`--generational`): `Some`
     /// runs minor/major generational collection, `None` the classic
     /// single-generation semispace.
@@ -195,7 +192,6 @@ impl ServeConfig {
             ring: 1 << 14,
             sample_every: 32,
             fault_plan: None,
-            trace_plans: true,
             hog_every: 0,
             runaway_every: 0,
             nursery_words: None,
@@ -283,7 +279,6 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeRun, String> {
     tc.policy = SuspendPolicy::EveryCall;
     tc.quantum = cfg.quantum;
     tc.fault_plan = cfg.fault_plan;
-    tc.trace_plans = cfg.trace_plans;
     tc.nursery_words = cfg.nursery_words;
     tc.promote_after = cfg.promote_after;
     let obs = Obs::serve(cfg.ring, cfg.window_ms.max(1) * 1_000_000);

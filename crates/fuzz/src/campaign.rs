@@ -6,9 +6,7 @@ use std::collections::BTreeMap;
 
 use crate::{compile_src, shrink::shrink, FuzzCompiled};
 use tfgc_gc::Strategy;
-use tfgc_vm::{
-    capture_panics_mut, diff, with_quiet_panics, CanonHeap, FaultPlan, Vm, VmConfig, VmError,
-};
+use tfgc_vm::{capture_panics_mut, diff, with_quiet_panics, FaultPlan, Vm, VmConfig, VmError};
 use tfgc_workloads::{generate_program, GProgram, GenConfig};
 
 /// Campaign settings (all deterministic inputs).
@@ -63,8 +61,6 @@ pub enum DivergenceKind {
     ResultMismatch,
     /// Two cells disagree on printed output.
     PrintedMismatch,
-    /// Two same-strategy cells disagree on a canonical heap snapshot.
-    SnapshotMismatch,
     /// The post-collection heap verifier rejected a heap.
     VerifierFailure,
     /// The tagged-oracle node-identity pass diverged.
@@ -83,7 +79,6 @@ impl DivergenceKind {
             DivergenceKind::CompileFailure => "compile-failure",
             DivergenceKind::ResultMismatch => "result-mismatch",
             DivergenceKind::PrintedMismatch => "printed-mismatch",
-            DivergenceKind::SnapshotMismatch => "snapshot-mismatch",
             DivergenceKind::VerifierFailure => "verifier-failure",
             DivergenceKind::OracleFailure => "oracle-failure",
             DivergenceKind::RawPanic => "raw-panic",
@@ -163,15 +158,8 @@ fn error_class(e: &VmError) -> &'static str {
 /// How one clean cell ended.
 #[derive(Debug, Clone)]
 enum CellOutcome {
-    Done {
-        result: String,
-        printed: Vec<i64>,
-        snaps: Option<Vec<CanonHeap>>,
-    },
-    Err {
-        class: &'static str,
-        msg: String,
-    },
+    Done { result: String, printed: Vec<i64> },
+    Err { class: &'static str, msg: String },
     FailFast(String),
     RawPanic(String),
 }
@@ -201,27 +189,15 @@ const FORCED_GC_PERIOD: u64 = 7;
 fn run_cell(
     compiled: &FuzzCompiled,
     strategy: Strategy,
-    plans: bool,
-    cache: bool,
     tiny: bool,
     generational: bool,
     seed: u64,
 ) -> CellOutcome {
     let meta = compiled.metadata(strategy);
-    // Snapshot roots always follow a tag-free metadata set; the tagged
-    // strategy's own metadata omits every gc_word, so borrow the
-    // no-liveness build (same rule as the torture oracle).
-    let root_meta = if strategy == Strategy::Tagged {
-        compiled.metadata(Strategy::CompiledNoLiveness)
-    } else {
-        meta.clone()
-    };
     let mut cfg = VmConfig::new(strategy)
         .heap_words(if tiny { TINY_HEAP } else { HEAP_CEILING })
         .heap_max_words(HEAP_CEILING)
-        .verify_heap(true)
-        .rt_cache(cache)
-        .trace_plans(plans);
+        .verify_heap(true);
     if tiny {
         cfg = cfg.force_gc_every(FORCED_GC_PERIOD);
     }
@@ -230,35 +206,20 @@ fn run_cell(
         // and survivor aging churn on every program in the universe.
         cfg = cfg.generational(TINY_HEAP / 4, 1);
     }
-    // Snapshots ride only on the single-generation tiny tier: the
-    // generational tier interleaves pressure-driven minors with the
-    // forced majors, so its collection sequence is not comparable
-    // across cells that allocate at identical counts but collect at
-    // nursery-relative ones.
-    let snapshots = tiny && !generational;
     let context = format!(
-        "seed {seed} / {strategy} / plans={} cache={} heap={}{}",
-        plans,
-        cache,
+        "seed {seed} / {strategy} / heap={}{}",
         if tiny { "tiny" } else { "default" },
         if generational { "-gen" } else { "" }
     );
     let res = capture_panics_mut(&context, || {
-        let mut vm = Vm::with_meta(&compiled.program, cfg, meta);
-        if snapshots {
-            vm.enable_snapshots(root_meta);
-        }
-        let out = vm.run();
-        let snaps = vm.take_snapshots();
-        (out, snaps)
+        Vm::with_meta(&compiled.program, cfg, meta).run()
     });
     match res {
-        Ok((Ok(out), snaps)) => CellOutcome::Done {
+        Ok(Ok(out)) => CellOutcome::Done {
             result: out.result,
             printed: out.printed,
-            snaps: if snapshots { Some(snaps) } else { None },
         },
-        Ok((Err(e), _)) => CellOutcome::Err {
+        Ok(Err(e)) => CellOutcome::Err {
             class: error_class(&e),
             msg: e.to_string(),
         },
@@ -342,9 +303,9 @@ pub(crate) struct SeedStats {
     pub faults_graceful: u64,
 }
 
-/// Runs the full check matrix on one program: 40 differential cells
-/// (5 strategies × plans × cache × heap tier), 5 oracle passes, and
-/// 5 seeded-fault runs. Pure function of `(prog, seed, planted)`.
+/// Runs the full check matrix on one program: 15 differential cells
+/// (5 strategies × 3 heap tiers), 5 oracle passes, and 5 seeded-fault
+/// runs. Pure function of `(prog, seed, planted)`.
 pub(crate) fn check_program(
     prog: &GProgram,
     seed: u64,
@@ -368,9 +329,8 @@ pub(crate) fn check_program(
     };
 
     // --- Differential cells ---------------------------------------
-    // Outcomes keyed (strategy-index, plans, cache) per heap tier, in a
-    // fixed iteration order so comparisons and fingerprints are
-    // deterministic.
+    // Outcomes per strategy and heap tier, in a fixed iteration order so
+    // comparisons and fingerprints are deterministic.
     let mut tiny_ref: Option<CellOutcome> = None;
     for (tiny, generational) in [(true, false), (true, true), (false, false)] {
         let tier = match (tiny, generational) {
@@ -378,51 +338,47 @@ pub(crate) fn check_program(
             (true, true) => "tiny-gen",
             _ => "default",
         };
-        let mut cells: Vec<(Strategy, bool, bool, CellOutcome)> = Vec::new();
+        let mut cells: Vec<(Strategy, CellOutcome)> = Vec::new();
         for s in Strategy::ALL {
-            for plans in [true, false] {
-                for cache in [true, false] {
-                    let out = run_cell(&compiled, s, plans, cache, tiny, generational, seed);
-                    stats.cases += 1;
-                    match &out {
-                        CellOutcome::Done { .. } => stats.completed += 1,
-                        CellOutcome::Err { class, msg } => {
-                            stats.structured_errors += 1;
-                            if *class == "verification-failed" {
-                                findings.push(RawFinding {
-                                    kind: DivergenceKind::VerifierFailure,
-                                    fingerprint: format!("verifier-failure|{class}|{s}"),
-                                    detail: format!("{tier} plans={plans} cache={cache}: {msg}"),
-                                });
-                            }
-                        }
-                        CellOutcome::FailFast(msg) => {
-                            // No fault plan is armed in clean cells, so a
-                            // fail-fast panic means the runtime detected
-                            // corruption it produced itself.
-                            findings.push(RawFinding {
-                                kind: DivergenceKind::VerifierFailure,
-                                fingerprint: format!("verifier-failure|fail-fast|{s}"),
-                                detail: format!("{tier} plans={plans} cache={cache}: {msg}"),
-                            });
-                        }
-                        CellOutcome::RawPanic(msg) => {
-                            findings.push(RawFinding {
-                                kind: DivergenceKind::RawPanic,
-                                fingerprint: format!("raw-panic|panic|{s}"),
-                                detail: msg.clone(),
-                            });
-                        }
+            let out = run_cell(&compiled, s, tiny, generational, seed);
+            stats.cases += 1;
+            match &out {
+                CellOutcome::Done { .. } => stats.completed += 1,
+                CellOutcome::Err { class, msg } => {
+                    stats.structured_errors += 1;
+                    if *class == "verification-failed" {
+                        findings.push(RawFinding {
+                            kind: DivergenceKind::VerifierFailure,
+                            fingerprint: format!("verifier-failure|{class}|{s}"),
+                            detail: format!("{tier}: {msg}"),
+                        });
                     }
-                    cells.push((s, plans, cache, out));
+                }
+                CellOutcome::FailFast(msg) => {
+                    // No fault plan is armed in clean cells, so a
+                    // fail-fast panic means the runtime detected
+                    // corruption it produced itself.
+                    findings.push(RawFinding {
+                        kind: DivergenceKind::VerifierFailure,
+                        fingerprint: format!("verifier-failure|fail-fast|{s}"),
+                        detail: format!("{tier}: {msg}"),
+                    });
+                }
+                CellOutcome::RawPanic(msg) => {
+                    findings.push(RawFinding {
+                        kind: DivergenceKind::RawPanic,
+                        fingerprint: format!("raw-panic|panic|{s}"),
+                        detail: msg.clone(),
+                    });
                 }
             }
+            cells.push((s, out));
         }
 
         // Cross-cell agreement within the tier: every cell must match
         // the reference cell's outcome class, result, and printed output.
-        let (ref_s, _, _, ref_out) = &cells[0];
-        for (s, plans, cache, out) in &cells[1..] {
+        let (ref_s, ref_out) = &cells[0];
+        for (s, out) in &cells[1..] {
             if out.class() != ref_out.class() {
                 findings.push(RawFinding {
                     kind: DivergenceKind::ResultMismatch,
@@ -432,7 +388,7 @@ pub(crate) fn check_program(
                         out.class()
                     ),
                     detail: format!(
-                        "{tier}: {ref_s} plans=true cache=true ended {} but {s} plans={plans} cache={cache} ended {}",
+                        "{tier}: {ref_s} ended {} but {s} ended {}",
                         ref_out.class(),
                         out.class()
                     ),
@@ -443,12 +399,10 @@ pub(crate) fn check_program(
                 CellOutcome::Done {
                     result: r0,
                     printed: p0,
-                    ..
                 },
                 CellOutcome::Done {
                     result: r1,
                     printed: p1,
-                    ..
                 },
             ) = (ref_out, out)
             {
@@ -456,16 +410,14 @@ pub(crate) fn check_program(
                     findings.push(RawFinding {
                         kind: DivergenceKind::ResultMismatch,
                         fingerprint: format!("result-mismatch|result|{ref_s}-vs-{s}"),
-                        detail: format!(
-                            "{tier}: {ref_s} got {r0} but {s} plans={plans} cache={cache} got {r1}"
-                        ),
+                        detail: format!("{tier}: {ref_s} got {r0} but {s} got {r1}"),
                     });
                 } else if p0 != p1 {
                     findings.push(RawFinding {
                         kind: DivergenceKind::PrintedMismatch,
                         fingerprint: format!("printed-mismatch|printed|{ref_s}-vs-{s}"),
                         detail: format!(
-                            "{tier}: printed output differs between {ref_s} and {s} plans={plans} cache={cache} ({} vs {} lines)",
+                            "{tier}: printed output differs between {ref_s} and {s} ({} vs {} lines)",
                             p0.len(),
                             p1.len()
                         ),
@@ -500,12 +452,10 @@ pub(crate) fn check_program(
                         CellOutcome::Done {
                             result: r0,
                             printed: p0,
-                            ..
                         },
                         CellOutcome::Done {
                             result: r1,
                             printed: p1,
-                            ..
                         },
                     ) = (base, ref_out)
                     {
@@ -530,54 +480,6 @@ pub(crate) fn check_program(
                 }
             }
             _ => {}
-        }
-
-        // Snapshot identity within each strategy (tiny tier only): the
-        // metadata is fixed, so trace plans and the rt-cache must not
-        // change what a collection observes as reachable.
-        if tiny && !generational {
-            for s in Strategy::ALL {
-                let strat_cells: Vec<&(Strategy, bool, bool, CellOutcome)> =
-                    cells.iter().filter(|(cs, ..)| *cs == s).collect();
-                let base = match &strat_cells[0].3 {
-                    CellOutcome::Done {
-                        snaps: Some(sn), ..
-                    } => sn,
-                    _ => continue,
-                };
-                for (_, plans, cache, out) in &strat_cells[1..] {
-                    let other = match out {
-                        CellOutcome::Done {
-                            snaps: Some(sn), ..
-                        } => sn,
-                        _ => continue,
-                    };
-                    if base.len() != other.len() {
-                        findings.push(RawFinding {
-                            kind: DivergenceKind::SnapshotMismatch,
-                            fingerprint: format!("snapshot-mismatch|count|{s}"),
-                            detail: format!(
-                                "{s}: {} collections with plans/cache on but {} with plans={plans} cache={cache}",
-                                base.len(),
-                                other.len()
-                            ),
-                        });
-                        continue;
-                    }
-                    for (i, (a, b)) in base.iter().zip(other.iter()).enumerate() {
-                        if let Some(d) = diff(a, b) {
-                            findings.push(RawFinding {
-                                kind: DivergenceKind::SnapshotMismatch,
-                                fingerprint: format!("snapshot-mismatch|graph|{s}"),
-                                detail: format!(
-                                    "{s} collection {i} (plans={plans} cache={cache}): {d}"
-                                ),
-                            });
-                            break;
-                        }
-                    }
-                }
-            }
         }
     }
 
@@ -716,8 +618,8 @@ mod tests {
         };
         let report = run_campaign(&cfg);
         assert_eq!(report.seeds_run, 6);
-        // 1 compile + 60 cells + 5 oracle + 5 fault per seed.
-        assert_eq!(report.cases_executed, 6 * 71);
+        // 1 compile + 15 cells + 5 oracle + 5 fault per seed.
+        assert_eq!(report.cases_executed, 6 * 26);
         assert!(
             report.ok(),
             "unexpected findings: {:#?}",

@@ -3,8 +3,8 @@
 //! The collectors' contract is behavioral equivalence: a well-typed
 //! program must produce the same result, the same printed output, and
 //! (versus the tagged oracle) the same reachable graph under every
-//! collection strategy and every metadata configuration, and every
-//! injected fault must degrade gracefully. This crate turns that
+//! collection strategy, and every injected fault must degrade
+//! gracefully. This crate turns that
 //! contract into a campaign:
 //!
 //! 1. [`generate_program`](tfgc_workloads::generate_program) produces a
@@ -13,8 +13,8 @@
 //!    closures and partial application, let-polymorphism, deep
 //!    recursion).
 //! 2. [`campaign::run_campaign`] executes it across every strategy ×
-//!    {trace plans on/off} × {rt cache on/off} × {tiny forced-GC heap,
-//!    default heap} with the heap verifier on, replays it against the
+//!    {tiny forced-GC heap, tiny generational heap, default heap} with
+//!    the heap verifier on, replays it against the
 //!    tagged oracle with node-identity snapshots, and runs it under a
 //!    seeded fault plan. Any divergence, verifier/oracle failure, raw
 //!    panic, or non-graceful fault becomes a [`campaign::Finding`].

@@ -35,7 +35,7 @@ pub fn report_json(cfg: &CampaignConfig, report: &CampaignReport) -> String {
         ("experiment", Json::str("E14")),
         (
             "description",
-            Json::str("differential fuzzing campaign: strategies x plans x cache x heap tiers, tagged oracle, seeded faults"),
+            Json::str("differential fuzzing campaign: strategies x heap tiers, tagged oracle, seeded faults"),
         ),
         ("seeds", n(report.seeds_run)),
         ("seed_start", n(report.seed_start)),
@@ -91,7 +91,7 @@ mod tests {
         let parsed = tfgc_obs::json::parse(&r1).expect("report parses");
         assert_eq!(
             parsed.get("cases_executed").and_then(Json::as_f64),
-            Some(2.0 * 71.0)
+            Some(2.0 * 26.0)
         );
         assert_eq!(
             parsed.get("finding_count").and_then(Json::as_f64),

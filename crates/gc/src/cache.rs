@@ -30,18 +30,20 @@
 //!   [`RtCache::hits`]/[`RtCache::misses`] like any other memo lookup.
 //!
 //! Correctness: `eval_sx` is a pure function of the template and the
-//! environment, so memoization cannot change any collection outcome —
-//! the workspace's differential tests compare cached and uncached
-//! collections bit-for-bit under every strategy. The cache is owned by
-//! `GcMeta` and persists across collections of a run (results only ever
-//! reference immutable metadata). Disabling it ([`RtCache::enabled`] =
-//! false) routes every call through the plain builders.
+//! environment, so memoization cannot change any collection outcome. The
+//! cache is always on; its independent references are Appel's unmemoized
+//! backward walk, Interpreted's descriptor walk and the tagged oracle,
+//! which the workspace's differential tests compare every tag-free
+//! strategy against; the heap verifier evaluates with the plain
+//! `eval_sx`/`desc_to_rt` builders. The cache is owned by `GcMeta` and
+//! persists across collections of a run (results only ever reference
+//! immutable metadata).
 
 use crate::collect::WTy;
 use crate::desc::{DescArena, DescId, DescNode};
 use crate::ground::GroundTable;
 use crate::plan::{PlanId, PlanStore};
-use crate::rtval::{desc_to_rt, eval_sx, extract_path, param_lookup, EvalCx, RtBuildStats, RtVal};
+use crate::rtval::{extract_path, param_lookup, EvalCx, RtBuildStats, RtVal};
 use crate::sx::{SxId, SxTable, TypeSx};
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -103,9 +105,6 @@ pub(crate) struct FrameStep {
 /// The collector's memoization state. One per [`crate::meta::GcMeta`].
 #[derive(Debug, Clone)]
 pub struct RtCache {
-    /// When false, every call falls through to the unmemoized builders
-    /// (the differential baseline; `VmConfig::rt_cache(false)`).
-    pub enabled: bool,
     /// Memo lookups that returned a previously computed result.
     pub hits: u64,
     /// Memo lookups that had to evaluate.
@@ -169,10 +168,9 @@ fn ptr_key(v: &RtVal) -> Option<PtrKey> {
 }
 
 impl RtCache {
-    /// An empty, enabled cache.
+    /// An empty cache.
     pub fn new() -> RtCache {
         RtCache {
-            enabled: true,
             hits: 0,
             misses: 0,
             nodes: Vec::new(),
@@ -214,9 +212,6 @@ impl RtCache {
         stats: &mut RtBuildStats,
         cx: EvalCx,
     ) -> RtVal {
-        if !self.enabled {
-            return eval_sx(sxs.get(id), env, stats, cx);
-        }
         // Leaf templates never allocate and never consult the memo.
         match sxs.get(id) {
             TypeSx::Prim => return RtVal::Const,
@@ -361,7 +356,7 @@ impl RtCache {
         ground: &mut GroundTable,
         cx: EvalCx,
     ) -> RtVal {
-        if !self.enabled || path.is_empty() {
+        if path.is_empty() {
             return extract_path(rt, path, prog, ground, cx);
         }
         let path_ix = match self.paths.get(path) {
@@ -390,9 +385,6 @@ impl RtCache {
     /// Converts a descriptor, memoized per [`DescId`] (descriptors are
     /// interned and immutable once created).
     pub fn desc(&mut self, arena: &DescArena, id: DescId, stats: &mut RtBuildStats) -> RtVal {
-        if !self.enabled {
-            return desc_to_rt(arena, id, stats);
-        }
         if let Some(v) = self.desc_memo.get(&id) {
             self.hits += 1;
             return v.clone();
@@ -536,6 +528,7 @@ impl Default for RtCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rtval::eval_sx;
     use tfgc_types::LIST_DATA;
 
     fn prog(src: &str) -> IrProgram {
@@ -681,18 +674,25 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_falls_through() {
+    fn unmemoized_eval_builds_per_call_the_cache_once() {
         let sx = TypeSx::Data(LIST_DATA, vec![TypeSx::Param(0)]);
+        let mut plain = RtBuildStats::default();
+        for _ in 0..3 {
+            eval_sx(&sx, &[RtVal::Const], &mut plain, EvalCx::None);
+        }
+        assert_eq!(
+            plain.nodes_built, 3,
+            "unmemoized evaluation builds per call"
+        );
+
         let (t, id) = table_with(sx);
         let mut cache = RtCache::new();
-        cache.enabled = false;
         let mut stats = RtBuildStats::default();
         for _ in 0..3 {
             cache.eval(&t, id, &[RtVal::Const], &mut stats, EvalCx::None);
         }
-        assert_eq!((cache.hits, cache.misses), (0, 0));
-        assert_eq!(stats.nodes_built, 3, "unmemoized path builds per call");
-        assert_eq!(cache.nodes_interned(), 0);
+        assert_eq!((cache.hits, cache.misses), (2, 1));
+        assert_eq!(stats.nodes_built, 1, "the cache builds the node once");
     }
 
     #[test]

@@ -16,29 +16,41 @@
 //!   with no caching — the cost Goldberg's forward scheme avoids;
 //!   [`GcStats::chain_steps`] counts it.
 //!
+//! Each strategy runs one tracing engine for its frame slots:
+//!
+//! * **Compiled, CompiledNoLiveness, AppelPerFn** evaluate each slot's
+//!   routine and execute its lowered trace plan (`plan.rs`).
+//! * **Interpreted** walks the slot's byte descriptor, parsing it afresh
+//!   at every object it copies — §2.4's interpreted method, the space
+//!   side of the trade-off E4 measures.
+//!
+//! Whatever is typed by an evaluated routine value — globals, pending
+//! allocation operands, closure captures, and a descriptor `Param` bound
+//! to a routine — runs that routine's plan under every strategy.
+//!
 //! Values are traced through a typed worklist (no recursion in data
 //! depth), so million-element lists collect in constant Rust stack space.
 //!
 //! Template evaluation, Figure-3 path extraction, and descriptor
-//! conversion all route through the metadata's [`RtCache`]. With the
-//! cache and trace plans both on, the forward walk goes further: each
-//! frame is keyed on its call site and the interned state its caller's
-//! routine hands it, and only the first activation with a key evaluates
-//! anything. Later ones replay the recorded frame step — the traced
-//! slots with their resolved plans and the outgoing state — so a deep
-//! chain of activations costs one small-integer lookup per frame, not a
-//! θ evaluation, an environment vector and plan lookups. The worklist
-//! and the decoded-frame vector live in [`CollectorScratch`] (owned by
-//! `GcMeta`) and are reused across collections; the heap's forwarding
-//! bitmap is likewise allocated once and only zeroed per collection (see
-//! `tfgc_runtime::Heap`).
+//! conversion all route through the metadata's [`RtCache`]. The forward
+//! walk goes further: each frame is keyed on its call site and the
+//! interned state its caller's routine hands it, and only the first
+//! activation with a key evaluates anything. Later ones replay the
+//! recorded frame step — the traced slots with their resolved plans (or
+//! descriptor positions) and the outgoing state — so a deep chain of
+//! activations costs one small-integer lookup per frame, not a θ
+//! evaluation, an environment vector and plan lookups. Appel's walk is
+//! never memoized. The worklist and the decoded-frame vector live in
+//! [`CollectorScratch`] (owned by `GcMeta`) and are reused across
+//! collections; the heap's forwarding bitmap is likewise allocated once
+//! and only zeroed per collection (see `tfgc_runtime::Heap`).
 
 use crate::bytes::{BytePool, DescView};
 use crate::cache::{FrameStep, RtCache, SlotStep, StateId, NO_STATE};
 use crate::desc::{DescArena, DescId};
 use crate::ground::{GroundTable, TypeRt, TypeRtId};
 use crate::meta::{CalleePlan, ClosParamSrc, FnGcMeta, FrameParamSrc, GcMeta, SiteMeta};
-use crate::plan::{EnvEntryFp, EnvId, PlanId, PlanKind, PlanOp, PlanOps, VariantPlan, NOOP_PLAN};
+use crate::plan::{PlanId, PlanKind, PlanOp, PlanOps, VariantPlan, NOOP_PLAN};
 use crate::routines::{RoutineTable, TraceOp};
 use crate::rtval::{EvalCx, RtBuildStats, RtVal};
 use crate::stack::{walk_frames_into, FrameInfo, FRAME_HDR};
@@ -82,17 +94,13 @@ pub struct MachineRoots<'m> {
     pub operand_stack: usize,
 }
 
-/// A tracing type at collection time: an evaluated routine value, or an
-/// interpreted byte descriptor under an environment.
+/// A tracing type at collection time: an evaluated routine value (traced
+/// through its plan), an interpreted byte descriptor under an
+/// environment, or a lowered trace plan.
 #[derive(Debug, Clone)]
 pub(crate) enum WTy {
     Rt(RtVal),
-    Bytes {
-        pos: u32,
-        env: Rc<Vec<WTy>>,
-    },
-    /// A lowered trace plan (the fast tier): relocation dispatches
-    /// through the plan interpreter, not the `RtVal` walk.
+    Bytes { pos: u32, env: Rc<Vec<WTy>> },
     Plan(PlanId),
 }
 
@@ -189,8 +197,6 @@ pub fn collect_tagfree(
     let t0 = Instant::now();
     heap.begin_collection(minor);
     let frames_buf = &mut meta.scratch.frames;
-    let plans_on = meta.rt_cache.plans.enabled;
-    let memo_on = plans_on && meta.rt_cache.enabled;
     let mut cx = Collector {
         prog,
         heap,
@@ -211,8 +217,6 @@ pub fn collect_tagfree(
         build: RtBuildStats::default(),
         work: &mut meta.scratch.work,
         enc: Encoding::new(HeapMode::TagFree),
-        plans_on,
-        memo_on,
     };
 
     // Globals first: their routines are known statically (§1.1).
@@ -220,7 +224,7 @@ pub fn collect_tagfree(
         if let Some(sx) = g {
             cx.cur = EvalCx::Global(i as u32);
             let rt = cx.eval(*sx, &[]);
-            roots.globals[i] = cx.reloc_rt_root(roots.globals[i], rt);
+            roots.globals[i] = cx.reloc_rt_root(roots.globals[i], &rt);
         }
     }
 
@@ -260,7 +264,7 @@ pub fn collect_tagfree(
         for (op, w) in ops.iter().zip(roots.operands.iter_mut()) {
             if let Some(sx) = op {
                 let rt = cx.eval(*sx, &operand_env);
-                *w = cx.reloc_rt_root(*w, rt);
+                *w = cx.reloc_rt_root(*w, &rt);
             }
         }
     }
@@ -324,13 +328,6 @@ struct Collector<'c> {
     build: RtBuildStats,
     work: &'c mut Vec<WorkItem>,
     enc: Encoding,
-    /// Trace-plan tier enabled (`VmConfig::trace_plans`): root and field
-    /// relocations lower to flat plans and execute through the plan
-    /// interpreter instead of the `RtVal` closure walk.
-    plans_on: bool,
-    /// Frame-step memo enabled: exactly when both the cache and the plan
-    /// tier are.
-    memo_on: bool,
 }
 
 /// Head classification of a pointer-object relocation.
@@ -367,36 +364,17 @@ impl Collector<'_> {
     }
 
     /// §3's traversal: oldest to newest, propagating type routine
-    /// environments through the recorded θ / closure-type plans. Returns
-    /// the newest frame's environment.
+    /// environments through the recorded θ / closure-type plans, through
+    /// the frame-step memo. Each frame is one `(site, incoming state)`
+    /// lookup — skipped outright when the frame repeats the previous
+    /// frame's key, as every frame of a recursion does — then one
+    /// relocation per traced slot. A miss traces the frame on the plain
+    /// path and records its step. Frames that read a type parameter from
+    /// a descriptor slot depend on their own stack words, so they always
+    /// take the plain path; their outgoing state is interned so the
+    /// frames above them stay memoized. Returns the newest frame's
+    /// environment.
     fn forward_walk(&mut self, frames: &[FrameInfo], stack: &mut [Word]) -> Vec<RtVal> {
-        if self.memo_on {
-            return self.forward_walk_memo(frames, stack);
-        }
-        let mut theta_rts: Option<Vec<RtVal>> = None;
-        let mut clos_rt: Option<RtVal> = None;
-        let mut env: Vec<RtVal> = Vec::new();
-        for fr in frames.iter().rev() {
-            self.cur = EvalCx::Frame {
-                fn_id: fr.fn_id.0,
-                site: fr.site.0,
-            };
-            env = self.frame_env(fr, stack, theta_rts.as_deref(), clos_rt.as_ref());
-            self.run_frame_routine(fr, &env, stack, None);
-            (theta_rts, clos_rt) = self.eval_plan(fr.site, &env);
-        }
-        env
-    }
-
-    /// The forward walk through the frame-step memo: each frame is one
-    /// `(site, incoming state)` lookup — skipped outright when the frame
-    /// repeats the previous frame's key, as every frame of a recursion
-    /// does — then a plan relocation per traced slot. A miss traces the
-    /// frame on the plain path and records its step. Frames that read a
-    /// type parameter from a descriptor slot depend on their own stack
-    /// words, so they always take the plain path; their outgoing state is
-    /// interned so the frames above them stay memoized.
-    fn forward_walk_memo(&mut self, frames: &[FrameInfo], stack: &mut [Word]) -> Vec<RtVal> {
         let mut state = NO_STATE;
         let mut last: Option<(CallSiteId, StateId, u32)> = None;
         let mut newest = self.cache.env_ix(&[]);
@@ -493,8 +471,7 @@ impl Collector<'_> {
                         .clone()
                         .expect("bytes step has an env");
                     let idx = fr.fp + FRAME_HDR + slot as usize;
-                    let p = self.plan_for_wty(&WTy::Bytes { pos, env });
-                    stack[idx] = self.reloc_plan(stack[idx], p, false);
+                    stack[idx] = self.reloc(stack[idx], &WTy::Bytes { pos, env });
                 }
             }
         }
@@ -631,15 +608,11 @@ impl Collector<'_> {
                 TraceOp::Slot { slot, sx } => {
                     let rt = self.eval(sx, env);
                     let idx = fr.fp + FRAME_HDR + slot.0 as usize;
-                    stack[idx] = if self.plans_on {
-                        let plan = self.plan_for_rt(&rt);
-                        if let Some(steps) = record.as_deref_mut().filter(|_| plan != NOOP_PLAN) {
-                            steps.push(SlotStep::Plan { slot: slot.0, plan });
-                        }
-                        self.reloc_plan(stack[idx], plan, false)
-                    } else {
-                        self.reloc(stack[idx], &WTy::Rt(rt))
-                    };
+                    let plan = self.plan_for_rt(&rt);
+                    if let Some(steps) = record.as_deref_mut().filter(|_| plan != NOOP_PLAN) {
+                        steps.push(SlotStep::Plan { slot: slot.0, plan });
+                    }
+                    stack[idx] = self.reloc_plan(stack[idx], plan, false);
                 }
                 TraceOp::SlotBytes { slot, pos } => {
                     let env = benv
@@ -649,27 +622,17 @@ impl Collector<'_> {
                     if let Some(steps) = record.as_deref_mut() {
                         steps.push(SlotStep::Bytes { slot: slot.0, pos });
                     }
-                    stack[idx] = if self.plans_on {
-                        let p = self.plan_for_wty(&WTy::Bytes { pos, env });
-                        self.reloc_plan(stack[idx], p, false)
-                    } else {
-                        self.reloc(stack[idx], &WTy::Bytes { pos, env })
-                    };
+                    stack[idx] = self.reloc(stack[idx], &WTy::Bytes { pos, env });
                 }
             }
         }
         (ops.len() as u32, benv)
     }
 
-    /// Relocates a root word typed by an evaluated routine value, through
-    /// the plan tier when enabled.
-    fn reloc_rt_root(&mut self, w: Word, rt: RtVal) -> Word {
-        if self.plans_on {
-            let p = self.plan_for_rt(&rt);
-            self.reloc_plan(w, p, false)
-        } else {
-            self.reloc(w, &WTy::Rt(rt))
-        }
+    /// Relocates a root word typed by an evaluated routine value.
+    fn reloc_rt_root(&mut self, w: Word, rt: &RtVal) -> Word {
+        let p = self.plan_for_rt(rt);
+        self.reloc_plan(w, p, false)
     }
 
     fn drain(&mut self) {
@@ -682,73 +645,21 @@ impl Collector<'_> {
     }
 
     /// Relocates one value of the given tracing type, returning the new
-    /// word and enqueueing the object's fields.
+    /// word and enqueueing the object's fields. Plans and routine values
+    /// run the plan interpreter; byte descriptors are the interpreted
+    /// method, parsed afresh at every object (§2.4).
     fn reloc(&mut self, w: Word, ty: &WTy) -> Word {
         match ty {
             // Plan items only enter the worklist from plan execution, so
             // a pop re-enters the plan interpreter — with the spine loop
             // enabled, because drain order is already the plan's order.
             WTy::Plan(p) => self.reloc_plan(w, *p, true),
-            WTy::Rt(RtVal::Const) => w,
-            WTy::Rt(RtVal::Ground(id)) => {
-                // Cheap: TypeRt payloads sit behind `Rc`.
-                let rt = self.ground.rt(*id).clone();
-                match rt {
-                    TypeRt::Prim => w,
-                    TypeRt::Tuple(fields) => match self.head(w, fields.len()) {
-                        Head::Imm(w) | Head::Done(w) => w,
-                        Head::Copied(new) => {
-                            for (i, f) in fields.iter().enumerate() {
-                                self.push(new, i as u16, WTy::Rt(RtVal::Ground(*f)));
-                            }
-                            self.enc.ptr(new)
-                        }
-                    },
-                    TypeRt::Data { data, variants } => match self.data_head(w, data) {
-                        DataHead::Imm(w) | DataHead::Done(w) => w,
-                        DataHead::Copied { ctor, rep, new } => {
-                            for (i, f) in variants[ctor].fields.iter().enumerate() {
-                                self.push(
-                                    new,
-                                    rep.field_offset(i as u16),
-                                    WTy::Rt(RtVal::Ground(*f)),
-                                );
-                            }
-                            self.enc.ptr(new)
-                        }
-                    },
-                    TypeRt::Arrow(_) => self.reloc_closure(w, RtVal::Ground(*id)),
-                }
+            // A routine value reaches here only as a descriptor `Param`
+            // bound to an evaluated θ or closure entry.
+            WTy::Rt(rt) => {
+                let p = self.plan_for_rt(rt);
+                self.reloc_plan(w, p, true)
             }
-            WTy::Rt(RtVal::Tuple(fields)) => {
-                let fields = fields.clone();
-                match self.head(w, fields.len()) {
-                    Head::Imm(w) | Head::Done(w) => w,
-                    Head::Copied(new) => {
-                        for (i, f) in fields.iter().enumerate() {
-                            self.push(new, i as u16, WTy::Rt(f.clone()));
-                        }
-                        self.enc.ptr(new)
-                    }
-                }
-            }
-            WTy::Rt(RtVal::Data(d, args)) => {
-                let args = args.clone();
-                match self.data_head(w, *d) {
-                    DataHead::Imm(w) | DataHead::Done(w) => w,
-                    DataHead::Copied { ctor, rep, new } => {
-                        let dv = self.data_variants;
-                        let templates = &dv[d.0 as usize][ctor];
-                        let cx = EvalCx::Data(d.0);
-                        for (i, sx) in templates.iter().enumerate() {
-                            let rt = self.eval_at(*sx, &args, cx);
-                            self.push(new, rep.field_offset(i as u16), WTy::Rt(rt));
-                        }
-                        self.enc.ptr(new)
-                    }
-                }
-            }
-            WTy::Rt(rt @ RtVal::Arrow(_, _)) => self.reloc_closure(w, rt.clone()),
             WTy::Bytes { pos, env } => {
                 let env = env.clone();
                 match self.pool.parse(*pos, &mut self.stats.desc_bytes_read) {
@@ -1030,13 +941,9 @@ impl Collector<'_> {
         }
         for (off, sx) in &fm.closure_fields {
             let rt = self.eval_at(*sx, &env, cx);
-            if self.plans_on {
-                let p = self.plan_for_rt(&rt);
-                if p != NOOP_PLAN {
-                    self.push(new, *off, WTy::Plan(p));
-                }
-            } else {
-                self.push(new, *off, WTy::Rt(rt));
+            let p = self.plan_for_rt(&rt);
+            if p != NOOP_PLAN {
+                self.push(new, *off, WTy::Plan(p));
             }
         }
         self.enc.ptr(new)
@@ -1174,131 +1081,13 @@ impl Collector<'_> {
         pid
     }
 
-    /// The plan for any tracing type: routine values key on cache
-    /// identity; byte descriptors collapse `Param` chains first, then
-    /// key on `(position, environment fingerprint)`.
-    fn plan_for_wty(&mut self, ty: &WTy) -> PlanId {
-        match ty {
-            WTy::Plan(p) => *p,
-            WTy::Rt(rt) => self.plan_for_rt(rt),
-            WTy::Bytes { pos, env } => match self.collapse(*pos, env) {
-                WTy::Plan(p) => p,
-                WTy::Rt(rt) => self.plan_for_rt(&rt),
-                WTy::Bytes { pos, env } => self.plan_for_bytes_head(pos, &env),
-            },
-        }
-    }
-
-    /// Lowers the (non-`Param`-headed) descriptor at `pos` under `env`.
-    /// The descriptor is parsed once here — execution never re-reads it.
-    fn plan_for_bytes_head(&mut self, pos: u32, env: &Rc<Vec<WTy>>) -> PlanId {
-        let eid = self.env_fp(env);
-        if let Some(p) = self.cache.plans.find_bytes(pos, eid) {
-            return p;
-        }
-        let pid = self.cache.plans.reserve_bytes(pos, eid);
-        let kind = match self.pool.parse(pos, &mut self.stats.desc_bytes_read) {
-            DescView::Prim => PlanKind::Noop,
-            DescView::Param(i) => {
-                // `collapse` resolved parameter chains before keying; a
-                // remaining Param can only mean a torn environment —
-                // surface the same fail-fast panic the walk gives.
-                let sub = byte_param(env, i).clone();
-                let p = self.plan_for_wty(&sub);
-                self.cache.plans.fill(pid, self.cache.plans.kind(p).clone());
-                return pid;
-            }
-            DescView::Tuple(fields) => {
-                let mut ops = PlanOps::new();
-                for (i, p) in fields.iter().enumerate() {
-                    let fp = self.plan_for_wty(&WTy::Bytes {
-                        pos: *p,
-                        env: env.clone(),
-                    });
-                    ops.push(i as u16, fp);
-                }
-                PlanKind::Tuple {
-                    size: fields.len() as u32,
-                    ops: ops.finish(),
-                }
-            }
-            DescView::Data(d, arg_positions) => {
-                let arg_env: Rc<Vec<WTy>> = Rc::new(
-                    arg_positions
-                        .iter()
-                        .map(|p| self.collapse(*p, env))
-                        .collect(),
-                );
-                let reps = self.prog.ctor_reps[d.0 as usize].clone();
-                let tagged = reps
-                    .iter()
-                    .any(|r| matches!(r, CtorRep::Ptr { tag: Some(_), .. }));
-                let mut variants = Vec::new();
-                for (ctor, rep) in reps.iter().enumerate() {
-                    let CtorRep::Ptr { tag, .. } = rep else {
-                        continue;
-                    };
-                    let fields = self.pool.data_fields[d.0 as usize][ctor].clone();
-                    let mut ops = PlanOps::new();
-                    for (i, p) in fields.iter().enumerate() {
-                        let fp = self.plan_for_wty(&WTy::Bytes {
-                            pos: *p,
-                            env: arg_env.clone(),
-                        });
-                        ops.push(rep.field_offset(i as u16), fp);
-                    }
-                    let (ops, self_tail) = ops.finish_with_tail(pid);
-                    variants.push(VariantPlan {
-                        tag: *tag,
-                        words: rep.heap_words() as u32,
-                        ops,
-                        self_tail,
-                    });
-                }
-                PlanKind::Data {
-                    data: d.0,
-                    tagged,
-                    variants: variants.into(),
-                }
-            }
-            DescView::Arrow(a, b) => {
-                let ra = self.wty_to_rt(&WTy::Bytes {
-                    pos: a,
-                    env: env.clone(),
-                });
-                let rb = self.wty_to_rt(&WTy::Bytes {
-                    pos: b,
-                    env: env.clone(),
-                });
-                PlanKind::Closure {
-                    rt: RtVal::Arrow(Rc::new(ra), Rc::new(rb)),
-                }
-            }
-        };
-        self.cache.plans.fill(pid, kind);
-        pid
-    }
-
-    /// Interns a byte-descriptor environment's fingerprint.
-    fn env_fp(&mut self, env: &[WTy]) -> EnvId {
-        let entries: Vec<EnvEntryFp> = env
-            .iter()
-            .map(|e| match e {
-                WTy::Rt(rt) => EnvEntryFp::Rt(self.cache.identity(rt)),
-                WTy::Bytes { pos, env } => EnvEntryFp::Bytes(*pos, self.env_fp(env)),
-                WTy::Plan(p) => EnvEntryFp::Plan(p.0),
-            })
-            .collect();
-        self.cache.plans.intern_env(entries.into())
-    }
-
     // --- the trace-plan tier: execution ---
 
     /// The plan interpreter: relocates one word under a lowered plan.
     /// `spine` enables the iterative tail chase — true only when entered
     /// from the worklist, where drain order already matches loop order;
-    /// at roots the first cell enqueues its tail like any field so
-    /// sibling roots trace in the closure walk's exact sequence.
+    /// at roots the first cell enqueues its tail like any field, so
+    /// sibling roots interleave in worklist order.
     fn reloc_plan(&mut self, w: Word, pid: PlanId, spine: bool) -> Word {
         // Cheap head clone (payloads sit behind `Rc`) releasing the
         // store borrow before heap work.

@@ -1,16 +1,16 @@
-//! Flat **trace plans** — branch-free lowering of GC routines.
+//! Flat **trace plans** — branch-free lowering of GC routines, the
+//! tracing engine of the Compiled, CompiledNoLiveness and AppelPerFn
+//! strategies (Interpreted walks byte descriptors per object instead, and
+//! runs plans only for values typed by evaluated routines).
 //!
-//! The closure walk in `collect.rs` re-dispatches on [`RtVal`] variants
-//! (and re-parses byte descriptors) for every object it relocates. E11
-//! showed that this execution shape, not metadata construction, is what
-//! separates the interpreted walk (p99 pause 3.2 ms) from compiled
-//! descriptors (88 µs). A [`TracePlan`] removes the per-object dispatch:
-//! each routine value — identified by its injective [`RtCache`] fingerprint
-//! — and each interned byte descriptor — identified by
-//! `(pool position, environment fingerprint)` — is lowered **once** into a
+//! Each routine value — identified by its injective [`RtCache`]
+//! fingerprint — and each ground routine is lowered **once** into a
 //! compact linear plan with every field offset and discriminant table
 //! pre-resolved. Collection-time execution is then a tight interpreter
-//! loop over [`PlanOp`]s feeding the typed worklist directly.
+//! loop over [`PlanOp`]s feeding the typed worklist directly, with no
+//! per-object dispatch on routine variants.
+//!
+//! [`RtCache`]: crate::cache::RtCache
 //!
 //! The op set:
 //!
@@ -34,8 +34,6 @@
 //! distinct routines sharing a sub-`Rc` could collapse to one fingerprint
 //! — caching plans on that identity would have executed the wrong plan,
 //! exactly the wrong-memo-hit corruption the headline bugfix closes.
-//! `VmConfig::trace_plans(false)` routes everything through the original
-//! closure walk; the differential suite proves both paths bit-identical.
 
 use crate::rtval::RtVal;
 use std::collections::HashMap;
@@ -50,8 +48,7 @@ pub struct PlanId(pub u32);
 pub const NOOP_PLAN: PlanId = PlanId(0);
 
 /// One step of a plan: which word(s) of a freshly copied object to trace,
-/// and with which plan. Ops are stored in the closure walk's push order so
-/// plan execution drains the worklist in the identical sequence.
+/// and with which plan. Ops are stored in field order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanOp {
     /// Trace the single word at `offset`.
@@ -106,30 +103,11 @@ pub enum PlanKind {
     Pending,
 }
 
-/// Fingerprint of one byte-descriptor environment entry, used to key
-/// descriptor plans on `(position, environment)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EnvEntryFp {
-    /// An evaluated routine value, by its `RtCache` identity.
-    Rt(u32),
-    /// A byte descriptor under an interned environment.
-    Bytes(u32, EnvId),
-    /// An already-lowered plan (worklist items re-fingerprinted; rare).
-    Plan(u32),
-}
-
-/// Interned byte-descriptor environment id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EnvId(pub u32);
-
 /// Owner of every compiled plan plus the keying maps. One per
 /// [`RtCache`](crate::cache::RtCache), persisting across collections —
 /// plans only reference immutable program metadata.
 #[derive(Debug, Clone)]
 pub struct PlanStore {
-    /// When false the collectors use the original closure walk (the
-    /// differential baseline; `VmConfig::trace_plans(false)`).
-    pub enabled: bool,
     /// Plan lookups that found a compiled (or in-compilation) plan.
     pub hits: u64,
     /// Plan lookups that had to lower.
@@ -139,23 +117,18 @@ pub struct PlanStore {
     plans: Vec<PlanKind>,
     by_rt: HashMap<u32, PlanId>,
     by_ground: HashMap<u32, PlanId>,
-    by_bytes: HashMap<(u32, EnvId), PlanId>,
-    envs: HashMap<Box<[EnvEntryFp]>, EnvId>,
 }
 
 impl PlanStore {
-    /// An empty, enabled store holding only [`NOOP_PLAN`].
+    /// An empty store holding only [`NOOP_PLAN`].
     pub fn new() -> PlanStore {
         PlanStore {
-            enabled: true,
             hits: 0,
             misses: 0,
             compiled: 0,
             plans: vec![PlanKind::Noop],
             by_rt: HashMap::new(),
             by_ground: HashMap::new(),
-            by_bytes: HashMap::new(),
-            envs: HashMap::new(),
         }
     }
 
@@ -207,36 +180,9 @@ impl PlanStore {
         id
     }
 
-    /// Looks up the plan for `(descriptor position, environment)`,
-    /// counting the hit.
-    pub fn find_bytes(&mut self, pos: u32, env: EnvId) -> Option<PlanId> {
-        let p = self.by_bytes.get(&(pos, env)).copied();
-        if p.is_some() {
-            self.hits += 1;
-        }
-        p
-    }
-
-    /// Reserves a plan id for a descriptor key (counts the miss).
-    pub fn reserve_bytes(&mut self, pos: u32, env: EnvId) -> PlanId {
-        let id = self.reserve();
-        self.by_bytes.insert((pos, env), id);
-        id
-    }
-
     /// Fills a reserved plan with its lowered body.
     pub fn fill(&mut self, id: PlanId, kind: PlanKind) {
         self.plans[id.0 as usize] = kind;
-    }
-
-    /// Interns a byte-descriptor environment fingerprint.
-    pub fn intern_env(&mut self, entries: Box<[EnvEntryFp]>) -> EnvId {
-        if let Some(id) = self.envs.get(&entries) {
-            return *id;
-        }
-        let id = EnvId(self.envs.len() as u32);
-        self.envs.insert(entries, id);
-        id
     }
 
     fn reserve(&mut self) -> PlanId {
@@ -419,21 +365,5 @@ mod tests {
         assert!(matches!(s.kind(id), PlanKind::Tuple { size: 2, .. }));
         assert_eq!((s.hits, s.misses, s.compiled), (1, 1, 1));
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn env_interning_is_structural() {
-        let mut s = PlanStore::new();
-        let a = s.intern_env(Box::from(vec![
-            EnvEntryFp::Rt(1),
-            EnvEntryFp::Bytes(3, EnvId(0)),
-        ]));
-        let b = s.intern_env(Box::from(vec![
-            EnvEntryFp::Rt(1),
-            EnvEntryFp::Bytes(3, EnvId(0)),
-        ]));
-        let c = s.intern_env(Box::from(vec![EnvEntryFp::Rt(2)]));
-        assert_eq!(a, b);
-        assert_ne!(a, c);
     }
 }

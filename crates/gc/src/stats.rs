@@ -96,45 +96,6 @@ impl GcStats {
             ..*self
         }
     }
-
-    /// A copy with wall-clock *and* cache-accounting fields zeroed: the
-    /// part of the stats that must be bit-identical between a memoized
-    /// and an unmemoized collection. The cache changes how many routine
-    /// nodes are physically constructed (`rt_nodes_built`), reports its
-    /// own hit/miss traffic, and — through the frame-step memo, which
-    /// stores each frame's resolved plans — how many plan lookups run
-    /// (`plan_hits`; the plans lowered stay the same), but nothing the
-    /// mutator can observe.
-    pub fn cache_insensitive(&self) -> GcStats {
-        GcStats {
-            pause_nanos: 0,
-            rt_nodes_built: 0,
-            rt_cache_hits: 0,
-            rt_cache_misses: 0,
-            plan_hits: 0,
-            ..*self
-        }
-    }
-
-    /// A copy with wall-clock *and* every plan/cache-implementation
-    /// counter zeroed: the part of the stats that must be bit-identical
-    /// between a plan-executed and a closure-walked collection. Plans
-    /// change how much machinery runs per object (descriptors parsed
-    /// once at lowering vs per object, ctor templates evaluated eagerly
-    /// vs lazily) but nothing the mutator can observe.
-    pub fn plan_insensitive(&self) -> GcStats {
-        GcStats {
-            pause_nanos: 0,
-            rt_nodes_built: 0,
-            rt_cache_hits: 0,
-            rt_cache_misses: 0,
-            desc_bytes_read: 0,
-            plan_hits: 0,
-            plan_misses: 0,
-            plans_compiled: 0,
-            ..*self
-        }
-    }
 }
 
 #[cfg(test)]
@@ -201,61 +162,6 @@ mod tests {
                 pause_nanos: 38,
             }
         );
-    }
-
-    #[test]
-    fn plan_insensitive_drops_plan_and_cache_accounting() {
-        let a = GcStats {
-            collections: 3,
-            rt_nodes_built: 5,
-            rt_cache_hits: 6,
-            rt_cache_misses: 7,
-            desc_bytes_read: 8,
-            plan_hits: 9,
-            plan_misses: 10,
-            plans_compiled: 11,
-            slots_traced: 12,
-            pause_nanos: 999,
-            ..GcStats::default()
-        };
-        let p = a.plan_insensitive();
-        assert_eq!(p.rt_nodes_built, 0);
-        assert_eq!(p.rt_cache_hits, 0);
-        assert_eq!(p.rt_cache_misses, 0);
-        assert_eq!(p.desc_bytes_read, 0);
-        assert_eq!(p.plan_hits, 0);
-        assert_eq!(p.plan_misses, 0);
-        assert_eq!(p.plans_compiled, 0);
-        assert_eq!(p.pause_nanos, 0);
-        assert_eq!(p.collections, 3);
-        assert_eq!(p.slots_traced, 12);
-    }
-
-    #[test]
-    fn cache_insensitive_drops_cache_accounting() {
-        let a = GcStats {
-            collections: 3,
-            rt_nodes_built: 5,
-            rt_cache_hits: 6,
-            rt_cache_misses: 7,
-            slots_traced: 8,
-            plan_hits: 9,
-            plan_misses: 10,
-            pause_nanos: 999,
-            ..GcStats::default()
-        };
-        let c = a.cache_insensitive();
-        assert_eq!(c.rt_nodes_built, 0);
-        assert_eq!(c.rt_cache_hits, 0);
-        assert_eq!(c.rt_cache_misses, 0);
-        assert_eq!(c.plan_hits, 0);
-        assert_eq!(
-            c.plan_misses, 10,
-            "the plans lowered do not depend on the cache"
-        );
-        assert_eq!(c.pause_nanos, 0);
-        assert_eq!(c.collections, 3);
-        assert_eq!(c.slots_traced, 8);
     }
 
     #[test]

@@ -117,8 +117,6 @@ pub struct TaskConfig {
     pub heap_max_words: Option<usize>,
     /// Run the post-collection heap verifier after every collection.
     pub verify_heap: bool,
-    /// Flattened trace-plan execution (see `VmConfig::trace_plans`).
-    pub trace_plans: bool,
     /// Deterministic fault schedule injected into the VM.
     pub fault_plan: Option<FaultPlan>,
     /// Generational tier: nursery size in words (`None` = classic
@@ -139,7 +137,6 @@ impl TaskConfig {
             max_steps: 500_000_000,
             heap_max_words: None,
             verify_heap: false,
-            trace_plans: true,
             fault_plan: None,
             nursery_words: None,
             promote_after: 0,
@@ -496,7 +493,6 @@ pub fn serve_requests_overload(
     vm_cfg.max_steps = Some(cfg.max_steps);
     vm_cfg.heap_max_words = cfg.heap_max_words;
     vm_cfg.verify_heap = cfg.verify_heap;
-    vm_cfg.trace_plans = cfg.trace_plans;
     vm_cfg.fault_plan = cfg.fault_plan;
     vm_cfg.nursery_words = cfg.nursery_words;
     vm_cfg.promote_after = cfg.promote_after;

@@ -47,13 +47,6 @@ pub struct VmConfig {
     /// inline; the step reports [`StepEvent::AllocBlocked`] and the
     /// scheduler decides when every task is suspended.
     pub cooperative: bool,
-    /// GC-time metadata cache (memoized template evaluation). On by
-    /// default; disable for the unmemoized differential baseline.
-    pub rt_cache: bool,
-    /// Trace-plan execution: lower routines and descriptors into flat
-    /// op arrays and trace via the plan interpreter. On by default;
-    /// disable for the plans≡closures differential baseline.
-    pub trace_plans: bool,
     /// Walk and check the whole reachable graph after every collection
     /// (`tfml run --verify-heap`).
     pub verify_heap: bool,
@@ -88,8 +81,6 @@ impl VmConfig {
             max_steps: Some(200_000_000),
             max_stack_words: 1 << 22,
             cooperative: false,
-            rt_cache: true,
-            trace_plans: true,
             verify_heap: false,
             fault_plan: None,
             heap_max_words: None,
@@ -117,18 +108,6 @@ impl VmConfig {
     /// Forces a collection every `n` allocations.
     pub fn force_gc_every(mut self, n: u64) -> VmConfig {
         self.force_gc_every = Some(n);
-        self
-    }
-
-    /// Enables or disables the GC-time metadata cache.
-    pub fn rt_cache(mut self, on: bool) -> VmConfig {
-        self.rt_cache = on;
-        self
-    }
-
-    /// Enables or disables flattened trace-plan execution.
-    pub fn trace_plans(mut self, on: bool) -> VmConfig {
-        self.trace_plans = on;
         self
     }
 
@@ -263,8 +242,6 @@ impl<'p> Vm<'p> {
     /// Creates a VM with precompiled metadata (benchmarks reuse metadata
     /// across runs).
     pub fn with_meta(prog: &'p IrProgram, cfg: VmConfig, mut meta: GcMeta) -> Vm<'p> {
-        meta.rt_cache.enabled = cfg.rt_cache;
-        meta.rt_cache.plans.enabled = cfg.trace_plans;
         // Truncated-stack-map fault: drop the function's frame
         // type-parameter sources so the first collection through one of
         // its polymorphic frames hits the fail-fast "type parameter N out

@@ -59,20 +59,24 @@ fn deep_recursion_with_small_heap_survives() {
 
 #[test]
 fn million_element_list_collects_without_rust_stack_overflow() {
-    // The collector's typed worklist must handle very deep structures.
+    // The collector's typed worklist must handle very deep structures,
+    // under the plan engine and under the per-object descriptor walk
+    // (whose `Param` collapsing keeps environments shallow on a spine).
     let src = "fun build n = if n = 0 then [] else n :: build (n - 1) ;
                fun churn n = if n = 0 then 0 else (churn (n - 1); (build 4000; 0)) ;
                fun last xs = case xs of [] => 0 | x :: t => (case t of [] => x | _ => last t) ;
                let val big = build 20000 in (churn 6; last big) end";
     let c = Compiled::compile(src).unwrap();
-    let mut cfg = VmConfig::new(Strategy::Compiled).heap_words(1 << 16);
-    cfg.max_stack_words = 1 << 23;
-    let out = c.run_with(cfg).unwrap();
-    assert_eq!(out.result, "1");
-    assert!(
-        out.heap.collections > 0,
-        "the churn must trigger GC with big live"
-    );
+    for s in [Strategy::Compiled, Strategy::Interpreted] {
+        let mut cfg = VmConfig::new(s).heap_words(1 << 16);
+        cfg.max_stack_words = 1 << 23;
+        let out = c.run_with(cfg).unwrap();
+        assert_eq!(out.result, "1", "{s}");
+        assert!(
+            out.heap.collections > 0,
+            "{s}: the churn must trigger GC with big live"
+        );
+    }
 }
 
 #[test]

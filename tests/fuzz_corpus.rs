@@ -3,9 +3,9 @@
 //! Every file in the corpus is either a minimized reproducer from a past
 //! `tfml fuzz` campaign or a hand-seeded regression shape for a latent bug
 //! class fixed in an earlier change. Each program runs across all five GC
-//! strategies, with trace plans both on and off, on a tiny growable heap
-//! with collections forced every few allocations and the heap verifier
-//! enabled. All configurations must agree on the observable outcome.
+//! strategies on a tiny growable heap with collections forced every few
+//! allocations and the heap verifier enabled. All configurations must
+//! agree on the observable outcome.
 
 use std::fs;
 use std::path::PathBuf;
@@ -51,8 +51,7 @@ fn corpus_replays_identically_under_generational_collection() {
                     .heap_words(1 << 10)
                     .heap_max_words(1 << 16)
                     .force_gc_every(7)
-                    .verify_heap(true)
-                    .trace_plans(true);
+                    .verify_heap(true);
                 if generational {
                     cfg = cfg.generational(1 << 8, 1);
                 }
@@ -78,7 +77,7 @@ fn corpus_replays_identically_under_generational_collection() {
 }
 
 #[test]
-fn corpus_replays_identically_across_strategies_and_plans() {
+fn corpus_replays_identically_across_strategies() {
     for path in corpus_files() {
         let name = path
             .file_name()
@@ -89,22 +88,19 @@ fn corpus_replays_identically_across_strategies_and_plans() {
         let compiled = Compiled::compile(&src).unwrap_or_else(|e| panic!("{name}: compile: {e}"));
         let mut reference: Option<(String, Vec<i64>)> = None;
         for s in Strategy::ALL {
-            for plans in [false, true] {
-                let cfg = VmConfig::new(s)
-                    .heap_words(1 << 10)
-                    .heap_max_words(1 << 16)
-                    .force_gc_every(7)
-                    .verify_heap(true)
-                    .trace_plans(plans);
-                let out = compiled
-                    .run_with_meta(cfg, compiled.metadata(s))
-                    .unwrap_or_else(|e| panic!("{name} under {s} plans={plans}: {e}"));
-                match &reference {
-                    None => reference = Some((out.result, out.printed)),
-                    Some((r0, p0)) => {
-                        assert_eq!(&out.result, r0, "{name}: result under {s} plans={plans}");
-                        assert_eq!(&out.printed, p0, "{name}: printed under {s} plans={plans}");
-                    }
+            let cfg = VmConfig::new(s)
+                .heap_words(1 << 10)
+                .heap_max_words(1 << 16)
+                .force_gc_every(7)
+                .verify_heap(true);
+            let out = compiled
+                .run_with_meta(cfg, compiled.metadata(s))
+                .unwrap_or_else(|e| panic!("{name} under {s}: {e}"));
+            match &reference {
+                None => reference = Some((out.result, out.printed)),
+                Some((r0, p0)) => {
+                    assert_eq!(&out.result, r0, "{name}: result under {s}");
+                    assert_eq!(&out.printed, p0, "{name}: printed under {s}");
                 }
             }
         }

@@ -1,88 +1,18 @@
-//! GC-time metadata cache: memoization must be invisible.
+//! GC-time metadata cache and the two tracing engines.
 //!
 //! The cache ([`tfgc::gc::RtCache`]) memoizes template evaluation,
-//! Figure-3 extraction, and descriptor conversion during collection.
-//! `eval_sx` is a pure function of (template, environment), so a cached
-//! collection must be **bit-identical** to an uncached one in every
-//! mutator-observable way — results, printed output, heap statistics,
-//! and the cache-insensitive part of the GC statistics — under all five
-//! strategies. The deep-recursion tests then check the point of the
+//! Figure-3 extraction, descriptor conversion and whole frame steps
+//! during collection. The deep-recursion tests check the point of the
 //! cache: routine-construction work per collection is proportional to
 //! the number of distinct (site, environment) shapes, not to the number
-//! of frames on the stack.
+//! of frames on the stack. The memoized forward walk is checked against
+//! two independent references: Appel's unmemoized backward walk and the
+//! tagged collector. The remaining tests pin each strategy to its
+//! engine: Compiled lowers routines into trace plans once per shape,
+//! Interpreted parses a byte descriptor at every object it copies.
 
 use tfgc::workloads::programs::poly_deep_alloc;
 use tfgc::{Compiled, Strategy, VmConfig};
-
-/// Runs `src` with the cache on and off under every strategy and insists
-/// on bit-identical observable behavior. Returns the number of
-/// collections observed (identical between the two runs).
-fn cached_uncached_differential(name: &str, src: &str, heap_words: usize, force: u64) -> u64 {
-    let c = Compiled::compile(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let mut collections = u64::MAX;
-    for s in Strategy::ALL {
-        let base = VmConfig::new(s)
-            .heap_words(heap_words)
-            .force_gc_every(force);
-        let cached = c
-            .run_with(base.clone().rt_cache(true))
-            .unwrap_or_else(|e| panic!("{name} under {s} (cached): {e}"));
-        let uncached = c
-            .run_with(base.rt_cache(false))
-            .unwrap_or_else(|e| panic!("{name} under {s} (uncached): {e}"));
-
-        collections = collections.min(cached.heap.collections);
-        assert_eq!(cached.result, uncached.result, "{name} under {s}: result");
-        assert_eq!(
-            cached.printed, uncached.printed,
-            "{name} under {s}: printed"
-        );
-        assert_eq!(
-            cached.heap, uncached.heap,
-            "{name} under {s}: HeapStats (copies, allocations, collections)"
-        );
-        assert_eq!(
-            cached.mutator, uncached.mutator,
-            "{name} under {s}: MutatorStats"
-        );
-        assert_eq!(
-            cached.gc.cache_insensitive(),
-            uncached.gc.cache_insensitive(),
-            "{name} under {s}: GcStats minus cache accounting"
-        );
-        if s != Strategy::Tagged {
-            assert_eq!(
-                uncached.gc.rt_cache_hits + uncached.gc.rt_cache_misses,
-                0,
-                "{name} under {s}: disabled cache reports no traffic"
-            );
-        }
-    }
-    collections
-}
-
-#[test]
-fn cached_collections_are_bit_identical_polymorphic() {
-    let n = cached_uncached_differential("poly_deep", &poly_deep_alloc(150), 1 << 14, 40);
-    assert!(n > 0, "workload must collect for the comparison to bite");
-}
-
-#[test]
-fn cached_collections_are_bit_identical_closures() {
-    use tfgc::workloads::paper_examples as pe;
-    let a = cached_uncached_differential("map_closure", &pe::map_closure(60), 1 << 13, 30);
-    let b =
-        cached_uncached_differential("higher_order_poly", &pe::higher_order_poly(20), 1 << 13, 25);
-    let c = cached_uncached_differential("variant_records", &pe::variant_records(40), 1 << 13, 30);
-    assert!(a > 0 && b > 0 && c > 0, "closure workloads must collect");
-}
-
-#[test]
-fn cached_collections_are_bit_identical_suite() {
-    for (name, src) in tfgc::workloads::suite() {
-        cached_uncached_differential(name, &src, 1 << 15, 200);
-    }
-}
 
 /// Deep recursion under the forward (§3) strategies: ≥10⁵ frames on the
 /// stack during collections, yet routine construction stays bounded by
@@ -149,147 +79,16 @@ fn deep_recursion_appel_backward_scheme() {
     );
 }
 
-/// Strips wall-clock timestamps and implementation-accounting counters
-/// from an event, leaving exactly the part that must be bit-identical
-/// between a plan-executed and a closure-walked collection.
-fn normalize_event(ev: &tfgc::obs::GcEvent) -> tfgc::obs::GcEvent {
-    use tfgc::obs::GcEvent;
-    let mut e = ev.clone();
-    match &mut e {
-        GcEvent::CollectionBegin { t_ns, .. }
-        | GcEvent::Alloc { t_ns, .. }
-        | GcEvent::TaskParked { t_ns, .. }
-        | GcEvent::TaskResumed { t_ns, .. }
-        | GcEvent::VerificationEnd { t_ns, .. }
-        | GcEvent::FaultInjected { t_ns, .. }
-        | GcEvent::HeapGrown { t_ns, .. }
-        | GcEvent::RequestStart { t_ns, .. }
-        | GcEvent::RequestEnd { t_ns, .. }
-        | GcEvent::HeapSample { t_ns, .. }
-        | GcEvent::RequestShed { t_ns, .. }
-        | GcEvent::DeadlineExceeded { t_ns, .. }
-        | GcEvent::BreakerOpen { t_ns, .. }
-        | GcEvent::BreakerHalfOpen { t_ns, .. }
-        | GcEvent::BreakerClose { t_ns, .. }
-        | GcEvent::BacklogSample { t_ns, .. } => *t_ns = 0,
-        GcEvent::CollectionEnd {
-            t_ns,
-            pause_ns,
-            rt_nodes_built,
-            rt_cache_hits,
-            rt_cache_misses,
-            plan_hits,
-            plan_misses,
-            plans_compiled,
-            ..
-        } => {
-            *t_ns = 0;
-            *pause_ns = 0;
-            *rt_nodes_built = 0;
-            *rt_cache_hits = 0;
-            *rt_cache_misses = 0;
-            *plan_hits = 0;
-            *plan_misses = 0;
-            *plans_compiled = 0;
-        }
-        GcEvent::Phase {
-            start_ns, dur_ns, ..
-        } => {
-            *start_ns = 0;
-            *dur_ns = 0;
-        }
-        GcEvent::FrameVisit { .. } | GcEvent::RoutineRun { .. } | GcEvent::ObjectCopied { .. } => {}
-    }
-    e
-}
-
-/// Runs `src` with trace plans on and off under every strategy and
-/// insists on bit-identical observable behavior — results, printed
-/// output, heap/mutator statistics, the plan-insensitive part of the GC
-/// statistics, and the complete normalized event stream (every object
-/// copy in the same order, to the same addresses). Returns the total
-/// plans compiled across strategies so callers can assert the fast path
-/// actually engaged.
-fn plans_closures_differential(name: &str, src: &str, heap_words: usize, force: u64) -> u64 {
-    let c = Compiled::compile(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-    let mut compiled_total = 0;
-    for s in Strategy::ALL {
-        let base = VmConfig::new(s)
-            .heap_words(heap_words)
-            .force_gc_every(force);
-        let (planned, prec) = c
-            .run_profiled(base.clone().trace_plans(true), 1 << 20)
-            .unwrap_or_else(|e| panic!("{name} under {s} (plans): {e}"));
-        let (walked, wrec) = c
-            .run_profiled(base.trace_plans(false), 1 << 20)
-            .unwrap_or_else(|e| panic!("{name} under {s} (closures): {e}"));
-
-        assert_eq!(planned.result, walked.result, "{name} under {s}: result");
-        assert_eq!(planned.printed, walked.printed, "{name} under {s}: printed");
-        assert_eq!(planned.heap, walked.heap, "{name} under {s}: HeapStats");
-        assert_eq!(
-            planned.mutator, walked.mutator,
-            "{name} under {s}: MutatorStats"
-        );
-        assert_eq!(
-            planned.gc.plan_insensitive(),
-            walked.gc.plan_insensitive(),
-            "{name} under {s}: GcStats minus plan accounting"
-        );
-        assert_eq!(
-            walked.gc.plan_hits + walked.gc.plan_misses + walked.gc.plans_compiled,
-            0,
-            "{name} under {s}: disabled plans report no traffic"
-        );
-        assert_eq!(prec.dropped(), 0, "{name} under {s}: ring large enough");
-        assert_eq!(wrec.dropped(), 0, "{name} under {s}: ring large enough");
-        let pe: Vec<_> = prec.events().iter().map(normalize_event).collect();
-        let we: Vec<_> = wrec.events().iter().map(normalize_event).collect();
-        assert_eq!(
-            pe, we,
-            "{name} under {s}: normalized event streams (copy order, addresses)"
-        );
-        compiled_total += planned.gc.plans_compiled;
-    }
-    compiled_total
-}
-
-#[test]
-fn planned_collections_are_bit_identical_polymorphic() {
-    let n = plans_closures_differential("poly_deep", &poly_deep_alloc(150), 1 << 14, 40);
-    assert!(n > 0, "polymorphic workload must lower plans");
-}
-
-#[test]
-fn planned_collections_are_bit_identical_closures() {
-    use tfgc::workloads::paper_examples as pe;
-    let a = plans_closures_differential("map_closure", &pe::map_closure(60), 1 << 13, 30);
-    let b =
-        plans_closures_differential("higher_order_poly", &pe::higher_order_poly(20), 1 << 13, 25);
-    let c = plans_closures_differential("variant_records", &pe::variant_records(40), 1 << 13, 30);
-    assert!(
-        a > 0 && b > 0 && c > 0,
-        "closure workloads must lower plans"
-    );
-}
-
-#[test]
-fn planned_collections_are_bit_identical_suite() {
-    let mut total = 0;
-    for (name, src) in tfgc::workloads::suite() {
-        total += plans_closures_differential(name, &src, 1 << 15, 200);
-    }
-    assert!(total > 0, "the suite must lower plans somewhere");
-}
-
 /// The frame-step memo keys each frame on (call site, incoming state).
 /// `tests/corpus/frame_memo_alternating.tfml` repeats one polymorphic
 /// call site down the stack with alternating `int list` / `bool list
 /// list` environments, interleaved with closure frames whose type
 /// parameters come from the entered closure's arrow routine and from a
 /// hidden descriptor slot, and collects at every depth. With the heap
-/// verifier on, the memoized collection must match the uncached one
-/// event for event and the tagged collector result for result.
+/// verifier on, every memoized forward walk (plans under Compiled and
+/// CompiledNoLiveness, the descriptor walk under Interpreted) must match
+/// Appel's unmemoized backward walk and the tagged collector result for
+/// result.
 #[test]
 fn frame_memo_is_exact_on_adjacent_frames_that_differ() {
     use tfgc::gc::meta::FrameParamSrc;
@@ -329,32 +128,23 @@ fn frame_memo_is_exact_on_adjacent_frames_that_differ() {
             .force_gc_every(3)
             .verify_heap(true)
     };
-    let tagged = c.run_with(base(Strategy::Tagged)).expect("tagged run");
-    for s in Strategy::ALL {
-        let (memo, mrec) = c
-            .run_profiled(base(s).rt_cache(true), 1 << 20)
-            .unwrap_or_else(|e| panic!("{s} (cached): {e}"));
-        let (plain, prec) = c
-            .run_profiled(base(s).rt_cache(false), 1 << 20)
-            .unwrap_or_else(|e| panic!("{s} (uncached): {e}"));
-        assert_eq!(memo.result, tagged.result, "{s}: result vs tagged");
-        assert_eq!(memo.printed, tagged.printed, "{s}: printed vs tagged");
-        assert_eq!(memo.result, plain.result, "{s}: result vs uncached");
-        assert_eq!(memo.printed, plain.printed, "{s}: printed vs uncached");
-        assert_eq!(memo.heap, plain.heap, "{s}: HeapStats");
-        assert_eq!(memo.mutator, plain.mutator, "{s}: MutatorStats");
-        assert_eq!(
-            memo.gc.cache_insensitive(),
-            plain.gc.cache_insensitive(),
-            "{s}: GcStats minus cache accounting"
-        );
-        assert_eq!(mrec.dropped() + prec.dropped(), 0, "{s}: ring large enough");
-        let me: Vec<_> = mrec.events().iter().map(normalize_event).collect();
-        let pe: Vec<_> = prec.events().iter().map(normalize_event).collect();
-        assert_eq!(me, pe, "{s}: normalized event streams");
-        if s == Strategy::Tagged {
-            continue;
+    let references = [Strategy::AppelPerFn, Strategy::Tagged].map(|s| {
+        let out = c.run_with(base(s)).unwrap_or_else(|e| panic!("{s}: {e}"));
+        (s, out)
+    });
+    for s in [
+        Strategy::Compiled,
+        Strategy::CompiledNoLiveness,
+        Strategy::Interpreted,
+    ] {
+        let (memo, rec) = c
+            .run_profiled(base(s), 1 << 20)
+            .unwrap_or_else(|e| panic!("{s}: {e}"));
+        for (r, out) in &references {
+            assert_eq!(memo.result, out.result, "{s}: result vs {r}");
+            assert_eq!(memo.printed, out.printed, "{s}: printed vs {r}");
         }
+        assert_eq!(rec.dropped(), 0, "{s}: ring large enough");
         assert!(
             memo.heap.collections > 10,
             "{s}: collections strike at depth"
@@ -363,7 +153,7 @@ fn frame_memo_is_exact_on_adjacent_frames_that_differ() {
         // Every shape the test is about was on the stack when a
         // collection struck, and one collection saw `via` more than once.
         let mut visits: std::collections::HashMap<u64, Vec<u32>> = Default::default();
-        for ev in mrec.events() {
+        for ev in rec.events() {
             if let GcEvent::FrameVisit { seq, fn_id, .. } = ev {
                 visits.entry(*seq).or_default().push(*fn_id);
             }
@@ -387,12 +177,47 @@ fn frame_memo_is_exact_on_adjacent_frames_that_differ() {
     }
 }
 
+/// Interpreted is §2.4's interpreted method: it parses the descriptor of
+/// every object it copies instead of lowering the descriptor once. A live
+/// list held only in a stack slot is recopied by every forced
+/// collection, so the descriptor bytes read must keep pace with the
+/// objects copied. Compiled traces the same slot with a plan and reads
+/// no descriptor at all.
+#[test]
+fn interpreted_parses_a_descriptor_per_copied_object() {
+    let src = "fun build n = if n = 0 then [] else n :: build (n - 1) ;
+               fun len xs = case xs of [] => 0 | _ :: t => 1 + len t ;
+               fun churn k = if k = 0 then 0 else (churn (k - 1); (build 10; 0)) ;
+               let val xs = build 200 in (churn 40; len xs) end";
+    let c = Compiled::compile(src).expect("compiles");
+    let run = |s: Strategy| {
+        c.run_with(VmConfig::new(s).heap_words(1 << 12).force_gc_every(25))
+            .unwrap_or_else(|e| panic!("{s}: {e}"))
+    };
+    let interp = run(Strategy::Interpreted);
+    assert_eq!(interp.result, "200");
+    assert!(
+        interp.heap.collections > 10,
+        "forced collections recopy the list"
+    );
+    assert!(
+        interp.gc.desc_bytes_read >= interp.heap.objects_copied,
+        "interpreted read {} descriptor bytes for {} objects copied",
+        interp.gc.desc_bytes_read,
+        interp.heap.objects_copied
+    );
+    let compiled = run(Strategy::Compiled);
+    assert_eq!(compiled.result, "200");
+    assert_eq!(compiled.heap.objects_copied, interp.heap.objects_copied);
+    assert_eq!(compiled.gc.desc_bytes_read, 0, "plans parse no descriptors");
+}
+
 /// Plans are lowered per distinct routine shape, then hit: across a deep
 /// recursion the hit count dwarfs compilation.
 #[test]
 fn plan_compilation_is_o_shapes_not_o_objects() {
     let c = Compiled::compile(&poly_deep_alloc(5_000)).expect("compiles");
-    for s in [Strategy::Compiled, Strategy::Interpreted] {
+    for s in [Strategy::Compiled, Strategy::CompiledNoLiveness] {
         let out = c
             .run_with(VmConfig::new(s).heap_words(1 << 18).force_gc_every(3_000))
             .unwrap_or_else(|e| panic!("{s}: {e}"));

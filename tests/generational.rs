@@ -2,8 +2,7 @@
 //!
 //! The nursery is pure copying plumbing: minor collections, survivor
 //! aging, and tenured promotion must never change what a program
-//! computes, under any strategy, any trace-plan setting, and any
-//! `promote_after` threshold. These tests pin that contract with the
+//! computes, under any strategy and any `promote_after` threshold. These tests pin that contract with the
 //! heap verifier enabled, plus determinism of the generational
 //! counters themselves.
 
@@ -11,21 +10,15 @@ use tfgc::{Compiled, Strategy, VmConfig};
 
 /// A heap small enough that the workload suite collects, with a nursery
 /// small enough that most of those collections are minors.
-fn gen_cfg(s: Strategy, plans: bool, promote_after: u32) -> VmConfig {
-    VmConfig::new(s)
-        .heap_words(1 << 12)
-        .heap_max_words(1 << 16)
-        .verify_heap(true)
-        .trace_plans(plans)
-        .generational(1 << 8, promote_after)
+fn gen_cfg(s: Strategy, promote_after: u32) -> VmConfig {
+    base_cfg(s).generational(1 << 8, promote_after)
 }
 
-fn base_cfg(s: Strategy, plans: bool) -> VmConfig {
+fn base_cfg(s: Strategy) -> VmConfig {
     VmConfig::new(s)
         .heap_words(1 << 12)
         .heap_max_words(1 << 16)
         .verify_heap(true)
-        .trace_plans(plans)
 }
 
 #[test]
@@ -34,27 +27,19 @@ fn suite_is_bit_identical_with_and_without_generational() {
     for (name, src) in tfgc::workloads::suite() {
         let compiled = Compiled::compile(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
         for s in Strategy::ALL {
-            for plans in [false, true] {
-                let base = compiled
-                    .run_with_meta(base_cfg(s, plans), compiled.metadata(s))
-                    .unwrap_or_else(|e| panic!("{name} under {s} plans={plans}: {e}"));
-                let gen = compiled
-                    .run_with_meta(gen_cfg(s, plans, 1), compiled.metadata(s))
-                    .unwrap_or_else(|e| panic!("{name} under {s} plans={plans} gen: {e}"));
-                assert_eq!(
-                    gen.result, base.result,
-                    "{name}: result under {s} plans={plans}"
-                );
-                assert_eq!(
-                    gen.printed, base.printed,
-                    "{name}: printed under {s} plans={plans}"
-                );
-                assert_eq!(
-                    base.gc.minor_collections, 0,
-                    "{name}: baseline must never run minors"
-                );
-                minors_total += gen.gc.minor_collections;
-            }
+            let base = compiled
+                .run_with_meta(base_cfg(s), compiled.metadata(s))
+                .unwrap_or_else(|e| panic!("{name} under {s}: {e}"));
+            let gen = compiled
+                .run_with_meta(gen_cfg(s, 1), compiled.metadata(s))
+                .unwrap_or_else(|e| panic!("{name} under {s} gen: {e}"));
+            assert_eq!(gen.result, base.result, "{name}: result under {s}");
+            assert_eq!(gen.printed, base.printed, "{name}: printed under {s}");
+            assert_eq!(
+                base.gc.minor_collections, 0,
+                "{name}: baseline must never run minors"
+            );
+            minors_total += gen.gc.minor_collections;
         }
     }
     assert!(
@@ -69,10 +54,10 @@ fn generational_runs_are_deterministic() {
         let compiled = Compiled::compile(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
         let s = Strategy::Compiled;
         let a = compiled
-            .run_with_meta(gen_cfg(s, true, 1), compiled.metadata(s))
+            .run_with_meta(gen_cfg(s, 1), compiled.metadata(s))
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let b = compiled
-            .run_with_meta(gen_cfg(s, true, 1), compiled.metadata(s))
+            .run_with_meta(gen_cfg(s, 1), compiled.metadata(s))
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(a.result, b.result, "{name}: result");
         assert_eq!(a.printed, b.printed, "{name}: printed");
@@ -109,7 +94,7 @@ fn promote_after_edges_agree() {
             let mut runs = Vec::new();
             for promote_after in [0u32, 1, u32::MAX] {
                 let out = compiled
-                    .run_with_meta(gen_cfg(s, true, promote_after), compiled.metadata(s))
+                    .run_with_meta(gen_cfg(s, promote_after), compiled.metadata(s))
                     .unwrap_or_else(|e| panic!("{name} under {s} k={promote_after}: {e}"));
                 runs.push((promote_after, out));
             }
@@ -152,10 +137,10 @@ fn deep_list_mid_spine_survivors_promote_and_agree() {
     let mut reference: Option<String> = None;
     for s in Strategy::ALL {
         let base = compiled
-            .run_with_meta(base_cfg(s, true), compiled.metadata(s))
+            .run_with_meta(base_cfg(s), compiled.metadata(s))
             .unwrap_or_else(|e| panic!("baseline under {s}: {e}"));
         let gen = compiled
-            .run_with_meta(gen_cfg(s, true, 1), compiled.metadata(s))
+            .run_with_meta(gen_cfg(s, 1), compiled.metadata(s))
             .unwrap_or_else(|e| panic!("generational under {s}: {e}"));
         assert_eq!(gen.result, base.result, "{s}: generational result");
         assert!(
