@@ -1,15 +1,15 @@
-//! Prints every experiment table (E1–E10 and E13), or with `--json` writes the
-//! machine-readable documents instead:
+//! Prints every experiment table (E1–E10, E13 and E15), or with `--json`
+//! writes the experiment documents the tables are rendered from:
 //!
 //! ```sh
 //! cargo run --release -p tfgc-bench --bin experiments
 //! cargo run --release -p tfgc-bench --bin experiments -- --json [--out DIR] [--deterministic]
 //! ```
 //!
-//! `--json` writes one `BENCH_E<n>.json` per experiment (per-strategy pause
-//! histograms, labeled per-site allocation counts, experiment extras)
-//! into `--out DIR` (default: the current directory). With
-//! `--deterministic`, wall-clock subtrees (pause histograms, timing
+//! `--json` writes one `BENCH_E<n>.json` per experiment (table rows,
+//! per-strategy pause histograms, labeled per-site allocation counts,
+//! experiment extras) into `--out DIR` (default: the current directory).
+//! With `--deterministic`, wall-clock subtrees (pause histograms, timing
 //! blocks) are stripped so consecutive runs diff byte-for-byte.
 
 use std::path::Path;
@@ -21,27 +21,18 @@ fn main() -> ExitCode {
         println!("{}", tfgc_bench::all_experiments());
         return ExitCode::SUCCESS;
     }
-    let mut dir = ".".to_string();
-    let mut deterministic = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(d) => dir.clone_from(d),
-                    None => {
-                        eprintln!("experiments: --out needs a directory");
-                        return ExitCode::FAILURE;
-                    }
-                }
+    let dir = match args.iter().position(|a| a == "--out") {
+        None => ".",
+        Some(i) => match args.get(i + 1) {
+            Some(d) => d.as_str(),
+            None => {
+                eprintln!("experiments: --out needs a directory");
+                return ExitCode::FAILURE;
             }
-            "--deterministic" => deterministic = true,
-            _ => {}
-        }
-        i += 1;
-    }
-    match tfgc_bench::export::write_all_with(Path::new(&dir), deterministic) {
+        },
+    };
+    let deterministic = args.iter().any(|a| a == "--deterministic");
+    match tfgc_bench::export::write_all(Path::new(dir), deterministic) {
         Ok(paths) => {
             for p in paths {
                 println!("wrote {}", p.display());

@@ -139,6 +139,23 @@ fn usage(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
 }
 
+/// The value after `flag`, parsed: advances `i` onto it. A missing or
+/// unparsable value is a usage error.
+fn flag_value<T: std::str::FromStr>(
+    args: &[String],
+    i: &mut usize,
+    flag: &str,
+) -> Result<T, CliError>
+where
+    T::Err: std::fmt::Display,
+{
+    *i += 1;
+    args.get(*i)
+        .ok_or_else(|| usage(format!("{flag} needs a value")))?
+        .parse()
+        .map_err(|e| usage(format!("bad {flag}: {e}")))
+}
+
 struct Opts {
     strategy: Strategy,
     heap: usize,
@@ -219,84 +236,24 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
     while i < args.len() {
         match args[i].as_str() {
             "--strategy" => {
-                i += 1;
-                strategy = parse_strategy(
-                    args.get(i)
-                        .ok_or_else(|| usage("--strategy needs a value"))?,
-                )?;
+                strategy = parse_strategy(&flag_value::<String>(args, &mut i, "--strategy")?)?;
             }
-            "--heap" => {
-                i += 1;
-                heap = args
-                    .get(i)
-                    .ok_or_else(|| usage("--heap needs a value"))?
-                    .parse()
-                    .map_err(|e| usage(format!("bad --heap: {e}")))?;
-            }
-            "--force-gc" => {
-                i += 1;
-                force_gc = Some(
-                    args.get(i)
-                        .ok_or_else(|| usage("--force-gc needs a value"))?
-                        .parse()
-                        .map_err(|e| usage(format!("bad --force-gc: {e}")))?,
-                );
-            }
+            "--heap" => heap = flag_value(args, &mut i, "--heap")?,
+            "--force-gc" => force_gc = Some(flag_value(args, &mut i, "--force-gc")?),
             "--refined" => refined = true,
             "--stats" => stats = true,
             "--verify-heap" => verify_heap = true,
             "--verify-oracle" => verify_oracle = true,
             "--generational" => generational = true,
             "--nursery-words" => {
-                i += 1;
                 generational = true;
-                nursery_words = Some(
-                    args.get(i)
-                        .ok_or_else(|| usage("--nursery-words needs a value"))?
-                        .parse()
-                        .map_err(|e| usage(format!("bad --nursery-words: {e}")))?,
-                );
+                nursery_words = Some(flag_value(args, &mut i, "--nursery-words")?);
             }
-            "--promote-after" => {
-                i += 1;
-                promote_after = args
-                    .get(i)
-                    .ok_or_else(|| usage("--promote-after needs a value"))?
-                    .parse()
-                    .map_err(|e| usage(format!("bad --promote-after: {e}")))?;
-            }
-            "--trace" => {
-                i += 1;
-                trace = Some(
-                    args.get(i)
-                        .ok_or_else(|| usage("--trace needs a file path"))?
-                        .clone(),
-                );
-            }
-            "--metrics" => {
-                i += 1;
-                metrics = Some(
-                    args.get(i)
-                        .ok_or_else(|| usage("--metrics needs a file path"))?
-                        .clone(),
-                );
-            }
-            "--events" => {
-                i += 1;
-                events = args
-                    .get(i)
-                    .ok_or_else(|| usage("--events needs a value"))?
-                    .parse()
-                    .map_err(|e| usage(format!("bad --events: {e}")))?;
-            }
-            "-e" => {
-                i += 1;
-                source = Some(
-                    args.get(i)
-                        .ok_or_else(|| usage("-e needs source text"))?
-                        .clone(),
-                );
-            }
+            "--promote-after" => promote_after = flag_value(args, &mut i, "--promote-after")?,
+            "--trace" => trace = Some(flag_value(args, &mut i, "--trace")?),
+            "--metrics" => metrics = Some(flag_value(args, &mut i, "--metrics")?),
+            "--events" => events = flag_value(args, &mut i, "--events")?,
+            "-e" => source = Some(flag_value(args, &mut i, "-e")?),
             flag if flag.starts_with("--") => {
                 return Err(usage(format!("unknown option `{flag}`")));
             }
@@ -582,138 +539,66 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let mut slo_pause_ms: Option<f64> = None;
     let mut serve_generational = false;
     let mut serve_nursery: Option<usize> = None;
-    fn num<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> Result<T, CliError>
-    where
-        T::Err: std::fmt::Display,
-    {
-        args.get(i)
-            .ok_or_else(|| usage(format!("{flag} needs a value")))?
-            .parse()
-            .map_err(|e| usage(format!("bad {flag}: {e}")))
-    }
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--strategy" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or_else(|| usage("--strategy needs a value"))?;
+                let v: String = flag_value(args, &mut i, "--strategy")?;
                 strategies = if v == "all" {
                     Strategy::ALL.to_vec()
                 } else {
-                    vec![parse_strategy(v)?]
+                    vec![parse_strategy(&v)?]
                 };
             }
-            "--requests" => {
-                i += 1;
-                base.requests = num(args, i, "--requests")?;
-            }
-            "--pool" => {
-                i += 1;
-                base.pool = num(args, i, "--pool")?;
-            }
-            "--seed" => {
-                i += 1;
-                base.seed = num(args, i, "--seed")?;
-            }
-            "--heap" => {
-                i += 1;
-                base.heap_words = num(args, i, "--heap")?;
-            }
-            "--heap-max" => {
-                i += 1;
-                base.heap_max_words = Some(num(args, i, "--heap-max")?);
-            }
-            "--quantum" => {
-                i += 1;
-                base.quantum = num(args, i, "--quantum")?;
-            }
-            "--window-ms" => {
-                i += 1;
-                base.window_ms = num(args, i, "--window-ms")?;
-            }
-            "--sample-every" => {
-                i += 1;
-                base.sample_every = num(args, i, "--sample-every")?;
-            }
-            "--json" => {
-                i += 1;
-                json_path = Some(
-                    args.get(i)
-                        .ok_or_else(|| usage("--json needs a file path"))?
-                        .clone(),
-                );
-            }
-            "--trace" => {
-                i += 1;
-                trace_path = Some(
-                    args.get(i)
-                        .ok_or_else(|| usage("--trace needs a file path"))?
-                        .clone(),
-                );
-            }
+            "--requests" => base.requests = flag_value(args, &mut i, "--requests")?,
+            "--pool" => base.pool = flag_value(args, &mut i, "--pool")?,
+            "--seed" => base.seed = flag_value(args, &mut i, "--seed")?,
+            "--heap" => base.heap_words = flag_value(args, &mut i, "--heap")?,
+            "--heap-max" => base.heap_max_words = Some(flag_value(args, &mut i, "--heap-max")?),
+            "--quantum" => base.quantum = flag_value(args, &mut i, "--quantum")?,
+            "--window-ms" => base.window_ms = flag_value(args, &mut i, "--window-ms")?,
+            "--sample-every" => base.sample_every = flag_value(args, &mut i, "--sample-every")?,
+            "--json" => json_path = Some(flag_value(args, &mut i, "--json")?),
+            "--trace" => trace_path = Some(flag_value(args, &mut i, "--trace")?),
             "--generational" => serve_generational = true,
             "--nursery-words" => {
-                i += 1;
                 serve_generational = true;
-                serve_nursery = Some(num(args, i, "--nursery-words")?);
+                serve_nursery = Some(flag_value(args, &mut i, "--nursery-words")?);
             }
-            "--promote-after" => {
-                i += 1;
-                base.promote_after = num(args, i, "--promote-after")?;
-            }
+            "--promote-after" => base.promote_after = flag_value(args, &mut i, "--promote-after")?,
             "--slo-p99-latency-ms" => {
-                i += 1;
-                slo_latency_ms = Some(num(args, i, "--slo-p99-latency-ms")?);
+                slo_latency_ms = Some(flag_value(args, &mut i, "--slo-p99-latency-ms")?)
             }
             "--slo-p99-pause-ms" => {
-                i += 1;
-                slo_pause_ms = Some(num(args, i, "--slo-p99-pause-ms")?);
+                slo_pause_ms = Some(flag_value(args, &mut i, "--slo-p99-pause-ms")?)
             }
             "--deadline-quanta" => {
-                i += 1;
-                base.overload.deadline_quanta = Some(num(args, i, "--deadline-quanta")?);
+                base.overload.deadline_quanta = Some(flag_value(args, &mut i, "--deadline-quanta")?)
             }
-            "--fuel" => {
-                i += 1;
-                base.overload.fuel = Some(num(args, i, "--fuel")?);
-            }
-            "--queue-cap" => {
-                i += 1;
-                base.overload.queue_cap = num(args, i, "--queue-cap")?;
-            }
+            "--fuel" => base.overload.fuel = Some(flag_value(args, &mut i, "--fuel")?),
+            "--queue-cap" => base.overload.queue_cap = flag_value(args, &mut i, "--queue-cap")?,
             "--admission" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .ok_or_else(|| usage("--admission needs a value"))?;
-                base.overload.admission = parse_admission(v)?;
+                let v: String = flag_value(args, &mut i, "--admission")?;
+                base.overload.admission = parse_admission(&v)?;
             }
             "--soft-watermark" => {
-                i += 1;
-                base.overload.soft_watermark_pct = Some(num(args, i, "--soft-watermark")?);
+                base.overload.soft_watermark_pct =
+                    Some(flag_value(args, &mut i, "--soft-watermark")?)
             }
             "--hard-watermark" => {
-                i += 1;
-                base.overload.hard_watermark_pct = Some(num(args, i, "--hard-watermark")?);
+                base.overload.hard_watermark_pct =
+                    Some(flag_value(args, &mut i, "--hard-watermark")?)
             }
             "--breaker-threshold" => {
-                i += 1;
-                base.overload.breaker_threshold = num(args, i, "--breaker-threshold")?;
+                base.overload.breaker_threshold = flag_value(args, &mut i, "--breaker-threshold")?
             }
             "--breaker-cooldown" => {
-                i += 1;
-                base.overload.breaker_cooldown = num(args, i, "--breaker-cooldown")?;
+                base.overload.breaker_cooldown = flag_value(args, &mut i, "--breaker-cooldown")?
             }
             "--drain-after" => {
-                i += 1;
-                base.overload.drain_after = Some(num(args, i, "--drain-after")?);
+                base.overload.drain_after = Some(flag_value(args, &mut i, "--drain-after")?)
             }
-            "--runaway-every" => {
-                i += 1;
-                base.runaway_every = num(args, i, "--runaway-every")?;
-            }
+            "--runaway-every" => base.runaway_every = flag_value(args, &mut i, "--runaway-every")?,
             other => return Err(usage(format!("serve: unknown option `{other}`"))),
         }
         i += 1;
@@ -806,14 +691,7 @@ fn cmd_torture(args: &[String]) -> Result<(), CliError> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--seeds" => {
-                i += 1;
-                n_seeds = args
-                    .get(i)
-                    .ok_or_else(|| usage("--seeds needs a value"))?
-                    .parse()
-                    .map_err(|e| usage(format!("bad --seeds: {e}")))?;
-            }
+            "--seeds" => n_seeds = flag_value(args, &mut i, "--seeds")?,
             "--oracle" => oracle = true,
             "--serve" => serve_mode = true,
             "--overload" => overload = true,
@@ -928,53 +806,17 @@ fn cmd_fuzz(args: &[String]) -> Result<(), CliError> {
     let mut json: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
-        let val = |i: usize, flag: &str| -> Result<&String, CliError> {
-            args.get(i)
-                .ok_or_else(|| usage(format!("{flag} needs a value")))
-        };
-        let num = |i: usize, flag: &str| -> Result<u64, CliError> {
-            val(i, flag)?
-                .parse()
-                .map_err(|e| usage(format!("bad {flag}: {e}")))
-        };
         match args[i].as_str() {
-            "--seeds" => {
-                i += 1;
-                cfg.seeds = num(i, "--seeds")?;
-            }
-            "--seed-start" => {
-                i += 1;
-                cfg.seed_start = num(i, "--seed-start")?;
-            }
+            "--seeds" => cfg.seeds = flag_value(args, &mut i, "--seeds")?,
+            "--seed-start" => cfg.seed_start = flag_value(args, &mut i, "--seed-start")?,
             "--shrink" => cfg.shrink = true,
-            "--shrink-budget" => {
-                i += 1;
-                cfg.shrink_budget = num(i, "--shrink-budget")?;
-            }
-            "--json" => {
-                i += 1;
-                json = Some(val(i, "--json")?.clone());
-            }
-            "--depth" => {
-                i += 1;
-                cfg.gen.max_depth = num(i, "--depth")? as u32;
-            }
-            "--funs" => {
-                i += 1;
-                cfg.gen.n_funs = num(i, "--funs")? as usize;
-            }
-            "--fuel" => {
-                i += 1;
-                cfg.gen.fuel = num(i, "--fuel")? as u32;
-            }
-            "--datatypes" => {
-                i += 1;
-                cfg.gen.n_datatypes = num(i, "--datatypes")? as usize;
-            }
-            "--max-rec" => {
-                i += 1;
-                cfg.gen.max_recursion = num(i, "--max-rec")? as u32;
-            }
+            "--shrink-budget" => cfg.shrink_budget = flag_value(args, &mut i, "--shrink-budget")?,
+            "--json" => json = Some(flag_value(args, &mut i, "--json")?),
+            "--depth" => cfg.gen.max_depth = flag_value(args, &mut i, "--depth")?,
+            "--funs" => cfg.gen.n_funs = flag_value(args, &mut i, "--funs")?,
+            "--fuel" => cfg.gen.fuel = flag_value(args, &mut i, "--fuel")?,
+            "--datatypes" => cfg.gen.n_datatypes = flag_value(args, &mut i, "--datatypes")?,
+            "--max-rec" => cfg.gen.max_recursion = flag_value(args, &mut i, "--max-rec")?,
             "--no-higher-order" => cfg.gen.higher_order = false,
             "--no-polymorphism" => cfg.gen.polymorphism = false,
             other => return Err(usage(format!("fuzz: unknown option `{other}`"))),

@@ -6,7 +6,7 @@
 //! open-ended stream of small computations — and it is the regime where
 //! pause behavior (E6) and suspension latency (E7) actually bite. This
 //! module drives a deterministic, seeded traffic mix of handler
-//! invocations through [`tfgc_tasking::serve_requests`] against one
+//! invocations through [`tfgc_tasking::serve_requests_overload`] against one
 //! shared heap per strategy and reports steady-state telemetry:
 //!
 //! * per-request latency and GC pause histograms (log₂ buckets),

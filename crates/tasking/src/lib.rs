@@ -25,11 +25,11 @@
 //!
 //! The scheduler is a *request engine*: a fixed pool of thread slots
 //! drains a queue of [`Request`]s against one persistent shared heap.
-//! [`run_tasks`] is the one-request-per-slot special case (the original
-//! batch mode); [`serve_requests`] is the service mode behind
-//! `tfml serve`, which recycles each slot for the next queued request the
-//! moment its current one completes and emits request-lifecycle and
-//! heap-occupancy events into the attached [`Obs`] sink.
+//! [`serve_requests_overload`] is the one entry point: it recycles each
+//! slot for the next queued request the moment its current one completes
+//! and emits request-lifecycle and heap-occupancy events into the
+//! attached [`Obs`] sink. [`run_tasks`] is its one-request-per-slot
+//! special case (the original batch mode).
 //!
 //! ## Overload management
 //!
@@ -144,32 +144,6 @@ impl TaskConfig {
     }
 }
 
-/// Result of a multi-task run.
-#[derive(Debug, Clone)]
-pub struct TaskReport {
-    /// Per task: the rendered result value, or `"<error: …>"` when the
-    /// task was quarantined.
-    pub results: Vec<String>,
-    /// Per task: the error that quarantined it (`None` = finished
-    /// normally). One failing task does not stop its siblings.
-    pub task_errors: Vec<Option<VmError>>,
-    /// Interleaved `print` output across tasks.
-    pub printed: Vec<i64>,
-    pub heap: HeapStats,
-    pub gc: GcStats,
-    pub mutator: MutatorStats,
-    /// Suspension tests executed (per the policy's cost model; the Rgc
-    /// variant counts zero).
-    pub suspension_checks: u64,
-    /// Collections performed with all tasks suspended.
-    pub suspension_events: u64,
-    /// Instructions executed between heap exhaustion and the moment all
-    /// tasks were parked, summed over events.
-    pub total_suspension_latency: u64,
-    /// Worst single suspension latency.
-    pub max_suspension_latency: u64,
-}
-
 /// One unit of service work: run `entry(arg)` to completion on some
 /// pool slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -232,8 +206,8 @@ pub enum AdmissionPolicy {
 }
 
 /// Overload-management configuration for [`serve_requests_overload`].
-/// [`OverloadConfig::none`] disables every mechanism and reproduces the
-/// plain [`serve_requests`] behavior exactly.
+/// [`OverloadConfig::none`] disables every mechanism and leaves the plain
+/// engine.
 #[derive(Debug, Clone, Copy)]
 pub struct OverloadConfig {
     /// Admission-queue capacity beyond the idle pool slots (0 =
@@ -314,7 +288,7 @@ impl RequestOutcome {
     }
 }
 
-/// Result of a service run ([`serve_requests`]).
+/// Result of a service run ([`serve_requests_overload`], [`run_tasks`]).
 #[derive(Debug, Clone)]
 pub struct ServeReport {
     /// Per request, in submission order.
@@ -338,9 +312,15 @@ pub struct ServeReport {
     pub heap: HeapStats,
     pub gc: GcStats,
     pub mutator: MutatorStats,
+    /// Suspension tests executed (per the policy's cost model; the Rgc
+    /// variant counts zero).
     pub suspension_checks: u64,
+    /// Collections performed with all tasks suspended.
     pub suspension_events: u64,
+    /// Instructions executed between heap exhaustion and the moment all
+    /// tasks were parked, summed over events.
     pub total_suspension_latency: u64,
+    /// Worst single suspension latency.
     pub max_suspension_latency: u64,
 }
 
@@ -354,7 +334,9 @@ pub fn find_fn(prog: &IrProgram, name: &str) -> Option<FnId> {
 }
 
 /// Runs `main` (initializing globals), then runs each `(function, arg)`
-/// task to completion under the cooperative scheduler.
+/// task to completion under the cooperative scheduler. Task `i`'s value
+/// is `outcomes[i].result` and the error that quarantined it, if any, is
+/// `outcomes[i].error`; one failing task does not stop its siblings.
 ///
 /// # Errors
 ///
@@ -367,27 +349,7 @@ pub fn run_tasks(
     prog: &IrProgram,
     entries: &[(FnId, i64)],
     cfg: TaskConfig,
-) -> VmResult<TaskReport> {
-    run_tasks_with_obs(prog, entries, cfg, Obs::null()).map(|(report, _)| report)
-}
-
-/// [`run_tasks`] with an event sink attached: collection events, task
-/// park/resume events, and allocations flow into `obs`, which is handed
-/// back alongside the report.
-///
-/// # Errors
-///
-/// Propagates VM errors; reports OOM when a collection frees nothing.
-///
-/// # Panics
-///
-/// Panics if an entry function does not take exactly one argument.
-pub fn run_tasks_with_obs(
-    prog: &IrProgram,
-    entries: &[(FnId, i64)],
-    cfg: TaskConfig,
-    obs: Obs,
-) -> VmResult<(TaskReport, Obs)> {
+) -> VmResult<ServeReport> {
     // Batch mode is the one-request-per-slot special case of the serve
     // engine: pool width = request count, so no slot is ever recycled.
     let requests: Vec<Request> = entries
@@ -395,27 +357,17 @@ pub fn run_tasks_with_obs(
         .enumerate()
         .map(|(i, (f, a))| Request::new(*f, *a, i as u32))
         .collect();
-    let (report, obs) = serve_requests(prog, &requests, requests.len().max(1), 0, cfg, obs)?;
-    let (results, task_errors) = report
-        .outcomes
-        .into_iter()
-        .map(|o| (o.result, o.error))
-        .unzip();
-    Ok((
-        TaskReport {
-            results,
-            task_errors,
-            printed: report.printed,
-            heap: report.heap,
-            gc: report.gc,
-            mutator: report.mutator,
-            suspension_checks: report.suspension_checks,
-            suspension_events: report.suspension_events,
-            total_suspension_latency: report.total_suspension_latency,
-            max_suspension_latency: report.max_suspension_latency,
-        },
-        obs,
-    ))
+    let pool = requests.len().max(1);
+    serve_requests_overload(
+        prog,
+        &requests,
+        pool,
+        0,
+        cfg,
+        OverloadConfig::none(),
+        Obs::null(),
+    )
+    .map(|(report, _)| report)
 }
 
 /// Runs `main` (initializing globals), then drains `requests` through a
@@ -426,47 +378,18 @@ pub fn run_tasks_with_obs(
 /// quarantined request does not stop service: its slot is recycled like
 /// any other.
 ///
+/// `overload` layers load protection over the engine: per-request
+/// deadline/fuel budgets enforced at quantum boundaries, a bounded
+/// admission queue with backpressure, heap-pressure watermarks,
+/// per-kind circuit breakers, and graceful drain. See the module docs
+/// for the state machines; [`OverloadConfig::none`] turns all of it off.
+///
 /// When `obs` is enabled, the engine emits `RequestStart`/`RequestEnd`
 /// events (with wall-clock latency) at every request boundary, and —
 /// when `sample_every > 0` — a `HeapSample` occupancy event every
 /// `sample_every` scheduling quanta plus one at every request boundary
 /// and collection. Sample *points* are deterministic (quantum counts),
 /// so the sampled occupancy values are reproducible across runs.
-///
-/// # Errors
-///
-/// Propagates whole-machine VM errors (budget exhaustion, heap
-/// verification); per-request errors are quarantined into the outcomes.
-///
-/// # Panics
-///
-/// Panics if `pool` is zero (with a non-empty queue) or a request entry
-/// does not take exactly one argument.
-pub fn serve_requests(
-    prog: &IrProgram,
-    requests: &[Request],
-    pool: usize,
-    sample_every: u64,
-    cfg: TaskConfig,
-    obs: Obs,
-) -> VmResult<(ServeReport, Obs)> {
-    serve_requests_overload(
-        prog,
-        requests,
-        pool,
-        sample_every,
-        cfg,
-        OverloadConfig::none(),
-        obs,
-    )
-}
-
-/// [`serve_requests`] with overload management: per-request
-/// deadline/fuel budgets enforced at quantum boundaries, a bounded
-/// admission queue with backpressure, heap-pressure watermarks,
-/// per-kind circuit breakers, and graceful drain. See the module docs
-/// for the state machines; [`OverloadConfig::none`] reproduces the
-/// plain engine exactly.
 ///
 /// # Errors
 ///
@@ -522,7 +445,7 @@ pub fn serve_requests_overload(
         };
         return Ok((report, std::mem::take(&mut vm.obs)));
     }
-    assert!(pool > 0, "serve_requests needs at least one pool slot");
+    assert!(pool > 0, "serving needs at least one pool slot");
     let n = pool.min(requests.len());
 
     // Service-wide default budgets apply to requests that carry none.
@@ -1530,6 +1453,10 @@ mod tests {
         fun spin n = if n = 0 then 0 else (let val x = n * n in spin (n - 1) end) ;
         0";
 
+    fn results(report: &ServeReport) -> Vec<&str> {
+        report.outcomes.iter().map(|o| o.result.as_str()).collect()
+    }
+
     fn entries(prog: &IrProgram, names: &[(&str, i64)]) -> Vec<(FnId, i64)> {
         names
             .iter()
@@ -1547,7 +1474,7 @@ mod tests {
             // so they need headroom.
             cfg.heap_words = 1 << 12;
             let report = run_tasks(&prog, &es, cfg).unwrap_or_else(|e| panic!("{strategy}: {e}"));
-            assert_eq!(report.results, vec!["0", "0"], "{strategy}");
+            assert_eq!(results(&report), vec!["0", "0"], "{strategy}");
             assert!(report.suspension_events > 0, "{strategy}: no collections");
         }
     }
@@ -1556,7 +1483,7 @@ mod tests {
     fn policies_agree_on_results() {
         let prog = compile(WORKLOAD);
         let es = entries(&prog, &[("worker", 20), ("worker", 25), ("worker", 15)]);
-        let mut baseline: Option<Vec<String>> = None;
+        let mut baseline: Option<Vec<RequestOutcome>> = None;
         for policy in [
             SuspendPolicy::AllocationOnly,
             SuspendPolicy::EveryCall,
@@ -1567,8 +1494,8 @@ mod tests {
             cfg.policy = policy;
             let report = run_tasks(&prog, &es, cfg).unwrap_or_else(|e| panic!("{policy}: {e}"));
             match &baseline {
-                None => baseline = Some(report.results.clone()),
-                Some(b) => assert_eq!(&report.results, b, "{policy}"),
+                None => baseline = Some(report.outcomes),
+                Some(b) => assert_eq!(&report.outcomes, b, "{policy}"),
             }
         }
     }
@@ -1589,7 +1516,7 @@ mod tests {
 
         assert!(r_every.suspension_checks > 0);
         assert_eq!(r_rgc.suspension_checks, 0);
-        assert_eq!(r_every.results, r_rgc.results);
+        assert_eq!(r_every.outcomes, r_rgc.outcomes);
     }
 
     #[test]
@@ -1609,7 +1536,7 @@ mod tests {
         };
         let alloc_only = run_tasks(&prog, &es, mk(SuspendPolicy::AllocationOnly)).unwrap();
         let every_call = run_tasks(&prog, &es, mk(SuspendPolicy::EveryCall)).unwrap();
-        assert_eq!(alloc_only.results, every_call.results);
+        assert_eq!(alloc_only.outcomes, every_call.outcomes);
         assert!(
             alloc_only.suspension_events > 0 && every_call.suspension_events > 0,
             "both policies must collect"
@@ -1632,7 +1559,7 @@ mod tests {
         );
         let es = entries(&prog, &[("taskf", 1), ("taskf", 2)]);
         let report = run_tasks(&prog, &es, TaskConfig::new(Strategy::Compiled)).unwrap();
-        assert_eq!(report.results, vec!["101", "102"]);
+        assert_eq!(results(&report), vec!["101", "102"]);
     }
 
     #[test]
@@ -1665,7 +1592,8 @@ mod tests {
         let mut cfg = TaskConfig::new(Strategy::Compiled);
         cfg.heap_words = 1 << 9; // far too small for 2000 live cons cells
         let report = run_tasks(&prog, &es, cfg).unwrap();
-        let err = report.task_errors[0]
+        let err = report.outcomes[0]
+            .error
             .as_ref()
             .expect("starving task must be quarantined");
         assert!(
@@ -1686,7 +1614,9 @@ mod tests {
             prog.sites.len() > *site as usize,
             "site {site} out of range"
         );
-        assert!(report.results[0].starts_with("<error: out of memory"));
+        assert!(report.outcomes[0]
+            .result
+            .starts_with("<error: out of memory"));
         // The block parked and a collection ran before the error: the
         // no-progress check only fires after a full collect + retry.
         assert!(report.suspension_events >= 1);
@@ -1710,14 +1640,14 @@ mod tests {
             cfg.heap_words = 1 << 12;
             let report = run_tasks(&prog, &es, cfg).unwrap_or_else(|e| panic!("{strategy}: {e}"));
             assert!(
-                matches!(report.task_errors[0], Some(VmError::OutOfMemory { .. })),
+                matches!(report.outcomes[0].error, Some(VmError::OutOfMemory { .. })),
                 "{strategy}: hog must starve"
             );
             assert_eq!(
-                report.task_errors[1], None,
+                report.outcomes[1].error, None,
                 "{strategy}: worker must run on"
             );
-            assert_eq!(report.results[1], "0", "{strategy}");
+            assert_eq!(report.outcomes[1].result, "0", "{strategy}");
         }
     }
 
@@ -1731,12 +1661,14 @@ mod tests {
         let es = entries(&prog, &[("crash", 7), ("ok", 41)]);
         let report = run_tasks(&prog, &es, TaskConfig::new(Strategy::Compiled)).unwrap();
         assert!(
-            matches!(report.task_errors[0], Some(VmError::DivideByZero { .. })),
+            matches!(report.outcomes[0].error, Some(VmError::DivideByZero { .. })),
             "{:?}",
-            report.task_errors[0]
+            report.outcomes[0].error
         );
-        assert!(report.results[0].starts_with("<error: division by zero"));
-        assert_eq!(report.results[1], "42");
+        assert!(report.outcomes[0]
+            .result
+            .starts_with("<error: division by zero"));
+        assert_eq!(report.outcomes[1].result, "42");
     }
 
     #[test]
@@ -1753,8 +1685,8 @@ mod tests {
         cfg.heap_max_words = Some(1 << 15);
         cfg.verify_heap = true;
         let report = run_tasks(&prog, &es, cfg).unwrap();
-        assert_eq!(report.task_errors[0], None);
-        assert_eq!(report.results[0], "2000");
+        assert_eq!(report.outcomes[0].error, None);
+        assert_eq!(report.outcomes[0].result, "2000");
         assert!(report.heap.grows > 0, "growth policy must have engaged");
     }
 
@@ -1782,8 +1714,9 @@ mod tests {
         for strategy in Strategy::ALL {
             let mut cfg = TaskConfig::new(strategy);
             cfg.heap_words = 1 << 12;
-            let (report, _) = serve_requests(&prog, &q, 3, 0, cfg, Obs::null())
-                .unwrap_or_else(|e| panic!("{strategy}: {e}"));
+            let (report, _) =
+                serve_requests_overload(&prog, &q, 3, 0, cfg, OverloadConfig::none(), Obs::null())
+                    .unwrap_or_else(|e| panic!("{strategy}: {e}"));
             assert_eq!(report.outcomes.len(), 12, "{strategy}");
             assert_eq!(report.completed, 12, "{strategy}");
             assert_eq!(report.failed, 0, "{strategy}");
@@ -1810,8 +1743,26 @@ mod tests {
         );
         let mut cfg = TaskConfig::new(Strategy::Compiled);
         cfg.heap_words = 1 << 11;
-        let (a, _) = serve_requests(&prog, &q, 2, 0, cfg.clone(), Obs::null()).unwrap();
-        let (b, _) = serve_requests(&prog, &q, 2, 8, cfg, Obs::serve(1 << 10, 1_000_000)).unwrap();
+        let (a, _) = serve_requests_overload(
+            &prog,
+            &q,
+            2,
+            0,
+            cfg.clone(),
+            OverloadConfig::none(),
+            Obs::null(),
+        )
+        .unwrap();
+        let (b, _) = serve_requests_overload(
+            &prog,
+            &q,
+            2,
+            8,
+            cfg,
+            OverloadConfig::none(),
+            Obs::serve(1 << 10, 1_000_000),
+        )
+        .unwrap();
         assert_eq!(a.outcomes, b.outcomes, "telemetry must not steer requests");
         assert_eq!(a.printed, b.printed);
         assert_eq!(a.heap, b.heap);
@@ -1837,12 +1788,13 @@ mod tests {
                 ("ok", 4, 0),
             ],
         );
-        let (report, _) = serve_requests(
+        let (report, _) = serve_requests_overload(
             &prog,
             &q,
             2,
             0,
             TaskConfig::new(Strategy::Compiled),
+            OverloadConfig::none(),
             Obs::null(),
         )
         .unwrap();
@@ -1865,8 +1817,16 @@ mod tests {
         let q = requests(&prog, &[("worker", 10, 3), ("worker", 12, 4)]);
         let mut cfg = TaskConfig::new(Strategy::Compiled);
         cfg.heap_words = 1 << 12;
-        let (_, obs) =
-            serve_requests(&prog, &q, 1, 4, cfg, Obs::serve(1 << 12, 1_000_000)).unwrap();
+        let (_, obs) = serve_requests_overload(
+            &prog,
+            &q,
+            1,
+            4,
+            cfg,
+            OverloadConfig::none(),
+            Obs::serve(1 << 12, 1_000_000),
+        )
+        .unwrap();
         let rec = obs.into_serve_recorder().expect("serve sink");
         let (started, completed, failed) = rec.requests();
         assert_eq!((started, completed, failed), (2, 2, 0));
@@ -1892,7 +1852,7 @@ mod tests {
             let mut cfg = TaskConfig::new(strategy);
             cfg.heap_words = 1 << 11;
             let report = run_tasks(&prog, &es, cfg).unwrap_or_else(|e| panic!("{strategy}: {e}"));
-            assert_eq!(report.results, vec!["15", "15"], "{strategy}");
+            assert_eq!(results(&report), vec!["15", "15"], "{strategy}");
             assert!(report.suspension_events > 0, "{strategy}");
         }
     }

@@ -3,11 +3,15 @@
 use tfgc_gc::Strategy;
 use tfgc_ir::lower;
 use tfgc_syntax::parse_program;
-use tfgc_tasking::{find_fn, run_tasks, SuspendPolicy, TaskConfig};
+use tfgc_tasking::{find_fn, run_tasks, ServeReport, SuspendPolicy, TaskConfig};
 use tfgc_types::elaborate;
 
 fn compile(src: &str) -> tfgc_ir::IrProgram {
     lower(&elaborate(&parse_program(src).unwrap()).unwrap()).unwrap()
+}
+
+fn results(report: &ServeReport) -> Vec<String> {
+    report.outcomes.iter().map(|o| o.result.clone()).collect()
 }
 
 #[test]
@@ -22,7 +26,7 @@ fn single_task_behaves_like_sequential() {
     let mut cfg = TaskConfig::new(Strategy::Compiled);
     cfg.heap_words = 1 << 9;
     let report = run_tasks(&prog, &[(f, 200)], cfg).unwrap();
-    assert_eq!(report.results, vec!["200"]);
+    assert_eq!(results(&report), vec!["200"]);
     assert!(report.suspension_events > 0);
 }
 
@@ -43,7 +47,7 @@ fn quantum_size_does_not_change_results() {
         cfg.quantum = quantum;
         let r =
             run_tasks(&prog, &entries, cfg).unwrap_or_else(|e| panic!("quantum {quantum}: {e}"));
-        results.push(r.results);
+        results.push(r.outcomes);
     }
     for r in &results[1..] {
         assert_eq!(r, &results[0]);
@@ -61,14 +65,17 @@ fn oom_detected_when_live_exceeds_heap() {
     let mut cfg = TaskConfig::new(Strategy::Compiled);
     cfg.heap_words = 128;
     let report = run_tasks(&prog, &[(f, 500)], cfg).unwrap();
-    let err = report.task_errors[0]
+    let err = report.outcomes[0]
+        .error
         .as_ref()
         .expect("starving task is quarantined");
     assert!(matches!(err, tfgc_vm::VmError::OutOfMemory { .. }), "{err}");
     assert!(
-        report.results[0].starts_with("<error: out of memory"),
+        report.outcomes[0]
+            .result
+            .starts_with("<error: out of memory"),
         "{}",
-        report.results[0]
+        report.outcomes[0].result
     );
 }
 
@@ -86,7 +93,7 @@ fn eight_tasks_complete() {
     cfg.heap_words = 1 << 11;
     let report = run_tasks(&prog, &entries, cfg).unwrap();
     let want: Vec<String> = (1..=8).map(|i| (i * 10).to_string()).collect();
-    assert_eq!(report.results, want);
+    assert_eq!(results(&report), want);
 }
 
 #[test]
@@ -106,8 +113,8 @@ fn mixed_strategies_under_tasking_agree() {
         cfg.policy = SuspendPolicy::EveryCall;
         let r = run_tasks(&prog, &entries, cfg).unwrap_or_else(|e| panic!("{s}: {e}"));
         match &base {
-            None => base = Some(r.results),
-            Some(b) => assert_eq!(&r.results, b, "{s}"),
+            None => base = Some(results(&r)),
+            Some(b) => assert_eq!(&results(&r), b, "{s}"),
         }
     }
 }

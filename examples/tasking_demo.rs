@@ -49,7 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             report.suspension_checks.to_string(),
             report.total_suspension_latency.to_string(),
             report.max_suspension_latency.to_string(),
-            report.results.join(","),
+            report
+                .outcomes
+                .iter()
+                .map(|o| o.result.as_str())
+                .collect::<Vec<_>>()
+                .join(","),
         ]);
     }
     println!("{}", table.render());

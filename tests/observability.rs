@@ -120,7 +120,8 @@ fn histogram_buckets_sum_to_recorded_events() {
 /// the events.
 #[test]
 fn serve_telemetry_is_observation_neutral() {
-    use tfgc::tasking::{serve_requests, Request, SuspendPolicy, TaskConfig};
+    use tfgc::tasking::{serve_requests_overload, Request, SuspendPolicy, TaskConfig};
+    use tfgc::OverloadConfig;
 
     let c = Compiled::compile(
         "fun build n = if n = 0 then [] else n :: build (n - 1) ;
@@ -149,15 +150,24 @@ fn serve_telemetry_is_observation_neutral() {
             tc.policy = SuspendPolicy::EveryCall;
             tc
         };
-        let (plain, obs) =
-            serve_requests(&c.program, &requests, 3, 0, mk(), Obs::null()).expect("null run");
+        let (plain, obs) = serve_requests_overload(
+            &c.program,
+            &requests,
+            3,
+            0,
+            mk(),
+            OverloadConfig::none(),
+            Obs::null(),
+        )
+        .expect("null run");
         assert!(!obs.enabled(), "{s}");
-        let (observed, obs) = serve_requests(
+        let (observed, obs) = serve_requests_overload(
             &c.program,
             &requests,
             3,
             16,
             mk(),
+            OverloadConfig::none(),
             Obs::serve(1 << 12, 1_000_000),
         )
         .expect("observed run");
@@ -203,15 +213,23 @@ fn serve_telemetry_is_observation_neutral() {
         tc
     };
     let plain = tfgc::tasking::run_tasks(&c.program, &entries, cfg()).expect("plain tasks");
-    let (observed, _) = tfgc::tasking::run_tasks_with_obs(
+    let batch: Vec<Request> = entries
+        .iter()
+        .enumerate()
+        .map(|(i, (f, a))| Request::new(*f, *a, i as u32))
+        .collect();
+    let (observed, obs) = serve_requests_overload(
         &c.program,
-        &entries,
+        &batch,
+        batch.len(),
+        0,
         cfg(),
-        Obs::serve(1 << 12, 1_000_000),
+        OverloadConfig::none(),
+        Obs::ring(1 << 12),
     )
     .expect("observed tasks");
-    assert_eq!(observed.results, plain.results);
-    assert_eq!(observed.task_errors, plain.task_errors);
+    assert!(obs.enabled());
+    assert_eq!(observed.outcomes, plain.outcomes);
     assert_eq!(observed.heap, plain.heap);
     assert_eq!(observed.mutator, plain.mutator);
 }
