@@ -913,6 +913,70 @@ pub fn write_all(dir: &Path, deterministic: bool) -> io::Result<Vec<PathBuf>> {
     Ok(paths)
 }
 
+/// The path of the first place two documents differ — object keys and
+/// array indices from the root, like `profiles[2].words_copied` — or
+/// `None` when they are equal.
+pub fn first_difference(a: &Json, b: &Json) -> Option<String> {
+    match (a, b) {
+        (Json::Obj(xs), Json::Obj(ys)) => {
+            for (i, (k, x)) in xs.iter().enumerate() {
+                match ys.get(i) {
+                    Some((yk, y)) if yk == k => {
+                        if let Some(rest) = first_difference(x, y) {
+                            return Some(join_path(k, &rest));
+                        }
+                    }
+                    _ => return Some(k.clone()),
+                }
+            }
+            ys.get(xs.len()).map(|(k, _)| k.clone())
+        }
+        (Json::Arr(xs), Json::Arr(ys)) => {
+            for (i, (x, y)) in xs.iter().zip(ys).enumerate() {
+                if let Some(rest) = first_difference(x, y) {
+                    return Some(join_path(&format!("[{i}]"), &rest));
+                }
+            }
+            (xs.len() != ys.len()).then(|| format!("[{}]", xs.len().min(ys.len())))
+        }
+        _ => (a != b).then(String::new),
+    }
+}
+
+fn join_path(head: &str, rest: &str) -> String {
+    match rest.chars().next() {
+        None => head.to_string(),
+        Some('[') => format!("{head}{rest}"),
+        Some(_) => format!("{head}.{rest}"),
+    }
+}
+
+/// Checks the committed `BENCH_<id>.json` in `dir` against a fresh run of
+/// the experiment: the [`deterministic_view`] of both must be equal. The
+/// fresh document passes through the same JSON text form as the file, so
+/// only a change in behaviour can make them differ.
+///
+/// # Errors
+///
+/// Names the file, and either why it could not be read or the key path
+/// of the first difference.
+pub fn check(dir: &Path, id: &str) -> Result<(), String> {
+    let path = dir.join(format!("BENCH_{id}.json"));
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    let committed =
+        tfgc::obs::json::parse(&text).map_err(|e| format!("{}: not JSON: {e}", path.display()))?;
+    let fresh = tfgc::obs::json::parse(&deterministic_view(&bench_json(id)).to_json_pretty())
+        .expect("the writer emits JSON the parser reads");
+    match first_difference(&deterministic_view(&committed), &fresh) {
+        None => Ok(()),
+        Some(at) => Err(format!(
+            "{}: deterministic output differs from a fresh run at `{}`",
+            path.display(),
+            if at.is_empty() { "(root)" } else { &at }
+        )),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1058,6 +1122,68 @@ mod tests {
         let a = deterministic_view(&bench_json("E15")).to_json_pretty();
         assert!(!a.contains("pause_p50_ns") && !a.contains("pause_p99_ns"));
         assert_eq!(a, deterministic_view(&d).to_json_pretty());
+    }
+
+    #[test]
+    fn first_difference_names_the_key_path() {
+        let doc = |n: f64, extra: bool| {
+            let mut row = vec![("objects_copied", Json::Num(n))];
+            if extra {
+                row.push(("extra", Json::Null));
+            }
+            Json::obj([
+                ("id", Json::str("E0")),
+                ("rows", Json::arr([Json::obj([]), Json::obj(row)])),
+            ])
+        };
+        assert_eq!(first_difference(&doc(3.0, false), &doc(3.0, false)), None);
+        assert_eq!(
+            first_difference(&doc(3.0, false), &doc(4.0, false)).as_deref(),
+            Some("rows[1].objects_copied")
+        );
+        assert_eq!(
+            first_difference(&doc(3.0, false), &doc(3.0, true)).as_deref(),
+            Some("rows[1].extra")
+        );
+        assert_eq!(
+            first_difference(&Json::arr([]), &Json::arr([Json::Null])).as_deref(),
+            Some("[0]")
+        );
+        assert_eq!(
+            first_difference(&Json::Num(1.0), &Json::Null).as_deref(),
+            Some("")
+        );
+    }
+
+    #[test]
+    fn check_accepts_a_fresh_export_and_names_a_stale_one() {
+        let dir = std::env::temp_dir().join(format!("tfgc-check-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // E10 is one of the quickest experiments. The full document is
+        // written, as the committed baselines are.
+        std::fs::write(
+            dir.join("BENCH_E10.json"),
+            bench_json("E10").to_json_pretty(),
+        )
+        .unwrap();
+        assert_eq!(check(&dir, "E10"), Ok(()));
+        let stale = bench_json("E10").to_json_pretty().replacen(
+            "\"raw_panics\": 0",
+            "\"raw_panics\": 1",
+            1,
+        );
+        std::fs::write(dir.join("BENCH_E10.json"), stale).unwrap();
+        let err = check(&dir, "E10").unwrap_err();
+        assert!(
+            err.contains("BENCH_E10.json") && err.contains("raw_panics"),
+            "{err}"
+        );
+        let err = check(&dir, "E1").unwrap_err();
+        assert!(
+            err.contains("BENCH_E1.json"),
+            "a missing file is named: {err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

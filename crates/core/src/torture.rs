@@ -399,29 +399,25 @@ mod tests {
         assert!(out.heap.grows > 0);
     }
 
-    #[test]
-    fn corrupted_discriminant_is_detected_not_mistraced() {
-        // Only datatypes with several boxed constructors store a
-        // discriminant word (single-pointer-constructor types like cons
-        // elide it), so the fault needs a shape-like type. Allocation
-        // order puts the first 30 allocations on `shape` objects.
-        let compiled = Compiled::compile(
-            "datatype shape = Circle of int | Rect of int * int ;
-             fun build n = if n = 0 then []
-                 else (if n mod 2 = 0 then Circle n else Rect (n, n)) :: build (n - 1) ;
-             fun area s = case s of Circle r => r * r | Rect (w, h) => w * h ;
-             fun total xs = case xs of [] => 0 | s :: r => area s + total r ;
-             total (build 30)",
-        )
-        .unwrap();
+    /// Runs `src` with its fifth allocation given a discriminant no
+    /// variant has, under each strategy, with a collection forced every
+    /// 8 allocations and the heap verifier on. Only datatypes with
+    /// several boxed constructors store a discriminant word
+    /// (single-pointer-constructor types like cons elide it), so the
+    /// fifth allocation must build a shape-like object.
+    fn corrupted_discriminant_outcomes(
+        src: &str,
+        strategies: &[Strategy],
+    ) -> Vec<(Strategy, TortureOutcome)> {
+        let compiled = Compiled::compile(src).unwrap();
         let plan = FaultPlan {
             corrupt_discriminant_at: Some(5),
             ..FaultPlan::none()
         };
-        let outcomes: Vec<(Strategy, TortureOutcome)> = with_quiet_panics(|| {
-            Strategy::ALL
-                .into_iter()
-                .map(|s| {
+        with_quiet_panics(|| {
+            strategies
+                .iter()
+                .map(|&s| {
                     let meta = compiled.metadata(s);
                     let cfg = VmConfig::new(s)
                         .heap_words(1 << 12)
@@ -439,8 +435,20 @@ mod tests {
                     (s, outcome)
                 })
                 .collect()
-        });
-        for (s, outcome) in outcomes {
+        })
+    }
+
+    #[test]
+    fn corrupted_discriminant_is_detected_not_mistraced() {
+        // The first 30 allocations are `shape` objects, each held in a
+        // frame slot until its cons cell is built.
+        let src = "datatype shape = Circle of int | Rect of int * int ;
+             fun build n = if n = 0 then []
+                 else (if n mod 2 = 0 then Circle n else Rect (n, n)) :: build (n - 1) ;
+             fun area s = case s of Circle r => r * r | Rect (w, h) => w * h ;
+             fun total xs = case xs of [] => 0 | s :: r => area s + total r ;
+             total (build 30)";
+        for (s, outcome) in corrupted_discriminant_outcomes(src, &Strategy::ALL) {
             assert!(
                 matches!(
                     outcome,
@@ -448,6 +456,36 @@ mod tests {
                 ),
                 "{s}: corruption not detected: {outcome:?}"
             );
+        }
+    }
+
+    #[test]
+    fn corruption_panic_names_the_root_tracing_started_from() {
+        // Allocations alternate shape and cons, so the corrupt fifth one
+        // is the third shape, and by the first collection it sits inside
+        // the accumulated list: the collector reaches it while draining
+        // what a root reached, not at the root itself. Each root context
+        // is drained before the next starts, so the panic still names
+        // the global, frame or operands the bad word was reached from —
+        // under both tracing engines.
+        let src = "datatype shape = Circle of int | Rect of int * int ;
+             fun build n acc = if n = 0 then acc
+                 else build (n - 1) ((if n mod 2 = 0 then Circle n else Rect (n, n)) :: acc) ;
+             fun area s = case s of Circle r => r * r | Rect (w, h) => w * h ;
+             fun total xs = case xs of [] => 0 | s :: r => area s + total r ;
+             total (build 30 [])";
+        let engines = [Strategy::Compiled, Strategy::Interpreted];
+        for (s, outcome) in corrupted_discriminant_outcomes(src, &engines) {
+            let TortureOutcome::FailFast(msg) = outcome else {
+                panic!("{s}: expected a fail-fast panic, got {outcome:?}");
+            };
+            assert!(msg.contains("heap corruption:"), "{s}: {msg}");
+            let names_root = (msg.contains("reached tracing frame fn ")
+                && msg.contains(" at site "))
+                || msg.contains("reached tracing global ")
+                || msg.contains("reached tracing allocation operands ");
+            assert!(names_root, "{s}: the panic must name its root: {msg}");
+            assert!(!msg.contains("no frame context"), "{s}: {msg}");
         }
     }
 

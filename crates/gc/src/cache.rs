@@ -39,7 +39,6 @@
 //! persists across collections of a run (results only ever reference
 //! immutable metadata).
 
-use crate::collect::WTy;
 use crate::desc::{DescArena, DescId, DescNode};
 use crate::ground::GroundTable;
 use crate::plan::{PlanId, PlanStore};
@@ -79,13 +78,13 @@ pub(crate) enum SlotStep {
     /// Relocate the slot under an already-lowered plan.
     Plan { slot: u16, plan: PlanId },
     /// Interpreted method: decode the descriptor at `pos` under the
-    /// step's byte environment, as every activation must (§2.4).
+    /// step's environment, as every activation must (§2.4).
     Bytes { slot: u16, pos: u32 },
 }
 
 /// A memoized frame step: everything the forward walk needs to trace one
 /// activation of a call site entered with one incoming state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct FrameStep {
     /// Op count of the site's frame routine (`RoutineRun`,
     /// `slots_traced`); no-op slots are absent from the step list.
@@ -95,11 +94,9 @@ pub(crate) struct FrameStep {
     /// The state this frame's routine hands the next (newer) frame.
     pub out: StateId,
     /// The frame's own environment (the newest frame's environment types
-    /// the pending allocation operands).
+    /// the pending allocation operands, and [`SlotStep::Bytes`] steps
+    /// decode under it).
     pub env: EnvIx,
-    /// The environment as byte-descriptor entries, when the routine has
-    /// [`SlotStep::Bytes`] steps.
-    pub benv: Option<Rc<Vec<WTy>>>,
 }
 
 /// The collector's memoization state. One per [`crate::meta::GcMeta`].

@@ -155,16 +155,12 @@ fn reloc(
     }
     let a = enc.addr_of(w);
     debug_assert!(a.0 >= HEAP_BASE, "tagged pointer below heap base");
-    if heap.in_to(a) {
-        return w;
-    }
-    if let Some(n) = heap.forward_of(a) {
+    if let Some(n) = heap.relocated(a) {
         return enc.ptr(n);
     }
     // Header word = payload length (raw).
     let len = heap.read(a, 0) as usize;
-    let new = heap.copy_out(a, len + 1);
-    heap.set_forward(a, new);
+    let new = heap.evacuate(a, len + 1);
     obs.emit(|_| GcEvent::ObjectCopied {
         seq,
         from: a.0,

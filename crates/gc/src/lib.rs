@@ -63,7 +63,9 @@ pub use collect::{collect_tagfree, CollectorScratch, MachineRoots, StackRoots};
 pub use desc::{DescArena, DescId, DescNode};
 pub use ground::{GroundTable, TypeRt, TypeRtId};
 pub use meta::{Analyses, CalleePlan, FnGcMeta, GcMeta, SiteMeta};
-pub use plan::{PlanId, PlanKind, PlanOp, PlanOps, PlanStore, VariantPlan, NOOP_PLAN};
+pub use plan::{
+    OpRange, PlanId, PlanKind, PlanOp, PlanOps, PlanStore, VariantPlan, VariantRange, NOOP_PLAN,
+};
 pub use routines::{FrameRoutine, FrameRoutineId, RoutineTable, TraceOp, NO_TRACE};
 pub use rtval::{EvalCx, RtVal};
 pub use stack::{

@@ -23,10 +23,16 @@
 //! * Sub-plans are referenced by [`PlanId`] — the plan-call that shares
 //!   substructure, and what makes recursive datatypes finite: the list
 //!   plan's tail op points back at the list plan itself.
-//! * [`VariantPlan::self_tail`] — when a variant's final op traces a field
-//!   with the variant's own data plan, the executor chases that field in a
-//!   loop (`TraceListLoop`): a million-cons spine relocates in one loop
-//!   instead of a million worklist round-trips.
+//! * [`VariantPlan::self_tail`] — a field traced with the variant's own
+//!   data plan is chased by the executor in a loop (`TraceListLoop`): a
+//!   million-cons spine relocates in one loop instead of a million
+//!   worklist round-trips.
+//!
+//! Plans are plain `Copy` data. A [`PlanStore`] keeps every plan's ops
+//! and every datatype's variant table in two arenas, so a plan names its
+//! ops by [`OpRange`] and its variants by [`VariantRange`], and a closure
+//! plan names its arrow routine by index. The executor reads a plan by
+//! value and never clones a payload per object.
 //!
 //! Soundness leans on the fingerprint fix shipped in the same change: a
 //! plan is cached per `RtCache` identity, so plans can only be shared
@@ -37,7 +43,6 @@
 
 use crate::rtval::RtVal;
 use std::collections::HashMap;
-use std::rc::Rc;
 
 /// Index of a compiled plan in its [`PlanStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -58,32 +63,44 @@ pub enum PlanOp {
     Fields { base: u16, n: u16, plan: PlanId },
 }
 
+/// A plan's ops: a run of its [`PlanStore`]'s op arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct OpRange {
+    start: u32,
+    len: u32,
+}
+
+/// A datatype plan's variant table: a run of its [`PlanStore`]'s variant
+/// arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct VariantRange {
+    start: u32,
+    len: u32,
+}
+
 /// Pre-resolved trace table for one pointer constructor of a datatype.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VariantPlan {
     /// Discriminant stored in word 0, or `None` in the untagged
     /// single-pointer-variant representation.
     pub tag: Option<u32>,
     /// Heap words to copy (discriminant word included).
     pub words: u32,
-    /// Field ops in push order; the self-recursive tail op is *excluded*
+    /// Field ops in field order; the self-recursive tail op is *excluded*
     /// when [`VariantPlan::self_tail`] is set.
-    pub ops: Rc<[PlanOp]>,
-    /// Offset of a final field whose plan is this datatype's own plan:
-    /// the executor chases it iteratively (the list-spine loop).
+    pub ops: OpRange,
+    /// Offset of a field whose plan is this datatype's own plan: the
+    /// executor chases it iteratively (the list-spine loop).
     pub self_tail: Option<u16>,
 }
 
-/// The body of a compiled plan. Payloads sit behind `Rc` so the executor
-/// takes a cheap owned head per relocation, exactly like [`TypeRt`].
-///
-/// [`TypeRt`]: crate::ground::TypeRt
-#[derive(Debug, Clone)]
+/// The body of a compiled plan: plain data, read by value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanKind {
     /// No pointers: relocation is the identity.
     Noop,
     /// Fixed-size heap object (tuple).
-    Tuple { size: u32, ops: Rc<[PlanOp]> },
+    Tuple { size: u32, ops: OpRange },
     /// Datatype: discriminant table pre-resolved per pointer variant.
     /// `tagged` mirrors the representation choice — when true, word 0
     /// holds the discriminant; when false there is exactly one pointer
@@ -91,21 +108,21 @@ pub enum PlanKind {
     Data {
         data: u32,
         tagged: bool,
-        variants: Rc<[VariantPlan]>,
+        variants: VariantRange,
     },
     /// Closure: layout is per-object (the fn id sits in word 0), so
     /// execution routes through the shared closure relocator with the
-    /// retained arrow routine.
-    Closure { rt: RtVal },
+    /// retained arrow routine, `rt`-th in [`PlanStore::closure_rt`].
+    Closure { rt: u32 },
     /// Reserved during recursive lowering; never observed once the
     /// compiler returns (recursive references resolve to the reserved
     /// id, not the kind).
     Pending,
 }
 
-/// Owner of every compiled plan plus the keying maps. One per
-/// [`RtCache`](crate::cache::RtCache), persisting across collections —
-/// plans only reference immutable program metadata.
+/// Owner of every compiled plan, the op and variant arenas, and the
+/// keying maps. One per [`RtCache`](crate::cache::RtCache), persisting
+/// across collections — plans only reference immutable program metadata.
 #[derive(Debug, Clone)]
 pub struct PlanStore {
     /// Plan lookups that found a compiled (or in-compilation) plan.
@@ -115,6 +132,9 @@ pub struct PlanStore {
     /// Plans lowered (reservations), including sub-plans.
     pub compiled: u64,
     plans: Vec<PlanKind>,
+    ops: Vec<PlanOp>,
+    variants: Vec<VariantPlan>,
+    closures: Vec<RtVal>,
     by_rt: HashMap<u32, PlanId>,
     by_ground: HashMap<u32, PlanId>,
 }
@@ -127,14 +147,35 @@ impl PlanStore {
             misses: 0,
             compiled: 0,
             plans: vec![PlanKind::Noop],
+            ops: Vec::new(),
+            variants: Vec::new(),
+            closures: Vec::new(),
             by_rt: HashMap::new(),
             by_ground: HashMap::new(),
         }
     }
 
     /// The body of plan `id`.
-    pub fn kind(&self, id: PlanId) -> &PlanKind {
-        &self.plans[id.0 as usize]
+    #[inline]
+    pub fn kind(&self, id: PlanId) -> PlanKind {
+        self.plans[id.0 as usize]
+    }
+
+    /// The ops behind a range.
+    #[inline]
+    pub fn ops(&self, r: OpRange) -> &[PlanOp] {
+        &self.ops[r.start as usize..(r.start + r.len) as usize]
+    }
+
+    /// The variant table behind a range.
+    #[inline]
+    pub fn variants(&self, r: VariantRange) -> &[VariantPlan] {
+        &self.variants[r.start as usize..(r.start + r.len) as usize]
+    }
+
+    /// The arrow routine of a [`PlanKind::Closure`] plan.
+    pub fn closure_rt(&self, rt: u32) -> &RtVal {
+        &self.closures[rt as usize]
     }
 
     /// Number of plans in the store (the noop plan included).
@@ -185,6 +226,24 @@ impl PlanStore {
         self.plans[id.0 as usize] = kind;
     }
 
+    /// Appends a datatype's variant table to the arena.
+    pub fn add_variants(&mut self, vs: &[VariantPlan]) -> VariantRange {
+        let start = self.variants.len() as u32;
+        self.variants.extend_from_slice(vs);
+        VariantRange {
+            start,
+            len: vs.len() as u32,
+        }
+    }
+
+    /// The closure plan body for an arrow routine.
+    pub fn add_closure(&mut self, rt: RtVal) -> PlanKind {
+        self.closures.push(rt);
+        PlanKind::Closure {
+            rt: self.closures.len() as u32 - 1,
+        }
+    }
+
     fn reserve(&mut self) -> PlanId {
         self.misses += 1;
         self.compiled += 1;
@@ -200,9 +259,10 @@ impl Default for PlanStore {
     }
 }
 
-/// Builder that collects `(offset, plan)` pairs in push order, drops
+/// Builder that collects `(offset, plan)` pairs in field order, drops
 /// no-op fields (the implicit `Skip`), detects the self-recursive tail,
-/// and coalesces consecutive same-planned runs into [`PlanOp::Fields`].
+/// and coalesces consecutive same-planned runs into [`PlanOp::Fields`]
+/// in the store's op arena.
 #[derive(Debug, Default)]
 pub struct PlanOps {
     raw: Vec<(u16, PlanId)>,
@@ -222,30 +282,31 @@ impl PlanOps {
     }
 
     /// Finishes a plain (tuple) op array.
-    pub fn finish(self) -> Rc<[PlanOp]> {
-        coalesce(&self.raw)
+    pub fn finish(self, store: &mut PlanStore) -> OpRange {
+        coalesce(&self.raw, store)
     }
 
-    /// Finishes a variant op array: when the final field's plan is
-    /// `self_id` (the enclosing data plan), it is split out as the
-    /// iterative tail. Loop order matches the worklist exactly because
-    /// the tail would have been pushed last, hence popped first.
-    pub fn finish_with_tail(mut self, self_id: PlanId) -> (Rc<[PlanOp]>, Option<u16>) {
-        let tail = match self.raw.last() {
-            Some(&(off, p)) if p == self_id => {
-                self.raw.pop();
-                Some(off)
-            }
-            _ => None,
-        };
-        (coalesce(&self.raw), tail)
+    /// Finishes a variant op array: the last field whose plan is
+    /// `self_id` (the enclosing data plan) is split out as the iterative
+    /// tail.
+    pub fn finish_with_tail(
+        mut self,
+        store: &mut PlanStore,
+        self_id: PlanId,
+    ) -> (OpRange, Option<u16>) {
+        let tail = self
+            .raw
+            .iter()
+            .rposition(|&(_, p)| p == self_id)
+            .map(|k| self.raw.remove(k).0);
+        (coalesce(&self.raw, store), tail)
     }
 }
 
-fn coalesce(raw: &[(u16, PlanId)]) -> Rc<[PlanOp]> {
-    let mut ops: Vec<PlanOp> = Vec::with_capacity(raw.len());
+fn coalesce(raw: &[(u16, PlanId)], store: &mut PlanStore) -> OpRange {
+    let start = store.ops.len();
     for &(offset, plan) in raw {
-        let joined = match ops.last_mut() {
+        let joined = match store.ops[start..].last_mut() {
             Some(op) => match *op {
                 PlanOp::SlotAt { offset: o, plan: p } if p == plan && offset == o + 1 => {
                     *op = PlanOp::Fields {
@@ -268,10 +329,13 @@ fn coalesce(raw: &[(u16, PlanId)]) -> Rc<[PlanOp]> {
             None => false,
         };
         if !joined {
-            ops.push(PlanOp::SlotAt { offset, plan });
+            store.ops.push(PlanOp::SlotAt { offset, plan });
         }
     }
-    ops.into()
+    OpRange {
+        start: start as u32,
+        len: (store.ops.len() - start) as u32,
+    }
 }
 
 #[cfg(test)]
@@ -280,13 +344,14 @@ mod tests {
 
     #[test]
     fn noop_fields_are_skipped() {
+        let mut s = PlanStore::new();
         let mut b = PlanOps::new();
         b.push(0, NOOP_PLAN);
         b.push(1, PlanId(3));
         b.push(2, NOOP_PLAN);
-        let ops = b.finish();
+        let ops = b.finish(&mut s);
         assert_eq!(
-            &*ops,
+            s.ops(ops),
             &[PlanOp::SlotAt {
                 offset: 1,
                 plan: PlanId(3)
@@ -296,22 +361,29 @@ mod tests {
 
     #[test]
     fn consecutive_same_plan_fields_coalesce() {
+        let mut s = PlanStore::new();
+        // A plan lowered earlier owns the arena's first ops; a new run
+        // must not coalesce into them.
+        let mut first = PlanOps::new();
+        first.push(3, PlanId(7));
+        let first = first.finish(&mut s);
         let mut b = PlanOps::new();
-        for i in 0..4 {
+        for i in 4..8 {
             b.push(i, PlanId(7));
         }
-        b.push(5, PlanId(7)); // gap at 4: must not join the run
-        let ops = b.finish();
+        b.push(9, PlanId(7)); // gap at 8: must not join the run
+        let ops = b.finish(&mut s);
+        assert_eq!(s.ops(first).len(), 1);
         assert_eq!(
-            &*ops,
+            s.ops(ops),
             &[
                 PlanOp::Fields {
-                    base: 0,
+                    base: 4,
                     n: 4,
                     plan: PlanId(7)
                 },
                 PlanOp::SlotAt {
-                    offset: 5,
+                    offset: 9,
                     plan: PlanId(7)
                 }
             ]
@@ -320,14 +392,15 @@ mod tests {
 
     #[test]
     fn final_self_field_becomes_the_loop_tail() {
+        let mut s = PlanStore::new();
         let me = PlanId(9);
         let mut b = PlanOps::new();
         b.push(1, PlanId(2));
         b.push(2, me);
-        let (ops, tail) = b.finish_with_tail(me);
+        let (ops, tail) = b.finish_with_tail(&mut s, me);
         assert_eq!(tail, Some(2));
         assert_eq!(
-            &*ops,
+            s.ops(ops),
             &[PlanOp::SlotAt {
                 offset: 1,
                 plan: PlanId(2)
@@ -336,16 +409,31 @@ mod tests {
     }
 
     #[test]
-    fn non_final_self_field_is_not_a_tail() {
-        // A self-recursive field that is *not* pushed last (popped last,
-        // not first) cannot loop without reordering the worklist.
+    fn non_final_self_field_is_chased_too() {
+        // Execution order is free, so the tail need not be the last
+        // field: the last self-planned field is chased, the others stay
+        // ops.
+        let mut s = PlanStore::new();
         let me = PlanId(9);
         let mut b = PlanOps::new();
+        b.push(0, me);
         b.push(1, me);
         b.push(2, PlanId(2));
-        let (ops, tail) = b.finish_with_tail(me);
-        assert_eq!(tail, None);
-        assert_eq!(ops.len(), 2);
+        let (ops, tail) = b.finish_with_tail(&mut s, me);
+        assert_eq!(tail, Some(1));
+        assert_eq!(
+            s.ops(ops),
+            &[
+                PlanOp::SlotAt {
+                    offset: 0,
+                    plan: me
+                },
+                PlanOp::SlotAt {
+                    offset: 2,
+                    plan: PlanId(2)
+                }
+            ]
+        );
     }
 
     #[test]
@@ -355,14 +443,29 @@ mod tests {
         assert_eq!(s.find_rt(42), None);
         let id = s.reserve_rt(42);
         assert_eq!(s.find_rt(42), Some(id), "reserved plans are findable");
+        let variants = s.add_variants(&[VariantPlan {
+            tag: Some(1),
+            words: 3,
+            ops: OpRange::default(),
+            self_tail: Some(2),
+        }]);
         s.fill(
             id,
-            PlanKind::Tuple {
-                size: 2,
-                ops: Vec::new().into(),
+            PlanKind::Data {
+                data: 0,
+                tagged: true,
+                variants,
             },
         );
-        assert!(matches!(s.kind(id), PlanKind::Tuple { size: 2, .. }));
+        let PlanKind::Data { variants, .. } = s.kind(id) else {
+            panic!("filled plan reads back as data");
+        };
+        assert_eq!(s.variants(variants)[0].words, 3);
+        let clos = s.add_closure(RtVal::Const);
+        let PlanKind::Closure { rt } = clos else {
+            panic!("closure plan");
+        };
+        assert_eq!(s.closure_rt(rt), &RtVal::Const);
         assert_eq!((s.hits, s.misses, s.compiled), (1, 1, 1));
         assert_eq!(s.len(), 2);
     }

@@ -153,9 +153,8 @@ fn heap_copy_preserves_contents() {
         // Copy every object out (as a collector would).
         let mut moved = Vec::new();
         for (a, n, k) in &objs {
-            let new = heap.copy_out(*a, *n);
-            heap.set_forward(*a, new);
-            assert_eq!(heap.forward_of(*a), Some(new));
+            let new = heap.evacuate(*a, *n);
+            assert_eq!(heap.relocated(*a), Some(new));
             moved.push((new, *n, *k));
         }
         heap.flip();
