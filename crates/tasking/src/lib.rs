@@ -1202,14 +1202,13 @@ impl Scheduler<'_> {
         for _ in 0..self.quantum {
             // The suspension test (§4): executed per the policy's cost
             // model at each safe-point instruction.
-            let at_call = matches!(
-                self.vm.current_instr(),
-                Instr::CallDirect { .. } | Instr::CallClosure { .. }
-            );
-            let at_alloc = matches!(
-                self.vm.current_instr(),
-                Instr::MakeTuple { .. } | Instr::MakeData { .. } | Instr::MakeClosure { .. }
-            );
+            let (at_call, at_alloc) = match self.vm.current_instr() {
+                Instr::CallDirect { .. } | Instr::CallClosure { .. } => (true, false),
+                Instr::MakeTuple { .. } | Instr::MakeData { .. } | Instr::MakeClosure { .. } => {
+                    (false, true)
+                }
+                _ => (false, false),
+            };
             match self.policy {
                 SuspendPolicy::AllocationOnly => {
                     if at_alloc {

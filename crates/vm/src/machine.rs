@@ -11,6 +11,16 @@
 //! The machine supports multiple threads of control over one shared heap
 //! (§4's tasks); the cooperative scheduler lives in `tfgc-tasking`. A
 //! single-task program uses thread 0 only.
+//!
+//! There is one instruction body, `Vm::exec`. It is `#[inline(always)]`:
+//! [`Vm::run`] loops on it directly and [`Vm::step`] (`#[inline]`) wraps
+//! it, so every stepping loop — `run`, the task scheduler's quanta, an
+//! external driver — compiles the dispatch into its own loop rather than
+//! calling out once per instruction. The body builds no Rust heap value
+//! on the common path: a call writes the callee frame in place from the
+//! caller's slots, an allocation gathers its operands into one reused
+//! machine-owned buffer, and `EvalDesc` reads its template and the
+//! frame's descriptor slots where they lie.
 
 use crate::error::{VmError, VmResult};
 use crate::render::render_value;
@@ -22,7 +32,6 @@ use tfgc_gc::{
 use tfgc_ir::{ArithOp, CallSiteId, CmpOp, CtorRep, FnId, Instr, IrProgram, Slot};
 use tfgc_obs::{GcEvent, Obs};
 use tfgc_runtime::{ArithKind, Encoding, Heap, HeapStats, Word, HEAP_BASE};
-use tfgc_types::ParamId;
 use tfgc_verify::{
     snapshot_tagfree, snapshot_tagged, verify_tagfree, verify_tagged, CanonHeap, FaultPlan,
     RootsView, StackView,
@@ -170,6 +179,21 @@ pub enum StepEvent {
     AllocBlocked(CallSiteId),
 }
 
+/// Why a thread does not execute its next instruction. The dispatch loop
+/// tests a thread's `Option<Halt>` once per step and leaves the common
+/// path when it is set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Halt {
+    /// Runaway fault ([`FaultPlan::stall_at`]): the thread spins — every
+    /// step burns an instruction without advancing — until a budget ends
+    /// it.
+    Stalled,
+    /// The bottom frame returned this word; the stack is empty.
+    Finished(Word),
+    /// Quarantined by [`Vm::kill_thread`]; the stack is empty.
+    Killed,
+}
+
 /// One thread of control (§4's task).
 #[derive(Debug, Clone)]
 struct ThreadState {
@@ -177,13 +201,17 @@ struct ThreadState {
     fp: usize,
     fn_id: FnId,
     pc: u32,
-    result: Option<Word>,
     /// Where the scheduler parked this thread (valid while suspended).
     parked_site: Option<CallSiteId>,
-    /// Runaway fault ([`FaultPlan::stall_at`]): the thread spins — every
-    /// step burns an instruction without advancing — until a budget ends
-    /// it.
-    stalled: bool,
+    /// `None` while the thread executes normally.
+    halt: Option<Halt>,
+}
+
+impl ThreadState {
+    /// True while the stack holds frames the collector must trace.
+    fn is_live(&self) -> bool {
+        matches!(self.halt, None | Some(Halt::Stalled))
+    }
 }
 
 /// The virtual machine.
@@ -213,6 +241,11 @@ pub struct Vm<'p> {
     pending_oversize: usize,
     /// Differential-oracle state, when snapshots are enabled.
     oracle: Option<Box<OracleState>>,
+    /// Operand buffer of the allocation in progress, reused across
+    /// allocations. While `alloc_object` runs it is taken out of the
+    /// machine and handed to the collector as [`MachineRoots::operands`]
+    /// (§2.4's "parameters of the allocation primitive").
+    operands: Vec<Word>,
 }
 
 /// Pre-collection snapshots for the tagged-oracle differential check.
@@ -281,6 +314,7 @@ impl<'p> Vm<'p> {
             alloc_seq: 0,
             pending_oversize: 0,
             oracle: None,
+            operands: Vec::new(),
         };
         vm.spawn_thread(prog.main, &[]);
         vm
@@ -307,44 +341,44 @@ impl<'p> Vm<'p> {
     }
 
     /// Builds a fresh bottom frame running `f` with `args` already in
-    /// its first slots (shared by spawn and respawn; accounts the frame
-    /// init stores identically in both).
-    fn make_thread(&mut self, f: FnId, args: &[Word]) -> ThreadState {
-        let fun = self.prog.fun(f);
-        let mut stack = Vec::with_capacity(FRAME_HDR + fun.slots.len());
+    /// its first slots, written into `stack` after emptying it (shared by
+    /// spawn and respawn; accounts the frame init stores identically in
+    /// both).
+    fn make_thread(&mut self, mut stack: Vec<Word>, f: FnId, args: &[Word]) -> ThreadState {
+        let n_slots = self.prog.fun(f).slots.len();
+        stack.clear();
+        stack.reserve(FRAME_HDR + n_slots);
         stack.push(NO_FP);
         stack.push(MAIN_RET);
-        let init = self.frame_fill();
-        for i in 0..fun.slots.len() {
-            stack.push(if i < args.len() { args[i] } else { init });
-        }
+        stack.extend_from_slice(args);
+        stack.resize(FRAME_HDR + n_slots, self.frame_fill());
         if self.cfg.strategy.requires_frame_init() {
-            self.mutator.frame_init_stores += (fun.slots.len() - args.len()) as u64;
+            self.mutator.frame_init_stores += (n_slots - args.len()) as u64;
         }
         ThreadState {
             stack,
             fp: 0,
             fn_id: f,
             pc: 0,
-            result: None,
             parked_site: None,
-            stalled: false,
+            halt: None,
         }
     }
 
     /// Spawns a new thread whose bottom frame runs `f` with `args` already
     /// in its first slots. Returns the thread index.
     pub fn spawn_thread(&mut self, f: FnId, args: &[Word]) -> usize {
-        let t = self.make_thread(f, args);
+        let t = self.make_thread(Vec::new(), f, args);
         self.threads.push(t);
         self.threads.len() - 1
     }
 
     /// Reuses thread slot `i` for a fresh run of `f` (the serve
-    /// scheduler's request-lifecycle hook): the previous request's stack
-    /// and result are replaced in place, so the collector's root scan
-    /// stays proportional to the pool size rather than the total request
-    /// count, and the thread vector never grows during a service run.
+    /// scheduler's request-lifecycle hook): the previous request's result
+    /// is replaced and its stack buffer refilled in place, so the
+    /// collector's root scan stays proportional to the pool size rather
+    /// than the total request count, and neither the thread vector nor a
+    /// slot's stack is reallocated during a service run.
     ///
     /// # Panics
     ///
@@ -352,12 +386,12 @@ impl<'p> Vm<'p> {
     /// (unfinished, unkilled) computation.
     pub fn respawn_thread(&mut self, i: usize, f: FnId, args: &[Word]) {
         assert!(i < self.threads.len(), "no thread {i}");
-        let old = &self.threads[i];
         assert!(
-            old.result.is_some() || old.stack.is_empty(),
+            !self.threads[i].is_live(),
             "thread {i} is still running; respawn would drop live frames"
         );
-        self.threads[i] = self.make_thread(f, args);
+        let stack = std::mem::take(&mut self.threads[i].stack);
+        self.threads[i] = self.make_thread(stack, f, args);
     }
 
     /// Number of threads (including finished ones).
@@ -382,7 +416,10 @@ impl<'p> Vm<'p> {
 
     /// The result of thread `i`, if it finished.
     pub fn thread_result(&self, i: usize) -> Option<Word> {
-        self.threads[i].result
+        match self.threads[i].halt {
+            Some(Halt::Finished(w)) => Some(w),
+            _ => None,
+        }
     }
 
     /// Records where the scheduler parked thread `i` (§4: tasks suspend
@@ -400,17 +437,20 @@ impl<'p> Vm<'p> {
     /// stops tracing it (its heap data dies at the next collection) and
     /// drops its parked state. The scheduler uses this to let sibling
     /// tasks run on after one task errors.
+    ///
+    /// Stepping a killed thread is an error ([`VmError::Internal`]) until
+    /// [`Vm::respawn_thread`] gives it new work.
     pub fn kill_thread(&mut self, i: usize) {
         let t = &mut self.threads[i];
         t.stack.clear();
         t.parked_site = None;
-        t.stalled = false;
+        t.halt = Some(Halt::Killed);
     }
 
     /// True while thread `i` is spinning under the `stall_at` runaway
     /// fault.
     pub fn thread_stalled(&self, i: usize) -> bool {
-        self.threads[i].stalled
+        self.threads[i].halt == Some(Halt::Stalled)
     }
 
     /// The configured strategy's name (for error reporting).
@@ -429,19 +469,23 @@ impl<'p> Vm<'p> {
         }
     }
 
+    #[inline]
     fn th(&self) -> &ThreadState {
         &self.threads[self.cur]
     }
 
+    #[inline]
     fn th_mut(&mut self) -> &mut ThreadState {
         &mut self.threads[self.cur]
     }
 
+    #[inline]
     fn get(&self, s: Slot) -> Word {
         let t = self.th();
         t.stack[t.fp + FRAME_HDR + s.0 as usize]
     }
 
+    #[inline]
     fn set(&mut self, s: Slot, w: Word) {
         let t = self.th_mut();
         let i = t.fp + FRAME_HDR + s.0 as usize;
@@ -455,7 +499,7 @@ impl<'p> Vm<'p> {
     /// Runs thread 0 to completion.
     pub fn run(&mut self) -> VmResult<RunOutcome> {
         loop {
-            match self.step()? {
+            match self.exec()? {
                 StepEvent::Done(w) => {
                     let result =
                         render_value(self.prog, &self.heap, self.enc, w, &self.prog.main_ty);
@@ -478,19 +522,24 @@ impl<'p> Vm<'p> {
     }
 
     /// Executes one instruction of the current thread.
+    ///
+    /// A finished thread answers [`StepEvent::Done`] with its result
+    /// again, and a killed one [`VmError::Internal`]; neither counts an
+    /// instruction.
+    #[inline]
     pub fn step(&mut self) -> VmResult<StepEvent> {
-        if let Some(limit) = self.cfg.max_steps {
-            if self.mutator.instructions >= limit {
-                return Err(VmError::StepLimit { limit });
-            }
+        self.exec()
+    }
+
+    /// The one instruction body behind [`Vm::run`] and [`Vm::step`],
+    /// inlined into each so that every loop over it dispatches without
+    /// a call per instruction.
+    #[inline(always)]
+    fn exec(&mut self) -> VmResult<StepEvent> {
+        if let Some(halt) = self.th().halt {
+            return self.step_halted(halt);
         }
-        self.mutator.instructions += 1;
-        // A stalled (runaway-fault) thread burns its instruction without
-        // making progress; only a deadline/fuel budget or the step limit
-        // above can end it.
-        if self.th().stalled {
-            return Ok(StepEvent::Continue);
-        }
+        self.count_instruction()?;
         let prog = self.prog;
         let (fn_id, pc) = {
             let t = self.th();
@@ -599,8 +648,7 @@ impl<'p> Vm<'p> {
                 self.set(*d, v);
             }
             Instr::MakeTuple { dst, elems, site } => {
-                let mut words: Vec<Word> = elems.iter().map(|s| self.get(*s)).collect();
-                match self.alloc_object(*site, None, &mut words, false)? {
+                match self.alloc_from_slots(*site, None, elems, false)? {
                     Some(ptr) => self.set(*dst, ptr),
                     None => return Ok(StepEvent::AllocBlocked(*site)),
                 }
@@ -620,8 +668,7 @@ impl<'p> Vm<'p> {
                         unreachable!("immediate constructors lower to LoadInt")
                     }
                 };
-                let mut words: Vec<Word> = fields.iter().map(|s| self.get(*s)).collect();
-                match self.alloc_object(*site, tag_word, &mut words, tag_word.is_some())? {
+                match self.alloc_from_slots(*site, tag_word, fields, tag_word.is_some())? {
                     Some(ptr) => self.set(*dst, ptr),
                     None => return Ok(StepEvent::AllocBlocked(*site)),
                 }
@@ -633,37 +680,31 @@ impl<'p> Vm<'p> {
                 site,
             } => {
                 let fn_word = self.encode_fn_id(*f);
-                let mut words: Vec<Word> = captures.iter().map(|s| self.get(*s)).collect();
-                match self.alloc_object(*site, Some(fn_word), &mut words, false)? {
+                match self.alloc_from_slots(*site, Some(fn_word), captures, false)? {
                     Some(ptr) => self.set(*dst, ptr),
                     None => return Ok(StepEvent::AllocBlocked(*site)),
                 }
             }
             Instr::EvalDesc { dst, template } => {
                 self.mutator.desc_evals += 1;
-                let ty = prog.desc_template(*template).clone();
-                let f = prog.fun(fn_id);
                 // Resolve parameter descriptors from this frame's
                 // descriptor slots.
-                let lookup_pairs: Vec<(ParamId, Word)> = f
-                    .desc_param_slots
-                    .iter()
-                    .map(|(q, s)| (*q, self.get(*s)))
-                    .collect();
+                let slots = &prog.fun(fn_id).desc_param_slots;
+                let t = &self.threads[self.cur];
+                let frame = &t.stack[t.fp + FRAME_HDR..];
                 let enc = self.enc;
-                let id = self.descs.eval_type(&ty, &|p| {
-                    lookup_pairs
+                let id = self.descs.eval_type(prog.desc_template(*template), &|p| {
+                    slots
                         .iter()
                         .find(|(q, _)| *q == p)
-                        .map(|(_, w)| tfgc_gc::DescId(decode_desc_word(enc, *w)))
+                        .map(|(_, s)| tfgc_gc::DescId(decode_desc_word(enc, frame[s.0 as usize])))
                 });
                 let w = self.encode_desc_word(id.0);
                 self.set(*dst, w);
             }
             Instr::CallDirect { dst, f, args, site } => {
                 self.mutator.calls += 1;
-                let words: Vec<Word> = args.iter().map(|s| self.get(*s)).collect();
-                self.push_frame(*f, *site, *dst, &words)?;
+                self.push_frame(*f, *site, *dst, args)?;
                 return Ok(StepEvent::Continue);
             }
             Instr::CallClosure {
@@ -674,9 +715,8 @@ impl<'p> Vm<'p> {
             } => {
                 self.mutator.closure_calls += 1;
                 let cw = self.get(*clos);
-                let aw = self.get(*arg);
                 let f = FnId(self.decode_fn_id(self.heap_field(cw, 0)));
-                self.push_frame(f, *site, *dst, &[cw, aw])?;
+                self.push_frame(f, *site, *dst, &[*clos, *arg])?;
                 return Ok(StepEvent::Continue);
             }
             Instr::Return(s) => {
@@ -697,41 +737,75 @@ impl<'p> Vm<'p> {
         Ok(StepEvent::Continue)
     }
 
-    /// Pushes a callee frame: dynamic link, return word (the gc_word key),
-    /// slots. The first `args.len()` slots receive the arguments.
+    /// Enforces the step limit, then counts one executed instruction.
+    #[inline(always)]
+    fn count_instruction(&mut self) -> VmResult<()> {
+        if let Some(limit) = self.cfg.max_steps {
+            if self.mutator.instructions >= limit {
+                return Err(VmError::StepLimit { limit });
+            }
+        }
+        self.mutator.instructions += 1;
+        Ok(())
+    }
+
+    /// A step of a halted thread.
+    #[cold]
+    #[inline(never)]
+    fn step_halted(&mut self, halt: Halt) -> VmResult<StepEvent> {
+        match halt {
+            // A stalled (runaway-fault) thread burns its instruction
+            // without making progress; only a deadline/fuel budget or
+            // the step limit can end it.
+            Halt::Stalled => {
+                self.count_instruction()?;
+                Ok(StepEvent::Continue)
+            }
+            Halt::Finished(w) => Ok(StepEvent::Done(w)),
+            Halt::Killed => Err(VmError::Internal {
+                detail: format!("thread {} was killed and has nothing to step", self.cur),
+            }),
+        }
+    }
+
+    /// Pushes a callee frame in place on the current thread's stack:
+    /// dynamic link, return word (the gc_word key), then the slots. The
+    /// first `args.len()` slots receive the caller's slots `args`, copied
+    /// directly; the rest receive the fill word.
+    #[inline]
     fn push_frame(
         &mut self,
         callee: FnId,
         site: CallSiteId,
         dst: Slot,
-        args: &[Word],
+        args: &[Slot],
     ) -> VmResult<()> {
-        let f = self.prog.fun(callee);
+        let n_slots = self.prog.fun(callee).slots.len();
         let init = self.frame_fill();
         let max = self.cfg.max_stack_words;
         let init_frames = self.cfg.strategy.requires_frame_init();
-        let n_slots = f.slots.len();
-        let t = self.th_mut();
+        let t = &mut self.threads[self.cur];
         let new_fp = t.stack.len();
-        if new_fp + FRAME_HDR + n_slots > max {
-            return Err(VmError::StackOverflow {
-                words: t.stack.len(),
-            });
+        let top = new_fp + FRAME_HDR + n_slots;
+        if top > max {
+            return Err(VmError::StackOverflow { words: new_fp });
         }
-        let old_fp = t.fp as Word;
-        t.stack.push(old_fp);
+        let caller = t.fp + FRAME_HDR;
+        t.stack.reserve(FRAME_HDR + n_slots);
+        t.stack.push(t.fp as Word);
         t.stack.push(pack_ret(site, dst));
-        for i in 0..n_slots {
-            t.stack.push(if i < args.len() { args[i] } else { init });
+        for s in args {
+            let w = t.stack[caller + s.0 as usize];
+            t.stack.push(w);
         }
+        t.stack.resize(top, init);
         t.fp = new_fp;
         t.fn_id = callee;
         t.pc = 0;
-        let depth = t.stack.len() as u64;
         if init_frames {
             self.mutator.frame_init_stores += (n_slots - args.len()) as u64;
         }
-        self.mutator.max_stack_words = self.mutator.max_stack_words.max(depth);
+        self.mutator.max_stack_words = self.mutator.max_stack_words.max(top as u64);
         Ok(())
     }
 
@@ -741,7 +815,7 @@ impl<'p> Vm<'p> {
         let saved = t.stack[t.fp];
         let ret = t.stack[t.fp + 1];
         if saved == NO_FP {
-            t.result = Some(w);
+            t.halt = Some(Halt::Finished(w));
             t.stack.clear();
             return Ok(StepEvent::Done(w));
         }
@@ -757,11 +831,34 @@ impl<'p> Vm<'p> {
         Ok(StepEvent::Continue)
     }
 
+    /// Allocates an object whose payload is the current frame's `slots`:
+    /// gathers them into the machine's operand buffer, which is taken out
+    /// of the machine for the allocation and put back afterwards, on the
+    /// error path too.
+    #[inline]
+    fn alloc_from_slots(
+        &mut self,
+        site: CallSiteId,
+        head: Option<Word>,
+        slots: &[Slot],
+        head_is_discriminant: bool,
+    ) -> VmResult<Option<Word>> {
+        let mut operands = std::mem::take(&mut self.operands);
+        operands.clear();
+        operands.extend(slots.iter().map(|s| self.get(*s)));
+        let r = self.alloc_object(site, head, &mut operands, head_is_discriminant);
+        self.operands = operands;
+        r
+    }
+
     /// Allocates a heap object with optional head word (discriminant or
     /// closure code pointer) and the given payload. In cooperative mode an
     /// exhausted heap yields `Ok(None)` (the scheduler collects); otherwise
     /// it collects inline, growing under the bounded policy if configured.
-    /// `operands` may be relocated by the collector.
+    /// `operands` — the machine's reused operand buffer — is a root of
+    /// every collection this triggers ([`MachineRoots::operands`]) and may
+    /// be relocated by the collector before it is written into the
+    /// object.
     fn alloc_object(
         &mut self,
         site: CallSiteId,
@@ -783,7 +880,7 @@ impl<'p> Vm<'p> {
             && self.cur != 0
             && self.cfg.fault_plan.is_some_and(|p| p.stall_at == Some(seq))
         {
-            self.threads[self.cur].stalled = true;
+            self.threads[self.cur].halt = Some(Halt::Stalled);
             self.obs.emit(|t_ns| GcEvent::FaultInjected {
                 t_ns,
                 kind: "stall",
@@ -1025,7 +1122,7 @@ impl<'p> Vm<'p> {
         let mut stacks = Vec::new();
         let mut operand_stack = 0;
         for (i, t) in self.threads.iter_mut().enumerate() {
-            if t.result.is_some() || t.stack.is_empty() {
+            if !t.is_live() {
                 continue;
             }
             let current_site = if i == cur {
@@ -1266,6 +1363,7 @@ impl<'p> Vm<'p> {
     }
 
     /// The current instruction of the current thread, if any.
+    #[inline]
     pub fn current_instr(&self) -> &Instr {
         let t = self.th();
         &self.prog.fun(t.fn_id).code[t.pc as usize]
@@ -1278,7 +1376,7 @@ impl<'p> Vm<'p> {
 
     /// True once the current thread has returned from its bottom frame.
     pub fn is_done(&self) -> bool {
-        self.th().result.is_some()
+        matches!(self.th().halt, Some(Halt::Finished(_)))
     }
 
     /// Renders a result word at the given type (task results).
@@ -1306,7 +1404,7 @@ fn build_roots_view<'t>(
     let mut stacks = Vec::new();
     let mut operand_stack = 0;
     for (i, t) in threads.iter().enumerate() {
-        if t.result.is_some() || t.stack.is_empty() {
+        if !t.is_live() {
             continue;
         }
         let current_site = if i == cur {

@@ -4,7 +4,7 @@ use tfgc_gc::Strategy;
 use tfgc_ir::{lower, IrProgram};
 use tfgc_syntax::parse_program;
 use tfgc_types::elaborate;
-use tfgc_vm::{StepEvent, Vm, VmConfig};
+use tfgc_vm::{FaultPlan, StepEvent, Vm, VmConfig, VmError};
 
 fn compile(src: &str) -> IrProgram {
     lower(&elaborate(&parse_program(src).unwrap()).unwrap()).unwrap()
@@ -27,6 +27,93 @@ fn single_stepping_reaches_done() {
         assert!(steps < 100, "tiny program must finish quickly");
     }
     assert!(vm.is_done());
+}
+
+#[test]
+fn stepping_a_finished_thread_repeats_done() {
+    let prog = compile("1 + 2");
+    let mut vm = Vm::new(&prog, VmConfig::new(Strategy::Compiled));
+    let w = loop {
+        if let StepEvent::Done(w) = vm.step().unwrap() {
+            break w;
+        }
+    };
+    let executed = vm.mutator.instructions;
+    for _ in 0..3 {
+        assert_eq!(vm.step().unwrap(), StepEvent::Done(w));
+    }
+    assert_eq!(vm.mutator.instructions, executed, "nothing left to execute");
+    assert_eq!(vm.decode_int(w), 3);
+}
+
+#[test]
+fn stepping_a_killed_thread_is_an_internal_error() {
+    let prog = compile(
+        "fun work n = if n = 0 then 0 else n + work (n - 1) ;
+         0",
+    );
+    let work = tfgc_ir::FnId(0);
+    let mut vm = Vm::new(&prog, VmConfig::new(Strategy::Compiled));
+    let arg = vm.encode_int(50);
+    let t = vm.spawn_thread(work, &[arg]);
+    vm.set_current_thread(t);
+    for _ in 0..10 {
+        assert_eq!(vm.step().unwrap(), StepEvent::Continue);
+    }
+    vm.kill_thread(t);
+    let executed = vm.mutator.instructions;
+    match vm.step() {
+        Err(VmError::Internal { detail }) => {
+            assert!(detail.contains(&format!("thread {t}")), "{detail}")
+        }
+        other => panic!("expected an internal error, got {other:?}"),
+    }
+    assert_eq!(
+        vm.mutator.instructions, executed,
+        "a killed thread executes nothing"
+    );
+    // Respawning gives the slot work again.
+    vm.respawn_thread(t, work, &[arg]);
+    let w = loop {
+        if let StepEvent::Done(w) = vm.step().unwrap() {
+            break w;
+        }
+    };
+    assert_eq!(vm.decode_int(w), 1275);
+}
+
+#[test]
+fn a_stalled_thread_burns_one_instruction_per_step() {
+    let prog = compile(
+        "fun build n = if n = 0 then [] else n :: build (n - 1) ;
+         fun first n = case build n of [] => 0 | x :: _ => x ;
+         0",
+    );
+    let first = tfgc_ir::FnId(1);
+    assert!(prog.fun(first).name.starts_with("first"));
+    let mut cfg = VmConfig::new(Strategy::Compiled).fault_plan(FaultPlan {
+        stall_at: Some(1),
+        ..FaultPlan::none()
+    });
+    cfg.cooperative = true;
+    let mut vm = Vm::new(&prog, cfg);
+    while vm.step().unwrap() == StepEvent::Continue {}
+    let arg = vm.encode_int(4);
+    let t = vm.spawn_thread(first, &[arg]);
+    vm.set_current_thread(t);
+    while !vm.thread_stalled(t) {
+        assert_eq!(vm.step().unwrap(), StepEvent::Continue);
+    }
+    let (executed, depth) = (vm.mutator.instructions, vm.stack_words());
+    for k in 1..=5 {
+        assert_eq!(vm.step().unwrap(), StepEvent::Continue);
+        assert_eq!(vm.mutator.instructions, executed + k);
+    }
+    assert_eq!(
+        vm.stack_words(),
+        depth,
+        "a stalled thread makes no progress"
+    );
 }
 
 #[test]

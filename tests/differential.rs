@@ -5,6 +5,8 @@
 //! collections, and with collections forced at every allocation. Any
 //! divergence is a collector soundness bug.
 
+use tfgc::gc::GcStats;
+use tfgc::vm::{StepEvent, Vm};
 use tfgc::{Compiled, Strategy, VmConfig};
 
 fn differential(name: &str, src: &str, heap_words: usize) {
@@ -28,6 +30,50 @@ fn differential(name: &str, src: &str, heap_words: usize) {
 fn workload_suite_is_strategy_independent() {
     for (name, src) in tfgc::workloads::suite() {
         differential(name, &src, 1 << 15);
+    }
+}
+
+#[test]
+fn run_and_a_step_loop_agree() {
+    // `Vm::run` and `Vm::step` share one instruction body. A fast path
+    // added to `run` alone would show here as a differing output or
+    // counter, with collections and the verifier interleaved.
+    let untimed = |g: GcStats| GcStats {
+        pause_nanos: 0,
+        ..g
+    };
+    for (name, src) in tfgc::workloads::suite() {
+        let compiled = Compiled::compile(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let prog = &compiled.program;
+        for s in Strategy::ALL {
+            let cfg = VmConfig::new(s).force_gc_every(7).verify_heap(true);
+            let ran = Vm::new(prog, cfg.clone())
+                .run()
+                .unwrap_or_else(|e| panic!("{name} under {s}, run: {e}"));
+            let mut vm = Vm::new(prog, cfg);
+            let w = loop {
+                match vm.step() {
+                    Ok(StepEvent::Continue) => {}
+                    Ok(StepEvent::Done(w)) => break w,
+                    Ok(StepEvent::AllocBlocked(site)) => {
+                        panic!(
+                            "{name} under {s}: blocked at site {} outside tasking",
+                            site.0
+                        )
+                    }
+                    Err(e) => panic!("{name} under {s}, step: {e}"),
+                }
+            };
+            assert_eq!(vm.printed, ran.printed, "{name} under {s}: printed");
+            assert_eq!(vm.render(w, &prog.main_ty), ran.result, "{name} under {s}");
+            assert_eq!(vm.heap.stats, ran.heap, "{name} under {s}: heap stats");
+            assert_eq!(vm.mutator, ran.mutator, "{name} under {s}: mutator stats");
+            assert_eq!(
+                untimed(vm.gc_stats),
+                untimed(ran.gc),
+                "{name} under {s}: gc stats"
+            );
+        }
     }
 }
 
