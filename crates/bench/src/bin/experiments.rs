@@ -1,75 +1,79 @@
-//! Prints every experiment table (E1–E10, E13 and E15), or with `--json`
-//! writes the experiment documents the tables are rendered from, or with
-//! `--check` compares committed documents against a fresh run:
+//! The experiment suite's command line, in three modes:
 //!
 //! ```sh
-//! cargo run --release -p tfgc-bench --bin experiments
-//! cargo run --release -p tfgc-bench --bin experiments -- --json [--out DIR] [--deterministic]
+//! cargo run --release -p tfgc-bench --bin experiments -- --json [--out DIR]
 //! cargo run --release -p tfgc-bench --bin experiments -- --check DIR
+//! cargo run --release -p tfgc-bench --bin experiments -- --render DIR
 //! ```
 //!
-//! `--json` writes one `BENCH_E<n>.json` per experiment (table rows,
-//! per-strategy pause histograms, labeled per-site allocation counts,
-//! experiment extras) into `--out DIR` (default: the current directory).
-//! With `--deterministic`, wall-clock subtrees (pause histograms, timing
-//! blocks) are stripped so consecutive runs diff byte-for-byte.
+//! `--json` runs every experiment (E1–E13 and E15) and writes one
+//! `BENCH_E<n>.json` each (table rows, per-strategy profiles, experiment
+//! extras) into `--out DIR` (default: the current directory).
 //!
 //! `--check DIR` reruns every experiment and compares the deterministic
 //! projection of each `DIR/BENCH_E<n>.json` with the fresh one. It names
 //! every file that is missing or differs, with the key path of the first
 //! difference, and exits 1 if any does.
+//!
+//! `--render DIR` runs nothing: it prints the table of each committed
+//! `DIR/BENCH_E<n>.json`, which is what EXPERIMENTS.md shows.
 
 use std::path::Path;
 use std::process::ExitCode;
 
+const USAGE: &str = "usage: experiments --json [--out DIR] | --check DIR | --render DIR";
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--check") {
-        let Some(dir) = args.get(i + 1) else {
-            eprintln!("experiments: --check needs a directory");
-            return ExitCode::FAILURE;
-        };
-        let mut failed = false;
-        for id in tfgc_bench::export::EXPERIMENTS {
-            match tfgc_bench::export::check(Path::new(dir), id) {
-                Ok(()) => println!("{id}: matches"),
-                Err(e) => {
-                    eprintln!("experiments: {e}");
-                    failed = true;
-                }
-            }
-        }
-        return if failed {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        };
-    }
-    if !args.iter().any(|a| a == "--json") {
-        println!("{}", tfgc_bench::all_experiments());
-        return ExitCode::SUCCESS;
-    }
-    let dir = match args.iter().position(|a| a == "--out") {
-        None => ".",
-        Some(i) => match args.get(i + 1) {
-            Some(d) => d.as_str(),
-            None => {
-                eprintln!("experiments: --out needs a directory");
-                return ExitCode::FAILURE;
-            }
-        },
+    let dir_after = |flag: &str| -> Option<Result<&Path, String>> {
+        let i = args.iter().position(|a| a == flag)?;
+        Some(
+            args.get(i + 1)
+                .map(Path::new)
+                .ok_or(format!("{flag} needs a directory")),
+        )
     };
-    let deterministic = args.iter().any(|a| a == "--deterministic");
-    match tfgc_bench::export::write_all(Path::new(dir), deterministic) {
-        Ok(paths) => {
-            for p in paths {
-                println!("wrote {}", p.display());
-            }
-            ExitCode::SUCCESS
-        }
+    let outcome = if let Some(dir) = dir_after("--check") {
+        dir.and_then(check)
+    } else if let Some(dir) = dir_after("--render") {
+        dir.and_then(tfgc_bench::render_dir)
+            .map(|tables| print!("{tables}"))
+    } else if args.iter().any(|a| a == "--json") {
+        dir_after("--out")
+            .unwrap_or(Ok(Path::new(".")))
+            .and_then(|dir| tfgc_bench::export::write_all(dir).map_err(|e| e.to_string()))
+            .map(|paths| {
+                for p in paths {
+                    println!("wrote {}", p.display());
+                }
+            })
+    } else {
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("experiments: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Checks every committed document in `dir`, reporting each one.
+fn check(dir: &Path) -> Result<(), String> {
+    let mut failed = 0;
+    for id in tfgc_bench::export::EXPERIMENTS {
+        match tfgc_bench::export::check(dir, id) {
+            Ok(()) => println!("{id}: matches"),
+            Err(e) => {
+                eprintln!("experiments: {e}");
+                failed += 1;
+            }
+        }
+    }
+    match failed {
+        0 => Ok(()),
+        n => Err(format!("{n} document(s) differ from a fresh run")),
     }
 }

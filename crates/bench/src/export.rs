@@ -7,23 +7,30 @@
 //! exactly what the text table shows — and a `profiles` array with one
 //! entry per strategy: the run outcome, counters, and the observability
 //! metrics (pause and allocation-size histograms with p50/p90/p99/max,
-//! labeled per-site allocation counts, per-collection summaries). Some
-//! documents add experiment-specific extras.
+//! labeled per-site allocation counts, per-collection summaries). The
+//! service experiments E11 and E12 use one [`tfgc::serve_json`] profile
+//! per run instead. Some documents add experiment-specific extras.
+//! Wall-clock values sit under [`tfgc::obs::WALL_CLOCK_KEYS`]; [`check`]
+//! compares everything else.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use tfgc::gc::{GcMeta, NO_TRACE};
-use tfgc::obs::{Json, Obs};
+use tfgc::obs::{deterministic_view, Json, Obs};
 use tfgc::tasking::{find_fn, serve_requests_overload, ServeReport, SuspendPolicy, TaskConfig};
 use tfgc::workloads::programs;
-use tfgc::{Compiled, OverloadConfig, Request, RunOutcome, Strategy, VmConfig};
+use tfgc::{
+    Compiled, OverloadConfig, OverloadSlo, Request, RunOutcome, ServeConfig, ServeRun, Strategy,
+    VmConfig,
+};
 
 /// Raw events retained per profiled run (aggregates are exact anyway).
 const RING: usize = 1 << 14;
 
-/// All experiment ids, in order.
-pub const EXPERIMENTS: [&str; 12] = [
-    "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E13", "E15",
+/// All experiment ids, in order. E14 is the fuzz campaign's report,
+/// written by `tfml fuzz --json`.
+pub const EXPERIMENTS: [&str; 14] = [
+    "E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E10", "E11", "E12", "E13", "E15",
 ];
 
 fn compile(src: &str) -> Compiled {
@@ -592,6 +599,52 @@ fn e10_json() -> Json {
     )
 }
 
+/// One service run per strategy, each under `cfg(strategy)`.
+fn serve_all(cfg: impl Fn(Strategy) -> ServeConfig) -> Vec<ServeRun> {
+    Strategy::ALL
+        .iter()
+        .map(|s| tfgc::serve(&cfg(*s)).expect("experiment serve run"))
+        .collect()
+}
+
+fn e11_json() -> Json {
+    // The two configurations CI serves: the single-generation heap, and
+    // a quarter-semispace nursery (`tfml serve --generational`).
+    let mut runs = serve_all(ServeConfig::new);
+    runs.extend(serve_all(|s| {
+        let mut cfg = ServeConfig::new(s);
+        cfg.task.nursery_words = Some(cfg.task.heap_words / 4);
+        cfg
+    }));
+    doc(
+        "E11",
+        "steady-state request service: latency, pauses, utilization",
+        "400 seeded requests over 4 slots, 2Ki-word heap growable to 64Ki, without and with a 512-word nursery",
+        tfgc::serve_rows(&runs),
+        Json::arr(runs.iter().map(tfgc::serve_json)),
+        vec![],
+    )
+}
+
+fn e12_json() -> Json {
+    let runs = serve_all(|s| tfgc::overload_scenario(s, 1));
+    let violations = runs
+        .iter()
+        .flat_map(|run| tfgc::check_overload_slo(run, OverloadSlo::gate()));
+    doc(
+        "E12",
+        "overload: deadlines, bounded admission, watermarks, circuit breaker",
+        "burst: 160 requests (every 16th a runaway) over 3 slots",
+        tfgc::serve_rows(&runs),
+        Json::arr(runs.iter().map(tfgc::serve_json)),
+        // The gate's verdict per strategy: every request resolved,
+        // conservation, goodput floor, shed-rate ceiling. Empty = pass;
+        // it is deterministic, so `check` fails on any violation the
+        // committed file lacks.
+        vec![("slo_violations", Json::arr(violations.map(Json::str)))],
+    )
+}
+
 fn e13_json() -> Json {
     // Per-strategy profiles on moderate polymorphic recursion — the
     // counters show every strategy's plan traffic, including the tagged
@@ -848,69 +901,40 @@ pub fn bench_json(id: &str) -> Json {
         "E8" => e8_json(),
         "E9" => e9_json(),
         "E10" => e10_json(),
+        "E11" => e11_json(),
+        "E12" => e12_json(),
         "E13" => e13_json(),
         "E15" => e15_json(),
         other => panic!("unknown experiment `{other}`"),
     }
 }
 
-/// Keys whose values are wall-clock measurements: everything else in an
-/// experiment document is a pure function of the workload and seed.
-const WALL_CLOCK_KEYS: [&str; 12] = [
-    "pause_ns",
-    "pause_ns_total",
-    "latency_ns",
-    "t_ns",
-    "timing",
-    "utilization",
-    "windows",
-    "compiled_pause_ns",
-    "interp_pause_ns",
-    "baseline_full_pause_p50_ns",
-    "minor_pause_p50_ns",
-    "major_pause_p99_ns",
-];
-
-/// The deterministic projection of an experiment document: wall-clock
-/// subtrees removed, everything else untouched. Two runs of the same
-/// experiment produce byte-identical projections, so CI can diff them.
-pub fn deterministic_view(j: &Json) -> Json {
-    match j {
-        Json::Obj(pairs) => Json::Obj(
-            pairs
-                .iter()
-                .filter(|(k, _)| !WALL_CLOCK_KEYS.contains(&k.as_str()))
-                .map(|(k, v)| (k.clone(), deterministic_view(v)))
-                .collect(),
-        ),
-        Json::Arr(items) => Json::Arr(items.iter().map(deterministic_view).collect()),
-        other => other.clone(),
-    }
-}
-
 /// Writes one `BENCH_E<n>.json` per [`EXPERIMENTS`] entry into `dir`,
-/// returning the paths written; with `deterministic`, each document is
-/// reduced to its [`deterministic_view`] so consecutive runs diff
-/// byte-for-byte.
+/// returning the paths written.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors.
-pub fn write_all(dir: &Path, deterministic: bool) -> io::Result<Vec<PathBuf>> {
+pub fn write_all(dir: &Path) -> io::Result<Vec<PathBuf>> {
     std::fs::create_dir_all(dir)?;
     let mut paths = Vec::new();
     for id in EXPERIMENTS {
         let path = dir.join(format!("BENCH_{id}.json"));
-        let doc = bench_json(id);
-        let doc = if deterministic {
-            deterministic_view(&doc)
-        } else {
-            doc
-        };
-        std::fs::write(&path, doc.to_json_pretty())?;
+        std::fs::write(&path, bench_json(id).to_json_pretty())?;
         paths.push(path);
     }
     Ok(paths)
+}
+
+/// Reads and parses the committed document `dir/BENCH_<id>.json`.
+///
+/// # Errors
+///
+/// Names the file, and why it could not be read or parsed.
+pub fn read_doc(dir: &Path, id: &str) -> Result<Json, String> {
+    let path = dir.join(format!("BENCH_{id}.json"));
+    let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+    tfgc::obs::json::parse(&text).map_err(|e| format!("{}: not JSON: {e}", path.display()))
 }
 
 /// The path of the first place two documents differ — object keys and
@@ -961,17 +985,14 @@ fn join_path(head: &str, rest: &str) -> String {
 /// Names the file, and either why it could not be read or the key path
 /// of the first difference.
 pub fn check(dir: &Path, id: &str) -> Result<(), String> {
-    let path = dir.join(format!("BENCH_{id}.json"));
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let committed =
-        tfgc::obs::json::parse(&text).map_err(|e| format!("{}: not JSON: {e}", path.display()))?;
+    let committed = read_doc(dir, id)?;
     let fresh = tfgc::obs::json::parse(&deterministic_view(&bench_json(id)).to_json_pretty())
         .expect("the writer emits JSON the parser reads");
     match first_difference(&deterministic_view(&committed), &fresh) {
         None => Ok(()),
         Some(at) => Err(format!(
             "{}: deterministic output differs from a fresh run at `{}`",
-            path.display(),
+            dir.join(format!("BENCH_{id}.json")).display(),
             if at.is_empty() { "(root)" } else { &at }
         )),
     }
@@ -1182,6 +1203,66 @@ mod tests {
         assert!(
             err.contains("BENCH_E1.json"),
             "a missing file is named: {err}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn serve_experiments_replay_and_conserve_every_request() {
+        let rows = |d: &Json| d.get("rows").unwrap().as_arr().unwrap().to_vec();
+        let num = |row: &Json, k: &str| row.get(k).and_then(Json::as_f64).unwrap();
+        let (e11, e12) = (bench_json("E11"), bench_json("E12"));
+        for (id, d) in [("E11", &e11), ("E12", &e12)] {
+            let projection = deterministic_view(d).to_json_pretty();
+            assert_eq!(
+                projection,
+                deterministic_view(&bench_json(id)).to_json_pretty(),
+                "{id}: projection must be byte-identical across runs"
+            );
+            assert!(!projection.contains("\"timing\""), "{id}");
+            assert!(!projection.contains("\"latency_p99_ns\""), "{id}");
+            for p in d.get("profiles").unwrap().as_arr().unwrap() {
+                assert_eq!(
+                    p.get("overload").and_then(|o| o.get("conservation")),
+                    Some(&Json::Bool(true)),
+                    "{id}: {p:?}"
+                );
+            }
+        }
+        // E11: every request completes under both configurations, and
+        // only the nursery rows run minors.
+        let e11 = rows(&e11);
+        assert_eq!(e11.len(), 2 * Strategy::ALL.len());
+        for row in &e11 {
+            assert_eq!(num(row, "completed"), 400.0, "{row:?}");
+            let minors = num(row, "minor_collections");
+            match row.get("nursery_words") {
+                Some(Json::Null) => assert_eq!(minors, 0.0, "{row:?}"),
+                _ => assert!(minors > 0.0, "a nursery row must run minors: {row:?}"),
+            }
+        }
+        // E12: the gate passes, and the mechanisms it gates actually bit.
+        assert_eq!(e12.get("slo_violations"), Some(&Json::arr([])));
+        let e12 = rows(&e12);
+        assert_eq!(e12.len(), Strategy::ALL.len());
+        assert!(e12.iter().all(|r| num(r, "shed") > 0.0), "{e12:?}");
+        assert!(e12.iter().all(|r| num(r, "breaker_trips") > 0.0), "{e12:?}");
+    }
+
+    #[test]
+    fn check_names_a_stale_e12_breaker_count() {
+        let dir = std::env::temp_dir().join(format!("tfgc-check-e12-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let text = bench_json("E12").to_json_pretty();
+        let key = "\"breaker_trips\": ";
+        let at = text.find(key).unwrap() + key.len();
+        // Prefixing a digit makes the first count stale.
+        let stale = format!("{}9{}", &text[..at], &text[at..]);
+        std::fs::write(dir.join("BENCH_E12.json"), stale).unwrap();
+        let err = check(&dir, "E12").unwrap_err();
+        assert!(
+            err.contains("BENCH_E12.json") && err.contains("breaker_trips"),
+            "{err}"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,70 +1,37 @@
 //! # tfgc-bench — the experiment suite
 //!
-//! [`export::bench_json`] is the one definition of each experiment (E1–E10,
-//! E13 and E15, see EXPERIMENTS.md): it runs the experiment and returns its
-//! document, whose `rows` array holds what the experiment's table shows.
-//! [`render`] turns a document into that table. The `experiments` binary
-//! prints every table or, with `--json`, writes the documents themselves:
+//! [`export::bench_json`] is the one definition of each experiment
+//! (E1–E13 and E15, see EXPERIMENTS.md): it runs the experiment and
+//! returns its document, whose `rows` array holds what the experiment's
+//! table shows. [`render`] turns a document into that table. The
+//! `experiments` binary writes the documents (`--json`), checks the
+//! committed ones against a fresh run (`--check`), and prints the tables
+//! of the committed ones (`--render`), which are EXPERIMENTS.md's tables:
 //!
 //! ```sh
-//! cargo run --release -p tfgc-bench --bin experiments
 //! cargo run --release -p tfgc-bench --bin experiments -- --json
+//! cargo run --release -p tfgc-bench --bin experiments -- --check .
+//! cargo run --release -p tfgc-bench --bin experiments -- --render .
 //! ```
 //!
 //! Repeated wall-clock timing lives in the repo benchmark
 //! (`examples/benchmark`), not here.
 
+use std::path::Path;
 use tfgc::obs::Json;
-use tfgc::Table;
+use tfgc::render_rows;
 
 pub mod export;
 
-/// One table cell: strings as they are, integers in full, other numbers
-/// to four significant digits, `null` as `-`.
-fn cell(v: &Json) -> Result<String, String> {
-    Ok(match v {
-        Json::Null => "-".to_string(),
-        Json::Bool(b) => b.to_string(),
-        Json::Str(s) => s.clone(),
-        Json::Num(n) if n.fract() == 0.0 => format!("{n:.0}"),
-        Json::Num(n) => {
-            let decimals = (3 - n.abs().log10().floor() as i32).max(0) as usize;
-            format!("{n:.decimals$}")
-        }
-        nested => return Err(format!("nested value in a row: {}", nested.to_json())),
-    })
-}
-
-/// Renders `rows` as an aligned table: the columns are the rows' keys in
-/// first-seen order, and each row is one line (a key a row lacks leaves
-/// its cell empty).
+/// The rows of an experiment document.
 ///
 /// # Errors
 ///
-/// A row that is not an object, or a value that is an array or object.
-pub fn render_rows(rows: &[Json]) -> Result<String, String> {
-    let mut columns: Vec<&str> = Vec::new();
-    for row in rows {
-        let Json::Obj(pairs) = row else {
-            return Err(format!("row is not an object: {}", row.to_json()));
-        };
-        for (k, _) in pairs {
-            if !columns.contains(&k.as_str()) {
-                columns.push(k);
-            }
-        }
-    }
-    let mut t = Table::new(&columns);
-    for row in rows {
-        let cells = columns
-            .iter()
-            .map(|k| row.get(k).map_or(Ok(String::new()), cell))
-            .collect::<Result<_, _>>()?;
-        t.row(cells);
-    }
-    let text = t.render();
-    let lines: Vec<&str> = text.lines().map(str::trim_end).collect();
-    Ok(lines.join("\n") + "\n")
+/// A document without a `rows` array.
+fn rows(doc: &Json) -> Result<&[Json], String> {
+    doc.get("rows")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| "document has no `rows`".to_string())
 }
 
 /// The text form of an experiment document: its id and title, then its
@@ -79,26 +46,26 @@ pub fn render(doc: &Json) -> Result<String, String> {
         Some(Json::Str(s)) => Ok(s.as_str()),
         _ => Err(format!("document has no `{k}`")),
     };
-    let rows = doc
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("document has no `rows`")?;
     Ok(format!(
         "{} — {}\n{}",
         field("experiment")?,
         field("title")?,
-        render_rows(rows)?
+        render_rows(rows(doc)?)?
     ))
 }
 
-/// Every experiment's table, rendered from [`export::bench_json`] in
-/// [`export::EXPERIMENTS`] order.
-pub fn all_experiments() -> String {
-    export::EXPERIMENTS
+/// Every committed document's table: [`render`] of `dir/BENCH_<id>.json`
+/// in [`export::EXPERIMENTS`] order. Runs nothing.
+///
+/// # Errors
+///
+/// Names the first file that is missing, not JSON, or not renderable.
+pub fn render_dir(dir: &Path) -> Result<String, String> {
+    let tables = export::EXPERIMENTS
         .iter()
-        .map(|id| render(&export::bench_json(id)).unwrap_or_else(|e| panic!("{id}: {e}")))
-        .collect::<Vec<_>>()
-        .join("\n")
+        .map(|id| render(&export::read_doc(dir, id)?).map_err(|e| format!("BENCH_{id}.json: {e}")))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(tables.join("\n"))
 }
 
 #[cfg(test)]
@@ -150,33 +117,21 @@ mod tests {
         assert_eq!(num(&rows[0], "sites_that_trace"), 0.0);
     }
 
+    /// EXPERIMENTS.md shows each committed document's table verbatim,
+    /// as one fenced block: regenerate it with `experiments --render .`
+    /// when a baseline changes. The frozen historical tables beside them
+    /// are not rendered from anything.
     #[test]
-    fn renderer_columns_are_the_row_keys() {
-        let rows = [
-            Json::obj([
-                ("name", Json::str("a")),
-                ("n", Json::from(3u64)),
-                ("ratio", Json::Num(1.5)),
-            ]),
-            Json::obj([
-                ("name", Json::str("bb")),
-                ("n", Json::from(1234u64)),
-                ("ratio", Json::Null),
-            ]),
-        ];
-        let text = render_rows(&rows).unwrap();
-        let lines: Vec<Vec<&str>> = text
-            .lines()
-            .map(|l| l.split_whitespace().collect())
-            .collect();
-        // Header, rule, then one line per row.
-        assert_eq!(lines.len(), 2 + rows.len(), "{text}");
-        assert_eq!(lines[0], ["name", "n", "ratio"]);
-        assert_eq!(lines[2], ["a", "3", "1.500"]);
-        assert_eq!(lines[3], ["bb", "1234", "-"]);
-
-        let nested = [Json::obj([("hist", Json::arr([Json::from(1u64)]))])];
-        assert!(render_rows(&nested).is_err());
-        assert!(render_rows(&[Json::from(1u64)]).is_err());
+    fn experiments_md_shows_every_committed_table() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let md = std::fs::read_to_string(root.join("EXPERIMENTS.md")).unwrap();
+        for id in export::EXPERIMENTS {
+            let doc = export::read_doc(&root, id).unwrap();
+            let table = render_rows(super::rows(&doc).unwrap()).unwrap();
+            assert!(
+                md.contains(&format!("```\n{table}```\n")),
+                "EXPERIMENTS.md lacks the table of BENCH_{id}.json:\n{table}"
+            );
+        }
     }
 }

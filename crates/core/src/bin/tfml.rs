@@ -1,106 +1,114 @@
 //! `tfml` — command-line driver for the tag-free GC reproduction.
 //!
-//! ```text
-//! tfml run [OPTS] <file.tfml | -e SRC>     run a program
-//! tfml profile [OPTS] <file | -e SRC>      run + GC/allocation profile
-//! tfml disasm <file | -e SRC>              show bytecode + frame layouts
-//! tfml gcmap [OPTS] <file | -e SRC>        show per-site gc_words/routines
-//! tfml analyze <file | -e SRC>             liveness / GC points / RTTI report
-//! tfml compare [OPTS] <file | -e SRC>      run under all five strategies
-//! tfml serve [SERVE OPTS]                  drive a seeded request mix against
-//!                                          a persistent heap; steady-state
-//!                                          telemetry + SLO gate
-//! tfml torture [--seeds N] [--oracle] [--serve] [--overload] [--generational]
-//!                                          fault-injection matrix over
-//!                                          seeded workloads × strategies
-//!                                          (--serve: mid-traffic faults
-//!                                          against the request server;
-//!                                          --serve --overload: burst /
-//!                                          deadline-storm / runaway-hog /
-//!                                          watermark-flap scenarios)
-//! tfml fuzz [FUZZ OPTS]                    differential fuzzing campaign:
-//!                                          generated programs across every
-//!                                          strategy × heap tier, tagged-
-//!                                          oracle snapshots, seeded
-//!                                          faults; findings shrunk by
-//!                                          typed delta-debugging
-//!
-//! OPTS:
-//!   --strategy S     compiled | compiled-nolive | interpreted | appel | tagged
-//!   --heap N         semispace words (default 65536)
-//!   --force-gc N     force a collection every N allocations
-//!   --refined        use the closure-flow-refined GC-point analysis
-//!   --stats          print run statistics
-//!   --verify-heap    walk the reachable graph after every collection,
-//!                    failing fast on any inconsistency
-//!   --verify-oracle  replay under the tagged collector and require
-//!                    identical reachable graphs at every collection
-//!   --generational   bump-pointer nursery + minor/major cycles (barrier-
-//!                    free: the immutable heap has no old-to-young edges)
-//!   --nursery-words N  nursery size in words (implies --generational;
-//!                    default heap/4)
-//!   --promote-after K  survivals before promotion to the tenured
-//!                    generation (default 0 = promote on first survival)
-//!   --trace FILE     write a Chrome-trace-event JSONL file (run/profile)
-//!   --metrics FILE   write a JSON metrics document (run/profile)
-//!   --events N       raw events retained for --trace (default 65536)
-//!
-//! SERVE OPTS:
-//!   --strategy S|all          strategies to serve under (default all)
-//!   --requests N              requests to drain (default 400)
-//!   --pool N                  concurrent pool slots (default 4)
-//!   --seed N                  traffic-mix seed (default 1)
-//!   --heap N                  semispace words (default 2048)
-//!   --heap-max N              growth ceiling in words (default 65536)
-//!   --quantum N               instructions per scheduling quantum
-//!   --window-ms N             steady-state metrics window (default 10)
-//!   --sample-every N          occupancy sample period in quanta (default 32)
-//!   --generational            nursery + minor/major cycles per strategy
-//!   --nursery-words N         nursery words (implies --generational)
-//!   --promote-after K         survivals before promotion (default 0)
-//!   --json FILE               write the BENCH_SERVE.json document
-//!                             (includes the gated overload section)
-//!   --trace FILE              write a Chrome trace (single strategy only)
-//!   --slo-p99-latency-ms F    gate: p99 request latency ceiling
-//!   --slo-p99-pause-ms F      gate: p99 GC pause ceiling
-//!
-//! SERVE OVERLOAD OPTS (deterministic per seed):
-//!   --deadline-quanta N       service-wide deadline in scheduler quanta
-//!   --fuel N                  service-wide instruction-fuel budget
-//!   --queue-cap N             admission-queue depth beyond idle slots
-//!                             (0 = unbounded)
-//!   --admission POLICY        reject | backoff[:ATTEMPTS:BASE]
-//!                             | degrade[:MINKIND]
-//!   --soft-watermark PCT      heap pressure: proactive GC + throttling
-//!   --hard-watermark PCT      heap pressure: shed new admissions
-//!   --breaker-threshold K     consecutive quarantines that open a
-//!                             kind's circuit breaker (0 = off)
-//!   --breaker-cooldown N      quanta an open breaker fast-rejects
-//!   --drain-after N           stop admitting from this quantum on
-//!   --runaway-every N         replace every Nth request with a
-//!                             non-terminating handler (pair with a
-//!                             deadline or fuel budget)
-//!
-//! FUZZ OPTS (campaign is a pure function of these — same flags, same
-//! bytes):
-//!   --seeds N        seeds to run (default 50)
-//!   --seed-start N   first seed (shard campaigns by offsetting; default 0)
-//!   --shrink         minimize each finding by typed delta-debugging
-//!   --shrink-budget N  predicate evaluations per shrink (default 300)
-//!   --json FILE      write the deterministic BENCH_E14.json report
-//!   --depth N        generator: max expression depth (default 4)
-//!   --funs N         generator: helper functions per program (default 3)
-//!   --fuel N         generator: node budget per program (default 300)
-//!   --datatypes N    generator: fresh datatypes per program (default 2)
-//!   --max-rec N      generator: recursion-depth ceiling (default 48)
-//!   --no-higher-order  drop closures/partial application from the universe
-//!   --no-polymorphism  drop polymorphic instantiations from the universe
-//! ```
+//! `tfml --help` prints [`USAGE`], the one description of every command
+//! and option.
 
 use std::process::ExitCode;
 use tfgc::gc::NO_TRACE;
 use tfgc::obs::{write_chrome_trace, GcEvent, Obs, RingRecorder};
 use tfgc::{Compiled, Strategy, Table, VmConfig};
+
+/// Every command and option. A test checks that each flag the parsers
+/// below accept is listed here.
+const USAGE: &str = "\
+tfml run [OPTS] <file.tfml | -e SRC>     run a program
+tfml profile [OPTS] <file | -e SRC>      run + GC/allocation profile
+tfml disasm <file | -e SRC>              show bytecode + frame layouts
+tfml gcmap [OPTS] <file | -e SRC>        show per-site gc_words/routines
+tfml analyze <file | -e SRC>             liveness / GC points / RTTI report
+tfml compare [OPTS] <file | -e SRC>      run under all five strategies
+tfml serve [SERVE OPTS]                  drive a seeded request mix against
+                                         a persistent heap; steady-state
+                                         telemetry + SLO gate
+tfml torture [--seeds N] [--oracle] [--serve] [--overload] [--generational]
+                                         fault-injection matrix over
+                                         seeded workloads x strategies
+                                         (--serve: mid-traffic faults
+                                         against the request server;
+                                         --serve --overload: burst /
+                                         deadline-storm / runaway-hog /
+                                         watermark-flap scenarios;
+                                         --serve --generational: with a
+                                         quarter-semispace nursery)
+tfml fuzz [FUZZ OPTS]                    differential fuzzing campaign:
+                                         generated programs across every
+                                         strategy x heap tier, tagged-
+                                         oracle snapshots, seeded
+                                         faults; findings shrunk by
+                                         typed delta-debugging
+tfml help | --help                       print this text
+
+OPTS:
+  --strategy S     compiled | compiled-nolive | interpreted | appel | tagged
+  --heap N         semispace words (default 65536)
+  --force-gc N     force a collection every N allocations
+  --refined        use the closure-flow-refined GC-point analysis
+  --stats          print run statistics
+  --verify-heap    walk the reachable graph after every collection,
+                   failing fast on any inconsistency
+  --verify-oracle  replay under the tagged collector and require
+                   identical reachable graphs at every collection
+  --generational   bump-pointer nursery + minor/major cycles (barrier-
+                   free: the immutable heap has no old-to-young edges)
+  --nursery-words N  nursery size in words (implies --generational;
+                   default heap/4)
+  --promote-after K  survivals before promotion to the tenured
+                   generation (default 0 = promote on first survival)
+  --trace FILE     write a Chrome-trace-event JSONL file (run/profile)
+  --metrics FILE   write a JSON metrics document (run/profile)
+  --events N       raw events retained for --trace (default 65536)
+
+SERVE OPTS (one table row per strategy; the E11/E12 documents come
+from `experiments --json`):
+  --strategy S|all          strategies to serve under (default all)
+  --requests N              requests to drain (default 400)
+  --pool N                  concurrent pool slots (default 4)
+  --seed N                  traffic-mix seed (default 1)
+  --heap N                  semispace words (default 2048)
+  --heap-max N              growth ceiling in words (default 65536)
+  --quantum N               instructions per scheduling quantum
+  --window-ms N             steady-state metrics window (default 10)
+  --sample-every N          occupancy sample period in quanta (default 32)
+  --generational            nursery + minor/major cycles per strategy
+  --nursery-words N         nursery words (implies --generational;
+                            default heap/4)
+  --promote-after K         survivals before promotion (default 0)
+  --trace FILE              write a Chrome trace (single strategy only)
+  --slo-p99-latency-ms F    gate: p99 request latency ceiling
+  --slo-p99-pause-ms F      gate: p99 GC pause ceiling
+
+SERVE OVERLOAD OPTS (deterministic per seed):
+  --deadline-quanta N       service-wide deadline in scheduler quanta
+  --fuel N                  service-wide instruction-fuel budget
+  --queue-cap N             admission-queue depth beyond idle slots
+                            (0 = unbounded)
+  --admission POLICY        reject | backoff[:ATTEMPTS:BASE]
+                            | degrade[:MINKIND]
+  --soft-watermark PCT      heap pressure: proactive GC + throttling
+  --hard-watermark PCT      heap pressure: shed new admissions
+  --breaker-threshold K     consecutive quarantines that open a
+                            kind's circuit breaker (0 = off)
+  --breaker-cooldown N      quanta an open breaker fast-rejects
+  --drain-after N           stop admitting from this quantum on
+  --runaway-every N         replace every Nth request with a
+                            non-terminating handler (pair with a
+                            deadline or fuel budget)
+
+FUZZ OPTS (campaign is a pure function of these: same flags, same
+bytes):
+  --seeds N        seeds to run (default 50)
+  --seed-start N   first seed (shard campaigns by offsetting; default 0)
+  --shrink         minimize each finding by typed delta-debugging
+  --shrink-budget N  predicate evaluations per shrink (default 300)
+  --json FILE      write the deterministic BENCH_E14.json report
+  --depth N        generator: max expression depth (default 4)
+  --funs N         generator: helper functions per program (default 3)
+  --fuel N         generator: node budget per program (default 300)
+  --datatypes N    generator: fresh datatypes per program (default 2)
+  --max-rec N      generator: recursion-depth ceiling (default 48)
+  --no-higher-order  drop closures/partial application from the universe
+  --no-polymorphism  drop polymorphic instantiations from the universe
+";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -285,28 +293,10 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
 
 fn run(args: Vec<String>) -> Result<(), CliError> {
     let Some((cmd, rest)) = args.split_first() else {
-        return Err(usage(
-            "usage: tfml <run|disasm|gcmap|analyze|compare> ... (see --help)",
-        ));
+        return Err(usage(format!("no command given\n{USAGE}")));
     };
     if cmd == "--help" || cmd == "help" {
-        println!(
-            "tfml run|profile|disasm|gcmap|analyze|compare [--strategy S] [--heap N] \
-             [--force-gc N] [--refined] [--stats] [--verify-heap] [--verify-oracle] \
-             [--trace FILE] [--metrics FILE] [--events N] <file | -e SRC>\n\
-             tfml serve [--strategy S|all] [--requests N] [--pool N] [--seed N] [--heap N] \
-             [--heap-max N] [--quantum N] [--window-ms N] [--sample-every N] \
-             [--json FILE] \
-             [--trace FILE] [--slo-p99-latency-ms F] [--slo-p99-pause-ms F] \
-             [--deadline-quanta N] [--fuel N] [--queue-cap N] \
-             [--admission reject|backoff[:A:B]|degrade[:K]] [--soft-watermark PCT] \
-             [--hard-watermark PCT] [--breaker-threshold K] [--breaker-cooldown N] \
-             [--drain-after N] [--runaway-every N]\n\
-             tfml torture [--seeds N] [--oracle] [--serve] [--overload]\n\
-             tfml fuzz [--seeds N] [--seed-start N] [--shrink] [--shrink-budget N] \
-             [--json FILE] [--depth N] [--funs N] [--fuel N] [--datatypes N] \
-             [--max-rec N] [--no-higher-order] [--no-polymorphism]"
-        );
+        print!("{USAGE}");
         return Ok(());
     }
     if cmd == "torture" {
@@ -533,7 +523,6 @@ fn cmd_analyze(compiled: &Compiled) -> Result<(), String> {
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let mut strategies: Vec<Strategy> = Strategy::ALL.to_vec();
     let mut base = tfgc::ServeConfig::new(Strategy::Compiled);
-    let mut json_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut slo_latency_ms: Option<f64> = None;
     let mut slo_pause_ms: Option<f64> = None;
@@ -553,19 +542,22 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             "--requests" => base.requests = flag_value(args, &mut i, "--requests")?,
             "--pool" => base.pool = flag_value(args, &mut i, "--pool")?,
             "--seed" => base.seed = flag_value(args, &mut i, "--seed")?,
-            "--heap" => base.heap_words = flag_value(args, &mut i, "--heap")?,
-            "--heap-max" => base.heap_max_words = Some(flag_value(args, &mut i, "--heap-max")?),
-            "--quantum" => base.quantum = flag_value(args, &mut i, "--quantum")?,
+            "--heap" => base.task.heap_words = flag_value(args, &mut i, "--heap")?,
+            "--heap-max" => {
+                base.task.heap_max_words = Some(flag_value(args, &mut i, "--heap-max")?)
+            }
+            "--quantum" => base.task.quantum = flag_value(args, &mut i, "--quantum")?,
             "--window-ms" => base.window_ms = flag_value(args, &mut i, "--window-ms")?,
             "--sample-every" => base.sample_every = flag_value(args, &mut i, "--sample-every")?,
-            "--json" => json_path = Some(flag_value(args, &mut i, "--json")?),
             "--trace" => trace_path = Some(flag_value(args, &mut i, "--trace")?),
             "--generational" => serve_generational = true,
             "--nursery-words" => {
                 serve_generational = true;
                 serve_nursery = Some(flag_value(args, &mut i, "--nursery-words")?);
             }
-            "--promote-after" => base.promote_after = flag_value(args, &mut i, "--promote-after")?,
+            "--promote-after" => {
+                base.task.promote_after = flag_value(args, &mut i, "--promote-after")?
+            }
             "--slo-p99-latency-ms" => {
                 slo_latency_ms = Some(flag_value(args, &mut i, "--slo-p99-latency-ms")?)
             }
@@ -614,7 +606,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     if serve_generational {
         // The nursery defaults to a quarter semispace — small enough
         // that minors actually fire under the default traffic.
-        base.nursery_words = Some(serve_nursery.unwrap_or(base.heap_words / 4));
+        base.task.nursery_words = Some(serve_nursery.unwrap_or(base.task.heap_words / 4));
     }
     if base.runaway_every > 0
         && base.overload.deadline_quanta.is_none()
@@ -629,30 +621,11 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let mut runs = Vec::new();
     for s in &strategies {
         let mut cfg = base.clone();
-        cfg.strategy = *s;
+        cfg.task.strategy = *s;
         runs.push(tfgc::serve(&cfg)?);
     }
-    println!("{}", tfgc::serve_table(&runs).render());
+    print!("{}", tfgc::render_rows(&tfgc::serve_rows(&runs))?);
 
-    if let Some(path) = &json_path {
-        // The exported document always carries the canonical overload
-        // section: the burst scenario per strategy, gated on graceful
-        // degradation (conservation, goodput floor, shed-rate ceiling).
-        let (overload_section, overload_violations) = tfgc::bench_overload_json(base.seed)?;
-        let mut doc = tfgc::serve_doc(base.seed, base.requests, base.pool, &runs);
-        if let tfgc::obs::Json::Obj(fields) = &mut doc {
-            fields.push(("overload".to_string(), overload_section));
-        }
-        std::fs::write(path, doc.to_json_pretty())
-            .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        if !overload_violations.is_empty() {
-            return Err(CliError::Run(format!(
-                "overload SLO violations:\n  {}",
-                overload_violations.join("\n  ")
-            )));
-        }
-        eprintln!("overload SLO: pass ({} strategies)", Strategy::ALL.len());
-    }
     if let Some(path) = &trace_path {
         let events: Vec<GcEvent> = runs[0].rec.ring().events().iter().cloned().collect();
         std::fs::write(path, write_chrome_trace(&events))
@@ -973,6 +946,31 @@ mod tests {
         assert!(parse_admission("backoff:4:32").is_ok());
         assert!(parse_admission("degrade").is_ok());
         assert!(parse_admission("degrade:1").is_ok());
+    }
+
+    #[test]
+    fn usage_lists_every_flag_the_parsers_accept() {
+        let mut flags = Vec::new();
+        for line in include_str!("tfml.rs").lines() {
+            let Some(rest) = line.trim_start().strip_prefix('"') else {
+                continue;
+            };
+            if let Some((flag, tail)) = rest.split_once('"') {
+                if flag.starts_with('-') && tail.trim_start().starts_with("=>") {
+                    flags.push(flag);
+                }
+            }
+        }
+        assert!(flags.len() > 40, "the scan must find the arms: {flags:?}");
+        // A flag counts as listed only as a whole word: `--seed` must not
+        // be satisfied by `--seeds` or `--seed-start`.
+        let listed = |flag: &str| {
+            USAGE.match_indices(flag).any(|(i, _)| {
+                !USAGE[i + flag.len()..].starts_with(|c: char| c.is_alphanumeric() || c == '-')
+            })
+        };
+        let missing: Vec<_> = flags.iter().filter(|f| !listed(f)).collect();
+        assert!(missing.is_empty(), "flags missing from USAGE: {missing:?}");
     }
 
     #[test]

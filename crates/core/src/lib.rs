@@ -33,12 +33,11 @@ pub mod torture;
 
 pub use pipeline::{compile_and_run, CompileError, Compiled};
 pub use profile::{metrics_json, profile_report, site_label};
-pub use report::{ratio, Table};
+pub use report::{ratio, render_rows, Table};
 pub use serve::{
-    bench_overload_json, bench_serve_json, check_overload_slo, check_slo, overload_scenario, serve,
-    serve_doc, serve_json, serve_table, torture_overload, torture_serve, MixEntry, OverloadSlo,
-    OverloadTortureCase, ServeConfig, ServeRun, ServeTortureCase, Slo, OVERLOAD_SCENARIOS,
-    SERVICE_SRC,
+    check_overload_slo, check_slo, overload_scenario, serve, serve_json, serve_rows,
+    torture_overload, torture_serve, MixEntry, OverloadSlo, OverloadTortureCase, ServeConfig,
+    ServeRun, ServeTortureCase, Slo, OVERLOAD_SCENARIOS, SERVICE_SRC,
 };
 pub use torture::{
     oracle_check, torture, OracleReport, TortureCase, TortureOutcome, TortureReport,

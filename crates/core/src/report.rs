@@ -1,5 +1,7 @@
 //! Plain-text table rendering for experiment reports.
 
+use tfgc_obs::Json;
+
 /// A simple fixed-width text table.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
@@ -64,6 +66,55 @@ impl Table {
     }
 }
 
+/// One table cell: strings as they are, integers in full, other numbers
+/// to four significant digits, `null` as `-`.
+fn cell(v: &Json) -> Result<String, String> {
+    Ok(match v {
+        Json::Null => "-".to_string(),
+        Json::Bool(b) => b.to_string(),
+        Json::Str(s) => s.clone(),
+        Json::Num(n) if n.fract() == 0.0 => format!("{n:.0}"),
+        Json::Num(n) => {
+            let decimals = (3 - n.abs().log10().floor() as i32).max(0) as usize;
+            format!("{n:.decimals$}")
+        }
+        nested => return Err(format!("nested value in a row: {}", nested.to_json())),
+    })
+}
+
+/// Renders `rows` as an aligned table: the columns are the rows' keys in
+/// first-seen order, and each row is one line (a key a row lacks leaves
+/// its cell empty). Every experiment table and `tfml serve`'s summary
+/// are printed through this.
+///
+/// # Errors
+///
+/// A row that is not an object, or a value that is an array or object.
+pub fn render_rows(rows: &[Json]) -> Result<String, String> {
+    let mut columns: Vec<&str> = Vec::new();
+    for row in rows {
+        let Json::Obj(pairs) = row else {
+            return Err(format!("row is not an object: {}", row.to_json()));
+        };
+        for (k, _) in pairs {
+            if !columns.contains(&k.as_str()) {
+                columns.push(k);
+            }
+        }
+    }
+    let mut t = Table::new(&columns);
+    for row in rows {
+        let cells = columns
+            .iter()
+            .map(|k| row.get(k).map_or(Ok(String::new()), cell))
+            .collect::<Result<_, _>>()?;
+        t.row(cells);
+    }
+    let text = t.render();
+    let lines: Vec<&str> = text.lines().map(str::trim_end).collect();
+    Ok(lines.join("\n") + "\n")
+}
+
 /// Formats a ratio as `x.yz×`.
 pub fn ratio(n: f64, d: f64) -> String {
     if d == 0.0 {
@@ -98,6 +149,36 @@ mod tests {
         // table.
         let t = Table::new(&[]);
         assert_eq!(t.render(), "");
+    }
+
+    #[test]
+    fn renderer_columns_are_the_row_keys() {
+        let rows = [
+            Json::obj([
+                ("name", Json::str("a")),
+                ("n", Json::from(3u64)),
+                ("ratio", Json::Num(1.5)),
+            ]),
+            Json::obj([
+                ("name", Json::str("bb")),
+                ("n", Json::from(1234u64)),
+                ("ratio", Json::Null),
+            ]),
+        ];
+        let text = render_rows(&rows).unwrap();
+        let lines: Vec<Vec<&str>> = text
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        // Header, rule, then one line per row.
+        assert_eq!(lines.len(), 2 + rows.len(), "{text}");
+        assert_eq!(lines[0], ["name", "n", "ratio"]);
+        assert_eq!(lines[2], ["a", "3", "1.500"]);
+        assert_eq!(lines[3], ["bb", "1234", "-"]);
+
+        let nested = [Json::obj([("hist", Json::arr([Json::from(1u64)]))])];
+        assert!(render_rows(&nested).is_err());
+        assert!(render_rows(&[Json::from(1u64)]).is_err());
     }
 
     #[test]

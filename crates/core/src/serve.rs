@@ -15,11 +15,13 @@
 //!   points, and
 //! * minimum-mutator-utilization figures derived from pause intervals.
 //!
-//! Everything wall-clock lives under the `"timing"` key of the exported
-//! JSON; everything under `"deterministic"` is a pure function of
-//! `(seed, requests, pool, strategy)` and is diffed byte-for-byte in CI.
-//! [`check_slo`] is the gate: p99 request latency and p99 pause under
-//! fixed thresholds, zero failed requests.
+//! [`serve_json`] is one run's profile and [`serve_rows`] its table
+//! row; E11 and E12 (`BENCH_E11.json`, `BENCH_E12.json`) are built from
+//! them. Wall-clock values sit under the shared
+//! [`tfgc_obs::WALL_CLOCK_KEYS`]; everything else is a pure function of
+//! the config and seed, and [`tfgc_obs::deterministic_view`] keeps
+//! exactly that part. [`check_slo`] is the gate: p99 request latency
+//! and p99 pause under fixed thresholds, zero failed requests.
 //!
 //! Overload is a first-class regime, not a failure: [`ServeConfig`]
 //! embeds an [`OverloadConfig`] (deadline/fuel budgets, bounded-queue
@@ -35,12 +37,11 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::pipeline::Compiled;
-use crate::report::Table;
 use tfgc_gc::Strategy;
 use tfgc_obs::{Json, Obs, ServeRecorder};
 use tfgc_tasking::{
     find_fn, serve_requests_overload, AdmissionPolicy, OverloadConfig, Request, ServeReport,
-    SuspendPolicy, TaskConfig,
+    TaskConfig,
 };
 use tfgc_vm::{FaultPlan, VmError};
 use tfgc_workloads::SmallRng;
@@ -126,34 +127,26 @@ pub const MIX: [MixEntry; 5] = [
     },
 ];
 
+/// Raw events retained per run (what `tfml serve --trace` writes; the
+/// aggregates are exact regardless).
+const RING: usize = 1 << 14;
+
 /// Service-run configuration (`tfml serve` flags map 1:1 onto this).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    pub strategy: Strategy,
+    /// The shared heap and scheduler every request runs on: strategy,
+    /// heap size and growth ceiling, quantum, fault plan, nursery.
+    pub task: TaskConfig,
     /// Total requests to drain.
     pub requests: usize,
     /// Concurrent pool slots.
     pub pool: usize,
     /// Traffic-mix seed (same seed → same request sequence).
     pub seed: u64,
-    pub heap_words: usize,
-    pub heap_max_words: Option<usize>,
-    pub quantum: u64,
     /// Steady-state metrics window, in milliseconds of wall clock.
     pub window_ms: u64,
-    /// Raw-event ring capacity.
-    pub ring: usize,
     /// Heap-occupancy sample period, in scheduling quanta (0 = off).
     pub sample_every: u64,
-    /// Fault schedule for torture runs.
-    pub fault_plan: Option<FaultPlan>,
-    /// Bump-pointer nursery size in words (`--generational`): `Some`
-    /// runs minor/major generational collection, `None` the classic
-    /// single-generation semispace.
-    pub nursery_words: Option<usize>,
-    /// Survival count after which a nursery object is promoted to the
-    /// tenured generation (0 = promote on first survival).
-    pub promote_after: u32,
     /// Replace every `hog_every`-th request with a `req_hog` whose live
     /// set dwarfs a torture-sized heap (0 = no hogs). Hogs report as
     /// kind [`MIX`]`.len()` ("hog" in the exported mix counts).
@@ -177,25 +170,22 @@ impl ServeConfig {
     /// Defaults: 400 requests over 4 slots, seed 1, 2Ki-word semispaces
     /// growable to 64Ki words (tight enough that steady-state traffic
     /// collects repeatedly — a server that never collects measures
-    /// nothing), every-call suspension, 10 ms windows, occupancy sampled
-    /// every 32 quanta.
+    /// nothing), and otherwise [`TaskConfig::new`]'s every-call
+    /// suspension and 64-instruction quantum; 10 ms windows, occupancy
+    /// sampled every 32 quanta.
     pub fn new(strategy: Strategy) -> ServeConfig {
+        let mut task = TaskConfig::new(strategy);
+        task.heap_words = 1 << 11;
+        task.heap_max_words = Some(1 << 16);
         ServeConfig {
-            strategy,
+            task,
             requests: 400,
             pool: 4,
             seed: 1,
-            heap_words: 1 << 11,
-            heap_max_words: Some(1 << 16),
-            quantum: 64,
             window_ms: 10,
-            ring: 1 << 14,
             sample_every: 32,
-            fault_plan: None,
             hog_every: 0,
             runaway_every: 0,
-            nursery_words: None,
-            promote_after: 0,
             overload: OverloadConfig::none(),
         }
     }
@@ -273,15 +263,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeRun, String> {
     for r in &traffic {
         mix_counts[r.kind as usize] += 1;
     }
-    let mut tc = TaskConfig::new(cfg.strategy);
-    tc.heap_words = cfg.heap_words;
-    tc.heap_max_words = cfg.heap_max_words;
-    tc.policy = SuspendPolicy::EveryCall;
-    tc.quantum = cfg.quantum;
-    tc.fault_plan = cfg.fault_plan;
-    tc.nursery_words = cfg.nursery_words;
-    tc.promote_after = cfg.promote_after;
-    let obs = Obs::serve(cfg.ring, cfg.window_ms.max(1) * 1_000_000);
+    let obs = Obs::serve(RING, cfg.window_ms.max(1) * 1_000_000);
     let mut overload = cfg.overload;
     overload.seed = cfg.seed;
     let (report, obs) = serve_requests_overload(
@@ -289,11 +271,11 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeRun, String> {
         &traffic,
         cfg.pool,
         cfg.sample_every,
-        tc,
+        cfg.task.clone(),
         overload,
         obs,
     )
-    .map_err(|e| format!("{} serve: {e}", cfg.strategy))?;
+    .map_err(|e| format!("{} serve: {e}", cfg.task.strategy))?;
     let rec = obs.into_serve_recorder().expect("serve sink attached");
     Ok(ServeRun {
         config: cfg.clone(),
@@ -321,9 +303,10 @@ fn results_digest(report: &ServeReport) -> u64 {
     h
 }
 
-/// Per-strategy JSON: a `"deterministic"` block (a pure function of
-/// seed and config; CI diffs it byte-for-byte) and a `"timing"` block
-/// (wall-clock histograms, windows, utilization).
+/// One run's profile: the config it ran under, its request and heap
+/// counters, the overload decisions, and the wall-clock telemetry
+/// under `"timing"` (histograms, windows, utilization). Every field but
+/// `timing` is a pure function of the config and seed.
 pub fn serve_json(run: &ServeRun) -> Json {
     let r = &run.report;
     // The digest is a hex *string*: JSON numbers are f64 and would
@@ -334,36 +317,30 @@ pub fn serve_json(run: &ServeRun) -> Json {
             .map(|m| m.name)
             .chain(["hog", "runaway"])
             .zip(&run.mix_counts)
-            .map(|(name, n)| (name.to_string(), Json::Num(*n as f64)))
+            .map(|(name, n)| (name.to_string(), Json::from(*n)))
             .collect(),
     );
     // Goodput/shed-rate are ratios of deterministic counters; the
     // breaker/backlog folds come from quantum-clocked events — all of it
     // diffs clean across same-seed runs.
     let overload = Json::obj([
-        ("shed", Json::Num(r.shed as f64)),
+        ("shed", Json::from(r.shed)),
         (
             "shed_by_reason",
             Json::Obj(
                 run.rec
                     .shed_by_reason()
                     .iter()
-                    .map(|(reason, n)| (reason.to_string(), Json::Num(*n as f64)))
+                    .map(|(reason, n)| (reason.to_string(), Json::from(*n)))
                     .collect(),
             ),
         ),
-        (
-            "deadline_exceeded",
-            Json::Num(run.rec.deadline_exceeded() as f64),
-        ),
-        ("breaker_trips", Json::Num(r.breaker_trips as f64)),
+        ("deadline_exceeded", Json::from(run.rec.deadline_exceeded())),
+        ("breaker_trips", Json::from(r.breaker_trips)),
         (
             "breaker_final",
             Json::arr(r.breaker_final.iter().map(|(kind, state)| {
-                Json::obj([
-                    ("kind", Json::Num(f64::from(*kind))),
-                    ("state", Json::str(*state)),
-                ])
+                Json::obj([("kind", Json::from(*kind)), ("state", Json::str(*state))])
             })),
         ),
         ("goodput", Json::Num(run.rec.goodput())),
@@ -373,108 +350,106 @@ pub fn serve_json(run: &ServeRun) -> Json {
             Json::Bool(r.completed + r.failed + r.shed == r.outcomes.len() as u64),
         ),
     ]);
-    let deterministic = Json::obj([
+    Json::obj([
+        ("strategy", Json::str(run.config.task.strategy.name())),
+        ("nursery_words", nursery_words(run)),
         (
             "requests",
             Json::obj([
-                ("total", Json::Num(r.outcomes.len() as f64)),
-                ("completed", Json::Num(r.completed as f64)),
-                ("failed", Json::Num(r.failed as f64)),
-                ("shed", Json::Num(r.shed as f64)),
+                ("total", Json::from(r.outcomes.len())),
+                ("completed", Json::from(r.completed)),
+                ("failed", Json::from(r.failed)),
+                ("shed", Json::from(r.shed)),
             ]),
         ),
         ("mix", mix),
         ("results_digest", Json::str(digest)),
-        ("collections", Json::Num(r.heap.collections as f64)),
-        (
-            "minor_collections",
-            Json::Num(r.gc.minor_collections as f64),
-        ),
-        (
-            "major_collections",
-            Json::Num(r.gc.major_collections as f64),
-        ),
-        ("promoted_words", Json::Num(r.gc.promoted_words as f64)),
-        ("died_young_words", Json::Num(r.gc.died_young_words as f64)),
-        ("allocations", Json::Num(r.heap.allocations as f64)),
-        ("words_allocated", Json::Num(r.heap.words_allocated as f64)),
-        ("words_copied", Json::Num(r.heap.words_copied as f64)),
-        ("peak_live_words", Json::Num(r.heap.peak_live_words as f64)),
-        ("heap_grows", Json::Num(r.heap.grows as f64)),
+        ("collections", Json::from(r.heap.collections)),
+        ("minor_collections", Json::from(r.gc.minor_collections)),
+        ("major_collections", Json::from(r.gc.major_collections)),
+        ("promoted_words", Json::from(r.gc.promoted_words)),
+        ("died_young_words", Json::from(r.gc.died_young_words)),
+        ("allocations", Json::from(r.heap.allocations)),
+        ("words_allocated", Json::from(r.heap.words_allocated)),
+        ("words_copied", Json::from(r.heap.words_copied)),
+        ("peak_live_words", Json::from(r.heap.peak_live_words)),
+        ("heap_grows", Json::from(r.heap.grows)),
         (
             "peak_heap_words_sampled",
-            Json::Num(run.rec.peak_heap_words() as f64),
+            Json::from(run.rec.peak_heap_words()),
         ),
         (
             "peak_live_words_sampled",
-            Json::Num(run.rec.peak_live_words() as f64),
+            Json::from(run.rec.peak_live_words()),
         ),
-        (
-            "max_in_flight",
-            Json::Num(f64::from(run.rec.max_in_flight())),
-        ),
-        ("suspension_checks", Json::Num(r.suspension_checks as f64)),
-        ("suspension_events", Json::Num(r.suspension_events as f64)),
+        ("max_in_flight", Json::from(run.rec.max_in_flight())),
+        ("suspension_checks", Json::from(r.suspension_checks)),
+        ("suspension_events", Json::from(r.suspension_events)),
         (
             "max_suspension_latency",
-            Json::Num(r.max_suspension_latency as f64),
+            Json::from(r.max_suspension_latency),
         ),
         ("overload", overload),
-    ]);
-    Json::obj([
-        ("strategy", Json::str(run.config.strategy.name())),
-        ("deterministic", deterministic),
         ("timing", run.rec.serve_json()),
     ])
 }
 
-/// Assembles the `BENCH_SERVE.json` document from completed runs.
-pub fn serve_doc(seed: u64, requests: usize, pool: usize, runs: &[ServeRun]) -> Json {
-    Json::obj([
-        (
-            "doc",
-            Json::obj([
-                ("experiment", Json::str("SERVE")),
-                (
-                    "title",
-                    Json::str("steady-state request service: latency, pauses, utilization"),
-                ),
-                (
-                    "workload",
-                    Json::str("seeded traffic mix over a persistent shared heap"),
-                ),
-                (
-                    "note",
-                    Json::str(
-                        "the `deterministic` block of each strategy is a pure function \
-                         of (seed, requests, pool); `timing` is wall-clock",
-                    ),
-                ),
-            ]),
-        ),
-        ("seed", Json::Num(seed as f64)),
-        ("requests", Json::Num(requests as f64)),
-        ("pool", Json::Num(pool as f64)),
-        ("strategies", Json::arr(runs.iter().map(serve_json))),
-    ])
+/// The run's nursery size, `null` for the single-generation heap.
+fn nursery_words(run: &ServeRun) -> Json {
+    run.config.task.nursery_words.map_or(Json::Null, Json::from)
 }
 
-/// The full `BENCH_SERVE.json` document: one seeded service run per
-/// strategy under the default configuration.
-///
-/// # Errors
-///
-/// Propagates the first failing strategy's error.
-pub fn bench_serve_json(seed: u64, requests: usize, pool: usize) -> Result<Json, String> {
-    let mut runs = Vec::new();
-    for s in Strategy::ALL {
-        let mut cfg = ServeConfig::new(s);
-        cfg.seed = seed;
-        cfg.requests = requests;
-        cfg.pool = pool;
-        runs.push(serve(&cfg)?);
+/// One table row per run: E11's and E12's `rows`, and what `tfml serve`
+/// prints. The latency, pause and utilization cells are wall-clock and
+/// carry [`tfgc_obs::WALL_CLOCK_KEYS`] names; latencies and pauses are
+/// log₂-bucket upper bounds in nanoseconds.
+pub fn serve_rows(runs: &[ServeRun]) -> Vec<Json> {
+    runs.iter()
+        .map(|run| {
+            let r = &run.report;
+            let latency = run.rec.latency_hist();
+            Json::obj([
+                ("strategy", Json::str(run.config.task.strategy.name())),
+                ("nursery_words", nursery_words(run)),
+                ("completed", Json::from(r.completed)),
+                ("failed", Json::from(r.failed)),
+                ("shed", Json::from(r.shed)),
+                ("goodput", Json::Num(run.rec.goodput())),
+                ("breaker_trips", Json::from(r.breaker_trips)),
+                ("collections", Json::from(r.heap.collections)),
+                ("minor_collections", Json::from(r.gc.minor_collections)),
+                ("latency_p50_ns", Json::from(latency.p50())),
+                ("latency_p99_ns", Json::from(latency.p99())),
+                ("pause_p99_ns", Json::from(run.rec.pause_hist().p99())),
+                ("utilization", Json::Num(run.rec.utilization())),
+                ("mmu_1ms", Json::Num(run.rec.mmu(1_000_000))),
+                ("peak_heap_words", Json::from(run.rec.peak_heap_words())),
+            ])
+        })
+        .collect()
+}
+
+/// The integrity every served run owes, whatever else its caller gates
+/// on: every request resolved, and each exactly one way (`completed +
+/// failed + shed == total`). Empty = intact.
+fn request_integrity(r: &ServeReport, requests: usize) -> Vec<String> {
+    let mut violations = Vec::new();
+    if r.outcomes.len() != requests {
+        violations.push(format!(
+            "{} of {requests} requests resolved",
+            r.outcomes.len()
+        ));
     }
-    Ok(serve_doc(seed, requests, pool, &runs))
+    if r.completed + r.failed + r.shed != r.outcomes.len() as u64 {
+        violations.push(format!(
+            "conservation violated: {} completed + {} failed + {} shed != {} total",
+            r.completed,
+            r.failed,
+            r.shed,
+            r.outcomes.len()
+        ));
+    }
+    violations
 }
 
 /// Service-level objectives for the CI gate.
@@ -493,27 +468,10 @@ pub struct Slo {
 /// deadline or fuel budget, budget breaches are the mechanism working
 /// as intended and do not count as failures.
 pub fn check_slo(run: &ServeRun, slo: Slo) -> Vec<String> {
-    let name = run.config.strategy.name();
-    let mut violations = Vec::new();
     let r = &run.report;
-    if r.outcomes.len() != run.config.requests {
-        violations.push(format!(
-            "{name}: {} of {} requests resolved",
-            r.outcomes.len(),
-            run.config.requests
-        ));
-    }
-    if r.completed + r.failed + r.shed != r.outcomes.len() as u64 {
-        violations.push(format!(
-            "{name}: conservation violated: {} completed + {} failed + {} shed != {} total",
-            r.completed,
-            r.failed,
-            r.shed,
-            r.outcomes.len()
-        ));
-    }
+    let mut violations = request_integrity(r, run.config.requests);
     if r.completed == 0 {
-        violations.push(format!("{name}: zero requests completed"));
+        violations.push("zero requests completed".to_string());
     }
     let budgeted =
         run.config.overload.deadline_quanta.is_some() || run.config.overload.fuel.is_some();
@@ -527,23 +485,32 @@ pub fn check_slo(run: &ServeRun, slo: Slo) -> Vec<String> {
         })
         .count();
     if unexpected_failures > 0 {
-        violations.push(format!("{name}: {unexpected_failures} requests failed"));
+        violations.push(format!("{unexpected_failures} requests failed"));
     }
     let p99_latency = run.rec.latency_hist().p99();
     if p99_latency > slo.max_p99_latency_ns {
         violations.push(format!(
-            "{name}: p99 request latency {p99_latency}ns > {}ns",
+            "p99 request latency {p99_latency}ns > {}ns",
             slo.max_p99_latency_ns
         ));
     }
     let p99_pause = run.rec.pause_hist().p99();
     if p99_pause > slo.max_p99_pause_ns {
         violations.push(format!(
-            "{name}: p99 pause {p99_pause}ns > {}ns",
+            "p99 pause {p99_pause}ns > {}ns",
             slo.max_p99_pause_ns
         ));
     }
+    named(run, violations)
+}
+
+/// Prefixes each violation with the run's strategy.
+fn named(run: &ServeRun, violations: Vec<String>) -> Vec<String> {
+    let name = run.config.task.strategy.name();
     violations
+        .into_iter()
+        .map(|v| format!("{name}: {v}"))
+        .collect()
 }
 
 /// Objectives for a run that is *supposed* to be overloaded: the
@@ -571,43 +538,22 @@ impl OverloadSlo {
 /// Checks an overload run: every request resolved, conservation holds,
 /// goodput above the floor, shed rate below the ceiling. Empty = pass.
 pub fn check_overload_slo(run: &ServeRun, slo: OverloadSlo) -> Vec<String> {
-    let name = run.config.strategy.name();
-    let mut violations = Vec::new();
-    let r = &run.report;
-    if r.outcomes.len() != run.config.requests {
-        violations.push(format!(
-            "{name}: {} of {} requests resolved",
-            r.outcomes.len(),
-            run.config.requests
-        ));
-    }
-    if r.completed + r.failed + r.shed != r.outcomes.len() as u64 {
-        violations.push(format!(
-            "{name}: conservation violated: {} completed + {} failed + {} shed != {} total",
-            r.completed,
-            r.failed,
-            r.shed,
-            r.outcomes.len()
-        ));
-    }
+    let mut violations = request_integrity(&run.report, run.config.requests);
     let goodput = run.rec.goodput();
     if goodput < slo.min_goodput {
-        violations.push(format!(
-            "{name}: goodput {goodput:.3} < {:.3}",
-            slo.min_goodput
-        ));
+        violations.push(format!("goodput {goodput:.3} < {:.3}", slo.min_goodput));
     }
     let shed_rate = run.rec.shed_rate();
     if shed_rate > slo.max_shed_rate {
         violations.push(format!(
-            "{name}: shed rate {shed_rate:.3} > {:.3}",
+            "shed rate {shed_rate:.3} > {:.3}",
             slo.max_shed_rate
         ));
     }
-    violations
+    named(run, violations)
 }
 
-/// The canonical overload scenario for the benchmark document: a burst
+/// The canonical overload scenario, E12: a burst
 /// of 160 requests (every 16th a runaway) against 3 slots behind a
 /// bounded queue with backoff, watermarks, and a circuit breaker over
 /// the runaway kind. Deadlines catch the runaways; the breaker
@@ -634,45 +580,6 @@ pub fn overload_scenario(strategy: Strategy, seed: u64) -> ServeConfig {
         seed,
     };
     cfg
-}
-
-/// Runs [`overload_scenario`] under every strategy and assembles the
-/// `"overload"` section of `BENCH_SERVE.json`, returning it together
-/// with any [`OverloadSlo::gate`] violations (CI fails on any).
-///
-/// # Errors
-///
-/// Propagates the first failing strategy's whole-machine error.
-pub fn bench_overload_json(seed: u64) -> Result<(Json, Vec<String>), String> {
-    let slo = OverloadSlo::gate();
-    let mut entries = Vec::new();
-    let mut violations = Vec::new();
-    for s in Strategy::ALL {
-        let run = serve(&overload_scenario(s, seed))?;
-        violations.extend(check_overload_slo(&run, slo));
-        entries.push(serve_json(&run));
-    }
-    let section = Json::obj([
-        (
-            "doc",
-            Json::obj([
-                (
-                    "scenario",
-                    Json::str("burst: 160 requests (every 16th a runaway) over 3 slots"),
-                ),
-                (
-                    "gate",
-                    Json::str(
-                        "conservation holds, goodput above floor, shed rate below \
-                         ceiling, per strategy",
-                    ),
-                ),
-            ]),
-        ),
-        ("seed", Json::Num(seed as f64)),
-        ("strategies", Json::Arr(entries)),
-    ]);
-    Ok((section, violations))
 }
 
 /// One overload-torture case.
@@ -707,8 +614,8 @@ fn overload_torture_config(scenario: &'static str, strategy: Strategy, seed: u64
     cfg.seed = seed;
     cfg.requests = 60;
     cfg.pool = 3;
-    cfg.heap_words = 1 << 10;
-    cfg.heap_max_words = Some(1 << 14);
+    cfg.task.heap_words = 1 << 10;
+    cfg.task.heap_max_words = Some(1 << 14);
     cfg.sample_every = 16;
     match scenario {
         "burst" => {
@@ -737,14 +644,14 @@ fn overload_torture_config(scenario: &'static str, strategy: Strategy, seed: u64
             };
         }
         "watermark-flap" => {
-            cfg.heap_max_words = Some(1 << 12);
+            cfg.task.heap_max_words = Some(1 << 12);
             cfg.hog_every = 5;
             cfg.overload.soft_watermark_pct = Some(50);
             cfg.overload.hard_watermark_pct = Some(85);
             cfg.overload.queue_cap = 4;
             cfg.overload.admission = AdmissionPolicy::Degrade { low_kind_min: 2 };
             cfg.overload.deadline_quanta = Some(4_000);
-            cfg.fault_plan = Some(FaultPlan {
+            cfg.task.fault_plan = Some(FaultPlan {
                 exhaust_at: Some(300 + seed % 300),
                 ..FaultPlan::none()
             });
@@ -772,41 +679,24 @@ pub fn torture_overload(seeds: &[u64]) -> Vec<OverloadTortureCase> {
         for scenario in OVERLOAD_SCENARIOS {
             for strategy in [Strategy::Compiled, Strategy::Tagged] {
                 let cfg = overload_torture_config(scenario, strategy, seed);
-                let mut violations = Vec::new();
-                let (completed, failed, shed) = match catch_unwind(AssertUnwindSafe(|| serve(&cfg)))
-                {
-                    Ok(Ok(run)) => {
-                        let r = &run.report;
-                        if r.outcomes.len() != cfg.requests {
-                            violations.push(format!(
-                                "{} of {} requests resolved",
-                                r.outcomes.len(),
-                                cfg.requests
-                            ));
+                let (violations, completed, failed, shed) =
+                    match catch_unwind(AssertUnwindSafe(|| serve(&cfg))) {
+                        Ok(Ok(run)) => {
+                            let r = &run.report;
+                            let mut violations = request_integrity(r, cfg.requests);
+                            if r.completed == 0 {
+                                violations.push("service collapsed: nothing completed".to_string());
+                            }
+                            (violations, r.completed, r.failed, r.shed)
                         }
-                        if r.completed + r.failed + r.shed != r.outcomes.len() as u64 {
-                            violations.push(format!(
-                                "conservation violated: {} + {} + {} != {}",
-                                r.completed,
-                                r.failed,
-                                r.shed,
-                                r.outcomes.len()
-                            ));
-                        }
-                        if r.completed == 0 {
-                            violations.push("service collapsed: nothing completed".to_string());
-                        }
-                        (r.completed, r.failed, r.shed)
-                    }
-                    Ok(Err(e)) => {
-                        violations.push(format!("service dropped: {e}"));
-                        (0, 0, 0)
-                    }
-                    Err(payload) => {
-                        violations.push(format!("raw panic: {}", panic_text(payload.as_ref())));
-                        (0, 0, 0)
-                    }
-                };
+                        Ok(Err(e)) => (vec![format!("service dropped: {e}")], 0, 0, 0),
+                        Err(payload) => (
+                            vec![format!("raw panic: {}", panic_text(payload.as_ref()))],
+                            0,
+                            0,
+                            0,
+                        ),
+                    };
                 cases.push(OverloadTortureCase {
                     strategy,
                     seed,
@@ -831,40 +721,6 @@ fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "<non-string panic payload>".to_string()
     }
-}
-
-/// Human summary across runs: one row per strategy.
-pub fn serve_table(runs: &[ServeRun]) -> Table {
-    let mut t = Table::new(&[
-        "strategy",
-        "completed",
-        "failed",
-        "shed",
-        "collections",
-        "lat p50",
-        "lat p99",
-        "pause p99",
-        "util",
-        "mmu 1ms",
-        "peak heap",
-    ]);
-    for run in runs {
-        let lat = run.rec.latency_hist();
-        t.row(vec![
-            run.config.strategy.name().to_string(),
-            run.report.completed.to_string(),
-            run.report.failed.to_string(),
-            run.report.shed.to_string(),
-            run.report.heap.collections.to_string(),
-            format!("{}us", lat.p50() / 1_000),
-            format!("{}us", lat.p99() / 1_000),
-            format!("{}us", run.rec.pause_hist().p99() / 1_000),
-            format!("{:.3}", run.rec.utilization()),
-            format!("{:.3}", run.rec.mmu(1_000_000)),
-            format!("{}w", run.rec.peak_heap_words()),
-        ]);
-    }
-    t
 }
 
 /// One serve-mode torture case: mid-traffic heap exhaustion.
@@ -895,54 +751,41 @@ pub fn torture_serve(seeds: &[u64], generational: bool) -> Vec<ServeTortureCase>
             cfg.seed = seed;
             cfg.requests = 60;
             cfg.pool = 3;
-            cfg.heap_words = 1 << 10;
-            cfg.heap_max_words = Some(1 << 12);
+            cfg.task.heap_words = 1 << 10;
+            cfg.task.heap_max_words = Some(1 << 12);
             cfg.sample_every = 16;
             cfg.hog_every = 7;
             if generational {
-                cfg.nursery_words = Some(cfg.heap_words / 4);
+                cfg.task.nursery_words = Some(cfg.task.heap_words / 4);
             }
             // Exhaustion strikes mid-traffic at a seed-determined
             // allocation count; growth is refused from then on.
-            cfg.fault_plan = Some(FaultPlan {
+            cfg.task.fault_plan = Some(FaultPlan {
                 exhaust_at: Some(200 + seed % 400),
                 ..FaultPlan::none()
             });
-            let mut violations = Vec::new();
-            let (completed, failed) = match serve(&cfg) {
+            let (violations, completed, failed) = match serve(&cfg) {
                 Ok(run) => {
                     let r = &run.report;
-                    if r.outcomes.len() != cfg.requests {
-                        violations.push(format!(
-                            "{} of {} requests resolved",
-                            r.outcomes.len(),
-                            cfg.requests
-                        ));
-                    }
-                    if r.completed + r.failed != r.outcomes.len() as u64 {
-                        violations.push("completed + failed != total".to_string());
-                    }
+                    let mut violations = request_integrity(r, cfg.requests);
                     if r.completed == 0 {
                         violations.push("service dropped: nothing completed".to_string());
                     }
                     for (i, o) in r.outcomes.iter().enumerate() {
                         if let Some(e) = &o.error {
-                            if !matches!(e, tfgc_vm::VmError::OutOfMemory { .. }) {
+                            if !matches!(e, VmError::OutOfMemory { .. }) {
                                 violations.push(format!("request {i}: non-OOM error {e}"));
                             }
                         }
                     }
-                    (r.completed, r.failed)
+                    (violations, r.completed, r.failed)
                 }
-                Err(e) => {
-                    violations.push(format!("service dropped: {e}"));
-                    (0, 0)
-                }
+                Err(e) => (vec![format!("service dropped: {e}")], 0, 0),
             };
             cases.push(ServeTortureCase {
                 strategy,
                 seed,
-                plan: cfg.fault_plan.unwrap(),
+                plan: cfg.task.fault_plan.unwrap(),
                 completed,
                 failed,
                 violations,
@@ -955,6 +798,12 @@ pub fn torture_serve(seeds: &[u64], generational: bool) -> Vec<ServeTortureCase>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tfgc_obs::deterministic_view;
+
+    /// The deterministic projection of a run's profile, as text.
+    fn projection(run: &ServeRun) -> String {
+        deterministic_view(&serve_json(run)).to_json_pretty()
+    }
 
     #[test]
     fn traffic_is_seeded_and_weighted() {
@@ -1018,24 +867,26 @@ mod tests {
         cfg.requests = 30;
         let run = serve(&cfg).unwrap();
         let j = serve_json(&run);
-        let det = j.get("deterministic").expect("deterministic block");
         assert_eq!(
-            det.get("requests")
+            j.get("requests")
                 .and_then(|r| r.get("completed"))
                 .and_then(Json::as_f64),
             Some(30.0)
         );
-        let digest = det.get("results_digest").expect("digest");
+        let digest = j.get("results_digest").expect("digest");
         assert!(
             matches!(digest, Json::Str(s) if s.len() == 16),
             "digest must be a 16-hex-char string, got {digest:?}"
         );
         assert!(j.get("timing").and_then(|t| t.get("utilization")).is_some());
+        let det = deterministic_view(&j);
+        assert!(det.get("timing").is_none(), "the projection drops timing");
+        assert!(det.get("results_digest").is_some());
         let a = serve(&cfg).unwrap();
         assert_eq!(
-            serve_json(&a).get("deterministic"),
-            j.get("deterministic"),
-            "deterministic block must diff clean across same-seed runs"
+            projection(&a),
+            det.to_json_pretty(),
+            "the projection must diff clean across same-seed runs"
         );
     }
 
@@ -1046,7 +897,7 @@ mod tests {
         base.pool = 3;
         let a = serve(&base).unwrap();
         let mut generational = base.clone();
-        generational.nursery_words = Some(base.heap_words / 4);
+        generational.task.nursery_words = Some(base.task.heap_words / 4);
         let b = serve(&generational).unwrap();
         assert_eq!(
             a.report.outcomes, b.report.outcomes,
@@ -1066,13 +917,13 @@ mod tests {
             a.report.gc.minor_collections, 0,
             "the baseline heap has no nursery"
         );
-        let j = serve_json(&b);
-        let det = j.get("deterministic").expect("deterministic block");
+        let det = deterministic_view(&serve_json(&b));
         assert!(det.get("minor_collections").and_then(Json::as_f64).unwrap() > 0.0);
+        assert_eq!(det.get("nursery_words").and_then(Json::as_f64), Some(512.0));
         let again = serve(&generational).unwrap();
         assert_eq!(
-            serve_json(&again).get("deterministic"),
-            j.get("deterministic"),
+            projection(&again),
+            det.to_json_pretty(),
             "generational runs must diff clean across same-seed runs"
         );
     }
@@ -1131,8 +982,8 @@ mod tests {
         );
         let again = serve(&overload_scenario(Strategy::Compiled, 1)).unwrap();
         assert_eq!(
-            serve_json(&run).get("deterministic"),
-            serve_json(&again).get("deterministic"),
+            projection(&run),
+            projection(&again),
             "the overload block must diff clean across same-seed runs"
         );
     }

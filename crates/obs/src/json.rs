@@ -224,6 +224,43 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// Keys whose values are wall-clock measurements. Every exported
+/// document follows one convention: a wall-clock value, or a subtree of
+/// them, sits under one of these keys, and everything else is a pure
+/// function of the workload, config and seed.
+pub const WALL_CLOCK_KEYS: [&str; 13] = [
+    "pause_ns",
+    "pause_ns_total",
+    "timing",
+    "utilization",
+    "compiled_pause_ns",
+    "interp_pause_ns",
+    "baseline_full_pause_p50_ns",
+    "minor_pause_p50_ns",
+    "major_pause_p99_ns",
+    "latency_p50_ns",
+    "latency_p99_ns",
+    "pause_p99_ns",
+    "mmu_1ms",
+];
+
+/// The deterministic projection of a document: every [`WALL_CLOCK_KEYS`]
+/// subtree removed, everything else untouched. Two runs of the same
+/// workload produce byte-identical projections, so they can be diffed.
+pub fn deterministic_view(j: &Json) -> Json {
+    match j {
+        Json::Obj(pairs) => Json::Obj(
+            pairs
+                .iter()
+                .filter(|(k, _)| !WALL_CLOCK_KEYS.contains(&k.as_str()))
+                .map(|(k, v)| (k.clone(), deterministic_view(v)))
+                .collect(),
+        ),
+        Json::Arr(items) => Json::Arr(items.iter().map(deterministic_view).collect()),
+        other => other.clone(),
+    }
+}
+
 /// Parses a JSON document (used by tests to prove exports are
 /// well-formed).
 ///

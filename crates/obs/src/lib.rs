@@ -25,7 +25,9 @@
 //!   allocation/pause metrics, heap-occupancy timeline, and an
 //!   MMU-style mutator-utilization figure from the pause intervals).
 //! * [`json`] — a hand-rolled minimal JSON model (writer + parser); the
-//!   workspace keeps its no-serde constraint (DESIGN.md §5).
+//!   workspace keeps its no-serde constraint (DESIGN.md §5). It also
+//!   holds the one wall-clock convention, [`WALL_CLOCK_KEYS`], and the
+//!   [`deterministic_view`] that strips those keys for diffing.
 //! * [`chrome`] — `chrome://tracing`-loadable trace output, one event
 //!   per line (Chrome's JSON Array Format, which tolerates a missing
 //!   closing bracket, so the file is simultaneously line-parseable).
@@ -46,7 +48,7 @@ pub mod sites;
 pub use chrome::write_chrome_trace;
 pub use event::{CollectionKind, GcEvent};
 pub use hist::Histogram;
-pub use json::Json;
+pub use json::{deterministic_view, Json, WALL_CLOCK_KEYS};
 pub use ring::{CollectionSummary, RingRecorder};
 pub use serve::{OccupancyPoint, PauseInterval, ServeRecorder, ServeWindow};
 pub use sink::{GcEventSink, NullSink, Obs};
