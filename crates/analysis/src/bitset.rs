@@ -64,12 +64,27 @@ impl SlotSet {
         changed
     }
 
-    /// Intersects `other` into `self`.
-    pub fn intersect_with(&mut self, other: &SlotSet) {
+    /// Intersects `other` into `self`; returns true if `self` changed.
+    pub fn intersect_with(&mut self, other: &SlotSet) -> bool {
         debug_assert_eq!(self.len, other.len);
+        let mut changed = false;
         for (a, b) in self.bits.iter_mut().zip(&other.bits) {
-            *a &= b;
+            let new = *a & *b;
+            changed |= new != *a;
+            *a = new;
         }
+        changed
+    }
+
+    /// Makes `self` equal to `other` without reallocating.
+    pub fn copy_from(&mut self, other: &SlotSet) {
+        debug_assert_eq!(self.len, other.len);
+        self.bits.copy_from_slice(&other.bits);
+    }
+
+    /// Removes every slot.
+    pub fn clear(&mut self) {
+        self.bits.fill(0);
     }
 
     /// True when `self ⊆ other`.
@@ -145,8 +160,20 @@ mod tests {
         assert_eq!(f.count(), 5);
         let mut g = SlotSet::new(5);
         g.insert(Slot(1));
-        f.intersect_with(&g);
+        assert!(f.intersect_with(&g));
+        assert!(!f.intersect_with(&g));
         assert_eq!(f.count(), 1);
         assert!(f.contains(Slot(1)));
+    }
+
+    #[test]
+    fn copy_from_and_clear() {
+        let mut a = SlotSet::new(70);
+        let mut b = SlotSet::new(70);
+        b.insert(Slot(69));
+        a.copy_from(&b);
+        assert_eq!(a, b);
+        a.clear();
+        assert_eq!(a, SlotSet::new(70));
     }
 }

@@ -39,21 +39,18 @@ impl FunInit {
         if n > 0 {
             assigned_in[0] = entry;
         }
+        // Scratch set reused by every step of every sweep.
+        let mut out = SlotSet::new(slots);
         let mut changed = true;
         while changed {
             changed = false;
             for pc in 0..n {
-                let mut out = assigned_in[pc].clone();
+                out.copy_from(&assigned_in[pc]);
                 if let Some(d) = f.code[pc].def() {
                     out.insert(d);
                 }
                 for succ in f.code[pc].successors(pc as u32) {
-                    let succ = succ as usize;
-                    let before = assigned_in[succ].clone();
-                    assigned_in[succ].intersect_with(&out);
-                    if assigned_in[succ] != before {
-                        changed = true;
-                    }
+                    changed |= assigned_in[succ as usize].intersect_with(&out);
                 }
             }
         }

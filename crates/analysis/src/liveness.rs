@@ -33,16 +33,19 @@ impl FunLiveness {
         let slots = f.slots.len();
         let mut live_in = vec![SlotSet::new(slots); n];
         let mut live_out = vec![SlotSet::new(slots); n];
+        // Scratch sets reused by every step of every sweep.
+        let mut out = SlotSet::new(slots);
+        let mut inn = SlotSet::new(slots);
         let mut changed = true;
         while changed {
             changed = false;
             for pc in (0..n).rev() {
                 let ins = &f.code[pc];
-                let mut out = SlotSet::new(slots);
+                out.clear();
                 for succ in ins.successors(pc as u32) {
                     out.union_with(&live_in[succ as usize]);
                 }
-                let mut inn = out.clone();
+                inn.copy_from(&out);
                 if let Some(d) = ins.def() {
                     inn.remove(d);
                 }
@@ -50,11 +53,11 @@ impl FunLiveness {
                     inn.insert(u);
                 }
                 if out != live_out[pc] {
-                    live_out[pc] = out;
+                    live_out[pc].copy_from(&out);
                     changed = true;
                 }
                 if inn != live_in[pc] {
-                    live_in[pc] = inn;
+                    live_in[pc].copy_from(&inn);
                     changed = true;
                 }
             }

@@ -8,7 +8,7 @@ use tfgc_ir::{lower_full, IrProgram, RttiInfo};
 use tfgc_obs::{GcEvent, Obs};
 use tfgc_syntax::parse_program;
 use tfgc_types::{elaborate, is_monomorphic, TProgram};
-use tfgc_vm::{run_program, RunOutcome, VmConfig, VmError};
+use tfgc_vm::{RunOutcome, VmConfig, VmError};
 
 /// A front-end error from any stage.
 #[derive(Debug, Clone)]
@@ -181,16 +181,23 @@ impl Compiled {
     ///
     /// Propagates VM runtime errors.
     pub fn run(&self, strategy: Strategy) -> Result<RunOutcome, VmError> {
-        run_program(&self.program, VmConfig::new(strategy))
+        self.run_with(VmConfig::new(strategy))
     }
 
-    /// Runs with a custom VM configuration.
+    /// Runs with a custom VM configuration, building the metadata from the
+    /// analyses computed at compile time (multi-task metadata when
+    /// `cfg.cooperative`).
     ///
     /// # Errors
     ///
     /// Propagates VM runtime errors.
     pub fn run_with(&self, cfg: VmConfig) -> Result<RunOutcome, VmError> {
-        run_program(&self.program, cfg)
+        let meta = if cfg.cooperative {
+            GcMeta::build_multi_task(&self.program, &self.analyses, cfg.strategy)
+        } else {
+            self.metadata(cfg.strategy)
+        };
+        self.run_with_meta(cfg, meta)
     }
 
     /// Runs under every strategy, asserting identical observable output;

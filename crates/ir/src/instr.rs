@@ -164,16 +164,16 @@ impl Instr {
         }
     }
 
-    /// Slots read by this instruction.
-    pub fn uses(&self) -> Vec<Slot> {
-        match self {
+    /// Slots read by this instruction, in operand order.
+    pub fn uses(&self) -> impl Iterator<Item = Slot> + '_ {
+        let (fixed, rest): ([Option<Slot>; 2], &[Slot]) = match self {
             Instr::LoadInt(..)
             | Instr::LoadBool(..)
             | Instr::LoadUnit(..)
             | Instr::LoadGlobal(..)
             | Instr::Jump(_)
             | Instr::EvalDesc { .. }
-            | Instr::MatchFail => Vec::new(),
+            | Instr::MatchFail => ([None, None], &[]),
             Instr::StoreGlobal(_, s)
             | Instr::Move(_, s)
             | Instr::Neg(_, s)
@@ -182,15 +182,19 @@ impl Instr {
             | Instr::BranchIntNe(s, _, _)
             | Instr::GetField(_, s, _)
             | Instr::Return(s)
-            | Instr::Print(s) => vec![*s],
-            Instr::BranchTagNe { obj, .. } => vec![*obj],
-            Instr::Arith(_, _, a, b) | Instr::Cmp(_, _, a, b) => vec![*a, *b],
-            Instr::MakeTuple { elems, .. } => elems.clone(),
-            Instr::MakeData { fields, .. } => fields.clone(),
-            Instr::MakeClosure { captures, .. } => captures.clone(),
-            Instr::CallDirect { args, .. } => args.clone(),
-            Instr::CallClosure { clos, arg, .. } => vec![*clos, *arg],
-        }
+            | Instr::Print(s)
+            | Instr::BranchTagNe { obj: s, .. } => ([Some(*s), None], &[]),
+            Instr::Arith(_, _, a, b)
+            | Instr::Cmp(_, _, a, b)
+            | Instr::CallClosure {
+                clos: a, arg: b, ..
+            } => ([Some(*a), Some(*b)], &[]),
+            Instr::MakeTuple { elems: ss, .. }
+            | Instr::MakeData { fields: ss, .. }
+            | Instr::MakeClosure { captures: ss, .. }
+            | Instr::CallDirect { args: ss, .. } => ([None, None], ss),
+        };
+        fixed.into_iter().flatten().chain(rest.iter().copied())
     }
 
     /// The slot written by this instruction, if any.
@@ -218,14 +222,16 @@ impl Instr {
 
     /// Successor program counters of the instruction at `pc`.
     /// `Return`/`MatchFail` have none.
-    pub fn successors(&self, pc: u32) -> Vec<u32> {
-        match self {
-            Instr::Jump(t) => vec![*t],
-            Instr::BranchFalse(_, t) | Instr::BranchIntNe(_, _, t) => vec![pc + 1, *t],
-            Instr::BranchTagNe { target, .. } => vec![pc + 1, *target],
-            Instr::Return(_) | Instr::MatchFail => Vec::new(),
-            _ => vec![pc + 1],
-        }
+    pub fn successors(&self, pc: u32) -> impl Iterator<Item = u32> {
+        let succs = match self {
+            Instr::Jump(t) => [Some(*t), None],
+            Instr::BranchFalse(_, t)
+            | Instr::BranchIntNe(_, _, t)
+            | Instr::BranchTagNe { target: t, .. } => [Some(pc + 1), Some(*t)],
+            Instr::Return(_) | Instr::MatchFail => [None, None],
+            _ => [Some(pc + 1), None],
+        };
+        succs.into_iter().flatten()
     }
 }
 
@@ -257,7 +263,7 @@ mod tests {
     #[test]
     fn uses_and_defs() {
         let i = Instr::Arith(Slot(0), ArithOp::Add, Slot(1), Slot(2));
-        assert_eq!(i.uses(), vec![Slot(1), Slot(2)]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), vec![Slot(1), Slot(2)]);
         assert_eq!(i.def(), Some(Slot(0)));
     }
 
@@ -269,7 +275,7 @@ mod tests {
             args: vec![Slot(2)],
             site: CallSiteId(0),
         };
-        assert_eq!(i.uses(), vec![Slot(2)]);
+        assert_eq!(i.uses().collect::<Vec<_>>(), vec![Slot(2)]);
         assert_eq!(i.def(), Some(Slot(0)));
         assert_eq!(i.site(), Some(CallSiteId(0)));
     }
@@ -277,11 +283,11 @@ mod tests {
     #[test]
     fn successors_of_branches() {
         let b = Instr::BranchFalse(Slot(0), 9);
-        assert_eq!(b.successors(3), vec![4, 9]);
+        assert_eq!(b.successors(3).collect::<Vec<_>>(), vec![4, 9]);
         let r = Instr::Return(Slot(0));
-        assert!(r.successors(3).is_empty());
+        assert!(r.successors(3).collect::<Vec<_>>().is_empty());
         let j = Instr::Jump(7);
-        assert_eq!(j.successors(0), vec![7]);
+        assert_eq!(j.successors(0).collect::<Vec<_>>(), vec![7]);
     }
 
     #[test]

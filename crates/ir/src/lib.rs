@@ -24,7 +24,6 @@
 //! # }
 //! ```
 
-pub mod alpha;
 pub mod display;
 pub mod instr;
 pub mod lower;

@@ -17,8 +17,11 @@
 //!   twice; the first pass produces the call/creation graph, the fixpoint
 //!   decides which functions carry runtime type descriptors, and the second
 //!   pass emits `EvalDesc` instructions and descriptor fields.
+//!
+//! Both passes borrow the typed program. They resolve variables by name,
+//! which is exact because `elaborate` leaves every binder with a unique
+//! name (see `tfgc_types::alpha`).
 
-use crate::alpha::alpha_rename;
 use crate::instr::*;
 use crate::program::*;
 use crate::rtti::{Creation, RttiInfo};
@@ -70,14 +73,17 @@ pub fn lower(tp: &TProgram) -> LowerResult<IrProgram> {
 }
 
 /// Like [`lower`], also returning the RTTI analysis (for experiment
-/// metrics).
+/// metrics). `tp` must come from `elaborate`, whose binder names are
+/// unique.
 pub fn lower_full(tp: &TProgram) -> LowerResult<(IrProgram, RttiInfo)> {
-    let mut tp = tp.clone();
-    alpha_rename(&mut tp);
-    let opaque = collect_opaque_schemes(&tp);
-    let (p1, creations) = Lowerer::new(&tp, None, &opaque).run()?;
+    debug_assert!(
+        tfgc_types::binders_unique(tp),
+        "lowering resolves names and needs `elaborate`'s unique binders"
+    );
+    let opaque = collect_opaque_schemes(tp);
+    let (p1, creations) = Lowerer::new(tp, None, &opaque).run()?;
     let rtti = RttiInfo::compute(&p1, &creations, &opaque);
-    let (p2, _) = Lowerer::new(&tp, Some(&rtti), &opaque).run()?;
+    let (p2, _) = Lowerer::new(tp, Some(&rtti), &opaque).run()?;
     debug_assert_eq!(p2.validate(), Ok(()));
     Ok((p2, rtti))
 }
@@ -1093,8 +1099,8 @@ impl<'a> Lowerer<'a> {
 
     /// Collects names used in `e` that resolve to locals of the *current*
     /// frame (directly, or as lifted extras of referenced `let fun`s).
-    /// Names are unique post alpha-renaming, so no binder tracking is
-    /// needed.
+    /// Binder names are unique after `elaborate`, so no binder tracking
+    /// is needed.
     fn collect_free(&self, e: &TExpr, fb: &Fb, out: &mut Vec<String>) {
         let push = |n: &str, out: &mut Vec<String>| {
             if !out.iter().any(|x| x == n) {

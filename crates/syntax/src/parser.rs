@@ -87,11 +87,23 @@ impl Parser {
         self.peek().span
     }
 
+    /// Consumes the current token. It is moved out of the stream, which is
+    /// safe because the parser never backtracks; the final `Eof` is never
+    /// consumed, so it is cloned instead.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() - 1 {
-            self.pos += 1;
+        let last = self.tokens.len() - 1;
+        if self.pos >= last {
+            return self.tokens[last].clone();
         }
+        let span = self.tokens[self.pos].span;
+        let t = std::mem::replace(
+            &mut self.tokens[self.pos],
+            Token {
+                kind: TokenKind::Eof,
+                span,
+            },
+        );
+        self.pos += 1;
         t
     }
 

@@ -13,7 +13,10 @@
 //!   the static substitution θ evaluated during collection.
 //! * Unconstrained types default to `int` after inference, so monomorphic
 //!   programs elaborate to fully ground types.
+//! * The last step renames every binder to a unique name
+//!   ([`crate::alpha`]), so later passes can resolve variables by name.
 
+use crate::alpha::alpha_rename;
 use crate::datatypes::{data_param, CtorDef, DataDef, DataEnv};
 use crate::error::{TypeError, TypeResult};
 use crate::scheme::Scheme;
@@ -24,7 +27,8 @@ use std::collections::{HashMap, HashSet};
 use tfgc_syntax::ast as s;
 use tfgc_syntax::{BinOp, Span};
 
-/// Elaborates a parsed program into a typed program.
+/// Elaborates a parsed program into a typed program in which every binder
+/// has a unique name.
 ///
 /// # Errors
 ///
@@ -94,17 +98,6 @@ impl Elab {
             .push((name, b));
     }
 
-    fn lookup(&self, name: &str) -> Option<&Binding> {
-        for scope in self.scopes.iter().rev() {
-            for (n, b) in scope.iter().rev() {
-                if n == name {
-                    return Some(b);
-                }
-            }
-        }
-        None
-    }
-
     fn push_scope(&mut self) {
         self.scopes.push(Vec::new());
     }
@@ -122,9 +115,9 @@ impl Elab {
                 if b.rec_group.is_some() && b.rec_group == exclude_group {
                     continue;
                 }
-                let mut vs = Vec::new();
-                self.cx.zonk(&b.scheme.ty).free_vars(&mut vs);
-                set.extend(vs);
+                self.cx.visit_free_vars(&b.scheme.ty, &mut |v| {
+                    set.insert(v);
+                });
             }
         }
         set
@@ -176,9 +169,7 @@ impl Elab {
         };
         // Final zonk; any leftover unification variable defaults to int.
         let cx = &self.cx;
-        let mut finish = |t: &mut Type| {
-            *t = cx.zonk(t).map_vars(&mut |_| Type::Int);
-        };
+        let mut finish = |t: &mut Type| cx.zonk_map_in_place(t, &mut |_| Type::Int);
         for f in &mut out.funs {
             f.map_types_mut(&mut finish);
         }
@@ -187,7 +178,8 @@ impl Elab {
             g.init.map_types_mut(&mut finish);
         }
         out.main.map_types_mut(&mut finish);
-        validate_insts(&out)?;
+        validate_insts(&mut out)?;
+        alpha_rename(&mut out);
         Ok(out)
     }
 
@@ -353,9 +345,8 @@ impl Elab {
         exclude_group: Option<u32>,
     ) -> TypeResult<Scheme> {
         let env_free = self.env_free_vars(exclude_group);
-        let ty = self.cx.zonk(&value.ty);
         let mut vs = Vec::new();
-        ty.free_vars(&mut vs);
+        self.cx.free_vars(&value.ty, &mut vs);
         let quant: Vec<TvId> = vs.into_iter().filter(|v| !env_free.contains(v)).collect();
         let id = self.alloc_scheme();
         let map: HashMap<TvId, ParamId> = quant
@@ -372,20 +363,11 @@ impl Elab {
             })
             .collect();
         let cx = &self.cx;
-        value.map_types_mut(&mut |t| {
-            *t = cx.zonk(t).map_vars(&mut |v| match map.get(&v) {
-                Some(p) => Type::Param(*p),
-                None => Type::Var(v),
-            });
-        });
-        let sty = ty.map_vars(&mut |v| match map.get(&v) {
-            Some(p) => Type::Param(*p),
-            None => Type::Var(v),
-        });
+        value.map_types_mut(&mut |t| cx.zonk_map_in_place(t, &mut |v| param_of(&map, v)));
         Ok(Scheme {
             id,
             num_params: quant.len() as u32,
-            ty: sty,
+            ty: value.ty.clone(),
         })
     }
 
@@ -453,10 +435,9 @@ impl Elab {
             map: HashMap<TvId, ParamId>,
         }
         let mut infos = Vec::new();
-        for (tf, placeholder) in partial.iter().zip(&placeholder_tys) {
-            let ty = self.cx.zonk(placeholder);
+        for placeholder in &placeholder_tys {
             let mut vs = Vec::new();
-            ty.free_vars(&mut vs);
+            self.cx.free_vars(placeholder, &mut vs);
             let quant: Vec<TvId> = vs.into_iter().filter(|v| !env_free.contains(v)).collect();
             let id = self.alloc_scheme();
             let map: HashMap<TvId, ParamId> = quant
@@ -472,11 +453,7 @@ impl Elab {
                     )
                 })
                 .collect();
-            let sty = ty.map_vars(&mut |v| match map.get(&v) {
-                Some(p) => Type::Param(*p),
-                None => Type::Var(v),
-            });
-            let _ = tf;
+            let sty = self.cx.zonk_map(placeholder, &mut |v| param_of(&map, v));
             infos.push(MemberInfo {
                 scheme: Scheme {
                     id,
@@ -509,13 +486,7 @@ impl Elab {
         // 3b. Rewrite each member's types under its own map.
         for (tf, info) in partial.iter_mut().zip(&infos) {
             let cx = &self.cx;
-            let map = &info.map;
-            tf.map_types_mut(&mut |t| {
-                *t = cx.zonk(t).map_vars(&mut |v| match map.get(&v) {
-                    Some(p) => Type::Param(*p),
-                    None => Type::Var(v),
-                });
-            });
+            tf.map_types_mut(&mut |t| cx.zonk_map_in_place(t, &mut |v| param_of(&info.map, v)));
             tf.scheme = info.scheme.clone();
         }
 
@@ -749,7 +720,7 @@ impl Elab {
                                     scheme: Some(scheme),
                                 });
                             } else {
-                                let tpat = self.elab_pat(pat, &trhs.ty.clone())?;
+                                let tpat = self.elab_pat(pat, &trhs.ty)?;
                                 tbinds.push(TLetBind::Val {
                                     pat: tpat,
                                     rhs: trhs,
@@ -796,10 +767,8 @@ impl Elab {
     }
 
     fn elab_var(&mut self, name: &str, span: Span) -> TypeResult<TExpr> {
-        let binding = self
-            .lookup(name)
-            .ok_or_else(|| TypeError::new(span, format!("unbound variable `{name}`")))?
-            .clone();
+        let binding = lookup(&self.scopes, name)
+            .ok_or_else(|| TypeError::new(span, format!("unbound variable `{name}`")))?;
         if binding.rec_group.is_some() {
             // Monomorphic recursive use; instantiation patched at
             // generalization time.
@@ -1233,6 +1202,27 @@ impl Elab {
     }
 }
 
+/// The innermost binding of `name`. A free function rather than a method,
+/// so that the binding can stay borrowed while the inference context
+/// instantiates it.
+fn lookup<'s>(scopes: &'s [Vec<(String, Binding)>], name: &str) -> Option<&'s Binding> {
+    scopes
+        .iter()
+        .rev()
+        .flat_map(|scope| scope.iter().rev())
+        .find(|(n, _)| n == name)
+        .map(|(_, b)| b)
+}
+
+/// The generic parameter a quantified variable becomes; other variables
+/// stay as they are.
+fn param_of(map: &HashMap<TvId, ParamId>, v: TvId) -> Type {
+    match map.get(&v) {
+        Some(p) => Type::Param(*p),
+        None => Type::Var(v),
+    }
+}
+
 /// The value restriction: only these right-hand sides generalize.
 fn is_syntactic_value(e: &s::Expr) -> bool {
     match &e.kind {
@@ -1253,11 +1243,10 @@ fn is_syntactic_value(e: &s::Expr) -> bool {
 }
 
 /// Defensive check: no `inst: None` markers survive elaboration.
-fn validate_insts(p: &TProgram) -> TypeResult<()> {
-    fn check(e: &TExpr) -> TypeResult<()> {
+fn validate_insts(p: &mut TProgram) -> TypeResult<()> {
+    fn check(e: &mut TExpr) -> TypeResult<()> {
         let mut bad: Option<Span> = None;
-        let mut clone = e.clone();
-        clone.visit_vars_mut(&mut |_, _, inst| {
+        e.visit_vars_mut(&mut |_, _, inst| {
             if inst.is_none() && bad.is_none() {
                 bad = Some(Span::SYNTH);
             }
@@ -1270,11 +1259,11 @@ fn validate_insts(p: &TProgram) -> TypeResult<()> {
             None => Ok(()),
         }
     }
-    for f in &p.funs {
-        check(&f.body)?;
+    for f in &mut p.funs {
+        check(&mut f.body)?;
     }
-    for g in &p.globals {
-        check(&g.init)?;
+    for g in &mut p.globals {
+        check(&mut g.init)?;
     }
-    check(&p.main)
+    check(&mut p.main)
 }

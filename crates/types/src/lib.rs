@@ -1,8 +1,9 @@
 //! # tfgc-types — Hindley–Milner inference for TFML
 //!
 //! Elaborates parsed TFML ([`tfgc_syntax`]) into a typed AST whose every
-//! node carries its type, and whose every use of a polymorphic binding
-//! carries the static instantiation vector θ. In Goldberg's polymorphic
+//! node carries its type, whose every use of a polymorphic binding
+//! carries the static instantiation vector θ, and whose every binder has
+//! a unique name ([`alpha`]). In Goldberg's polymorphic
 //! tag-free collector (PLDI 1991, §3), θ is exactly what a caller's
 //! `frame_gc_routine` evaluates — under its own type_gc_routine
 //! environment — to parameterize the callee's frame routine.
@@ -26,6 +27,7 @@
 //! # }
 //! ```
 
+pub mod alpha;
 pub mod datatypes;
 pub mod error;
 pub mod infer;
@@ -35,6 +37,7 @@ pub mod tast;
 pub mod ty;
 pub mod unify;
 
+pub use alpha::{alpha_rename, binders_unique};
 pub use datatypes::{data_param, data_scheme, CtorDef, DataDef, DataEnv};
 pub use error::{TypeError, TypeResult};
 pub use infer::elaborate;
@@ -88,7 +91,8 @@ mod tests {
         let mut insts = Vec::new();
         let mut main = p.main.clone();
         main.visit_vars_mut(&mut |name, _, inst| {
-            if name == "id" {
+            // Binders are renamed `id#u<n>`; match the source stem.
+            if name.split("#u").next() == Some("id") {
                 insts.push(inst.clone().expect("resolved"));
             }
         });
@@ -131,7 +135,7 @@ mod tests {
         let mut rec_inst = None;
         let mut body = f.body.clone();
         body.visit_vars_mut(&mut |name, _, inst| {
-            if name == "len" {
+            if name.split("#u").next() == Some("len") {
                 rec_inst = inst.clone();
             }
         });

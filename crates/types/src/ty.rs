@@ -88,25 +88,6 @@ impl Type {
         }
     }
 
-    /// Collects unification variables into `out` in first-occurrence order.
-    pub fn free_vars(&self, out: &mut Vec<TvId>) {
-        match self {
-            Type::Var(v) if !out.contains(v) => {
-                out.push(*v);
-            }
-            Type::Tuple(ts) | Type::Data(_, ts) => {
-                for t in ts {
-                    t.free_vars(out);
-                }
-            }
-            Type::Arrow(a, b) => {
-                a.free_vars(out);
-                b.free_vars(out);
-            }
-            _ => {}
-        }
-    }
-
     /// Collects generic parameters appearing in the type.
     pub fn params(&self, out: &mut BTreeSet<ParamId>) {
         match self {
@@ -123,17 +104,6 @@ impl Type {
                 b.params(out);
             }
             _ => {}
-        }
-    }
-
-    /// Applies `f` to every [`Type::Var`] leaf, rebuilding the type.
-    pub fn map_vars(&self, f: &mut impl FnMut(TvId) -> Type) -> Type {
-        match self {
-            Type::Var(v) => f(*v),
-            Type::Int | Type::Bool | Type::Unit | Type::Param(_) => self.clone(),
-            Type::Tuple(ts) => Type::Tuple(ts.iter().map(|t| t.map_vars(f)).collect()),
-            Type::Data(d, ts) => Type::Data(*d, ts.iter().map(|t| t.map_vars(f)).collect()),
-            Type::Arrow(a, b) => Type::arrow(a.map_vars(f), b.map_vars(f)),
         }
     }
 
@@ -251,18 +221,6 @@ mod tests {
             index: 0,
         });
         assert!(!p.is_ground());
-    }
-
-    #[test]
-    fn free_vars_first_occurrence_order() {
-        let t = Type::Tuple(vec![
-            Type::Var(TvId(3)),
-            Type::Var(TvId(1)),
-            Type::Var(TvId(3)),
-        ]);
-        let mut vs = Vec::new();
-        t.free_vars(&mut vs);
-        assert_eq!(vs, vec![TvId(3), TvId(1)]);
     }
 
     #[test]

@@ -204,6 +204,37 @@ fn live_subset_assigned_on_generated() {
     }
 }
 
+/// `elaborate` ends with alpha-renaming: every binder of its output has a
+/// name of its own, which lowering relies on, and renaming that output
+/// again changes nothing. Inputs: the workload suite and generated
+/// programs of the benchmark's compile-workload shape.
+#[test]
+fn elaborated_binders_are_unique_and_renaming_is_idempotent() {
+    use tfgc::types::{alpha_rename, binders_unique, elaborate};
+    use tfgc::workloads::{generate, suite, GenConfig};
+    let cfg = GenConfig {
+        fuel: 2000,
+        n_funs: 8,
+        max_depth: 6,
+        ..GenConfig::default()
+    };
+    let generated = (1..=24u64).map(|seed| (format!("seed {seed}"), generate(seed, &cfg)));
+    let suite = suite()
+        .into_iter()
+        .map(|(name, src)| (name.to_string(), src));
+    for (name, src) in suite.chain(generated) {
+        let parsed = tfgc::syntax::parse_program(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let typed = elaborate(&parsed).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(binders_unique(&typed), "{name}: two binders share a name");
+        let mut again = typed.clone();
+        alpha_rename(&mut again);
+        assert!(
+            again.funs == typed.funs && again.globals == typed.globals && again.main == typed.main,
+            "{name}: renaming the elaborated program changed it"
+        );
+    }
+}
+
 /// Pretty-printed programs reparse to the same printed form
 /// (parser/printer round-trip on generated sources).
 #[test]
