@@ -202,8 +202,13 @@ fn run_cell(
         cfg = cfg.force_gc_every(FORCED_GC_PERIOD);
     }
     if generational {
-        // A deliberately tiny nursery: minors fire constantly, promotion
-        // and survivor aging churn on every program in the universe.
+        // A 256-word nursery under the same forced schedule. A forced
+        // collection is always full (`machine.rs`), and one every
+        // `FORCED_GC_PERIOD` allocations strikes long before the eden
+        // fills, so this tier runs full collections of a generational heap
+        // (nursery survivors copied into tenured space) and, at the CI
+        // campaign's size, no minor collections: it does not yet test
+        // aging, minor promotion or survivor overflow.
         cfg = cfg.generational(TINY_HEAP / 4, 1);
     }
     let context = format!(

@@ -1,32 +1,40 @@
-//! GC-time metadata cache: memoized template evaluation over hash-consed
-//! routine values.
+//! GC-time metadata cache: routine values as hash-consed ids, and
+//! memoized template evaluation over them.
 //!
-//! §3's forward traversal already avoids re-deriving type information per
-//! frame, but a deep recursive chain still *evaluates the same θ* at every
-//! activation of the same call site: a million-frame `pdown` chain builds
-//! a million structurally identical [`RtVal`] trees. This cache makes that
-//! cost proportional to the number of **distinct (template, environment)
-//! pairs** instead of the number of frames:
+//! §3's type_gc_routine closures (Figures 3–4) are values a collection
+//! builds, hands from frame to frame, extracts parameters from and keys
+//! trace plans on. Here each one is an [`RtId`]: a node of the cache
+//! (`Const`, `Ground`, `Tuple`, `Data` or `Arrow`) hash-consed over its
+//! children's ids, so equal ids are equal routines and unequal ids are
+//! unequal routines. Every memo key, frame state and plan key is then a
+//! plain `Copy` id. The [`RtVal`] trees of `rtval.rs` stay the heap
+//! verifier's independent form; [`RtCache::intern_value`] and
+//! [`RtCache::value`] convert between the two.
 //!
-//! * **Hash-consed nodes** — every composite [`RtVal`] built through the
-//!   cache is interned, so structurally equal routines share one `Rc` and
-//!   a node is counted in `rt_nodes_built` only the first time it exists.
+//! A deep recursive chain *evaluates the same θ* at every activation of
+//! the same call site. The cache makes that cost proportional to the
+//! number of **distinct (template, environment) pairs** instead of the
+//! number of frames:
+//!
+//! * **Hash-consed nodes** — structurally equal routines are one node,
+//!   and a node counts in `rt_nodes_built` only the first time template
+//!   evaluation or descriptor conversion creates it.
 //! * **Interned environments** — an environment (a frame's, a datatype
-//!   instance's arguments, a callee's θ) is interned by the ids of its
-//!   entries into a small [`EnvIx`]. Lookups compute the entry ids into a
-//!   reused buffer, so a hit allocates nothing.
+//!   instance's arguments, a callee's θ) is interned by its entries' ids
+//!   into a small [`EnvIx`]; a lookup hashes the id slice it is given, so
+//!   a hit allocates nothing.
 //! * **Evaluation memo** — [`RtCache::eval`] keys on `(SxId, EnvIx)`.
 //! * **Extraction / descriptor memos** — Figure-3 path extraction and
 //!   descriptor conversion ([`RtCache::extract`], [`RtCache::desc`]) are
 //!   pure given their inputs and memoize the same way (paths are interned
 //!   once, so an extraction hit allocates nothing either).
 //! * **Frame-step memo** — the forward walk's unit of work. A frame's
-//!   environment is a pure function of its call site and of what its
-//!   caller's routine handed it (the evaluated θ or closure routine, §3),
-//!   interned as a [`StateId`]. One [`FrameStep`] per `(site, state)`
-//!   records the frame's slot plans, its routine's op count and the
-//!   interned state it hands on, so tracing a chain of activations costs
-//!   one small-integer lookup per frame. Each frame-step lookup counts in
+//!   environment is a pure function of its call site and of the
+//!   [`FrameState`] its caller's routine handed it (the evaluated θ or
+//!   closure routine, §3). One [`FrameStep`] per `(site, state)` records
+//!   the frame's slot plans, its routine's op count and the state it hands
+//!   on, so tracing a chain of activations costs one small-integer lookup
+//!   per frame. Each frame-step lookup counts in
 //!   [`RtCache::hits`]/[`RtCache::misses`] like any other memo lookup.
 //!
 //! Correctness: `eval_sx` is a pure function of the template and the
@@ -40,35 +48,56 @@
 //! immutable metadata).
 
 use crate::desc::{DescArena, DescId, DescNode};
-use crate::ground::GroundTable;
+use crate::ground::{GroundTable, TypeRtId};
 use crate::plan::{PlanId, PlanStore};
-use crate::rtval::{extract_path, param_lookup, EvalCx, RtBuildStats, RtVal};
+use crate::rtval::{bad_path, extract_ground, param_lookup, EvalCx, RtBuildStats, RtVal};
 use crate::sx::{SxId, SxTable, TypeSx};
 use std::collections::HashMap;
 use std::rc::Rc;
 use tfgc_ir::IrProgram;
+use tfgc_types::DataId;
 
-/// Interned-node id, private to the cache: a compact fingerprint for
-/// memo keys.
+/// A type routine value: a node of its [`RtCache`]. Ids are hash-consed,
+/// so two ids of one cache are equal exactly when their routines are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct RtId(u32);
+pub struct RtId(u32);
+
+impl RtId {
+    /// `const_gc`, preinstalled in every cache.
+    pub const CONST: RtId = RtId(0);
+}
+
+/// One routine node, its children by id — the shape of
+/// [`RtVal`](crate::rtval::RtVal).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum RtNode {
+    /// `const_gc`: single-word, never a pointer.
+    Const,
+    /// A precompiled ground routine.
+    Ground(TypeRtId),
+    /// Tuple with per-field routines.
+    Tuple(Rc<[RtId]>),
+    /// Datatype instance with per-argument routines.
+    Data(DataId, Rc<[RtId]>),
+    /// Function value: argument and result routines.
+    Arrow(RtId, RtId),
+}
 
 /// Interned environment id: an environment by the ids of its entries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct EnvIx(u32);
 
-/// Interned incoming state of a frame: what its caller's frame routine
-/// passes on (§3) — nothing, an evaluated θ, or a closure routine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct StateId(u32);
-
-/// The state of the oldest frame, which no routine calls.
-pub(crate) const NO_STATE: StateId = StateId(0);
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum StateKey {
+/// What a frame routine hands the next (newer) frame (§3): nothing, an
+/// evaluated θ, or the entered closure's routine. It is `Copy` and
+/// compares by content, so it keys the frame-step memo directly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FrameState {
+    /// The oldest frame, which no routine calls, or a call that passes
+    /// nothing.
     None,
+    /// A direct call's evaluated θ.
     Theta(EnvIx),
+    /// The routine of the closure a call enters.
     Clos(RtId),
 }
 
@@ -92,7 +121,7 @@ pub(crate) struct FrameStep {
     /// `(start, len)` of the slot steps; set by [`RtCache::insert_frame`].
     pub steps: (u32, u32),
     /// The state this frame's routine hands the next (newer) frame.
-    pub out: StateId,
+    pub out: FrameState,
     /// The frame's own environment (the newest frame's environment types
     /// the pending allocation operands, and [`SlotStep::Bytes`] steps
     /// decode under it).
@@ -106,82 +135,39 @@ pub struct RtCache {
     pub hits: u64,
     /// Memo lookups that had to evaluate.
     pub misses: u64,
-    /// Canonical node per id. Holding a clone of every interned value
-    /// keeps each registered `Rc` allocation alive, which is what makes
-    /// the pointer fast-path in [`RtCache::rt_id`] sound.
-    nodes: Vec<RtVal>,
-    interned: HashMap<RtVal, RtId>,
-    /// Full-identity pointer key → id, valid because `nodes` pins every
-    /// registered allocation for the cache's lifetime.
-    by_ptr: HashMap<PtrKey, RtId>,
+    /// Node per id; `index` hash-conses them.
+    nodes: Vec<RtNode>,
+    index: HashMap<RtNode, RtId>,
     envs: HashMap<Box<[RtId]>, EnvIx>,
-    env_vals: Vec<Rc<[RtVal]>>,
-    /// Reused buffer for computing an environment's entry ids.
-    ids_buf: Vec<RtId>,
-    eval_memo: HashMap<(SxId, EnvIx), RtVal>,
-    desc_memo: HashMap<DescId, RtVal>,
+    env_list: Vec<Box<[RtId]>>,
+    eval_memo: HashMap<(SxId, EnvIx), RtId>,
+    desc_memo: HashMap<DescId, RtId>,
     paths: HashMap<Box<[u16]>, u32>,
-    extract_memo: HashMap<(RtId, u32), RtVal>,
-    states: Vec<StateKey>,
-    state_ix: HashMap<StateKey, StateId>,
+    extract_memo: HashMap<(RtId, u32), RtId>,
     /// Per call site, the recorded `(incoming state, frame step)` pairs:
     /// a site meets few distinct states, so a short scan beats hashing.
-    frame_ix: Vec<Vec<(StateId, u32)>>,
+    frame_ix: Vec<Vec<(FrameState, u32)>>,
     frames: Vec<FrameStep>,
     slot_steps: Vec<SlotStep>,
-    /// Flat trace plans lowered from interned routine values (the fast
-    /// execution tier on top of this identity layer — see `plan.rs`).
+    /// Flat trace plans lowered from routine ids (the fast execution tier
+    /// on top of this cache — see `plan.rs`).
     pub plans: PlanStore,
 }
 
-/// Full identity key for the pointer fast-path: the variant tag, the
-/// datatype discriminant, and **every** component pointer.
-///
-/// Keying on a single component pointer is not injective: two distinct
-/// wrappers can share a sub-`Rc` (`Arrow(a, b1)` / `Arrow(a, b2)` built by
-/// Figure-3 extraction, or `Data(d, fs)` / `Tuple(fs)` rewrapping one
-/// field vector), and collapsing them to one `RtId` hands the collector a
-/// wrong memoized routine — heap corruption. With the variant and all
-/// components in the key, equal keys imply the components are the *same*
-/// allocations, hence the values are structurally equal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PtrKey {
-    Tuple(usize),
-    Data(u32, usize),
-    Arrow(usize, usize),
-}
-
-/// The identity key of a composite node (identity fast-path).
-fn ptr_key(v: &RtVal) -> Option<PtrKey> {
-    match v {
-        RtVal::Const | RtVal::Ground(_) => None,
-        RtVal::Tuple(fs) => Some(PtrKey::Tuple(Rc::as_ptr(fs) as usize)),
-        RtVal::Data(d, fs) => Some(PtrKey::Data(d.0, Rc::as_ptr(fs) as usize)),
-        RtVal::Arrow(a, b) => Some(PtrKey::Arrow(
-            Rc::as_ptr(a) as usize,
-            Rc::as_ptr(b) as usize,
-        )),
-    }
-}
-
 impl RtCache {
-    /// An empty cache.
+    /// An empty cache holding only [`RtId::CONST`].
     pub fn new() -> RtCache {
         RtCache {
             hits: 0,
             misses: 0,
-            nodes: Vec::new(),
-            interned: HashMap::new(),
-            by_ptr: HashMap::new(),
+            nodes: vec![RtNode::Const],
+            index: HashMap::from([(RtNode::Const, RtId::CONST)]),
             envs: HashMap::new(),
-            env_vals: Vec::new(),
-            ids_buf: Vec::new(),
+            env_list: Vec::new(),
             eval_memo: HashMap::new(),
             desc_memo: HashMap::new(),
             paths: HashMap::new(),
             extract_memo: HashMap::new(),
-            states: vec![StateKey::None],
-            state_ix: HashMap::from([(StateKey::None, NO_STATE)]),
             frame_ix: Vec::new(),
             frames: Vec::new(),
             slot_steps: Vec::new(),
@@ -189,10 +175,59 @@ impl RtCache {
         }
     }
 
-    /// Number of distinct interned nodes (the O(distinct sites) bound E9
-    /// demonstrates).
-    pub fn nodes_interned(&self) -> usize {
-        self.nodes.len()
+    /// The node behind an id.
+    pub(crate) fn get(&self, id: RtId) -> &RtNode {
+        &self.nodes[id.0 as usize]
+    }
+
+    /// The id of a node, adding it on first sight.
+    pub(crate) fn intern(&mut self, node: RtNode) -> RtId {
+        if let Some(id) = self.index.get(&node) {
+            return *id;
+        }
+        let id = RtId(self.nodes.len() as u32);
+        self.nodes.push(node.clone());
+        self.index.insert(node, id);
+        id
+    }
+
+    /// Interns a node built by template evaluation or descriptor
+    /// conversion. It counts toward `rt_nodes_built` only when it did not
+    /// already exist — this is what turns the per-collection node count
+    /// from O(frames) into O(distinct shapes).
+    fn intern_built(&mut self, node: RtNode, stats: &mut RtBuildStats) -> RtId {
+        let known = self.nodes.len();
+        let id = self.intern(node);
+        if self.nodes.len() > known {
+            stats.nodes_built += 1;
+        }
+        id
+    }
+
+    /// Interns a routine tree built outside the cache.
+    pub fn intern_value(&mut self, v: &RtVal) -> RtId {
+        let node = match v {
+            RtVal::Const => return RtId::CONST,
+            RtVal::Ground(g) => RtNode::Ground(*g),
+            RtVal::Tuple(fs) => RtNode::Tuple(fs.iter().map(|f| self.intern_value(f)).collect()),
+            RtVal::Data(d, fs) => {
+                RtNode::Data(*d, fs.iter().map(|f| self.intern_value(f)).collect())
+            }
+            RtVal::Arrow(a, b) => RtNode::Arrow(self.intern_value(a), self.intern_value(b)),
+        };
+        self.intern(node)
+    }
+
+    /// The routine behind an id as a tree.
+    pub fn value(&self, id: RtId) -> RtVal {
+        let tree = |fs: &[RtId]| Rc::new(fs.iter().map(|f| self.value(*f)).collect());
+        match self.get(id) {
+            RtNode::Const => RtVal::Const,
+            RtNode::Ground(g) => RtVal::Ground(*g),
+            RtNode::Tuple(fs) => RtVal::Tuple(tree(fs)),
+            RtNode::Data(d, fs) => RtVal::Data(*d, tree(fs)),
+            RtNode::Arrow(a, b) => RtVal::Arrow(Rc::new(self.value(*a)), Rc::new(self.value(*b))),
+        }
     }
 
     /// Evaluates template `id` under `env`, memoized per
@@ -200,89 +235,72 @@ impl RtCache {
     ///
     /// # Panics
     ///
-    /// Same contract as [`eval_sx`]: out-of-range parameters fail fast.
+    /// Same contract as [`eval_sx`](crate::rtval::eval_sx): out-of-range
+    /// parameters fail fast.
     pub fn eval(
         &mut self,
         sxs: &SxTable,
         id: SxId,
-        env: &[RtVal],
+        env: &[RtId],
         stats: &mut RtBuildStats,
         cx: EvalCx,
-    ) -> RtVal {
-        // Leaf templates never allocate and never consult the memo.
-        match sxs.get(id) {
-            TypeSx::Prim => return RtVal::Const,
-            TypeSx::Ground(g) => return RtVal::Ground(*g),
-            TypeSx::Param(i) => return param_lookup(*i, env, cx),
-            _ => {}
+    ) -> RtId {
+        // Leaf templates never build and never consult the memo.
+        let sx = sxs.get(id);
+        if let TypeSx::Prim | TypeSx::Ground(_) | TypeSx::Param(_) = sx {
+            return self.build(sx, env, stats, cx);
         }
         let key = (id, self.env_ix(env));
         if let Some(v) = self.eval_memo.get(&key) {
             self.hits += 1;
-            return v.clone();
+            return *v;
         }
         self.misses += 1;
-        let v = self.build(sxs.get(id), env, stats, cx);
-        self.eval_memo.insert(key, v.clone());
+        let v = self.build(sx, env, stats, cx);
+        self.eval_memo.insert(key, v);
         v
+    }
+
+    /// Bottom-up template evaluation.
+    fn build(&mut self, sx: &TypeSx, env: &[RtId], stats: &mut RtBuildStats, cx: EvalCx) -> RtId {
+        let node = match sx {
+            TypeSx::Prim => return RtId::CONST,
+            TypeSx::Ground(g) => return self.intern(RtNode::Ground(*g)),
+            TypeSx::Param(i) => return param_lookup(*i, env, cx),
+            TypeSx::Tuple(ts) => {
+                RtNode::Tuple(ts.iter().map(|t| self.build(t, env, stats, cx)).collect())
+            }
+            TypeSx::Data(d, ts) => RtNode::Data(
+                *d,
+                ts.iter().map(|t| self.build(t, env, stats, cx)).collect(),
+            ),
+            TypeSx::Arrow(a, b) => {
+                RtNode::Arrow(self.build(a, env, stats, cx), self.build(b, env, stats, cx))
+            }
+        };
+        self.intern_built(node, stats)
     }
 
     /// Interns an environment. Allocates only the first time an
     /// environment is seen.
-    pub(crate) fn env_ix(&mut self, env: &[RtVal]) -> EnvIx {
-        let mut ids = std::mem::take(&mut self.ids_buf);
-        ids.clear();
-        ids.extend(env.iter().map(|v| self.rt_id(v)));
-        let ix = match self.envs.get(ids.as_slice()) {
-            Some(ix) => *ix,
-            None => {
-                let ix = EnvIx(self.env_vals.len() as u32);
-                self.envs.insert(ids.as_slice().into(), ix);
-                self.env_vals.push(env.into());
-                ix
-            }
-        };
-        self.ids_buf = ids;
+    pub(crate) fn env_ix(&mut self, env: &[RtId]) -> EnvIx {
+        if let Some(ix) = self.envs.get(env) {
+            return *ix;
+        }
+        let ix = EnvIx(self.env_list.len() as u32);
+        self.envs.insert(env.into(), ix);
+        self.env_list.push(env.into());
         ix
     }
 
     /// The environment behind an interned id.
-    pub(crate) fn env(&self, ix: EnvIx) -> &Rc<[RtVal]> {
-        &self.env_vals[ix.0 as usize]
-    }
-
-    /// Interns the state a frame routine hands the next frame.
-    pub(crate) fn intern_state(
-        &mut self,
-        theta: Option<&[RtVal]>,
-        clos: Option<&RtVal>,
-    ) -> StateId {
-        let key = match (theta, clos) {
-            (Some(t), _) => StateKey::Theta(self.env_ix(t)),
-            (None, Some(rt)) => StateKey::Clos(self.rt_id(rt)),
-            (None, None) => StateKey::None,
-        };
-        if let Some(s) = self.state_ix.get(&key) {
-            return *s;
-        }
-        let s = StateId(self.states.len() as u32);
-        self.states.push(key);
-        self.state_ix.insert(key, s);
-        s
-    }
-
-    /// The θ and closure routine behind an interned state.
-    pub(crate) fn state(&self, s: StateId) -> (Option<Rc<[RtVal]>>, Option<RtVal>) {
-        match self.states[s.0 as usize] {
-            StateKey::None => (None, None),
-            StateKey::Theta(e) => (Some(self.env(e).clone()), None),
-            StateKey::Clos(r) => (None, Some(self.nodes[r.0 as usize].clone())),
-        }
+    pub(crate) fn env(&self, ix: EnvIx) -> &[RtId] {
+        &self.env_list[ix.0 as usize]
     }
 
     /// Looks up the frame step of `site` entered with `state`, counting
     /// the lookup as a hit or a miss.
-    pub(crate) fn find_frame(&mut self, site: u32, state: StateId) -> Option<u32> {
+    pub(crate) fn find_frame(&mut self, site: u32, state: FrameState) -> Option<u32> {
         let f = self
             .frame_ix
             .get(site as usize)
@@ -300,7 +318,7 @@ impl RtCache {
     pub(crate) fn insert_frame(
         &mut self,
         site: u32,
-        state: StateId,
+        state: FrameState,
         mut step: FrameStep,
         slots: &[SlotStep],
     ) -> u32 {
@@ -340,21 +358,22 @@ impl RtCache {
         self.slot_steps.clear();
     }
 
-    /// Extracts the sub-routine at `path`, memoized per (value, path).
+    /// Extracts the sub-routine at `path` (§3, Figure 3), memoized per
+    /// (routine, path).
     ///
     /// # Panics
     ///
-    /// Same contract as [`extract_path`].
+    /// Same contract as [`extract_path`](crate::rtval::extract_path).
     pub fn extract(
         &mut self,
-        rt: &RtVal,
+        rt: RtId,
         path: &[u16],
         prog: &IrProgram,
         ground: &mut GroundTable,
         cx: EvalCx,
-    ) -> RtVal {
+    ) -> RtId {
         if path.is_empty() {
-            return extract_path(rt, path, prog, ground, cx);
+            return rt;
         }
         let path_ix = match self.paths.get(path) {
             Some(p) => *p,
@@ -364,27 +383,58 @@ impl RtCache {
                 p
             }
         };
-        let key = (self.rt_id(rt), path_ix);
+        let key = (rt, path_ix);
         if let Some(v) = self.extract_memo.get(&key) {
             self.hits += 1;
-            return v.clone();
+            return *v;
         }
         self.misses += 1;
         // GroundTable::make is itself memoized per type, so re-running
         // the extraction later would produce the same routine ids — the
         // memoized result is exact.
-        let v = extract_path(rt, path, prog, ground, cx);
-        let v = self.canon(v);
-        self.extract_memo.insert(key, v.clone());
+        let v = self.walk_path(rt, path, prog, ground, cx);
+        self.extract_memo.insert(key, v);
         v
+    }
+
+    /// [`extract_path`](crate::rtval::extract_path) over ids.
+    fn walk_path(
+        &mut self,
+        mut cur: RtId,
+        path: &[u16],
+        prog: &IrProgram,
+        ground: &mut GroundTable,
+        cx: EvalCx,
+    ) -> RtId {
+        for (k, step) in path.iter().enumerate() {
+            cur = match self.get(cur) {
+                RtNode::Tuple(fs) | RtNode::Data(_, fs) => match fs.get(*step as usize) {
+                    Some(sub) => *sub,
+                    None => bad_path(path, k, fs.len(), "structural routine", cx),
+                },
+                RtNode::Arrow(a, b) => match step {
+                    0 => *a,
+                    1 => *b,
+                    _ => bad_path(path, k, 2, "arrow routine", cx),
+                },
+                RtNode::Ground(g) => {
+                    return match extract_ground(*g, path, k, prog, ground, cx) {
+                        Some(sub) => self.intern(RtNode::Ground(sub)),
+                        None => RtId::CONST,
+                    }
+                }
+                RtNode::Const => return RtId::CONST,
+            };
+        }
+        cur
     }
 
     /// Converts a descriptor, memoized per [`DescId`] (descriptors are
     /// interned and immutable once created).
-    pub fn desc(&mut self, arena: &DescArena, id: DescId, stats: &mut RtBuildStats) -> RtVal {
+    pub fn desc(&mut self, arena: &DescArena, id: DescId, stats: &mut RtBuildStats) -> RtId {
         if let Some(v) = self.desc_memo.get(&id) {
             self.hits += 1;
-            return v.clone();
+            return *v;
         }
         self.misses += 1;
         self.desc_build(arena, id, stats)
@@ -392,127 +442,31 @@ impl RtCache {
 
     /// Recursive descriptor conversion with per-node memoization (no
     /// hit/miss accounting below the top level).
-    fn desc_build(&mut self, arena: &DescArena, id: DescId, stats: &mut RtBuildStats) -> RtVal {
+    fn desc_build(&mut self, arena: &DescArena, id: DescId, stats: &mut RtBuildStats) -> RtId {
         if let Some(v) = self.desc_memo.get(&id) {
-            return v.clone();
+            return *v;
         }
-        let v = match arena.node(id) {
-            DescNode::Prim | DescNode::Opaque => RtVal::Const,
-            DescNode::Tuple(ds) => {
-                let ds = ds.clone();
-                let fs = ds
-                    .iter()
+        let node = match arena.node(id) {
+            DescNode::Prim | DescNode::Opaque => None,
+            DescNode::Tuple(ds) => Some(RtNode::Tuple(
+                ds.iter()
                     .map(|d| self.desc_build(arena, *d, stats))
-                    .collect();
-                self.intern_node(RtVal::Tuple(Rc::new(fs)), stats)
-            }
-            DescNode::Data(data, ds) => {
-                let (data, ds) = (*data, ds.clone());
-                let fs = ds
-                    .iter()
+                    .collect(),
+            )),
+            DescNode::Data(data, ds) => Some(RtNode::Data(
+                *data,
+                ds.iter()
                     .map(|d| self.desc_build(arena, *d, stats))
-                    .collect();
-                self.intern_node(RtVal::Data(data, Rc::new(fs)), stats)
-            }
-            DescNode::Arrow(a, b) => {
-                let (a, b) = (*a, *b);
-                let ra = self.desc_build(arena, a, stats);
-                let rb = self.desc_build(arena, b, stats);
-                self.intern_node(RtVal::Arrow(Rc::new(ra), Rc::new(rb)), stats)
-            }
+                    .collect(),
+            )),
+            DescNode::Arrow(a, b) => Some(RtNode::Arrow(
+                self.desc_build(arena, *a, stats),
+                self.desc_build(arena, *b, stats),
+            )),
         };
-        self.desc_memo.insert(id, v.clone());
+        let v = node.map_or(RtId::CONST, |n| self.intern_built(n, stats));
+        self.desc_memo.insert(id, v);
         v
-    }
-
-    /// Bottom-up template evaluation, interning every composite node.
-    fn build(&mut self, sx: &TypeSx, env: &[RtVal], stats: &mut RtBuildStats, cx: EvalCx) -> RtVal {
-        match sx {
-            TypeSx::Prim => RtVal::Const,
-            TypeSx::Ground(g) => RtVal::Ground(*g),
-            TypeSx::Param(i) => param_lookup(*i, env, cx),
-            TypeSx::Tuple(ts) => {
-                let fs = ts.iter().map(|t| self.build(t, env, stats, cx)).collect();
-                self.intern_node(RtVal::Tuple(Rc::new(fs)), stats)
-            }
-            TypeSx::Data(d, ts) => {
-                let fs = ts.iter().map(|t| self.build(t, env, stats, cx)).collect();
-                self.intern_node(RtVal::Data(*d, Rc::new(fs)), stats)
-            }
-            TypeSx::Arrow(a, b) => {
-                let ra = self.build(a, env, stats, cx);
-                let rb = self.build(b, env, stats, cx);
-                self.intern_node(RtVal::Arrow(Rc::new(ra), Rc::new(rb)), stats)
-            }
-        }
-    }
-
-    /// Interns a freshly built composite node. A node counts toward
-    /// `rt_nodes_built` only when it did not already exist — this is what
-    /// turns the per-collection node count from O(frames) into
-    /// O(distinct shapes).
-    fn intern_node(&mut self, v: RtVal, stats: &mut RtBuildStats) -> RtVal {
-        if let Some(id) = self.interned.get(&v) {
-            return self.nodes[id.0 as usize].clone();
-        }
-        stats.nodes_built += 1;
-        let id = RtId(self.nodes.len() as u32);
-        // Pin first, register second: a pointer key must never exist in
-        // `by_ptr` without `nodes` holding the allocations it names alive
-        // (a dropped-and-reused address would resurrect a stale
-        // fingerprint — ABA).
-        self.nodes.push(v.clone());
-        self.interned.insert(v.clone(), id);
-        if let Some(p) = ptr_key(&v) {
-            self.by_ptr.insert(p, id);
-        }
-        v
-    }
-
-    /// The interned id of a value, adopting foreign nodes (values built
-    /// outside the cache, e.g. by tests) as canonical.
-    fn rt_id(&mut self, v: &RtVal) -> RtId {
-        if let Some(p) = ptr_key(v) {
-            if let Some(id) = self.by_ptr.get(&p) {
-                return *id;
-            }
-        }
-        if let Some(id) = self.interned.get(v) {
-            // Structurally known under a different allocation: do NOT
-            // register this pointer — its allocation is not pinned by
-            // `nodes`, so the address could be reused after a drop.
-            return *id;
-        }
-        let id = RtId(self.nodes.len() as u32);
-        // Adoption pins a clone in `nodes` *before* the pointer key is
-        // registered; the clone shares every component `Rc`, so each
-        // address in the key stays alive for the cache's lifetime.
-        self.nodes.push(v.clone());
-        self.interned.insert(v.clone(), id);
-        if let Some(p) = ptr_key(v) {
-            self.by_ptr.insert(p, id);
-        }
-        id
-    }
-
-    /// The canonical (shared) form of a value.
-    fn canon(&mut self, v: RtVal) -> RtVal {
-        let id = self.rt_id(&v);
-        self.nodes[id.0 as usize].clone()
-    }
-
-    /// The stable fingerprint of `v` within this cache — the same
-    /// identity every memo key and trace-plan key uses. Structurally
-    /// equal values always map to one fingerprint; structurally unequal
-    /// values never collide (the aliasing property tests drive this).
-    pub fn identity(&mut self, v: &RtVal) -> u32 {
-        self.rt_id(v).0
-    }
-
-    /// The canonical interned node behind a fingerprint returned by
-    /// [`RtCache::identity`].
-    pub fn node(&self, fingerprint: u32) -> &RtVal {
-        &self.nodes[fingerprint as usize]
     }
 }
 
@@ -525,8 +479,8 @@ impl Default for RtCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rtval::eval_sx;
-    use tfgc_types::LIST_DATA;
+    use crate::rtval::{eval_sx, extract_path};
+    use tfgc_types::{Type, LIST_DATA};
 
     fn prog(src: &str) -> IrProgram {
         use tfgc_ir::lower;
@@ -541,22 +495,25 @@ mod tests {
         (t, id)
     }
 
+    fn list(cache: &mut RtCache, elem: RtId) -> RtId {
+        cache.intern(RtNode::Data(LIST_DATA, Rc::from([elem])))
+    }
+
     #[test]
     fn memoized_eval_matches_unmemoized() {
         let sx = TypeSx::Data(
             LIST_DATA,
             vec![TypeSx::Tuple(vec![TypeSx::Param(0), TypeSx::Prim])],
         );
-        let env = [RtVal::Const];
         let mut plain = RtBuildStats::default();
-        let expected = eval_sx(&sx, &env, &mut plain, EvalCx::None);
+        let expected = eval_sx(&sx, &[RtVal::Const], &mut plain, EvalCx::None);
 
         let (t, id) = table_with(sx);
         let mut cache = RtCache::new();
         let mut stats = RtBuildStats::default();
         for _ in 0..3 {
-            let got = cache.eval(&t, id, &env, &mut stats, EvalCx::None);
-            assert_eq!(got, expected);
+            let got = cache.eval(&t, id, &[RtId::CONST], &mut stats, EvalCx::None);
+            assert_eq!(cache.value(got), expected);
         }
     }
 
@@ -566,7 +523,7 @@ mod tests {
         let (t, id) = table_with(sx);
         let mut cache = RtCache::new();
         let mut stats = RtBuildStats::default();
-        let env = [RtVal::Const];
+        let env = [RtId::CONST];
         cache.eval(&t, id, &env, &mut stats, EvalCx::None);
         assert_eq!((cache.hits, cache.misses), (0, 1));
         let built_once = stats.nodes_built;
@@ -578,7 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn structurally_equal_routines_share_one_rc() {
+    fn structurally_equal_routines_share_one_id() {
         // Two different templates that evaluate to the same routine.
         let mut t = SxTable::new();
         let a = t.intern(TypeSx::Data(LIST_DATA, vec![TypeSx::Param(0)]));
@@ -586,14 +543,9 @@ mod tests {
         assert_ne!(a, b);
         let mut cache = RtCache::new();
         let mut stats = RtBuildStats::default();
-        let ra = cache.eval(&t, a, &[RtVal::Const], &mut stats, EvalCx::None);
+        let ra = cache.eval(&t, a, &[RtId::CONST], &mut stats, EvalCx::None);
         let rb = cache.eval(&t, b, &[], &mut stats, EvalCx::None);
-        match (&ra, &rb) {
-            (RtVal::Data(_, fa), RtVal::Data(_, fb)) => {
-                assert!(Rc::ptr_eq(fa, fb), "hash-consed nodes share one Rc");
-            }
-            other => panic!("expected data routines, got {other:?}"),
-        }
+        assert_eq!(ra, rb, "hash-consed nodes share one id");
         assert_eq!(stats.nodes_built, 1, "the shared node is built once");
     }
 
@@ -604,17 +556,12 @@ mod tests {
         let mut cache = RtCache::new();
         let mut stats = RtBuildStats::default();
         let inner = RtVal::Data(LIST_DATA, Rc::new(vec![RtVal::Const]));
-        let ra = cache.eval(&t, id, &[RtVal::Const], &mut stats, EvalCx::None);
-        let rb = cache.eval(
-            &t,
-            id,
-            std::slice::from_ref(&inner),
-            &mut stats,
-            EvalCx::None,
-        );
+        let inner_id = cache.intern_value(&inner);
+        let ra = cache.eval(&t, id, &[RtId::CONST], &mut stats, EvalCx::None);
+        let rb = cache.eval(&t, id, &[inner_id], &mut stats, EvalCx::None);
         assert_ne!(ra, rb);
         assert_eq!(
-            rb,
+            cache.value(rb),
             RtVal::Data(LIST_DATA, Rc::new(vec![inner])),
             "environment distinguishes memo entries"
         );
@@ -626,19 +573,22 @@ mod tests {
         let (t, id) = table_with(sx);
         let mut cache = RtCache::new();
         let mut stats = RtBuildStats::default();
+        // Two separately allocated, equal trees intern to one environment.
         let env = || vec![RtVal::Data(LIST_DATA, Rc::new(vec![RtVal::Const]))];
-        let a = cache.eval(&t, id, &env(), &mut stats, EvalCx::None);
-        let b = cache.eval(&t, id, &env(), &mut stats, EvalCx::None);
+        let e1: Vec<RtId> = env().iter().map(|v| cache.intern_value(v)).collect();
+        let e2: Vec<RtId> = env().iter().map(|v| cache.intern_value(v)).collect();
+        let a = cache.eval(&t, id, &e1, &mut stats, EvalCx::None);
+        let b = cache.eval(&t, id, &e2, &mut stats, EvalCx::None);
         assert_eq!(a, b);
         assert_eq!((cache.hits, cache.misses), (1, 1), "a fresh equal env hits");
 
         let p = prog("0");
         let mut g = GroundTable::new();
-        let rt = RtVal::Tuple(Rc::new(vec![a.clone(), RtVal::Const]));
+        let rt = cache.intern(RtNode::Tuple(Rc::from([a, RtId::CONST])));
         let (p1, p2): (Vec<u16>, Vec<u16>) = (vec![0, 0], vec![0, 0]);
-        let x = cache.extract(&rt, &p1, &p, &mut g, EvalCx::None);
-        let y = cache.extract(&rt, &p2, &p, &mut g, EvalCx::None);
-        assert_eq!(x, env()[0]);
+        let x = cache.extract(rt, &p1, &p, &mut g, EvalCx::None);
+        let y = cache.extract(rt, &p2, &p, &mut g, EvalCx::None);
+        assert_eq!(x, e1[0]);
         assert_eq!(x, y);
         assert_eq!(
             (cache.hits, cache.misses),
@@ -648,26 +598,28 @@ mod tests {
     }
 
     #[test]
-    fn frame_states_intern_by_content() {
+    fn frame_states_compare_by_content() {
         let mut cache = RtCache::new();
-        let list = |v| RtVal::Data(LIST_DATA, Rc::new(vec![v]));
-        assert_eq!(cache.intern_state(None, None), NO_STATE);
-        let ints = cache.intern_state(Some(&[list(RtVal::Const)]), None);
-        let again = cache.intern_state(Some(&[list(RtVal::Const)]), None);
-        let nested = cache.intern_state(Some(&[list(list(RtVal::Const))]), None);
-        let clos = cache.intern_state(None, Some(&list(RtVal::Const)));
-        let empty = cache.intern_state(Some(&[]), None);
-        assert_eq!(ints, again, "equal θ, one state");
-        let all = [NO_STATE, ints, nested, clos, empty];
+        let ints = list(&mut cache, RtId::CONST);
+        let nested_rt = list(&mut cache, ints);
+        let theta = |cache: &mut RtCache, env: &[RtId]| FrameState::Theta(cache.env_ix(env));
+        let ints_state = theta(&mut cache, &[ints]);
+        let again = list(&mut cache, RtId::CONST);
+        let again = theta(&mut cache, &[again]);
+        let nested = theta(&mut cache, &[nested_rt]);
+        let clos = FrameState::Clos(ints);
+        let empty = theta(&mut cache, &[]);
+        assert_eq!(ints_state, again, "equal θ, one state");
+        let all = [FrameState::None, ints_state, nested, clos, empty];
         for (i, a) in all.iter().enumerate() {
             for b in &all[i + 1..] {
                 assert_ne!(a, b, "distinct incoming states never alias");
             }
         }
-        let (theta, c) = cache.state(nested);
-        assert_eq!(theta.as_deref(), Some(&[list(list(RtVal::Const))][..]));
-        assert_eq!(c, None);
-        assert_eq!(cache.state(clos), (None, Some(list(RtVal::Const))));
+        let FrameState::Theta(e) = nested else {
+            unreachable!()
+        };
+        assert_eq!(cache.env(e), &[nested_rt]);
     }
 
     #[test]
@@ -686,7 +638,7 @@ mod tests {
         let mut cache = RtCache::new();
         let mut stats = RtBuildStats::default();
         for _ in 0..3 {
-            cache.eval(&t, id, &[RtVal::Const], &mut stats, EvalCx::None);
+            cache.eval(&t, id, &[RtId::CONST], &mut stats, EvalCx::None);
         }
         assert_eq!((cache.hits, cache.misses), (2, 1));
         assert_eq!(stats.nodes_built, 1, "the cache builds the node once");
@@ -702,39 +654,62 @@ mod tests {
         cache.eval(&t, id, &[], &mut stats, EvalCx::Frame { fn_id: 1, site: 2 });
     }
 
-    // --- identity-fingerprint injectivity (the PR 8 headline bug) ---
+    #[test]
+    fn cached_extraction_descends_into_ground_data() {
+        // `(int * int) list * 'b -> (int * int) list`: the path to the
+        // list's element meets the ground list routine part-way.
+        let p = prog("0");
+        let mut g = GroundTable::new();
+        let pair = Type::Tuple(vec![Type::Int, Type::Int]);
+        let pairs = g.make(&p, &Type::list(pair.clone()));
+        let v = RtVal::Arrow(
+            Rc::new(RtVal::Tuple(Rc::new(vec![
+                RtVal::Ground(pairs),
+                RtVal::Const,
+            ]))),
+            Rc::new(RtVal::Ground(pairs)),
+        );
+        let mut cache = RtCache::new();
+        let rt = cache.intern_value(&v);
+        let got = cache.extract(rt, &[0, 0, 0], &p, &mut g, EvalCx::None);
+        assert_eq!(cache.value(got), RtVal::Ground(g.make(&p, &pair)));
+        assert_eq!(
+            cache.value(got),
+            extract_path(&v, &[0, 0, 0], &p, &mut g, EvalCx::None)
+        );
+    }
+
+    // --- identity is injective: an id shared by unequal routines would
+    // hand the collector a wrong memoized routine or plan ---
 
     #[test]
     fn arrows_sharing_a_domain_rc_get_distinct_ids() {
-        // Figure-3 extraction routinely rebuilds `Arrow(a, b')` around an
-        // existing domain `Rc`. Keyed on `Rc::as_ptr(a)` alone these
-        // collapsed to one fingerprint — a wrong memo hit that hands the
-        // collector the wrong routine.
+        // Figure-3 extraction on trees rebuilds `Arrow(a, b')` around an
+        // existing domain `Rc`; sharing a component must not merge ids.
         let mut cache = RtCache::new();
         let a = Rc::new(RtVal::Const);
         let b1 = Rc::new(RtVal::Const);
         let b2 = Rc::new(RtVal::Data(LIST_DATA, Rc::new(vec![RtVal::Const])));
         let f1 = RtVal::Arrow(a.clone(), b1);
         let f2 = RtVal::Arrow(a, b2);
-        assert_ne!(
-            cache.identity(&f1),
-            cache.identity(&f2),
-            "arrows sharing a domain Rc must not alias"
-        );
-        let (i1, i2) = (cache.identity(&f1), cache.identity(&f2));
-        assert_eq!(cache.node(i1), &f1);
-        assert_eq!(cache.node(i2), &f2);
+        let (i1, i2) = (cache.intern_value(&f1), cache.intern_value(&f2));
+        assert_ne!(i1, i2, "arrows sharing a domain Rc must not alias");
+        assert_eq!(cache.value(i1), f1);
+        assert_eq!(cache.value(i2), f2);
     }
 
     #[test]
     fn data_wrappers_sharing_a_field_rc_get_distinct_ids() {
-        use tfgc_types::DataId;
         let mut cache = RtCache::new();
         let fs = Rc::new(vec![RtVal::Const]);
         let d1 = RtVal::Data(LIST_DATA, fs.clone());
         let d2 = RtVal::Data(DataId(LIST_DATA.0 + 1), fs.clone());
         let t = RtVal::Tuple(fs);
-        let (i1, i2, i3) = (cache.identity(&d1), cache.identity(&d2), cache.identity(&t));
+        let (i1, i2, i3) = (
+            cache.intern_value(&d1),
+            cache.intern_value(&d2),
+            cache.intern_value(&t),
+        );
         assert_ne!(i1, i2, "distinct datatypes sharing fields must not alias");
         assert_ne!(i1, i3, "Data and Tuple sharing fields must not alias");
         assert_ne!(i2, i3);
@@ -746,40 +721,9 @@ mod tests {
         let v1 = RtVal::Tuple(Rc::new(vec![RtVal::Const, RtVal::Const]));
         let v2 = RtVal::Tuple(Rc::new(vec![RtVal::Const, RtVal::Const]));
         assert_eq!(
-            cache.identity(&v1),
-            cache.identity(&v2),
-            "structural equality implies one fingerprint"
+            cache.intern_value(&v1),
+            cache.intern_value(&v2),
+            "structural equality implies one id"
         );
-    }
-
-    #[test]
-    fn dropped_foreign_nodes_cannot_resurrect_stale_fingerprints() {
-        // ABA audit: adopt a foreign value, drop the caller's Rc, then
-        // allocate many fresh values (the allocator is free to reuse the
-        // dropped address). Every fingerprint must keep resolving to the
-        // value it was issued for, because adoption pinned a clone in
-        // `nodes` before registering any pointer key.
-        let mut cache = RtCache::new();
-        let mut issued: Vec<(u32, RtVal)> = Vec::new();
-        for round in 0..64u32 {
-            let v = RtVal::Tuple(Rc::new(vec![
-                RtVal::Const,
-                RtVal::Data(
-                    LIST_DATA,
-                    Rc::new(vec![RtVal::Ground(crate::ground::TypeRtId(round))]),
-                ),
-            ]));
-            let id = cache.identity(&v);
-            issued.push((id, v.clone()));
-            drop(v); // the foreign Rc dies; the cache's pin must not
-        }
-        for (id, v) in &issued {
-            assert_eq!(
-                cache.node(*id),
-                v,
-                "fingerprint {id} resurrected a different value after drops"
-            );
-            assert_eq!(cache.identity(v), *id, "re-lookup must be stable");
-        }
     }
 }

@@ -26,7 +26,9 @@
 //!
 //! Whatever is typed by an evaluated routine value — globals, pending
 //! allocation operands, closure captures, and a descriptor `Param` bound
-//! to a routine — runs that routine's plan under every strategy.
+//! to a routine — runs that routine's plan under every strategy. Routine
+//! values are [`RtId`]s of the metadata's [`RtCache`]: `Copy`, and equal
+//! exactly when the routines are.
 //!
 //! Values are traced through a typed worklist (no recursion in data
 //! depth), so million-element lists collect in constant Rust stack space.
@@ -49,7 +51,7 @@
 //! Template evaluation, Figure-3 path extraction, and descriptor
 //! conversion all route through the metadata's [`RtCache`]. The forward
 //! walk goes further: each frame is keyed on its call site and the
-//! interned state its caller's routine hands it, and only the first
+//! state its caller's routine hands it, and only the first
 //! activation with a key evaluates anything. Later ones replay the
 //! recorded frame step — the traced slots with their resolved plans (or
 //! descriptor positions) and the outgoing state — so a deep chain of
@@ -62,7 +64,7 @@
 //! `tfgc_runtime::Heap`).
 
 use crate::bytes::{BytePool, DescView};
-use crate::cache::{EnvIx, FrameStep, RtCache, SlotStep, StateId, NO_STATE};
+use crate::cache::{EnvIx, FrameState, FrameStep, RtCache, RtId, RtNode, SlotStep};
 use crate::desc::{DescArena, DescId};
 use crate::ground::{GroundTable, TypeRt, TypeRtId};
 use crate::meta::{CalleePlan, ClosParamSrc, FnGcMeta, FrameParamSrc, GcMeta, SiteMeta};
@@ -70,12 +72,11 @@ use crate::plan::{
     OpRange, PlanId, PlanKind, PlanOp, PlanOps, VariantPlan, VariantRange, NOOP_PLAN,
 };
 use crate::routines::{RoutineTable, TraceOp};
-use crate::rtval::{EvalCx, RtBuildStats, RtVal};
+use crate::rtval::{EvalCx, RtBuildStats};
 use crate::stack::{walk_frames_into, FrameInfo, FRAME_HDR};
 use crate::stats::GcStats;
 use crate::strategy::Strategy;
 use crate::sx::{SxId, SxTable};
-use std::rc::Rc;
 use std::time::Instant;
 use tfgc_ir::{CallSiteId, CtorRep, IrProgram};
 use tfgc_obs::{CollectionKind, GcEvent, Obs};
@@ -115,9 +116,9 @@ pub struct MachineRoots<'m> {
 /// One entry of a byte-descriptor environment: an evaluated routine value
 /// (an entry of a frame's type-routine environment), or a descriptor
 /// under another environment of the arena.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum WTy {
-    Rt(RtVal),
+    Rt(RtId),
     Bytes { pos: u32, env: u32 },
 }
 
@@ -162,9 +163,9 @@ impl ByteEnvs {
     /// stack map (e.g. truncated frame parameter sources), and tracing
     /// must stop with a structured panic rather than an anonymous index
     /// error or a silent mistrace.
-    fn get(&self, env: u32, i: u16) -> &WTy {
+    fn get(&self, env: u32, i: u16) -> WTy {
         let entries = self.entries(env);
-        entries.get(i as usize).unwrap_or_else(|| {
+        *entries.get(i as usize).unwrap_or_else(|| {
             panic!(
                 "type parameter {i} out of range: environment carries {} byte descriptor(s)",
                 entries.len()
@@ -173,9 +174,9 @@ impl ByteEnvs {
     }
 
     /// Adds an environment of evaluated routine values.
-    fn add_rts(&mut self, env: &[RtVal]) -> u32 {
+    fn add_rts(&mut self, env: &[RtId]) -> u32 {
         let start = self.items.len();
-        self.items.extend(env.iter().cloned().map(WTy::Rt));
+        self.items.extend(env.iter().copied().map(WTy::Rt));
         self.seal(start)
     }
 
@@ -303,13 +304,13 @@ pub fn collect_tagfree(
         if let Some(sx) = g {
             cx.cur = EvalCx::Global(i as u32);
             let rt = cx.eval(*sx, &[]);
-            roots.globals[i] = cx.reloc_rt(roots.globals[i], &rt);
+            roots.globals[i] = cx.reloc_rt(roots.globals[i], rt);
             cx.drain();
         }
     }
 
     // Each task's stack is traversed in turn (§4).
-    let mut operand_env: Vec<RtVal> = Vec::new();
+    let mut operand_env: Vec<RtId> = Vec::new();
     let mut operand_site = None;
     for (ti, sr) in roots.stacks.iter_mut().enumerate() {
         walk_frames_into(frames_buf, sr.stack, sr.top_fp, sr.current_site, prog);
@@ -344,7 +345,7 @@ pub fn collect_tagfree(
         for (op, w) in ops.iter().zip(roots.operands.iter_mut()) {
             if let Some(sx) = op {
                 let rt = cx.eval(*sx, &operand_env);
-                *w = cx.reloc_rt(*w, &rt);
+                *w = cx.reloc_rt(*w, rt);
             }
         }
         cx.drain();
@@ -418,24 +419,24 @@ struct Collector<'c> {
 
 impl Collector<'_> {
     /// Memoized template evaluation under the current tracing context.
-    fn eval(&mut self, id: SxId, env: &[RtVal]) -> RtVal {
+    fn eval(&mut self, id: SxId, env: &[RtId]) -> RtId {
         self.cache
             .eval(self.sxs, id, env, &mut self.build, self.cur)
     }
 
     /// Memoized template evaluation under an explicit context (variant
     /// fields, closure captures — contexts finer than `self.cur`).
-    fn eval_at(&mut self, id: SxId, env: &[RtVal], cx: EvalCx) -> RtVal {
+    fn eval_at(&mut self, id: SxId, env: &[RtId], cx: EvalCx) -> RtId {
         self.cache.eval(self.sxs, id, env, &mut self.build, cx)
     }
 
     /// Memoized Figure-3 path extraction.
-    fn extract(&mut self, rt: &RtVal, path: &[u16], cx: EvalCx) -> RtVal {
+    fn extract(&mut self, rt: RtId, path: &[u16], cx: EvalCx) -> RtId {
         self.cache.extract(rt, path, self.prog, self.ground, cx)
     }
 
     /// Memoized descriptor → routine conversion.
-    fn desc_rt(&mut self, id: DescId) -> RtVal {
+    fn desc_rt(&mut self, id: DescId) -> RtId {
         self.cache.desc(self.descs, id, &mut self.build)
     }
 
@@ -448,11 +449,11 @@ impl Collector<'_> {
     /// reached. A miss traces the frame on the plain path and records its
     /// step. Frames that read a type parameter from a descriptor slot
     /// depend on their own stack words, so they always take the plain
-    /// path; their outgoing state is interned so the frames above them
-    /// stay memoized. Returns the newest frame's environment.
-    fn forward_walk(&mut self, frames: &[FrameInfo], stack: &mut [Word]) -> Vec<RtVal> {
-        let mut state = NO_STATE;
-        let mut last: Option<(CallSiteId, StateId, u32)> = None;
+    /// path; the state they hand on is a plain key, so the frames above
+    /// them stay memoized. Returns the newest frame's environment.
+    fn forward_walk(&mut self, frames: &[FrameInfo], stack: &mut [Word]) -> Vec<RtId> {
+        let mut state = FrameState::None;
+        let mut last: Option<(CallSiteId, FrameState, u32)> = None;
         let mut newest = self.cache.env_ix(&[]);
         for fr in frames.iter().rev() {
             self.cur = EvalCx::Frame {
@@ -507,18 +508,16 @@ impl Collector<'_> {
     fn trace_plain(
         &mut self,
         fr: &FrameInfo,
-        state: StateId,
+        state: FrameState,
         stack: &mut [Word],
     ) -> (FrameStep, Vec<SlotStep>) {
-        let (theta, clos) = self.cache.state(state);
-        let env = self.frame_env(fr, stack, theta.as_deref(), clos.as_ref());
+        let env = self.frame_env(fr, stack, state);
         let mut slots = Vec::new();
         let ops = self.run_frame_routine(fr, &env, stack, Some(&mut slots));
-        let (theta, clos) = self.eval_plan(fr.site, &env);
         let step = FrameStep {
             ops,
             steps: (0, 0),
-            out: self.cache.intern_state(theta.as_deref(), clos.as_ref()),
+            out: self.eval_plan(fr.site, &env),
             env: self.cache.env_ix(&env),
         };
         (step, slots)
@@ -558,8 +557,7 @@ impl Collector<'_> {
         match self.frame_env {
             Some((k, env)) if k == ix => env,
             _ => {
-                let rts = self.cache.env(ix).clone();
-                let env = self.envs.add_rts(&rts);
+                let env = self.envs.add_rts(self.cache.env(ix));
                 self.frame_env = Some((ix, env));
                 env
             }
@@ -569,7 +567,7 @@ impl Collector<'_> {
     /// Appel's traversal: newest to oldest, re-deriving each frame's
     /// environment by walking down the chain with no caching. Returns the
     /// newest frame's environment.
-    fn appel_walk(&mut self, frames: &[FrameInfo], stack: &mut [Word]) -> Vec<RtVal> {
+    fn appel_walk(&mut self, frames: &[FrameInfo], stack: &mut [Word]) -> Vec<RtId> {
         let mut newest_env = Vec::new();
         for k in 0..frames.len() {
             let env = self.appel_env(frames, k, stack);
@@ -588,9 +586,8 @@ impl Collector<'_> {
 
     /// Re-derives frame `k`'s environment by descending to the bottom of
     /// the chain and evaluating plans back up — O(depth) per frame.
-    fn appel_env(&mut self, frames: &[FrameInfo], k: usize, stack: &[Word]) -> Vec<RtVal> {
-        let mut theta_rts: Option<Vec<RtVal>> = None;
-        let mut clos_rt: Option<RtVal> = None;
+    fn appel_env(&mut self, frames: &[FrameInfo], k: usize, stack: &[Word]) -> Vec<RtId> {
+        let mut state = FrameState::None;
         let mut env = Vec::new();
         for j in (k..frames.len()).rev() {
             self.stats.chain_steps += 1;
@@ -599,11 +596,11 @@ impl Collector<'_> {
                 fn_id: fr.fn_id.0,
                 site: fr.site.0,
             };
-            env = self.frame_env(fr, stack, theta_rts.as_deref(), clos_rt.as_ref());
+            env = self.frame_env(fr, stack, state);
             if j == k {
                 break;
             }
-            (theta_rts, clos_rt) = self.eval_plan(fr.site, &env);
+            state = self.eval_plan(fr.site, &env);
         }
         env
     }
@@ -611,31 +608,21 @@ impl Collector<'_> {
     /// Evaluates a site's callee plan under the caller's environment —
     /// "the type_gc_routines passed to the next frame's frame_gc_routine
     /// correspond to the types of the arguments passed by f" (§3).
-    fn eval_plan(
-        &mut self,
-        site: CallSiteId,
-        env: &[RtVal],
-    ) -> (Option<Vec<RtVal>>, Option<RtVal>) {
+    fn eval_plan(&mut self, site: CallSiteId, env: &[RtId]) -> FrameState {
         let sites = self.sites;
         match &sites[site.0 as usize].plan {
-            CalleePlan::Direct { theta } => (
-                Some(theta.iter().map(|sx| self.eval(*sx, env)).collect()),
-                None,
-            ),
-            CalleePlan::Closure { clos_ty } => (None, Some(self.eval(*clos_ty, env))),
-            CalleePlan::None => (None, None),
+            CalleePlan::Direct { theta } => {
+                let theta: Vec<RtId> = theta.iter().map(|sx| self.eval(*sx, env)).collect();
+                FrameState::Theta(self.cache.env_ix(&theta))
+            }
+            CalleePlan::Closure { clos_ty } => FrameState::Clos(self.eval(*clos_ty, env)),
+            CalleePlan::None => FrameState::None,
         }
     }
 
     /// Builds a frame's type-routine environment from its parameter
-    /// sources.
-    fn frame_env(
-        &mut self,
-        fr: &FrameInfo,
-        stack: &[Word],
-        theta: Option<&[RtVal]>,
-        clos_rt: Option<&RtVal>,
-    ) -> Vec<RtVal> {
+    /// sources and the state its caller's routine handed it.
+    fn frame_env(&mut self, fr: &FrameInfo, stack: &[Word], state: FrameState) -> Vec<RtId> {
         let fns = self.fns;
         let fm = &fns[fr.fn_id.0 as usize];
         let cx = EvalCx::Frame {
@@ -645,20 +632,16 @@ impl Collector<'_> {
         fm.frame_param_src
             .iter()
             .enumerate()
-            .map(|(i, src)| match src {
-                FrameParamSrc::Opaque => RtVal::Const,
-                FrameParamSrc::Theta => theta
-                    .and_then(|t| t.get(i))
-                    .cloned()
-                    .unwrap_or(RtVal::Const),
-                FrameParamSrc::ArrowPath(p) => match clos_rt {
-                    Some(rt) => self.extract(rt, p, cx),
-                    None => RtVal::Const,
-                },
-                FrameParamSrc::DescSlot(s) => {
+            .map(|(i, src)| match (src, state) {
+                (FrameParamSrc::Theta, FrameState::Theta(e)) => {
+                    self.cache.env(e).get(i).copied().unwrap_or(RtId::CONST)
+                }
+                (FrameParamSrc::ArrowPath(p), FrameState::Clos(rt)) => self.extract(rt, p, cx),
+                (FrameParamSrc::DescSlot(s), _) => {
                     let w = stack[fr.fp + FRAME_HDR + s.0 as usize];
                     self.desc_rt(DescId(w as u32))
                 }
+                _ => RtId::CONST,
             })
             .collect()
     }
@@ -670,7 +653,7 @@ impl Collector<'_> {
     fn run_frame_routine(
         &mut self,
         fr: &FrameInfo,
-        env: &[RtVal],
+        env: &[RtId],
         stack: &mut [Word],
         mut record: Option<&mut Vec<SlotStep>>,
     ) -> u32 {
@@ -698,7 +681,7 @@ impl Collector<'_> {
                 TraceOp::Slot { slot, sx } => {
                     let rt = self.eval(sx, env);
                     let idx = fr.fp + FRAME_HDR + slot.0 as usize;
-                    let plan = self.plan_for_rt(&rt);
+                    let plan = self.plan_for_rt(rt);
                     if let Some(steps) = record.as_deref_mut().filter(|_| plan != NOOP_PLAN) {
                         steps.push(SlotStep::Plan { slot: slot.0, plan });
                     }
@@ -718,7 +701,7 @@ impl Collector<'_> {
     }
 
     /// Relocates a word typed by an evaluated routine value.
-    fn reloc_rt(&mut self, w: Word, rt: &RtVal) -> Word {
+    fn reloc_rt(&mut self, w: Word, rt: RtId) -> Word {
         let p = self.plan_for_rt(rt);
         self.reloc_plan(w, p)
     }
@@ -780,8 +763,8 @@ impl Collector<'_> {
     fn reloc_bytes(&mut self, w: Word, pos: u32, env: u32) -> Word {
         match self.pool.parse(pos, &mut self.stats.desc_bytes_read) {
             DescView::Prim => w,
-            DescView::Param(i) => match self.envs.get(env, i).clone() {
-                WTy::Rt(rt) => self.reloc_rt(w, &rt),
+            DescView::Param(i) => match self.envs.get(env, i) {
+                WTy::Rt(rt) => self.reloc_rt(w, rt),
                 WTy::Bytes { pos, env } => self.reloc_bytes(w, pos, env),
             },
             DescView::Tuple(fields) => {
@@ -825,10 +808,10 @@ impl Collector<'_> {
             DescView::Arrow(a, b) => {
                 let ra = self.bytes_to_rt(a, env);
                 let rb = self.bytes_to_rt(b, env);
-                let arrow_rt = RtVal::Arrow(Rc::new(ra), Rc::new(rb));
+                let arrow_rt = self.cache.intern(RtNode::Arrow(ra, rb));
                 match self.unrelocated(w) {
                     Ok(a) => {
-                        let new = self.copy_closure(a, &arrow_rt);
+                        let new = self.copy_closure(a, arrow_rt);
                         self.enc.ptr(new)
                     }
                     Err(nw) => nw,
@@ -848,8 +831,8 @@ impl Collector<'_> {
         loop {
             match self.pool.parse(pos, &mut self.stats.desc_bytes_read) {
                 DescView::Param(i) => match self.envs.get(env, i) {
-                    WTy::Bytes { pos: p, env: e } => (pos, env) = (*p, *e),
-                    rt => return rt.clone(),
+                    WTy::Bytes { pos: p, env: e } => (pos, env) = (p, e),
+                    rt => return rt,
                 },
                 _ => return WTy::Bytes { pos, env },
             }
@@ -858,31 +841,29 @@ impl Collector<'_> {
 
     /// Converts a byte descriptor under an environment to a routine value
     /// (used when the interpreted path meets a closure and needs Figure-3
-    /// extraction).
-    fn bytes_to_rt(&mut self, pos: u32, env: u32) -> RtVal {
-        match self.pool.parse(pos, &mut self.stats.desc_bytes_read) {
-            DescView::Prim => RtVal::Const,
-            DescView::Param(i) => match self.envs.get(env, i).clone() {
-                WTy::Rt(rt) => rt,
-                WTy::Bytes { pos, env } => self.bytes_to_rt(pos, env),
-            },
+    /// extraction). Every composite node counts as built: the
+    /// interpreted method re-derives the routine at every closure object.
+    fn bytes_to_rt(&mut self, pos: u32, env: u32) -> RtId {
+        let node = match self.pool.parse(pos, &mut self.stats.desc_bytes_read) {
+            DescView::Prim => return RtId::CONST,
+            DescView::Param(i) => {
+                return match self.envs.get(env, i) {
+                    WTy::Rt(rt) => rt,
+                    WTy::Bytes { pos, env } => self.bytes_to_rt(pos, env),
+                }
+            }
             DescView::Tuple(fields) => {
-                self.build.nodes_built += 1;
-                let fs = fields.iter().map(|p| self.bytes_to_rt(*p, env)).collect();
-                RtVal::Tuple(Rc::new(fs))
+                RtNode::Tuple(fields.iter().map(|p| self.bytes_to_rt(*p, env)).collect())
             }
             DescView::Data(d, args) => {
-                self.build.nodes_built += 1;
-                let xs = args.iter().map(|p| self.bytes_to_rt(*p, env)).collect();
-                RtVal::Data(d, Rc::new(xs))
+                RtNode::Data(d, args.iter().map(|p| self.bytes_to_rt(*p, env)).collect())
             }
             DescView::Arrow(a, b) => {
-                self.build.nodes_built += 1;
-                let ra = self.bytes_to_rt(a, env);
-                let rb = self.bytes_to_rt(b, env);
-                RtVal::Arrow(Rc::new(ra), Rc::new(rb))
+                RtNode::Arrow(self.bytes_to_rt(a, env), self.bytes_to_rt(b, env))
             }
-        }
+        };
+        self.build.nodes_built += 1;
+        self.cache.intern(node)
     }
 
     /// The constructor of the unrelocated datatype object at `a`: the
@@ -939,7 +920,7 @@ impl Collector<'_> {
     /// the compiler-emitted closure routine (§2.2's word at `code − 4`),
     /// rebuild the environment's type routines (§3, Figure 4), enqueue
     /// the captures.
-    fn copy_closure(&mut self, a: Addr, arrow_rt: &RtVal) -> Addr {
+    fn copy_closure(&mut self, a: Addr, arrow_rt: RtId) -> Addr {
         let fn_id = self.heap.read(a, 0) as usize;
         let fns = self.fns;
         let fm = &fns[fn_id];
@@ -951,10 +932,10 @@ impl Collector<'_> {
         let cx = EvalCx::Closure {
             fn_id: fn_id as u32,
         };
-        let mut env: Vec<RtVal> = Vec::with_capacity(fm.closure_param_src.len());
+        let mut env: Vec<RtId> = Vec::with_capacity(fm.closure_param_src.len());
         for src in &fm.closure_param_src {
             let rt = match src {
-                ClosParamSrc::Opaque => RtVal::Const,
+                ClosParamSrc::Opaque => RtId::CONST,
                 ClosParamSrc::Path(p) => self.extract(arrow_rt, p, cx),
                 ClosParamSrc::DescField(off) => {
                     let dw = self.heap.read(new, *off);
@@ -965,7 +946,7 @@ impl Collector<'_> {
         }
         for (off, sx) in &fm.closure_fields {
             let rt = self.eval_at(*sx, &env, cx);
-            let p = self.plan_for_rt(&rt);
+            let p = self.plan_for_rt(rt);
             if p != NOOP_PLAN {
                 self.push(new, *off, Ty::Plan(p));
             }
@@ -976,31 +957,23 @@ impl Collector<'_> {
     // --- the trace-plan tier: lowering ---
 
     /// The plan for an evaluated routine value, lowering on first sight.
-    /// Keyed on the cache's injective identity, so a plan is only ever
-    /// shared between structurally equal routines.
-    fn plan_for_rt(&mut self, rt: &RtVal) -> PlanId {
-        match rt {
-            RtVal::Const => NOOP_PLAN,
-            RtVal::Ground(g) => self.plan_for_ground(*g),
-            _ => {
-                let fp = self.cache.identity(rt);
-                if let Some(p) = self.cache.plans.find_rt(fp) {
-                    return p;
-                }
-                let pid = self.cache.plans.reserve_rt(fp);
-                let kind = self.lower_rt(rt, pid);
-                self.cache.plans.fill(pid, kind);
-                pid
-            }
+    /// Keyed on the routine's id, so a plan is only ever shared between
+    /// structurally equal routines.
+    fn plan_for_rt(&mut self, rt: RtId) -> PlanId {
+        let node = match self.cache.get(rt) {
+            RtNode::Const => return NOOP_PLAN,
+            RtNode::Ground(g) => return self.plan_for_ground(*g),
+            node => node.clone(),
+        };
+        if let Some(p) = self.cache.plans.find_rt(rt) {
+            return p;
         }
-    }
-
-    fn lower_rt(&mut self, rt: &RtVal, self_id: PlanId) -> PlanKind {
-        match rt {
-            RtVal::Tuple(fs) => {
+        let pid = self.cache.plans.reserve_rt(rt);
+        let kind = match node {
+            RtNode::Tuple(fs) => {
                 let mut ops = PlanOps::new();
                 for (i, f) in fs.iter().enumerate() {
-                    let p = self.plan_for_rt(f);
+                    let p = self.plan_for_rt(*f);
                     ops.push(i as u16, p);
                 }
                 PlanKind::Tuple {
@@ -1008,7 +981,7 @@ impl Collector<'_> {
                     ops: ops.finish(&mut self.cache.plans),
                 }
             }
-            RtVal::Data(d, args) => {
+            RtNode::Data(d, args) => {
                 let prog = self.prog;
                 let reps = &prog.ctor_reps[d.0 as usize];
                 let tagged = reps
@@ -1023,11 +996,11 @@ impl Collector<'_> {
                     };
                     let mut ops = PlanOps::new();
                     for (i, sx) in data_variants[d.0 as usize][ctor].iter().enumerate() {
-                        let frt = self.eval_at(*sx, args, cx);
-                        let p = self.plan_for_rt(&frt);
+                        let frt = self.eval_at(*sx, &args, cx);
+                        let p = self.plan_for_rt(frt);
                         ops.push(rep.field_offset(i as u16), p);
                     }
-                    let (ops, self_tail) = ops.finish_with_tail(&mut self.cache.plans, self_id);
+                    let (ops, self_tail) = ops.finish_with_tail(&mut self.cache.plans, pid);
                     variants.push(VariantPlan {
                         tag: *tag,
                         words: rep.heap_words() as u32,
@@ -1041,9 +1014,11 @@ impl Collector<'_> {
                     variants: self.cache.plans.add_variants(&variants),
                 }
             }
-            RtVal::Arrow(_, _) => self.cache.plans.add_closure(rt.clone()),
-            RtVal::Const | RtVal::Ground(_) => unreachable!("leaves never reserve plans"),
-        }
+            RtNode::Arrow(_, _) => PlanKind::Closure { rt },
+            RtNode::Const | RtNode::Ground(_) => unreachable!("leaves never reserve plans"),
+        };
+        self.cache.plans.fill(pid, kind);
+        pid
     }
 
     /// The plan for a compiled ground routine, lowering on first sight.
@@ -1096,7 +1071,9 @@ impl Collector<'_> {
                     variants: self.cache.plans.add_variants(&vps),
                 }
             }
-            TypeRt::Arrow(_) => self.cache.plans.add_closure(RtVal::Ground(g)),
+            TypeRt::Arrow => PlanKind::Closure {
+                rt: self.cache.intern(RtNode::Ground(g)),
+            },
         };
         self.cache.plans.fill(pid, kind);
         pid
@@ -1124,8 +1101,7 @@ impl Collector<'_> {
                 self.enc.ptr(new)
             }
             PlanKind::Closure { rt } => {
-                let rt = self.cache.plans.closure_rt(rt).clone();
-                let new = self.copy_closure(a, &rt);
+                let new = self.copy_closure(a, rt);
                 self.enc.ptr(new)
             }
             PlanKind::Data {

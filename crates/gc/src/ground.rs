@@ -9,6 +9,9 @@
 //!
 //! Recursive datatypes produce cyclic routine graphs, which is why
 //! routines are identified by [`TypeRtId`] and memoized per ground type.
+//! The table keeps the type each routine was compiled from: Figure-3
+//! extraction ([`crate::rtval`]) that reaches a ground routine part-way
+//! along its path continues down that type, whatever the routine's shape.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -44,10 +47,8 @@ pub enum TypeRt {
         variants: Rc<Vec<VariantRt>>,
     },
     /// Function value at a ground arrow type: traced through the
-    /// closure's own layout (the word at `code − 4`, §2.2). The ground
-    /// arrow type is retained so parameter routines recoverable from the
-    /// closure's type can be extracted (§3, Figure 3).
-    Arrow(Rc<Type>),
+    /// closure's own layout (the word at `code − 4`, §2.2).
+    Arrow,
 }
 
 impl TypeRt {
@@ -61,7 +62,9 @@ impl TypeRt {
 #[derive(Debug, Default, Clone)]
 pub struct GroundTable {
     rts: Vec<TypeRt>,
-    memo: HashMap<Type, TypeRtId>,
+    /// The type each routine was compiled from, shared with its memo key.
+    types: Vec<Rc<Type>>,
+    memo: HashMap<Rc<Type>, TypeRtId>,
 }
 
 impl GroundTable {
@@ -73,6 +76,11 @@ impl GroundTable {
     /// The routine behind `id`.
     pub fn rt(&self, id: TypeRtId) -> &TypeRt {
         &self.rts[id.0 as usize]
+    }
+
+    /// The ground type routine `id` was compiled from.
+    pub fn ty(&self, id: TypeRtId) -> &Rc<Type> {
+        &self.types[id.0 as usize]
     }
 
     /// Number of compiled routines (metadata-size metric for E4/E6).
@@ -99,7 +107,7 @@ impl GroundTable {
                         .iter()
                         .map(|v| 8 + v.fields.len() * 8)
                         .sum::<usize>(),
-                    TypeRt::Arrow(_) => 8,
+                    TypeRt::Arrow => 8,
                 }
             })
             .sum()
@@ -118,30 +126,20 @@ impl GroundTable {
         if let Some(id) = self.memo.get(ty) {
             return *id;
         }
-        match ty {
-            Type::Int | Type::Bool | Type::Unit | Type::Param(_) | Type::Var(_) => {
-                let id = self.push(TypeRt::Prim);
-                self.memo.insert(ty.clone(), id);
-                id
-            }
+        // Reserve the id before recursing: `'a list` refers to itself
+        // (tuples cannot, but one discipline for all shapes is simpler).
+        let id = TypeRtId(self.rts.len() as u32);
+        let key = Rc::new(ty.clone());
+        self.rts.push(TypeRt::Prim);
+        self.types.push(Rc::clone(&key));
+        self.memo.insert(key, id);
+        let rt = match ty {
+            Type::Int | Type::Bool | Type::Unit | Type::Param(_) | Type::Var(_) => TypeRt::Prim,
             Type::Tuple(ts) => {
-                // Reserve the id first: tuples cannot be self-recursive,
-                // but keeping one discipline for all shapes is simpler.
-                let id = self.push(TypeRt::Prim);
-                self.memo.insert(ty.clone(), id);
-                let fields = ts.iter().map(|t| self.make(prog, t)).collect();
-                self.rts[id.0 as usize] = TypeRt::Tuple(Rc::new(fields));
-                id
+                TypeRt::Tuple(Rc::new(ts.iter().map(|t| self.make(prog, t)).collect()))
             }
-            Type::Arrow(_, _) => {
-                let id = self.push(TypeRt::Arrow(Rc::new(ty.clone())));
-                self.memo.insert(ty.clone(), id);
-                id
-            }
+            Type::Arrow(_, _) => TypeRt::Arrow,
             Type::Data(d, args) => {
-                // Reserve before recursing: `'a list` refers to itself.
-                let id = self.push(TypeRt::Prim);
-                self.memo.insert(ty.clone(), id);
                 let def = prog.data_env.def(*d);
                 let variants = def
                     .ctors
@@ -156,18 +154,13 @@ impl GroundTable {
                         VariantRt { rep, fields }
                     })
                     .collect();
-                self.rts[id.0 as usize] = TypeRt::Data {
+                TypeRt::Data {
                     data: *d,
                     variants: Rc::new(variants),
-                };
-                id
+                }
             }
-        }
-    }
-
-    fn push(&mut self, rt: TypeRt) -> TypeRtId {
-        let id = TypeRtId(self.rts.len() as u32);
-        self.rts.push(rt);
+        };
+        self.rts[id.0 as usize] = rt;
         id
     }
 }

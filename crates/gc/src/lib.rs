@@ -12,8 +12,10 @@
 //! * [`bytes`] — the **interpreted method**'s byte descriptors (§1.1,
 //!   §2.4's space/time trade-off).
 //! * [`mod@collect`] — Figure 2's collector loop; §3's oldest→newest
-//!   traversal with type_gc_routine closures ([`rtval`], Figures 3–4);
-//!   Appel's backward-resolution comparator (§1.1.1).
+//!   traversal with type_gc_routine closures (Figures 3–4) as hash-consed
+//!   ids of the memoizing [`cache`]; Appel's backward-resolution
+//!   comparator (§1.1.1). [`rtval`] holds the same closures as trees, the
+//!   heap verifier's independent form.
 //! * [`collect_tagged`] — the tagged ML baseline (§1).
 //! * [`plan`] — flat trace plans: routines and descriptors lowered once
 //!   into linear op arrays with offsets and discriminant tables
@@ -58,7 +60,7 @@ pub mod stats;
 pub mod strategy;
 pub mod sx;
 
-pub use cache::RtCache;
+pub use cache::{RtCache, RtId};
 pub use collect::{collect_tagfree, CollectorScratch, MachineRoots, StackRoots};
 pub use desc::{DescArena, DescId, DescNode};
 pub use ground::{GroundTable, TypeRt, TypeRtId};

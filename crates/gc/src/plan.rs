@@ -3,14 +3,14 @@
 //! strategies (Interpreted walks byte descriptors per object instead, and
 //! runs plans only for values typed by evaluated routines).
 //!
-//! Each routine value — identified by its injective [`RtCache`]
-//! fingerprint — and each ground routine is lowered **once** into a
-//! compact linear plan with every field offset and discriminant table
-//! pre-resolved. Collection-time execution is then a tight interpreter
-//! loop over [`PlanOp`]s feeding the typed worklist directly, with no
-//! per-object dispatch on routine variants.
+//! Each routine value — an [`RtId`] of the [`RtCache`] — and each ground
+//! routine is lowered **once** into a compact linear plan with every field
+//! offset and discriminant table pre-resolved. Collection-time execution
+//! is then a tight interpreter loop over [`PlanOp`]s feeding the typed
+//! worklist directly, with no per-object dispatch on routine variants.
 //!
 //! [`RtCache`]: crate::cache::RtCache
+//! [`RtId`]: crate::cache::RtId
 //!
 //! The op set:
 //!
@@ -31,17 +31,15 @@
 //! Plans are plain `Copy` data. A [`PlanStore`] keeps every plan's ops
 //! and every datatype's variant table in two arenas, so a plan names its
 //! ops by [`OpRange`] and its variants by [`VariantRange`], and a closure
-//! plan names its arrow routine by index. The executor reads a plan by
-//! value and never clones a payload per object.
+//! plan names its arrow routine by id. The executor reads a plan by value
+//! and never clones a payload per object.
 //!
-//! Soundness leans on the fingerprint fix shipped in the same change: a
-//! plan is cached per `RtCache` identity, so plans can only be shared
-//! between *structurally equal* routines. Before the `PtrKey` fix two
-//! distinct routines sharing a sub-`Rc` could collapse to one fingerprint
-//! — caching plans on that identity would have executed the wrong plan,
-//! exactly the wrong-memo-hit corruption the headline bugfix closes.
+//! Soundness: a plan is keyed by its routine's id, and ids are
+//! hash-consed — a node is found by its variant, datatype and children's
+//! ids — so one id, and so one plan, is only ever shared by structurally
+//! equal routines.
 
-use crate::rtval::RtVal;
+use crate::cache::RtId;
 use std::collections::HashMap;
 
 /// Index of a compiled plan in its [`PlanStore`].
@@ -112,8 +110,8 @@ pub enum PlanKind {
     },
     /// Closure: layout is per-object (the fn id sits in word 0), so
     /// execution routes through the shared closure relocator with the
-    /// retained arrow routine, `rt`-th in [`PlanStore::closure_rt`].
-    Closure { rt: u32 },
+    /// arrow routine `rt`.
+    Closure { rt: RtId },
     /// Reserved during recursive lowering; never observed once the
     /// compiler returns (recursive references resolve to the reserved
     /// id, not the kind).
@@ -134,8 +132,7 @@ pub struct PlanStore {
     plans: Vec<PlanKind>,
     ops: Vec<PlanOp>,
     variants: Vec<VariantPlan>,
-    closures: Vec<RtVal>,
-    by_rt: HashMap<u32, PlanId>,
+    by_rt: HashMap<RtId, PlanId>,
     by_ground: HashMap<u32, PlanId>,
 }
 
@@ -149,7 +146,6 @@ impl PlanStore {
             plans: vec![PlanKind::Noop],
             ops: Vec::new(),
             variants: Vec::new(),
-            closures: Vec::new(),
             by_rt: HashMap::new(),
             by_ground: HashMap::new(),
         }
@@ -173,11 +169,6 @@ impl PlanStore {
         &self.variants[r.start as usize..(r.start + r.len) as usize]
     }
 
-    /// The arrow routine of a [`PlanKind::Closure`] plan.
-    pub fn closure_rt(&self, rt: u32) -> &RtVal {
-        &self.closures[rt as usize]
-    }
-
     /// Number of plans in the store (the noop plan included).
     pub fn len(&self) -> usize {
         self.plans.len()
@@ -188,20 +179,20 @@ impl PlanStore {
         self.plans.len() <= 1
     }
 
-    /// Looks up the plan for an `RtCache` fingerprint, counting the hit.
-    pub fn find_rt(&mut self, fp: u32) -> Option<PlanId> {
-        let p = self.by_rt.get(&fp).copied();
+    /// Looks up the plan for a routine id, counting the hit.
+    pub fn find_rt(&mut self, rt: RtId) -> Option<PlanId> {
+        let p = self.by_rt.get(&rt).copied();
         if p.is_some() {
             self.hits += 1;
         }
         p
     }
 
-    /// Reserves a plan id for an `RtCache` fingerprint (counts the miss;
-    /// recursive references resolve to the reserved id).
-    pub fn reserve_rt(&mut self, fp: u32) -> PlanId {
+    /// Reserves a plan id for a routine id (counts the miss; recursive
+    /// references resolve to the reserved id).
+    pub fn reserve_rt(&mut self, rt: RtId) -> PlanId {
         let id = self.reserve();
-        self.by_rt.insert(fp, id);
+        self.by_rt.insert(rt, id);
         id
     }
 
@@ -233,14 +224,6 @@ impl PlanStore {
         VariantRange {
             start,
             len: vs.len() as u32,
-        }
-    }
-
-    /// The closure plan body for an arrow routine.
-    pub fn add_closure(&mut self, rt: RtVal) -> PlanKind {
-        self.closures.push(rt);
-        PlanKind::Closure {
-            rt: self.closures.len() as u32 - 1,
         }
     }
 
@@ -440,9 +423,10 @@ mod tests {
     fn store_reserves_fills_and_finds() {
         let mut s = PlanStore::new();
         assert!(s.is_empty());
-        assert_eq!(s.find_rt(42), None);
-        let id = s.reserve_rt(42);
-        assert_eq!(s.find_rt(42), Some(id), "reserved plans are findable");
+        let rt = RtId::CONST;
+        assert_eq!(s.find_rt(rt), None);
+        let id = s.reserve_rt(rt);
+        assert_eq!(s.find_rt(rt), Some(id), "reserved plans are findable");
         let variants = s.add_variants(&[VariantPlan {
             tag: Some(1),
             words: 3,
@@ -461,11 +445,6 @@ mod tests {
             panic!("filled plan reads back as data");
         };
         assert_eq!(s.variants(variants)[0].words, 3);
-        let clos = s.add_closure(RtVal::Const);
-        let PlanKind::Closure { rt } = clos else {
-            panic!("closure plan");
-        };
-        assert_eq!(s.closure_rt(rt), &RtVal::Const);
         assert_eq!((s.hits, s.misses, s.compiled), (1, 1, 1));
         assert_eq!(s.len(), 2);
     }

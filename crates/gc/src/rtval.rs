@@ -1,4 +1,5 @@
-//! GC-time type routine values — the paper's Figure 3/4 closures.
+//! GC-time type routine values — the paper's Figure 3/4 closures — as
+//! trees.
 //!
 //! During a collection of a polymorphic program, frame routines construct
 //! and pass **type_gc_routine closures**: `trace_list_of(const_gc)` is
@@ -6,6 +7,14 @@
 //! compiled templates ([`crate::sx::TypeSx`]) under the current frame's
 //! environment, mirroring §3's "closures representing type_gc_routines may
 //! be constructed during garbage collection".
+//!
+//! The collector itself holds routines as hash-consed ids of its
+//! [`RtCache`](crate::cache::RtCache). The trees and builders here
+//! ([`eval_sx`], [`extract_path`], [`desc_to_rt`]) are the heap
+//! verifier's independent reference, and the form the property tests
+//! compare the cache against. Both forms share `extract_ground`, which
+//! continues a Figure-3 path below a precompiled ground routine by walking
+//! the type the routine was compiled from.
 //!
 //! Resolution is **fail-fast**: an out-of-range type parameter or
 //! extraction path means the compiled metadata disagrees with the runtime
@@ -16,7 +25,7 @@
 //! gc_word-omission panic.
 
 use crate::desc::{DescArena, DescId, DescNode};
-use crate::ground::{GroundTable, TypeRt, TypeRtId};
+use crate::ground::{GroundTable, TypeRtId};
 use crate::sx::TypeSx;
 use std::fmt;
 use std::rc::Rc;
@@ -80,7 +89,7 @@ impl fmt::Display for EvalCx {
 
 /// Shared fail-fast parameter lookup: an index past the environment means
 /// the metadata and the frame disagree about the routine arity.
-pub(crate) fn param_lookup(i: u16, env: &[RtVal], cx: EvalCx) -> RtVal {
+pub(crate) fn param_lookup<T: Clone>(i: u16, env: &[T], cx: EvalCx) -> T {
     env.get(i as usize).cloned().unwrap_or_else(|| {
         panic!(
             "type parameter {} out of range: environment carries {} routine(s) ({}) — \
@@ -127,7 +136,7 @@ pub fn eval_sx(sx: &TypeSx, env: &[RtVal], stats: &mut RtBuildStats, cx: EvalCx)
     }
 }
 
-fn bad_path(path: &[u16], k: usize, arity: usize, what: &str, cx: EvalCx) -> ! {
+pub(crate) fn bad_path(path: &[u16], k: usize, arity: usize, what: &str, cx: EvalCx) -> ! {
     panic!(
         "extraction path {:?} invalid at step {} ({} has {} field(s), {}) — \
          a silent non-pointer default would mistrace a live value",
@@ -136,9 +145,10 @@ fn bad_path(path: &[u16], k: usize, arity: usize, what: &str, cx: EvalCx) -> ! {
 }
 
 /// Extracts the sub-routine at `path` — §3's "the type_gc_routine for x
-/// can be extracted from the closure (see Figure 3)". Ground routines
-/// extract through their retained ground type. A mid-path `Const` is
-/// legitimate (an opaque parameter's routine extracts as `const_gc`).
+/// can be extracted from the closure (see Figure 3)". A ground routine met
+/// part-way extracts through the type it was compiled from. A mid-path
+/// `Const` is legitimate (an opaque parameter's routine extracts as
+/// `const_gc`).
 ///
 /// # Panics
 ///
@@ -151,68 +161,65 @@ pub fn extract_path(
     ground: &mut GroundTable,
     cx: EvalCx,
 ) -> RtVal {
-    let mut cur = rt.clone();
+    let mut cur = rt;
     for (k, step) in path.iter().enumerate() {
         cur = match cur {
             RtVal::Tuple(fs) | RtVal::Data(_, fs) => match fs.get(*step as usize) {
-                Some(sub) => sub.clone(),
+                Some(sub) => sub,
                 None => bad_path(path, k, fs.len(), "structural routine", cx),
             },
             RtVal::Arrow(a, b) => match step {
-                0 => (*a).clone(),
-                1 => (*b).clone(),
+                0 => a,
+                1 => b,
                 _ => bad_path(path, k, 2, "arrow routine", cx),
             },
             RtVal::Ground(id) => {
-                // Ground subtree: walk the retained type instead.
-                return extract_ground_path(id, &path[k..], path, prog, ground, cx);
+                return extract_ground(*id, path, k, prog, ground, cx)
+                    .map_or(RtVal::Const, RtVal::Ground)
             }
             RtVal::Const => return RtVal::Const,
         };
     }
-    cur
+    cur.clone()
 }
 
-fn extract_ground_path(
+/// Continues a Figure-3 extraction that met ground routine `id` at step
+/// `k` of `path`: the remaining steps walk the ground type `id` was
+/// compiled from — a tuple's fields, a datatype's type arguments, an
+/// arrow's argument and result — and the type reached is compiled (or
+/// found) in `ground`. `None` is `const_gc`: a pointer-free type, or an
+/// opaque leaf met before the path ends.
+///
+/// # Panics
+///
+/// Panics if a step indexes past a ground type's components.
+pub(crate) fn extract_ground(
     id: TypeRtId,
     path: &[u16],
-    full_path: &[u16],
+    k: usize,
     prog: &IrProgram,
     ground: &mut GroundTable,
     cx: EvalCx,
-) -> RtVal {
-    // Recover the ground type at the path. Only arrows retain their type;
-    // data/tuple grounds re-derive through the type argument structure is
-    // unnecessary because extraction paths always start at an arrow (the
-    // closure's type). Defensive: everything else extracts as Const.
-    let ty = match ground.rt(id) {
-        TypeRt::Arrow(t) => Rc::clone(t),
-        _ => return RtVal::Const,
-    };
-    let offset = full_path.len() - path.len();
+) -> Option<TypeRtId> {
+    let ty = Rc::clone(ground.ty(id));
     let mut cur: &Type = &ty;
-    for (k, step) in path.iter().enumerate() {
+    for (j, step) in path.iter().enumerate().skip(k) {
         cur = match cur {
             Type::Tuple(ts) | Type::Data(_, ts) => match ts.get(*step as usize) {
                 Some(t) => t,
-                None => bad_path(full_path, offset + k, ts.len(), "ground type", cx),
+                None => bad_path(path, j, ts.len(), "ground type", cx),
             },
             Type::Arrow(a, b) => match step {
                 0 => a,
                 1 => b,
-                _ => bad_path(full_path, offset + k, 2, "ground arrow type", cx),
+                _ => bad_path(path, j, 2, "ground arrow type", cx),
             },
             // Opaque leaves (parameters, prims) extract as const_gc.
-            _ => return RtVal::Const,
+            _ => return None,
         };
     }
-    let sub = cur.clone();
-    let sub_id = ground.make(prog, &sub);
-    if ground.rt(sub_id).is_prim() {
-        RtVal::Const
-    } else {
-        RtVal::Ground(sub_id)
-    }
+    let sub = ground.make(prog, cur);
+    (!ground.rt(sub).is_prim()).then_some(sub)
 }
 
 /// Converts a runtime descriptor into a type routine (used when a frame
@@ -333,6 +340,53 @@ mod tests {
         assert!(matches!(sub, RtVal::Ground(_)));
         let sub2 = extract_path(&rt, &[1], &p, &mut g, EvalCx::None);
         assert_eq!(sub2, RtVal::Const);
+    }
+
+    #[test]
+    fn extract_through_ground_data() {
+        // A closure type can be partly ground: in
+        // `(int * int) list * 'b -> (int * int) list` the argument tuple's
+        // first field is a ground datatype routine, and a path that goes on
+        // into its element must reach the pair routine, not const_gc.
+        let p = prog("0");
+        let mut g = GroundTable::new();
+        let pair = Type::Tuple(vec![Type::Int, Type::Int]);
+        let pairs = g.make(&p, &Type::list(pair.clone()));
+        let pair_id = g.make(&p, &pair);
+        let rt = RtVal::Arrow(
+            Rc::new(RtVal::Tuple(Rc::new(vec![
+                RtVal::Ground(pairs),
+                RtVal::Const,
+            ]))),
+            Rc::new(RtVal::Ground(pairs)),
+        );
+        let elem = extract_path(&rt, &[0, 0, 0], &p, &mut g, EvalCx::None);
+        assert_eq!(elem, RtVal::Ground(pair_id));
+        // Through a ground tuple, into a pointer field and a prim field.
+        let tup = g.make(&p, &Type::Tuple(vec![Type::list(Type::Int), Type::Int]));
+        let ints = g.make(&p, &Type::list(Type::Int));
+        let rt = RtVal::Ground(tup);
+        assert_eq!(
+            extract_path(&rt, &[0], &p, &mut g, EvalCx::None),
+            RtVal::Ground(ints)
+        );
+        assert_eq!(
+            extract_path(&rt, &[1], &p, &mut g, EvalCx::None),
+            RtVal::Const
+        );
+        assert_eq!(
+            extract_path(&rt, &[0, 0], &p, &mut g, EvalCx::None),
+            RtVal::Const
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "ground type")]
+    fn out_of_range_step_through_a_ground_routine_panics() {
+        let p = prog("0");
+        let mut g = GroundTable::new();
+        let tup = g.make(&p, &Type::Tuple(vec![Type::list(Type::Int), Type::Int]));
+        extract_path(&RtVal::Ground(tup), &[2], &p, &mut g, EvalCx::None);
     }
 
     #[test]

@@ -511,7 +511,7 @@ impl<'a> TypedWalker<'a> {
                             fields: DataFields::Ground(variants),
                         },
                     ),
-                    TypeRt::Arrow(_) => self.object(w, Shape::Closure(RtVal::Ground(*id))),
+                    TypeRt::Arrow => self.object(w, Shape::Closure(RtVal::Ground(*id))),
                 }
             }
             VTy::Rt(RtVal::Tuple(fields)) => {

@@ -260,10 +260,10 @@ fn plan_counters_reach_the_event_stream() {
     assert!(comp > 0, "a collecting polymorphic run lowers plans");
 }
 
-/// Suite-wide property test for the fingerprint fix: across randomized
+/// Suite-wide property test for routine identity: across randomized
 /// `RtVal` graphs that aggressively share sub-`Rc`s (the `extract_path`
-/// recombination shape), `RtCache::identity` aliases two values iff they
-/// are structurally equal.
+/// recombination shape), `RtCache::intern_value` gives two values one id
+/// iff they are structurally equal, and each id reads back as its value.
 #[test]
 fn identity_never_aliases_structurally_unequal_values() {
     use std::rc::Rc;
@@ -320,7 +320,10 @@ fn identity_never_aliases_structurally_unequal_values() {
         pool.push(v);
     }
 
-    let ids: Vec<u32> = pool.iter().map(|v| cache.identity(v)).collect();
+    let ids: Vec<_> = pool.iter().map(|v| cache.intern_value(v)).collect();
+    for (id, v) in ids.iter().zip(&pool) {
+        assert_eq!(&cache.value(*id), v, "an id reads back as its value");
+    }
     for i in 0..pool.len() {
         for j in (i + 1)..pool.len() {
             assert_eq!(

@@ -262,7 +262,8 @@ fn imm_limit_matches_heap_base() {
 /// template trees and environments. One [`RtCache`] is reused across
 /// every query so the memo's hit path (and its hash-consed sharing) is
 /// exercised as heavily as its miss path — `eval_sx` is pure, so the
-/// cache must be observationally invisible.
+/// cache must be observationally invisible. Environments enter the cache
+/// through `intern_value`, and results leave it through `value`.
 #[test]
 fn memoized_eval_matches_direct() {
     use std::rc::Rc;
@@ -322,14 +323,159 @@ fn memoized_eval_matches_direct() {
     for round in 0..400 {
         let id = ids[r.gen_range(0, ids.len() as i64) as usize];
         let env = envs[r.gen_range(0, envs.len() as i64) as usize].clone();
+        let env_ids: Vec<_> = env.iter().map(|v| cache.intern_value(v)).collect();
         let mut s1 = RtBuildStats::default();
         let mut s2 = RtBuildStats::default();
-        let memo = cache.eval(&table, id, &env, &mut s1, EvalCx::None);
+        let memo = cache.eval(&table, id, &env_ids, &mut s1, EvalCx::None);
         let direct = eval_sx(table.get(id), &env, &mut s2, EvalCx::None);
-        assert_eq!(memo, direct, "round {round}: {:?}", table.get(id));
+        assert_eq!(
+            cache.value(memo),
+            direct,
+            "round {round}: {:?}",
+            table.get(id)
+        );
     }
     assert!(cache.hits > 0, "reused cache must see repeat queries");
     assert!(cache.misses > 0, "fresh (template, env) pairs must miss");
+}
+
+/// Memoized Figure-3 extraction over routine ids agrees with the tree
+/// reference `extract_path` on random routines and random paths. The
+/// routines hold real `GroundTable` ids of random ground types — lists,
+/// tuples, arrows and an option-like datatype — so paths run on into
+/// ground subtrees of every shape, where extraction walks the type the
+/// ground routine was compiled from.
+#[test]
+fn cached_extract_matches_extract_path() {
+    use std::rc::Rc;
+    use tfgc::gc::rtval::extract_path;
+    use tfgc::gc::{EvalCx, GroundTable, RtCache, RtVal};
+    use tfgc::types::{DataId, Type};
+
+    let c = tfgc::Compiled::compile(
+        "datatype 'a box = Empty | Full of 'a * int ; \
+         fun get b = case b of Empty => 0 | Full (_, n) => n ; get (Full (true, 1))",
+    )
+    .expect("compiles");
+    let prog = &c.program;
+    let t_data = prog.data_env.data_by_name("box").expect("box is declared");
+
+    fn gen_ty(r: &mut SmallRng, t_data: DataId, depth: usize) -> Type {
+        let top = if depth == 0 { 2 } else { 8 };
+        match r.gen_range(0, top) {
+            0 => Type::Int,
+            1 => Type::Bool,
+            2 => Type::Data(t_data, vec![gen_ty(r, t_data, depth - 1)]),
+            3 | 4 => Type::list(gen_ty(r, t_data, depth - 1)),
+            5 | 6 => Type::Tuple(
+                (0..r.gen_range(2, 4))
+                    .map(|_| gen_ty(r, t_data, depth - 1))
+                    .collect(),
+            ),
+            _ => Type::arrow(gen_ty(r, t_data, depth - 1), gen_ty(r, t_data, depth - 1)),
+        }
+    }
+
+    fn gen_rt(
+        r: &mut SmallRng,
+        g: &mut GroundTable,
+        prog: &tfgc::ir::IrProgram,
+        t_data: DataId,
+        depth: usize,
+    ) -> RtVal {
+        let top = if depth == 0 { 3 } else { 6 };
+        match r.gen_range(0, top) {
+            0 => RtVal::Const,
+            1 | 2 => RtVal::Ground(g.make(prog, &gen_ty(r, t_data, 3))),
+            3 => RtVal::Tuple(Rc::new(
+                (0..r.gen_range(1, 4))
+                    .map(|_| gen_rt(r, g, prog, t_data, depth - 1))
+                    .collect(),
+            )),
+            4 => RtVal::Data(
+                tfgc::types::LIST_DATA,
+                Rc::new(vec![gen_rt(r, g, prog, t_data, depth - 1)]),
+            ),
+            _ => RtVal::Arrow(
+                Rc::new(gen_rt(r, g, prog, t_data, depth - 1)),
+                Rc::new(gen_rt(r, g, prog, t_data, depth - 1)),
+            ),
+        }
+    }
+
+    // A path valid for `v`: each step stays within the arity of the
+    // routine, or of the ground type, it meets; past an opaque leaf any
+    // step is legal (extraction yields const_gc).
+    fn gen_path(r: &mut SmallRng, g: &GroundTable, v: &RtVal) -> Vec<u16> {
+        let len = r.gen_range(0, 6) as usize;
+        let mut path = Vec::with_capacity(len);
+        let mut cur = v.clone();
+        let mut ty: Option<Type> = None;
+        while path.len() < len {
+            if let RtVal::Ground(id) = cur {
+                ty = Some((**g.ty(id)).clone());
+                cur = RtVal::Const;
+            }
+            let arity = match (&ty, &cur) {
+                (Some(Type::Tuple(ts) | Type::Data(_, ts)), _) => ts.len(),
+                (Some(Type::Arrow(_, _)), _) => 2,
+                (Some(_), _) => 3,
+                (None, RtVal::Tuple(fs) | RtVal::Data(_, fs)) => fs.len(),
+                (None, RtVal::Arrow(_, _)) => 2,
+                (None, _) => 3,
+            };
+            if arity == 0 {
+                break;
+            }
+            let step = r.gen_range(0, arity as i64) as usize;
+            path.push(step as u16);
+            match &mut ty {
+                Some(t) => {
+                    let next = match t {
+                        Type::Tuple(ts) | Type::Data(_, ts) => ts[step].clone(),
+                        Type::Arrow(a, b) => [a, b][step].as_ref().clone(),
+                        _ => Type::Int,
+                    };
+                    *t = next;
+                }
+                None => {
+                    cur = match &cur {
+                        RtVal::Tuple(fs) | RtVal::Data(_, fs) => fs[step].clone(),
+                        RtVal::Arrow(a, b) => [a, b][step].as_ref().clone(),
+                        _ => RtVal::Const,
+                    };
+                }
+            }
+        }
+        path
+    }
+
+    let mut r = SmallRng::seed_from_u64(0x3E);
+    let mut ground = GroundTable::new();
+    let mut cache = RtCache::new();
+    let values: Vec<RtVal> = (0..60)
+        .map(|_| gen_rt(&mut r, &mut ground, prog, t_data, 3))
+        .collect();
+    let mut through_ground = 0;
+    for round in 0..1500 {
+        let v = &values[r.gen_range(0, values.len() as i64) as usize];
+        let path = gen_path(&mut r, &ground, v);
+        let id = cache.intern_value(v);
+        let got = cache.extract(id, &path, prog, &mut ground, EvalCx::None);
+        let want = extract_path(v, &path, prog, &mut ground, EvalCx::None);
+        assert_eq!(cache.value(got), want, "round {round}: {v:?} at {path:?}");
+        if matches!(want, RtVal::Ground(_)) && !matches!(cache.value(id), RtVal::Ground(_)) {
+            through_ground += 1;
+        }
+    }
+    assert!(
+        cache.hits > 0,
+        "repeat (routine, path) queries hit the memo"
+    );
+    assert!(
+        through_ground > 0,
+        "some paths must reach a ground subtree part-way"
+    );
 }
 
 /// Overload management is a pure function of `(seed, config)`: across a
