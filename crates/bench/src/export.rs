@@ -545,16 +545,15 @@ fn e10_json() -> Json {
         .iter()
         .map(|s| {
             let mine: Vec<_> = report.cases.iter().filter(|c| c.strategy == *s).collect();
-            let count = |class: &str| {
-                Json::from(mine.iter().filter(|c| c.outcome.class() == class).count())
-            };
+            let count =
+                |kind: &str| Json::from(mine.iter().filter(|c| c.outcome.kind() == kind).count());
             let matrix = vec![
                 ("strategy", Json::str(s.name())),
                 ("cases", Json::from(mine.len())),
                 ("completed", count("completed")),
                 ("structured_errors", count("error")),
                 ("fail_fast", count("fail-fast")),
-                ("raw_panics", count("RAW PANIC")),
+                ("raw_panics", count("raw-panic")),
             ];
             let serve: Vec<_> = serve_cases.iter().filter(|c| c.strategy == *s).collect();
             let served = [

@@ -6,6 +6,7 @@
 use std::process::ExitCode;
 use tfgc::gc::NO_TRACE;
 use tfgc::obs::{write_chrome_trace, GcEvent, Obs, RingRecorder};
+use tfgc::vm::oracle_check;
 use tfgc::{Compiled, Strategy, Table, VmConfig};
 
 /// Every command and option. A test checks that each flag the parsers
@@ -390,16 +391,17 @@ fn cmd_run(compiled: &Compiled, opts: &Opts) -> Result<(), String> {
         // The oracle does its own pair of runs (strategy + tagged replay)
         // with a forced-collection schedule so there is something to
         // compare even on low-pressure programs.
-        let rep = tfgc::oracle_check(
-            compiled,
+        let (out, collections) = oracle_check(
+            &compiled.program,
+            &compiled.analyses,
             opts.strategy,
             opts.heap,
             opts.force_gc.unwrap_or(64),
         )?;
-        println!("{}", rep.result);
+        println!("{}", out.result);
         eprintln!(
-            "oracle: {} collection(s) under {} match the tagged replay",
-            rep.collections, rep.strategy
+            "oracle: {collections} collection(s) under {} match the tagged replay",
+            opts.strategy
         );
         return Ok(());
     }
@@ -680,8 +682,12 @@ fn cmd_torture(args: &[String]) -> Result<(), CliError> {
     if generational && !serve_mode {
         return Err(usage("torture: --generational needs --serve"));
     }
-    if serve_mode && overload {
-        let cases = tfgc::torture_overload(&seeds);
+    if serve_mode {
+        let cases = if overload {
+            tfgc::torture_overload(&seeds)
+        } else {
+            tfgc::torture_serve(&seeds, generational)
+        };
         let mut bad = 0;
         for c in &cases {
             let status = if c.violations.is_empty() {
@@ -690,7 +696,7 @@ fn cmd_torture(args: &[String]) -> Result<(), CliError> {
                 "FAIL"
             };
             println!(
-                "overload {status}: {} under {} seed {} completed {} failed {} shed {}",
+                "serve {status}: {} under {} seed {} completed {} failed {} shed {}",
                 c.scenario, c.strategy, c.seed, c.completed, c.failed, c.shed
             );
             for v in &c.violations {
@@ -698,41 +704,7 @@ fn cmd_torture(args: &[String]) -> Result<(), CliError> {
                 bad += 1;
             }
         }
-        println!(
-            "{} overload cases ({} scenarios x {} seeds x 2 strategies)",
-            cases.len(),
-            tfgc::OVERLOAD_SCENARIOS.len(),
-            seeds.len()
-        );
-        if bad > 0 {
-            return Err(CliError::Run(format!(
-                "{bad} overload-torture violation(s)"
-            )));
-        }
-        return Ok(());
-    }
-    if serve_mode {
-        let cases = tfgc::torture_serve(&seeds, generational);
-        let mut bad = 0;
-        for c in &cases {
-            let status = if c.violations.is_empty() {
-                "ok"
-            } else {
-                "FAIL"
-            };
-            println!(
-                "serve {status}: {} seed {} ({}) completed {} failed {}",
-                c.strategy,
-                c.seed,
-                c.plan.describe(),
-                c.completed,
-                c.failed
-            );
-            for v in &c.violations {
-                println!("  violation: {v}");
-                bad += 1;
-            }
-        }
+        println!("{} serve-torture cases", cases.len());
         if bad > 0 {
             return Err(CliError::Run(format!("{bad} serve-torture violation(s)")));
         }
@@ -755,12 +727,10 @@ fn cmd_torture(args: &[String]) -> Result<(), CliError> {
             let compiled =
                 Compiled::compile(&src).map_err(|e| CliError::Run(format!("{name}: {e}")))?;
             for s in Strategy::ALL {
-                let rep = tfgc::oracle_check(&compiled, s, 1 << 16, 64)
-                    .map_err(|e| CliError::Run(format!("oracle: {name} under {s}: {e}")))?;
-                println!(
-                    "oracle ok: {name} under {s} ({} collections)",
-                    rep.collections
-                );
+                let (_, collections) =
+                    oracle_check(&compiled.program, &compiled.analyses, s, 1 << 16, 64)
+                        .map_err(|e| CliError::Run(format!("oracle: {name} under {s}: {e}")))?;
+                println!("oracle ok: {name} under {s} ({collections} collections)");
             }
         }
     }

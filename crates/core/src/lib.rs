@@ -36,12 +36,10 @@ pub use profile::{metrics_json, profile_report, site_label};
 pub use report::{ratio, render_rows, Table};
 pub use serve::{
     check_overload_slo, check_slo, overload_scenario, serve, serve_json, serve_rows,
-    torture_overload, torture_serve, MixEntry, OverloadSlo, OverloadTortureCase, ServeConfig,
-    ServeRun, ServeTortureCase, Slo, OVERLOAD_SCENARIOS, SERVICE_SRC,
+    torture_overload, torture_serve, MixEntry, OverloadSlo, ServeConfig, ServeRun,
+    ServeTortureCase, Slo, OVERLOAD_SCENARIOS, SERVICE_SRC,
 };
-pub use torture::{
-    oracle_check, torture, OracleReport, TortureCase, TortureOutcome, TortureReport,
-};
+pub use torture::{torture, TortureCase, TortureReport};
 
 // Re-export the subsystem layers under stable names.
 pub use tfgc_analysis as analysis;

@@ -34,8 +34,6 @@
 //! the mechanisms through seeded burst / deadline-storm / runaway-hog /
 //! watermark-flap cases that must never raw-panic.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use crate::pipeline::Compiled;
 use tfgc_gc::Strategy;
 use tfgc_obs::{Json, Obs, ServeRecorder};
@@ -43,8 +41,8 @@ use tfgc_tasking::{
     find_fn, serve_requests_overload, AdmissionPolicy, OverloadConfig, Request, ServeReport,
     TaskConfig,
 };
-use tfgc_vm::{FaultPlan, VmError};
-use tfgc_workloads::SmallRng;
+use tfgc_vm::{capture_panics_mut, with_quiet_panics, FaultPlan, VmError};
+use tfgc_workloads::{fnv1a64, SmallRng};
 
 /// The service program: a persistent global table (the shared heap
 /// state every request sees) plus one handler per traffic class. Each
@@ -285,22 +283,18 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeRun, String> {
     })
 }
 
-/// FNV-1a over the rendered outcomes (kind, result, error text): one
-/// order-sensitive digest standing for the full response stream.
+/// FNV-1a over each outcome's kind (four little-endian bytes) and
+/// rendered result (`<error: …>` or `<shed: …>` when it did not
+/// complete), each closed by a zero byte: one order-sensitive digest
+/// standing for the full response stream.
 fn results_digest(report: &ServeReport) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut bytes = Vec::new();
     for o in &report.outcomes {
-        eat(&o.kind.to_le_bytes());
-        eat(o.result.as_bytes());
-        eat(&[0]);
+        bytes.extend_from_slice(&o.kind.to_le_bytes());
+        bytes.extend_from_slice(o.result.as_bytes());
+        bytes.push(0);
     }
-    h
+    fnv1a64(&bytes)
 }
 
 /// One run's profile: the config it ran under, its request and heap
@@ -582,19 +576,61 @@ pub fn overload_scenario(strategy: Strategy, seed: u64) -> ServeConfig {
     cfg
 }
 
-/// One overload-torture case.
+/// One serve-torture case: a seeded scenario served on a torture-sized
+/// heap under one strategy.
 #[derive(Debug)]
-pub struct OverloadTortureCase {
+pub struct ServeTortureCase {
+    /// Scenario name: one of [`OVERLOAD_SCENARIOS`], or `exhaust` /
+    /// `exhaust-nursery` for [`torture_serve`]'s refused growth.
+    pub scenario: &'static str,
     pub strategy: Strategy,
     pub seed: u64,
-    /// Scenario name (`burst`, `deadline-storm`, `runaway-hog`,
-    /// `watermark-flap`).
-    pub scenario: &'static str,
     pub completed: u64,
     pub failed: u64,
     pub shed: u64,
     /// Invariant violations (empty = graceful degradation held).
     pub violations: Vec<String>,
+}
+
+/// Serves `cfg` with panics captured and checks the contract every
+/// serve-torture case owes: no panic of any kind escapes, every request
+/// resolves exactly one way (conservation), and the service keeps
+/// completing work. With `oom_only`, a request may fail only by running
+/// out of memory.
+fn serve_case(scenario: &'static str, cfg: &ServeConfig, oom_only: bool) -> ServeTortureCase {
+    let mut case = ServeTortureCase {
+        scenario,
+        strategy: cfg.task.strategy,
+        seed: cfg.seed,
+        completed: 0,
+        failed: 0,
+        shed: 0,
+        violations: Vec::new(),
+    };
+    let context = format!("{scenario} under {} seed {}", cfg.task.strategy, cfg.seed);
+    match capture_panics_mut(&context, || serve(cfg)) {
+        Ok(Ok(run)) => {
+            let r = &run.report;
+            case.violations = request_integrity(r, cfg.requests);
+            if r.completed == 0 {
+                case.violations
+                    .push("service collapsed: nothing completed".to_string());
+            }
+            for (i, o) in r.outcomes.iter().enumerate() {
+                match &o.error {
+                    Some(e) if oom_only && !matches!(e, VmError::OutOfMemory { .. }) => {
+                        case.violations
+                            .push(format!("request {i}: non-OOM error {e}"));
+                    }
+                    _ => {}
+                }
+            }
+            (case.completed, case.failed, case.shed) = (r.completed, r.failed, r.shed);
+        }
+        Ok(Err(e)) => case.violations.push(format!("service dropped: {e}")),
+        Err(p) => case.violations.push(format!("panic: {}", p.describe())),
+    }
+    case
 }
 
 /// Seeded overload-torture configurations. Every scenario keeps the
@@ -666,133 +702,65 @@ pub const OVERLOAD_SCENARIOS: [&str; 4] =
     ["burst", "deadline-storm", "runaway-hog", "watermark-flap"];
 
 /// Races the overload mechanisms: for each seed, every scenario under
-/// the compiled and tagged strategies. The contract per case: no panic
-/// of any kind escapes, every request resolves exactly one way
-/// (conservation), and the service keeps completing work. Panic output
-/// is suppressed for the duration (the hook is restored before
+/// the compiled and tagged strategies, each a [`serve_case`]. Panic
+/// output is suppressed for the duration (the hook is restored before
 /// returning).
-pub fn torture_overload(seeds: &[u64]) -> Vec<OverloadTortureCase> {
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let mut cases = Vec::new();
-    for &seed in seeds {
-        for scenario in OVERLOAD_SCENARIOS {
-            for strategy in [Strategy::Compiled, Strategy::Tagged] {
-                let cfg = overload_torture_config(scenario, strategy, seed);
-                let (violations, completed, failed, shed) =
-                    match catch_unwind(AssertUnwindSafe(|| serve(&cfg))) {
-                        Ok(Ok(run)) => {
-                            let r = &run.report;
-                            let mut violations = request_integrity(r, cfg.requests);
-                            if r.completed == 0 {
-                                violations.push("service collapsed: nothing completed".to_string());
-                            }
-                            (violations, r.completed, r.failed, r.shed)
-                        }
-                        Ok(Err(e)) => (vec![format!("service dropped: {e}")], 0, 0, 0),
-                        Err(payload) => (
-                            vec![format!("raw panic: {}", panic_text(payload.as_ref()))],
-                            0,
-                            0,
-                            0,
-                        ),
-                    };
-                cases.push(OverloadTortureCase {
-                    strategy,
-                    seed,
-                    scenario,
-                    completed,
-                    failed,
-                    shed,
-                    violations,
-                });
+pub fn torture_overload(seeds: &[u64]) -> Vec<ServeTortureCase> {
+    with_quiet_panics(|| {
+        let mut cases = Vec::new();
+        for &seed in seeds {
+            for scenario in OVERLOAD_SCENARIOS {
+                for strategy in [Strategy::Compiled, Strategy::Tagged] {
+                    let cfg = overload_torture_config(scenario, strategy, seed);
+                    cases.push(serve_case(scenario, &cfg, false));
+                }
             }
         }
-    }
-    std::panic::set_hook(prev_hook);
-    cases
-}
-
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".to_string()
-    }
-}
-
-/// One serve-mode torture case: mid-traffic heap exhaustion.
-#[derive(Debug)]
-pub struct ServeTortureCase {
-    pub strategy: Strategy,
-    pub seed: u64,
-    pub plan: FaultPlan,
-    pub completed: u64,
-    pub failed: u64,
-    /// Invariant violations (empty = graceful degradation held).
-    pub violations: Vec<String>,
+        cases
+    })
 }
 
 /// Runs the service under seeded mid-traffic fault injection: a tight
 /// heap whose growth is refused partway through the run. The graceful-
 /// degradation contract is that faults quarantine individual requests —
-/// they never drop the service: every request resolves, and requests
-/// *behind* a quarantined one still complete on the recycled slot.
-/// `generational` reruns the matrix with a quarter-semispace nursery:
-/// refused growth must quarantine just as gracefully when minors are
-/// absorbing the churn.
+/// they never drop the service: every request resolves, only by running
+/// out of memory if it fails, and requests *behind* a quarantined one
+/// still complete on the recycled slot. `generational` reruns the
+/// matrix with a quarter-semispace nursery: refused growth must
+/// quarantine just as gracefully when minors are absorbing the churn.
+/// Panic output is suppressed for the duration.
 pub fn torture_serve(seeds: &[u64], generational: bool) -> Vec<ServeTortureCase> {
-    let mut cases = Vec::new();
-    for &seed in seeds {
-        for strategy in [Strategy::Compiled, Strategy::Tagged] {
-            let mut cfg = ServeConfig::new(strategy);
-            cfg.seed = seed;
-            cfg.requests = 60;
-            cfg.pool = 3;
-            cfg.task.heap_words = 1 << 10;
-            cfg.task.heap_max_words = Some(1 << 12);
-            cfg.sample_every = 16;
-            cfg.hog_every = 7;
-            if generational {
-                cfg.task.nursery_words = Some(cfg.task.heap_words / 4);
-            }
-            // Exhaustion strikes mid-traffic at a seed-determined
-            // allocation count; growth is refused from then on.
-            cfg.task.fault_plan = Some(FaultPlan {
-                exhaust_at: Some(200 + seed % 400),
-                ..FaultPlan::none()
-            });
-            let (violations, completed, failed) = match serve(&cfg) {
-                Ok(run) => {
-                    let r = &run.report;
-                    let mut violations = request_integrity(r, cfg.requests);
-                    if r.completed == 0 {
-                        violations.push("service dropped: nothing completed".to_string());
-                    }
-                    for (i, o) in r.outcomes.iter().enumerate() {
-                        if let Some(e) = &o.error {
-                            if !matches!(e, VmError::OutOfMemory { .. }) {
-                                violations.push(format!("request {i}: non-OOM error {e}"));
-                            }
-                        }
-                    }
-                    (violations, r.completed, r.failed)
+    let scenario = if generational {
+        "exhaust-nursery"
+    } else {
+        "exhaust"
+    };
+    with_quiet_panics(|| {
+        let mut cases = Vec::new();
+        for &seed in seeds {
+            for strategy in [Strategy::Compiled, Strategy::Tagged] {
+                let mut cfg = ServeConfig::new(strategy);
+                cfg.seed = seed;
+                cfg.requests = 60;
+                cfg.pool = 3;
+                cfg.task.heap_words = 1 << 10;
+                cfg.task.heap_max_words = Some(1 << 12);
+                cfg.sample_every = 16;
+                cfg.hog_every = 7;
+                if generational {
+                    cfg.task.nursery_words = Some(cfg.task.heap_words / 4);
                 }
-                Err(e) => (vec![format!("service dropped: {e}")], 0, 0),
-            };
-            cases.push(ServeTortureCase {
-                strategy,
-                seed,
-                plan: cfg.task.fault_plan.unwrap(),
-                completed,
-                failed,
-                violations,
-            });
+                // Exhaustion strikes mid-traffic at a seed-determined
+                // allocation count; growth is refused from then on.
+                cfg.task.fault_plan = Some(FaultPlan {
+                    exhaust_at: Some(200 + seed % 400),
+                    ..FaultPlan::none()
+                });
+                cases.push(serve_case(scenario, &cfg, true));
+            }
         }
-    }
-    cases
+        cases
+    })
 }
 
 #[cfg(test)]
@@ -1017,12 +985,12 @@ mod tests {
         for c in &cases {
             assert!(
                 c.violations.is_empty(),
-                "{} seed {} ({}): {:?}",
+                "{} seed {}: {:?}",
                 c.strategy,
                 c.seed,
-                c.plan.describe(),
                 c.violations
             );
+            assert_eq!(c.scenario, "exhaust-nursery");
             assert!(c.completed > 0, "{} seed {}", c.strategy, c.seed);
         }
     }
@@ -1034,10 +1002,9 @@ mod tests {
         for c in &cases {
             assert!(
                 c.violations.is_empty(),
-                "{} seed {} ({}): {:?}",
+                "{} seed {}: {:?}",
                 c.strategy,
                 c.seed,
-                c.plan.describe(),
                 c.violations
             );
             assert!(c.completed > 0, "{} seed {}", c.strategy, c.seed);

@@ -1,53 +1,14 @@
-//! Torture harness and tagged-oracle differential checking.
-//!
-//! The torture matrix runs seeded workloads under every collection
-//! strategy with a seed-derived [`FaultPlan`], heap verification on, and
-//! a deliberately tight (but growable) heap. The robustness contract it
-//! enforces: **every run ends in a completed result, a structured
-//! [`VmError`], or a structured fail-fast panic — never a raw panic.** A
-//! raw panic means an injected fault was mistraced instead of detected.
-//!
-//! [`oracle_check`] is the differential half: the same program replayed
-//! under the fully tagged collector with an identical forced-collection
-//! schedule must observe byte-for-byte identical canonical reachable
-//! graphs at every collection (§6's argument that tag-free tracing loses
-//! no information the tags carried).
+//! The torture matrix: seeded workloads under every collection strategy
+//! with a seed-derived [`FaultPlan`], each run as
+//! [`tfgc_vm::fault_case`] (heap verification on, a tight but growable
+//! heap). Its contract is [`CaseOutcome`]'s: every run ends in a
+//! completed result, a structured [`tfgc_vm::VmError`], or a structured
+//! fail-fast panic — never a raw panic.
 
 use crate::pipeline::Compiled;
 use tfgc_gc::Strategy;
-use tfgc_vm::{capture_panics_mut, diff, with_quiet_panics, FaultPlan, Vm, VmConfig, VmError};
+use tfgc_vm::{fault_case, with_quiet_panics, CaseOutcome, FaultPlan};
 use tfgc_workloads::{generate, programs, GenConfig};
-
-/// How one torture case ended.
-#[derive(Debug, Clone)]
-pub enum TortureOutcome {
-    /// Ran to completion (the injected fault was absorbed or never fired).
-    Completed(String),
-    /// Surfaced a structured [`VmError`] — graceful degradation.
-    Error(VmError),
-    /// Hit a structured fail-fast panic (heap corruption, torn stack
-    /// map): the fault was *detected*, not silently mistraced.
-    FailFast(String),
-    /// An unstructured panic — always a harness failure.
-    RawPanic(String),
-}
-
-impl TortureOutcome {
-    /// Everything except a raw panic satisfies the robustness contract.
-    pub fn is_graceful(&self) -> bool {
-        !matches!(self, TortureOutcome::RawPanic(_))
-    }
-
-    /// Short class name for report tables.
-    pub fn class(&self) -> &'static str {
-        match self {
-            TortureOutcome::Completed(_) => "completed",
-            TortureOutcome::Error(_) => "error",
-            TortureOutcome::FailFast(_) => "fail-fast",
-            TortureOutcome::RawPanic(_) => "RAW PANIC",
-        }
-    }
-}
 
 /// One (workload, strategy, fault schedule) run of the matrix.
 #[derive(Debug, Clone)]
@@ -58,7 +19,7 @@ pub struct TortureCase {
     /// Seed the fault plan (and any generated program) derives from.
     pub seed: u64,
     pub plan: FaultPlan,
-    pub outcome: TortureOutcome,
+    pub outcome: CaseOutcome,
 }
 
 /// Results of a whole torture matrix.
@@ -81,11 +42,11 @@ impl TortureReport {
         self.raw_panics().is_empty()
     }
 
-    /// Count of cases in the given outcome class.
-    pub fn count(&self, class: &str) -> usize {
+    /// Count of cases of the given [`CaseOutcome::kind`].
+    pub fn count(&self, kind: &str) -> usize {
         self.cases
             .iter()
-            .filter(|c| c.outcome.class() == class)
+            .filter(|c| c.outcome.kind() == kind)
             .count()
     }
 
@@ -97,7 +58,7 @@ impl TortureReport {
             self.count("completed"),
             self.count("error"),
             self.count("fail-fast"),
-            self.count("RAW PANIC"),
+            self.count("raw-panic"),
         )
     }
 }
@@ -127,26 +88,6 @@ fn torture_workloads() -> Vec<(&'static str, String)> {
     ]
 }
 
-/// Runs one case: tight growable heap, verifier on, fault plan armed.
-/// Panic capture and classification live in the shared
-/// [`tfgc_vm::capture_panics_mut`] helper (also used by the fuzz
-/// campaign workers).
-fn run_case(compiled: &Compiled, strategy: Strategy, plan: FaultPlan) -> TortureOutcome {
-    let meta = compiled.metadata(strategy);
-    let cfg = VmConfig::new(strategy)
-        .heap_words(1 << 10)
-        .heap_max_words(1 << 14)
-        .verify_heap(true)
-        .fault_plan(plan);
-    let context = format!("{strategy} ({})", plan.describe());
-    match capture_panics_mut(&context, || compiled.run_with_meta(cfg, meta)) {
-        Ok(Ok(out)) => TortureOutcome::Completed(out.result),
-        Ok(Err(e)) => TortureOutcome::Error(e),
-        Err(p) if p.structured => TortureOutcome::FailFast(p.message),
-        Err(p) => TortureOutcome::RawPanic(p.describe()),
-    }
-}
-
 /// Runs the torture matrix: for each seed, the fixed workloads plus one
 /// seed-generated program, each under all five strategies with the
 /// seed's fault plan. Panic output from expected fail-fast cases is
@@ -169,15 +110,14 @@ pub fn torture(seeds: &[u64]) -> TortureReport {
             let mut programs: Vec<(&str, &Compiled)> =
                 fixed.iter().map(|(n, c)| (n.as_str(), c)).collect();
             programs.push(("generated", &generated));
-            for (name, compiled) in programs {
+            for (name, c) in programs {
                 for s in Strategy::ALL {
-                    let outcome = run_case(compiled, s, plan);
                     report.cases.push(TortureCase {
                         workload: name.to_string(),
                         strategy: s,
                         seed,
                         plan,
-                        outcome,
+                        outcome: fault_case(&c.program, &c.analyses, s, plan),
                     });
                 }
             }
@@ -186,102 +126,10 @@ pub fn torture(seeds: &[u64]) -> TortureReport {
     })
 }
 
-/// Summary of a successful oracle run.
-#[derive(Debug, Clone)]
-pub struct OracleReport {
-    pub strategy: Strategy,
-    /// Collections compared (snapshots are taken before every collection).
-    pub collections: usize,
-    pub result: String,
-}
-
-/// Differential oracle: runs `compiled` under `strategy` and again under
-/// the fully tagged collector with the same heap size and forced-GC
-/// schedule, then asserts the two runs observed identical canonical
-/// reachable graphs at every collection, and identical results/output.
-///
-/// The tagged replay receives the tag-free run's metadata purely to
-/// locate root slots; everything below the roots is traced by tags
-/// alone, so agreement shows the type-driven walk reconstructed exactly
-/// the reachable set the tags describe.
-///
-/// # Errors
-///
-/// A human-readable description of the first divergence (or of a VM
-/// error in either run).
-pub fn oracle_check(
-    compiled: &Compiled,
-    strategy: Strategy,
-    heap_words: usize,
-    force_gc_every: u64,
-) -> Result<OracleReport, String> {
-    let meta = compiled.metadata(strategy);
-    // Snapshot root enumeration always follows a *tag-free* metadata
-    // set. For the tagged strategy itself (whose own metadata omits
-    // every gc_word) borrow the no-liveness build, which keeps all of
-    // them.
-    let root_meta = if strategy == Strategy::Tagged {
-        compiled.metadata(Strategy::CompiledNoLiveness)
-    } else {
-        meta.clone()
-    };
-    let cfg = VmConfig::new(strategy)
-        .heap_words(heap_words)
-        .force_gc_every(force_gc_every);
-    let mut vm = Vm::with_meta(&compiled.program, cfg, meta);
-    vm.enable_snapshots(root_meta.clone());
-    let out = vm.run().map_err(|e| format!("{strategy}: {e}"))?;
-    let snaps = vm.take_snapshots();
-
-    let tagged_cfg = VmConfig::new(Strategy::Tagged)
-        .heap_words(heap_words)
-        .force_gc_every(force_gc_every);
-    let mut tagged_vm = Vm::with_meta(
-        &compiled.program,
-        tagged_cfg,
-        compiled.metadata(Strategy::Tagged),
-    );
-    tagged_vm.enable_snapshots(root_meta);
-    let tagged_out = tagged_vm.run().map_err(|e| format!("tagged oracle: {e}"))?;
-    let tagged_snaps = tagged_vm.take_snapshots();
-
-    if out.result != tagged_out.result {
-        return Err(format!(
-            "result differs: {} ({strategy}) vs {} (tagged)",
-            out.result, tagged_out.result
-        ));
-    }
-    if out.printed != tagged_out.printed {
-        return Err(format!(
-            "printed output differs ({} lines vs {})",
-            out.printed.len(),
-            tagged_out.printed.len()
-        ));
-    }
-    if snaps.len() != tagged_snaps.len() {
-        return Err(format!(
-            "collection count differs: {} ({strategy}) vs {} (tagged)",
-            snaps.len(),
-            tagged_snaps.len()
-        ));
-    }
-    for (i, (a, b)) in snaps.iter().zip(&tagged_snaps).enumerate() {
-        if let Some(d) = diff(a, b) {
-            return Err(format!(
-                "collection {i}: reachable graphs differ ({strategy} vs tagged): {d}"
-            ));
-        }
-    }
-    Ok(OracleReport {
-        strategy,
-        collections: snaps.len(),
-        result: out.result,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tfgc_vm::{oracle_check, run_case, VmConfig, VmError};
 
     #[test]
     fn torture_matrix_ends_gracefully() {
@@ -314,22 +162,22 @@ mod tests {
 
     #[test]
     fn oracle_agrees_under_all_strategies() {
-        let compiled = Compiled::compile(&programs::naive_rev(40)).unwrap();
+        let c = Compiled::compile(&programs::naive_rev(40)).unwrap();
         for s in Strategy::ALL {
-            let rep =
-                oracle_check(&compiled, s, 1 << 14, 32).unwrap_or_else(|e| panic!("{s}: {e}"));
-            assert!(rep.collections > 0, "{s}: no collections compared");
-            assert_eq!(rep.result, "40", "{s}");
+            let (out, collections) = oracle_check(&c.program, &c.analyses, s, 1 << 14, 32)
+                .unwrap_or_else(|e| panic!("{s}: {e}"));
+            assert!(collections > 0, "{s}: no collections compared");
+            assert_eq!(out.result, "40", "{s}");
         }
     }
 
     #[test]
     fn oracle_agrees_on_polymorphic_closures() {
-        let compiled = Compiled::compile(&programs::poly_capture(60)).unwrap();
+        let c = Compiled::compile(&programs::poly_capture(60)).unwrap();
         for s in Strategy::ALL {
-            let rep =
-                oracle_check(&compiled, s, 1 << 14, 24).unwrap_or_else(|e| panic!("{s}: {e}"));
-            assert!(rep.collections > 0, "{s}: no collections compared");
+            let (_, collections) = oracle_check(&c.program, &c.analyses, s, 1 << 14, 24)
+                .unwrap_or_else(|e| panic!("{s}: {e}"));
+            assert!(collections > 0, "{s}: no collections compared");
         }
     }
 
@@ -408,7 +256,7 @@ mod tests {
     fn corrupted_discriminant_outcomes(
         src: &str,
         strategies: &[Strategy],
-    ) -> Vec<(Strategy, TortureOutcome)> {
+    ) -> Vec<(Strategy, CaseOutcome)> {
         let compiled = Compiled::compile(src).unwrap();
         let plan = FaultPlan {
             corrupt_discriminant_at: Some(5),
@@ -418,21 +266,13 @@ mod tests {
             strategies
                 .iter()
                 .map(|&s| {
-                    let meta = compiled.metadata(s);
                     let cfg = VmConfig::new(s)
                         .heap_words(1 << 12)
                         .force_gc_every(8)
                         .verify_heap(true)
                         .fault_plan(plan);
-                    let outcome = match capture_panics_mut(&s.to_string(), || {
-                        compiled.run_with_meta(cfg, meta)
-                    }) {
-                        Ok(Ok(out)) => TortureOutcome::Completed(out.result),
-                        Ok(Err(e)) => TortureOutcome::Error(e),
-                        Err(p) if p.structured => TortureOutcome::FailFast(p.message),
-                        Err(p) => TortureOutcome::RawPanic(p.describe()),
-                    };
-                    (s, outcome)
+                    let meta = compiled.metadata(s);
+                    (s, run_case(&compiled.program, meta, cfg, &s.to_string()))
                 })
                 .collect()
         })
@@ -450,10 +290,7 @@ mod tests {
              total (build 30)";
         for (s, outcome) in corrupted_discriminant_outcomes(src, &Strategy::ALL) {
             assert!(
-                matches!(
-                    outcome,
-                    TortureOutcome::Error(_) | TortureOutcome::FailFast(_)
-                ),
+                matches!(outcome, CaseOutcome::Error(_) | CaseOutcome::FailFast(_)),
                 "{s}: corruption not detected: {outcome:?}"
             );
         }
@@ -476,7 +313,7 @@ mod tests {
              total (build 30 [])";
         let engines = [Strategy::Compiled, Strategy::Interpreted];
         for (s, outcome) in corrupted_discriminant_outcomes(src, &engines) {
-            let TortureOutcome::FailFast(msg) = outcome else {
+            let CaseOutcome::FailFast(msg) = outcome else {
                 panic!("{s}: expected a fail-fast panic, got {outcome:?}");
             };
             assert!(msg.contains("heap corruption:"), "{s}: {msg}");
@@ -512,7 +349,7 @@ mod tests {
             !victims.is_empty(),
             "poly_deep_alloc has polymorphic frames"
         );
-        let mut panics: Vec<(Strategy, u32, tfgc_vm::CapturedPanic)> = Vec::new();
+        let mut raw = Vec::new();
         let mut detected = [0usize; 2];
         with_quiet_panics(|| {
             for (si, s) in [Strategy::Compiled, Strategy::Interpreted]
@@ -528,19 +365,16 @@ mod tests {
                         .heap_words(1 << 12)
                         .force_gc_every(2)
                         .fault_plan(plan);
-                    let res = capture_panics_mut(&format!("{s} fn {victim}"), || {
-                        compiled.run_with_meta(cfg, compiled.metadata(s))
-                    });
-                    if let Err(p) = res {
-                        detected[si] += 1;
-                        panics.push((s, victim, p));
+                    let context = format!("{s} fn {victim}");
+                    match run_case(&compiled.program, compiled.metadata(s), cfg, &context) {
+                        CaseOutcome::FailFast(_) => detected[si] += 1,
+                        CaseOutcome::RawPanic(msg) => raw.push(msg),
+                        _ => {}
                     }
                 }
             }
         });
-        for (s, victim, p) in &panics {
-            assert!(p.structured, "{s} fn {victim}: raw panic: {}", p.message);
-        }
+        assert!(raw.is_empty(), "raw panics: {raw:#?}");
         assert!(
             detected.iter().all(|&n| n > 0),
             "a strategy never tripped the torn-stack-map check: {detected:?}"

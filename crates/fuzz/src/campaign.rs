@@ -6,7 +6,9 @@ use std::collections::BTreeMap;
 
 use crate::{compile_src, shrink::shrink, FuzzCompiled};
 use tfgc_gc::Strategy;
-use tfgc_vm::{capture_panics_mut, diff, with_quiet_panics, FaultPlan, Vm, VmConfig, VmError};
+use tfgc_vm::{
+    fault_case, oracle_check, run_case, with_quiet_panics, CaseOutcome, FaultPlan, VmConfig,
+};
 use tfgc_workloads::{generate_program, GProgram, GenConfig};
 
 /// Campaign settings (all deterministic inputs).
@@ -118,7 +120,7 @@ pub struct CampaignReport {
     pub cases_executed: u64,
     /// Clean cells that ran to completion.
     pub completed: u64,
-    /// Clean cells that ended in a structured [`VmError`].
+    /// Clean cells that ended in a structured [`tfgc_vm::VmError`].
     pub structured_errors: u64,
     /// Fault-pass runs that degraded gracefully.
     pub faults_graceful: u64,
@@ -142,40 +144,6 @@ pub(crate) struct RawFinding {
     pub detail: String,
 }
 
-fn error_class(e: &VmError) -> &'static str {
-    match e {
-        VmError::OutOfMemory { .. } => "oom",
-        VmError::MatchFailure { .. } => "match-failure",
-        VmError::DivideByZero { .. } => "divide-by-zero",
-        VmError::StepLimit { .. } => "step-limit",
-        VmError::StackOverflow { .. } => "stack-overflow",
-        VmError::VerificationFailed { .. } => "verification-failed",
-        VmError::DeadlineExceeded { .. } => "deadline",
-        VmError::Internal { .. } => "internal",
-    }
-}
-
-/// How one clean cell ended.
-#[derive(Debug, Clone)]
-enum CellOutcome {
-    Done { result: String, printed: Vec<i64> },
-    Err { class: &'static str, msg: String },
-    FailFast(String),
-    RawPanic(String),
-}
-
-impl CellOutcome {
-    /// Outcome class used for cross-cell agreement checks.
-    fn class(&self) -> String {
-        match self {
-            CellOutcome::Done { .. } => "completed".to_string(),
-            CellOutcome::Err { class, .. } => format!("error:{class}"),
-            CellOutcome::FailFast(_) => "fail-fast".to_string(),
-            CellOutcome::RawPanic(_) => "raw-panic".to_string(),
-        }
-    }
-}
-
 /// The per-strategy heap tiers: a tiny growable heap with a forced-GC
 /// schedule (collections strike early and often, at allocation counts
 /// that are identical across cells), and the default heap (collections
@@ -186,14 +154,19 @@ const TINY_HEAP: usize = 1 << 10;
 const HEAP_CEILING: usize = 1 << 16;
 const FORCED_GC_PERIOD: u64 = 7;
 
+/// The heap tiers in campaign order: name, tiny heap, generational.
+const TIERS: [(&str, bool, bool); 3] = [
+    ("tiny", true, false),
+    ("tiny-gen", true, true),
+    ("default", false, false),
+];
+
 fn run_cell(
     compiled: &FuzzCompiled,
     strategy: Strategy,
-    tiny: bool,
-    generational: bool,
+    (tier, tiny, generational): (&str, bool, bool),
     seed: u64,
-) -> CellOutcome {
-    let meta = compiled.metadata(strategy);
+) -> CaseOutcome {
     let mut cfg = VmConfig::new(strategy)
         .heap_words(if tiny { TINY_HEAP } else { HEAP_CEILING })
         .heap_max_words(HEAP_CEILING)
@@ -211,92 +184,77 @@ fn run_cell(
         // aging, minor promotion or survivor overflow.
         cfg = cfg.generational(TINY_HEAP / 4, 1);
     }
-    let context = format!(
-        "seed {seed} / {strategy} / heap={}{}",
-        if tiny { "tiny" } else { "default" },
-        if generational { "-gen" } else { "" }
-    );
-    let res = capture_panics_mut(&context, || {
-        Vm::with_meta(&compiled.program, cfg, meta).run()
-    });
-    match res {
-        Ok(Ok(out)) => CellOutcome::Done {
-            result: out.result,
-            printed: out.printed,
-        },
-        Ok(Err(e)) => CellOutcome::Err {
-            class: error_class(&e),
-            msg: e.to_string(),
-        },
-        Err(p) if p.structured => CellOutcome::FailFast(p.message),
-        Err(p) => CellOutcome::RawPanic(p.describe()),
+    let context = format!("seed {seed} / {strategy} / heap={tier}");
+    let meta = compiled.metadata(strategy);
+    run_case(&compiled.program, meta, cfg, &context)
+}
+
+/// The agreement class of a cell: its outcome kind, with a structured
+/// error's [`tfgc_vm::VmError::class`] (`error:oom`).
+fn class(out: &CaseOutcome) -> String {
+    match out {
+        CaseOutcome::Error(e) => format!("error:{}", e.class()),
+        other => other.kind().to_string(),
     }
 }
 
-/// The tagged-oracle node-identity pass for one strategy: same program,
-/// same heap, same forced-collection schedule, replayed under the tagged
-/// collector; the canonical reachable graphs at every collection must be
-/// byte-for-byte identical.
-fn oracle_pass(compiled: &FuzzCompiled, strategy: Strategy, seed: u64) -> Result<(), String> {
-    let heap_words = 1 << 14;
-    let force_every = 16;
-    let meta = compiled.metadata(strategy);
-    let root_meta = if strategy == Strategy::Tagged {
-        compiled.metadata(Strategy::CompiledNoLiveness)
+/// Compares cell `b` with reference cell `a` on outcome class, then
+/// result, then printed output, and returns the first disagreement.
+/// `pair` ends the fingerprint: `s1-vs-s2` for two strategies within
+/// `tier`, or the reference strategy when `generational` compares the
+/// tiny tier with the tiny-gen tier.
+fn disagreement(
+    a: &CaseOutcome,
+    b: &CaseOutcome,
+    generational: bool,
+    pair: &str,
+    tier: &str,
+) -> Option<RawFinding> {
+    let (class_tag, result_tag, printed_tag) = if generational {
+        ("generational-class", "generational", "generational")
     } else {
-        meta.clone()
+        ("class", "result", "printed")
     };
-    let context = format!("seed {seed} / oracle / {strategy}");
-    let run = |s: Strategy, m, roots: tfgc_gc::GcMeta| {
-        capture_panics_mut(&context, || {
-            let cfg = VmConfig::new(s)
-                .heap_words(heap_words)
-                .force_gc_every(force_every);
-            let mut vm = Vm::with_meta(&compiled.program, cfg, m);
-            vm.enable_snapshots(roots);
-            let out = vm.run();
-            let snaps = vm.take_snapshots();
-            (out, snaps)
+    let (ca, cb) = (class(a), class(b));
+    if ca != cb {
+        return Some(RawFinding {
+            kind: DivergenceKind::ResultMismatch,
+            fingerprint: format!("result-mismatch|{class_tag}:{ca}-vs-{cb}|{pair}"),
+            detail: format!("{tier}: {pair} ended {ca} vs {cb}"),
+        });
+    }
+    let (
+        CaseOutcome::Completed {
+            result: r0,
+            printed: p0,
+        },
+        CaseOutcome::Completed {
+            result: r1,
+            printed: p1,
+        },
+    ) = (a, b)
+    else {
+        return None;
+    };
+    if r0 != r1 {
+        Some(RawFinding {
+            kind: DivergenceKind::ResultMismatch,
+            fingerprint: format!("result-mismatch|{result_tag}|{pair}"),
+            detail: format!("{tier}: {pair} got {r0} vs {r1}"),
         })
-        .map_err(|p| p.describe())
-    };
-    let (out, snaps) = run(strategy, meta, root_meta.clone())?;
-    let out = out.map_err(|e| format!("{strategy}: {e}"))?;
-    let (tagged_out, tagged_snaps) = run(
-        Strategy::Tagged,
-        compiled.metadata(Strategy::Tagged),
-        root_meta,
-    )?;
-    let tagged_out = tagged_out.map_err(|e| format!("tagged oracle: {e}"))?;
-
-    if out.result != tagged_out.result {
-        return Err(format!(
-            "result differs: {} ({strategy}) vs {} (tagged)",
-            out.result, tagged_out.result
-        ));
+    } else if p0 != p1 {
+        Some(RawFinding {
+            kind: DivergenceKind::PrintedMismatch,
+            fingerprint: format!("printed-mismatch|{printed_tag}|{pair}"),
+            detail: format!(
+                "{tier}: {pair} printed output differs ({} vs {} lines)",
+                p0.len(),
+                p1.len()
+            ),
+        })
+    } else {
+        None
     }
-    if out.printed != tagged_out.printed {
-        return Err(format!(
-            "printed output differs ({} lines vs {})",
-            out.printed.len(),
-            tagged_out.printed.len()
-        ));
-    }
-    if snaps.len() != tagged_snaps.len() {
-        return Err(format!(
-            "collection count differs: {} ({strategy}) vs {} (tagged)",
-            snaps.len(),
-            tagged_snaps.len()
-        ));
-    }
-    for (i, (a, b)) in snaps.iter().zip(&tagged_snaps).enumerate() {
-        if let Some(d) = diff(a, b) {
-            return Err(format!(
-                "collection {i}: reachable graphs differ ({strategy} vs tagged): {d}"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Per-seed statistics folded into the campaign totals.
@@ -336,40 +294,36 @@ pub(crate) fn check_program(
     // --- Differential cells ---------------------------------------
     // Outcomes per strategy and heap tier, in a fixed iteration order so
     // comparisons and fingerprints are deterministic.
-    let mut tiny_ref: Option<CellOutcome> = None;
-    for (tiny, generational) in [(true, false), (true, true), (false, false)] {
-        let tier = match (tiny, generational) {
-            (true, false) => "tiny",
-            (true, true) => "tiny-gen",
-            _ => "default",
-        };
-        let mut cells: Vec<(Strategy, CellOutcome)> = Vec::new();
+    let mut tiny_ref: Option<CaseOutcome> = None;
+    for tier in TIERS {
+        let (name, tiny, generational) = tier;
+        let mut cells: Vec<(Strategy, CaseOutcome)> = Vec::new();
         for s in Strategy::ALL {
-            let out = run_cell(&compiled, s, tiny, generational, seed);
+            let out = run_cell(&compiled, s, tier, seed);
             stats.cases += 1;
             match &out {
-                CellOutcome::Done { .. } => stats.completed += 1,
-                CellOutcome::Err { class, msg } => {
+                CaseOutcome::Completed { .. } => stats.completed += 1,
+                CaseOutcome::Error(e) => {
                     stats.structured_errors += 1;
-                    if *class == "verification-failed" {
+                    if e.class() == "verification-failed" {
                         findings.push(RawFinding {
                             kind: DivergenceKind::VerifierFailure,
-                            fingerprint: format!("verifier-failure|{class}|{s}"),
-                            detail: format!("{tier}: {msg}"),
+                            fingerprint: format!("verifier-failure|{}|{s}", e.class()),
+                            detail: format!("{name}: {e}"),
                         });
                     }
                 }
-                CellOutcome::FailFast(msg) => {
+                CaseOutcome::FailFast(msg) => {
                     // No fault plan is armed in clean cells, so a
                     // fail-fast panic means the runtime detected
                     // corruption it produced itself.
                     findings.push(RawFinding {
                         kind: DivergenceKind::VerifierFailure,
                         fingerprint: format!("verifier-failure|fail-fast|{s}"),
-                        detail: format!("{tier}: {msg}"),
+                        detail: format!("{name}: {msg}"),
                     });
                 }
-                CellOutcome::RawPanic(msg) => {
+                CaseOutcome::RawPanic(msg) => {
                     findings.push(RawFinding {
                         kind: DivergenceKind::RawPanic,
                         fingerprint: format!("raw-panic|panic|{s}"),
@@ -384,118 +338,37 @@ pub(crate) fn check_program(
         // the reference cell's outcome class, result, and printed output.
         let (ref_s, ref_out) = &cells[0];
         for (s, out) in &cells[1..] {
-            if out.class() != ref_out.class() {
-                findings.push(RawFinding {
-                    kind: DivergenceKind::ResultMismatch,
-                    fingerprint: format!(
-                        "result-mismatch|class:{}-vs-{}|{ref_s}-vs-{s}",
-                        ref_out.class(),
-                        out.class()
-                    ),
-                    detail: format!(
-                        "{tier}: {ref_s} ended {} but {s} ended {}",
-                        ref_out.class(),
-                        out.class()
-                    ),
-                });
-                continue;
-            }
-            if let (
-                CellOutcome::Done {
-                    result: r0,
-                    printed: p0,
-                },
-                CellOutcome::Done {
-                    result: r1,
-                    printed: p1,
-                },
-            ) = (ref_out, out)
-            {
-                if r0 != r1 {
-                    findings.push(RawFinding {
-                        kind: DivergenceKind::ResultMismatch,
-                        fingerprint: format!("result-mismatch|result|{ref_s}-vs-{s}"),
-                        detail: format!("{tier}: {ref_s} got {r0} but {s} got {r1}"),
-                    });
-                } else if p0 != p1 {
-                    findings.push(RawFinding {
-                        kind: DivergenceKind::PrintedMismatch,
-                        fingerprint: format!("printed-mismatch|printed|{ref_s}-vs-{s}"),
-                        detail: format!(
-                            "{tier}: printed output differs between {ref_s} and {s} ({} vs {} lines)",
-                            p0.len(),
-                            p1.len()
-                        ),
-                    });
-                }
-            }
+            findings.extend(disagreement(
+                ref_out,
+                out,
+                false,
+                &format!("{ref_s}-vs-{s}"),
+                name,
+            ));
         }
 
         // Cross-tier agreement: the generational tier must agree with
         // the single-generation tiny tier on class, result, and printed
         // output — nursery evacuation, survivor aging, and promotion
         // are pure copying-plumbing and must never change semantics.
-        match (tiny, generational) {
-            (true, false) => tiny_ref = Some(ref_out.clone()),
-            (true, true) => {
-                if let Some(base) = &tiny_ref {
-                    if base.class() != ref_out.class() {
-                        findings.push(RawFinding {
-                            kind: DivergenceKind::ResultMismatch,
-                            fingerprint: format!(
-                                "result-mismatch|generational-class:{}-vs-{}|{ref_s}",
-                                base.class(),
-                                ref_out.class()
-                            ),
-                            detail: format!(
-                                "tiny ended {} but tiny-gen ended {} ({ref_s})",
-                                base.class(),
-                                ref_out.class()
-                            ),
-                        });
-                    } else if let (
-                        CellOutcome::Done {
-                            result: r0,
-                            printed: p0,
-                        },
-                        CellOutcome::Done {
-                            result: r1,
-                            printed: p1,
-                        },
-                    ) = (base, ref_out)
-                    {
-                        if r0 != r1 {
-                            findings.push(RawFinding {
-                                kind: DivergenceKind::ResultMismatch,
-                                fingerprint: format!("result-mismatch|generational|{ref_s}"),
-                                detail: format!("tiny got {r0} but tiny-gen got {r1} ({ref_s})"),
-                            });
-                        } else if p0 != p1 {
-                            findings.push(RawFinding {
-                                kind: DivergenceKind::PrintedMismatch,
-                                fingerprint: format!("printed-mismatch|generational|{ref_s}"),
-                                detail: format!(
-                                    "printed output differs between tiny and tiny-gen ({} vs {} lines)",
-                                    p0.len(),
-                                    p1.len()
-                                ),
-                            });
-                        }
-                    }
-                }
+        if generational {
+            if let Some(base) = &tiny_ref {
+                let pair = ref_s.to_string();
+                findings.extend(disagreement(base, ref_out, true, &pair, "tiny vs tiny-gen"));
             }
-            _ => {}
+        } else if tiny {
+            tiny_ref = Some(cells.swap_remove(0).1);
         }
     }
 
     // --- Oracle passes ---------------------------------------------
     for s in Strategy::ALL {
         stats.cases += 1;
-        if let Err(e) = oracle_pass(&compiled, s, seed) {
+        if let Err(e) = oracle_check(&compiled.program, &compiled.analyses, s, 1 << 14, 16) {
             findings.push(RawFinding {
                 kind: DivergenceKind::OracleFailure,
                 fingerprint: format!("oracle-failure|oracle|{s}"),
-                detail: e,
+                detail: format!("seed {seed}: {e}"),
             });
         }
     }
@@ -520,25 +393,13 @@ pub(crate) fn check_program(
     let plan = FaultPlan::from_seed(seed);
     for s in Strategy::ALL {
         stats.cases += 1;
-        let meta = compiled.metadata(s);
-        let cfg = VmConfig::new(s)
-            .heap_words(TINY_HEAP)
-            .heap_max_words(1 << 14)
-            .verify_heap(true)
-            .fault_plan(plan);
-        let context = format!("seed {seed} / fault {} / {s}", plan.describe());
-        let res = capture_panics_mut(&context, || {
-            let mut vm = Vm::with_meta(&compiled.program, cfg, meta);
-            vm.run()
-        });
-        match res {
-            Ok(_) => stats.faults_graceful += 1,
-            Err(p) if p.structured => stats.faults_graceful += 1,
-            Err(p) => findings.push(RawFinding {
+        match fault_case(&compiled.program, &compiled.analyses, s, plan) {
+            CaseOutcome::RawPanic(msg) => findings.push(RawFinding {
                 kind: DivergenceKind::NonGracefulFault,
                 fingerprint: format!("non-graceful-fault|panic|{s}"),
-                detail: format!("fault {}: {}", plan.describe(), p.describe()),
+                detail: format!("seed {seed} / fault {msg}"),
             }),
+            _ => stats.faults_graceful += 1,
         }
     }
 
@@ -648,6 +509,81 @@ mod tests {
         let a = crate::report_json(&cfg, &run_campaign(&cfg));
         let b = crate::report_json(&cfg, &run_campaign(&cfg));
         assert_eq!(a, b, "same seeds must produce bit-identical reports");
+    }
+
+    #[test]
+    fn disagreements_keep_their_fingerprints() {
+        let done = |result: &str, printed: Vec<i64>| CaseOutcome::Completed {
+            result: result.to_string(),
+            printed,
+        };
+        let oom = CaseOutcome::Error(tfgc_vm::VmError::OutOfMemory {
+            requested: 2,
+            live: 1024,
+            site: 3,
+            strategy: "tagged",
+        });
+        let base = done("1", vec![5]);
+        let fingerprint = |b: &CaseOutcome, generational: bool, pair: &str| {
+            disagreement(&base, b, generational, pair, "tiny").map(|f| (f.kind, f.fingerprint))
+        };
+        let pair = "compiled-vs-tagged";
+        assert_eq!(fingerprint(&done("1", vec![5]), false, pair), None);
+        assert_eq!(fingerprint(&done("1", vec![5]), true, "compiled"), None);
+        for (b, generational, pair, kind, expected) in [
+            (
+                &oom,
+                false,
+                pair,
+                DivergenceKind::ResultMismatch,
+                "result-mismatch|class:completed-vs-error:oom|compiled-vs-tagged",
+            ),
+            (
+                &done("2", vec![5]),
+                false,
+                pair,
+                DivergenceKind::ResultMismatch,
+                "result-mismatch|result|compiled-vs-tagged",
+            ),
+            (
+                &done("1", vec![]),
+                false,
+                pair,
+                DivergenceKind::PrintedMismatch,
+                "printed-mismatch|printed|compiled-vs-tagged",
+            ),
+            (
+                &oom,
+                true,
+                "compiled",
+                DivergenceKind::ResultMismatch,
+                "result-mismatch|generational-class:completed-vs-error:oom|compiled",
+            ),
+            (
+                &done("2", vec![5]),
+                true,
+                "compiled",
+                DivergenceKind::ResultMismatch,
+                "result-mismatch|generational|compiled",
+            ),
+            (
+                &done("1", vec![]),
+                true,
+                "compiled",
+                DivergenceKind::PrintedMismatch,
+                "printed-mismatch|generational|compiled",
+            ),
+        ] {
+            assert_eq!(
+                fingerprint(b, generational, pair),
+                Some((kind, expected.to_string()))
+            );
+        }
+        // A result mismatch is reported before a printed one.
+        assert_eq!(
+            fingerprint(&done("2", vec![]), false, pair).map(|f| f.1),
+            Some("result-mismatch|result|compiled-vs-tagged".to_string())
+        );
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Structured-panic capture shared by the torture matrix and the fuzz
-//! campaign workers.
+//! Structured-panic capture shared by every harness: the case runner in
+//! `tfgc_vm::case` (torture matrix, fuzz campaign) and the serve
+//! torture.
 //!
 //! The robustness contract distinguishes two kinds of panic: a
 //! *structured* fail-fast panic (one of [`crate::STRUCTURED_PANIC_PREFIXES`],
 //! carrying site/seq/strategy context — an injected fault was *detected*)
-//! and a *raw* panic (anything else — always a harness failure). Both
-//! harnesses used to carry private copies of the payload-downcast and
-//! classification logic; this module is the single shared implementation,
-//! so a new panic shape only has to be taught to one place.
+//! and a *raw* panic (anything else — always a harness failure). This
+//! module is the one implementation of the payload rendering and the
+//! classification, so a new panic shape only has to be taught to one
+//! place.
 
 use std::panic::{catch_unwind, AssertUnwindSafe, UnwindSafe};
 

@@ -25,11 +25,13 @@
 //! # }
 //! ```
 
+pub mod case;
 pub mod error;
 pub mod machine;
 pub mod render;
 pub mod stats;
 
+pub use case::{fault_case, oracle_check, run_case, CaseOutcome};
 pub use error::{VmError, VmResult};
 pub use machine::{run_program, RunOutcome, StepEvent, Vm, VmConfig};
 pub use render::render_value;
@@ -38,8 +40,7 @@ pub use stats::MutatorStats;
 /// configure fault schedules and consume oracle snapshots without a
 /// direct tfgc-verify dependency.
 pub use tfgc_verify::{
-    capture_panics_mut, diff, is_structured_panic, with_quiet_panics, CanonHeap, CapturedPanic,
-    FaultPlan,
+    capture_panics_mut, is_structured_panic, with_quiet_panics, CanonHeap, CapturedPanic, FaultPlan,
 };
 
 #[cfg(test)]

@@ -65,9 +65,6 @@ pub struct VmConfig {
     /// when a collection cannot satisfy an allocation (`None` = fixed
     /// heap, the historical behavior).
     pub heap_max_words: Option<usize>,
-    /// Growth factor in percent (200 = double). Values ≤ 100 are treated
-    /// as the minimum useful step.
-    pub heap_growth_pct: u32,
     /// Generational tier: bump-pointer nursery size in words (`None` =
     /// classic single-generation semispace heap). Nursery exhaustion
     /// triggers a *minor* collection — roots only, tenured untouched —
@@ -93,7 +90,6 @@ impl VmConfig {
             verify_heap: false,
             fault_plan: None,
             heap_max_words: None,
-            heap_growth_pct: 200,
             nursery_words: None,
             promote_after: 0,
         }
@@ -1029,9 +1025,10 @@ impl<'p> Vm<'p> {
         Ok(None)
     }
 
-    /// One step of the bounded growth policy. Refused when growth is not
-    /// configured, the hard cap is reached, or the exhaustion fault is
-    /// active.
+    /// One step of the bounded growth policy: the semispace doubles, or
+    /// grows further when `needed` words would not fit, up to the cap.
+    /// Refused when growth is not configured, the hard cap is reached, or
+    /// the exhaustion fault is active.
     fn try_grow(&mut self, needed: usize) -> bool {
         let Some(max) = self.cfg.heap_max_words else {
             return false;
@@ -1053,9 +1050,7 @@ impl<'p> Vm<'p> {
         if cur >= max {
             return false;
         }
-        let pct = u128::from(self.cfg.heap_growth_pct.max(101));
-        let mut target = ((cur as u128 * pct) / 100) as usize;
-        target = target.clamp(cur + 1, max);
+        let mut target = cur.saturating_mul(2).clamp(cur + 1, max);
         let want = self.heap.used() + needed;
         if target < want {
             target = want.min(max);

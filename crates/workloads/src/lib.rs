@@ -15,21 +15,3 @@ pub use generator::{
 };
 pub use programs::suite;
 pub use rng::{fnv1a64, SmallRng};
-
-use tfgc_ir::{lower, IrProgram};
-use tfgc_syntax::parse_program;
-use tfgc_types::elaborate;
-
-/// Compiles TFML source all the way to bytecode.
-///
-/// # Panics
-///
-/// Panics on any front-end error: workload sources are fixed and correct
-/// by construction.
-pub fn compile(src: &str) -> IrProgram {
-    let parsed = parse_program(src).expect("workload parses");
-    let typed = elaborate(&parsed).expect("workload type-checks");
-    let prog = lower(&typed).expect("workload lowers");
-    debug_assert_eq!(prog.validate(), Ok(()));
-    prog
-}
