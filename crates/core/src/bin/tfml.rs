@@ -176,7 +176,7 @@ struct Opts {
     trace: Option<String>,
     metrics: Option<String>,
     events: usize,
-    generational: bool,
+    /// The nursery size when the run is generational.
     nursery_words: Option<usize>,
     promote_after: u32,
     source: String,
@@ -224,6 +224,18 @@ fn parse_admission(s: &str) -> Result<tfgc::AdmissionPolicy, CliError> {
             )))
         }
     })
+}
+
+/// The nursery of a generational run: `--nursery-words`, or a quarter
+/// of the semispace. An empty nursery is a usage error.
+fn nursery(heap: usize, nursery_words: Option<usize>) -> Result<usize, CliError> {
+    match nursery_words.unwrap_or(heap / 4) {
+        0 => Err(usage(
+            "the nursery must hold at least one word: raise --nursery-words, or --heap \
+             to at least 4 (the default nursery is a quarter of it)",
+        )),
+        n => Ok(n),
+    }
 }
 
 fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
@@ -274,6 +286,11 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
         }
         i += 1;
     }
+    let nursery_words = if generational {
+        Some(nursery(heap, nursery_words)?)
+    } else {
+        None
+    };
     Ok(Opts {
         strategy,
         heap,
@@ -285,7 +302,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
         trace,
         metrics,
         events,
-        generational,
         nursery_words,
         promote_after,
         source: source.ok_or_else(|| usage("no program given (file path or -e SRC)"))?,
@@ -333,11 +349,8 @@ fn vm_config(opts: &Opts) -> VmConfig {
     if let Some(n) = opts.force_gc {
         cfg = cfg.force_gc_every(n);
     }
-    if opts.generational {
-        cfg = cfg.generational(
-            opts.nursery_words.unwrap_or(opts.heap / 4),
-            opts.promote_after,
-        );
+    if let Some(n) = opts.nursery_words {
+        cfg = cfg.generational(n, opts.promote_after);
     }
     cfg
 }
@@ -605,10 +618,13 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     if base.pool == 0 {
         return Err(usage("serve: --pool must be at least 1"));
     }
+    if base.task.quantum == 0 {
+        return Err(usage("serve: --quantum must be at least 1"));
+    }
     if serve_generational {
         // The nursery defaults to a quarter semispace — small enough
         // that minors actually fire under the default traffic.
-        base.task.nursery_words = Some(serve_nursery.unwrap_or(base.task.heap_words / 4));
+        base.task.nursery_words = Some(nursery(base.task.heap_words, serve_nursery)?);
     }
     if base.runaway_every > 0
         && base.overload.deadline_quanta.is_none()
@@ -824,11 +840,8 @@ fn cmd_compare(compiled: &Compiled, opts: &Opts) -> Result<(), String> {
         if let Some(n) = opts.force_gc {
             cfg = cfg.force_gc_every(n);
         }
-        if opts.generational {
-            cfg = cfg.generational(
-                opts.nursery_words.unwrap_or(opts.heap / 4),
-                opts.promote_after,
-            );
+        if let Some(n) = opts.nursery_words {
+            cfg = cfg.generational(n, opts.promote_after);
         }
         let out = compiled.run_with(cfg).map_err(|e| format!("{s}: {e}"))?;
         t.row(vec![
@@ -862,6 +875,11 @@ mod tests {
             vec!["run", "--events", "1.5", "-e", "1"],
             vec!["serve", "--requests", "many"],
             vec!["serve", "--pool", "0"],
+            vec!["serve", "--quantum", "0"],
+            vec!["run", "--nursery-words", "0", "-e", "[1,2]"],
+            vec!["run", "--generational", "--heap", "3", "-e", "[1,2]"],
+            vec!["serve", "--nursery-words", "0", "--requests", "5"],
+            vec!["serve", "--generational", "--heap", "3", "--requests", "5"],
             vec!["serve", "--soft-watermark", "ninety"],
             vec!["serve", "--breaker-threshold", "-3"],
             vec!["torture", "--seeds", "NaN"],

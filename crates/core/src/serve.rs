@@ -896,6 +896,33 @@ mod tests {
         );
     }
 
+    /// A quantum is one burst of the interpreter, so an instruction
+    /// dropped or repeated at a burst's edge would change a response or
+    /// lose a request here.
+    #[test]
+    fn responses_do_not_depend_on_the_quantum() {
+        for nursery in [None, Some(128)] {
+            let mut first: Option<Vec<tfgc_tasking::RequestOutcome>> = None;
+            for quantum in [1, 7, 64, 4096] {
+                let mut cfg = ServeConfig::new(Strategy::Compiled);
+                cfg.requests = 40;
+                cfg.pool = 3;
+                cfg.task.heap_words = 512;
+                cfg.task.quantum = quantum;
+                cfg.task.nursery_words = nursery;
+                let what = format!("quantum {quantum}, nursery {nursery:?}");
+                let r = serve(&cfg).unwrap_or_else(|e| panic!("{what}: {e}")).report;
+                assert_eq!(r.completed + r.failed + r.shed, 40, "{what}: conservation");
+                assert_eq!(r.completed, 40, "{what}");
+                assert!(r.suspension_events > 0, "{what}: the heap must collect");
+                match &first {
+                    None => first = Some(r.outcomes),
+                    Some(f) => assert_eq!(&r.outcomes, f, "{what}"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn slo_gate_passes_sane_runs_and_fails_absurd_ones() {
         let mut cfg = ServeConfig::new(Strategy::Compiled);

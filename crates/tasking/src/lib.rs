@@ -7,7 +7,8 @@
 //! the multi-threaded [`tfgc_vm::Vm`]:
 //!
 //! * a deterministic round-robin scheduler with a configurable quantum,
-//!   preempting only between instructions;
+//!   preempting only between instructions: each quantum is one
+//!   interpreter burst ([`Vm::burst`]);
 //! * heap exhaustion in any task raises a GC request; tasks then park at
 //!   their next *safe point* per the chosen [`SuspendPolicy`] — §4's two
 //!   situations ("the process calls an allocation routine" vs "the
@@ -65,10 +66,10 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::fmt;
 use tfgc_gc::{GcStats, Strategy};
-use tfgc_ir::{CallSiteId, FnId, Instr, IrProgram};
+use tfgc_ir::{CallSiteId, FnId, IrProgram};
 use tfgc_obs::{GcEvent, Obs};
 use tfgc_runtime::HeapStats;
-use tfgc_vm::{FaultPlan, MutatorStats, StepEvent, Vm, VmConfig, VmError, VmResult};
+use tfgc_vm::{BurstEnd, FaultPlan, MutatorStats, SafePoints, Vm, VmConfig, VmError, VmResult};
 use tfgc_workloads::rng::SmallRng;
 
 /// When may a task be parked for collection? (§4.)
@@ -88,6 +89,30 @@ pub enum SuspendPolicy {
     /// the addressing modes of some processors to make the test
     /// inexpensive").
     EveryCallRgc,
+}
+
+impl SuspendPolicy {
+    /// Suspension tests executed at `calls` calls and `allocs`
+    /// allocations under this policy's cost model: one per safe point,
+    /// and none at all with the `Rgc` register.
+    fn tests(self, calls: u64, allocs: u64) -> u64 {
+        match self {
+            SuspendPolicy::AllocationOnly => allocs,
+            SuspendPolicy::EveryCall => calls + allocs,
+            SuspendPolicy::EveryCallRgc => 0,
+        }
+    }
+
+    /// The instructions a task stops before while a collection is
+    /// pending.
+    fn safe_points(self) -> SafePoints {
+        match self {
+            SuspendPolicy::AllocationOnly => SafePoints::Allocations,
+            SuspendPolicy::EveryCall | SuspendPolicy::EveryCallRgc => {
+                SafePoints::CallsAndAllocations
+            }
+        }
+    }
 }
 
 impl fmt::Display for SuspendPolicy {
@@ -400,8 +425,8 @@ pub fn run_tasks(
 ///
 /// # Panics
 ///
-/// Panics if `pool` is zero (with a non-empty queue) or a request entry
-/// does not take exactly one argument.
+/// Panics if `pool` or `cfg.quantum` is zero (with a non-empty queue) or
+/// a request entry does not take exactly one argument.
 pub fn serve_requests_overload(
     prog: &IrProgram,
     requests: &[Request],
@@ -446,6 +471,10 @@ pub fn serve_requests_overload(
         return Ok((report, std::mem::take(&mut vm.obs)));
     }
     assert!(pool > 0, "serving needs at least one pool slot");
+    assert!(
+        cfg.quantum > 0,
+        "a zero quantum runs no instruction, so no request could finish"
+    );
     let n = pool.min(requests.len());
 
     // Service-wide default budgets apply to requests that carry none.
@@ -551,15 +580,17 @@ pub fn serve_requests_overload(
     ))
 }
 
-/// Runs the current thread to completion, collecting inline when blocked
-/// (single-task mode for the main/global phase).
+/// Runs the current thread to completion in one unbounded burst,
+/// collecting whenever it blocks (single-task mode for the main/global
+/// phase).
 fn run_single(vm: &mut Vm<'_>) -> VmResult<()> {
-    let mut blocked_without_progress = false;
+    let mut retried = false;
     loop {
-        match vm.step()? {
-            StepEvent::Done(_) => return Ok(()),
-            StepEvent::AllocBlocked(site) => {
-                if blocked_without_progress {
+        let b = vm.burst(u64::MAX, SafePoints::None);
+        match b.end? {
+            BurstEnd::Done(_) => return Ok(()),
+            BurstEnd::AllocBlocked(site) => {
+                if retried && b.completed == 0 {
                     // The collection freed nothing and the allocation
                     // already retried once: growing is the only way
                     // forward.
@@ -573,10 +604,11 @@ fn run_single(vm: &mut Vm<'_>) -> VmResult<()> {
                     }
                 } else {
                     vm.collect_parked(site)?;
-                    blocked_without_progress = true;
                 }
+                retried = true;
             }
-            StepEvent::Continue => blocked_without_progress = false,
+            BurstEnd::Budget => {}
+            BurstEnd::SafePoint(_) => unreachable!("a burst with no safe points stopped at one"),
         }
     }
 }
@@ -1173,10 +1205,17 @@ impl Scheduler<'_> {
         )
     }
 
-    /// Runs task `i` for up to a quantum, honoring safe-point parking.
-    /// Budgets are checked first: a request past its deadline (quanta)
-    /// or out of fuel (instructions) is quarantined before it runs
-    /// again.
+    /// Runs task `i` for one quantum: one burst of up to `quantum`
+    /// instructions. Budgets are checked first: a request past its
+    /// deadline (quanta) or out of fuel (instructions) is quarantined
+    /// before it runs again.
+    ///
+    /// The burst reports the instructions it completed (the request's
+    /// fuel) and the calls and allocations it dispatched, from which the
+    /// policy's suspension tests are counted ([`SuspendPolicy::tests`]).
+    /// While a collection is pending, the burst stops before the task's
+    /// next safe point (§4) and the task parks there; the test that
+    /// found the collection pending counts as one more.
     fn run_quantum(&mut self, i: usize) -> VmResult<()> {
         let req = self.requests[self.slot_req[i]];
         if let Some(d) = req.deadline_quanta {
@@ -1199,88 +1238,58 @@ impl Scheduler<'_> {
             // will re-mark the task.
             self.blocked_on_alloc[i] = None;
         }
-        for _ in 0..self.quantum {
-            // The suspension test (§4): executed per the policy's cost
-            // model at each safe-point instruction.
-            let (at_call, at_alloc) = match self.vm.current_instr() {
-                Instr::CallDirect { .. } | Instr::CallClosure { .. } => (true, false),
-                Instr::MakeTuple { .. } | Instr::MakeData { .. } | Instr::MakeClosure { .. } => {
-                    (false, true)
-                }
-                _ => (false, false),
-            };
-            match self.policy {
-                SuspendPolicy::AllocationOnly => {
-                    if at_alloc {
-                        self.report_checks += 1;
-                    }
-                }
-                SuspendPolicy::EveryCall => {
-                    if at_call || at_alloc {
-                        self.report_checks += 1;
-                    }
-                }
-                SuspendPolicy::EveryCallRgc => {
-                    // The Rgc register folds the test into the call's
-                    // target address: zero extra operations.
-                }
-            }
-            if self.gc_pending {
-                let safe = match self.policy {
-                    SuspendPolicy::AllocationOnly => at_alloc,
-                    SuspendPolicy::EveryCall | SuspendPolicy::EveryCallRgc => at_call || at_alloc,
-                };
-                if safe {
-                    let site = match self.vm.current_site() {
-                        Some(s) => s,
-                        None => {
-                            return Err(VmError::Internal {
-                                detail: format!(
-                                    "slot {i} parking at an instruction with no call/alloc site"
-                                ),
-                            })
-                        }
-                    };
-                    self.vm.park_thread(thread, site);
-                    self.parked[i] = true;
-                    let task = i as u32;
-                    self.vm.obs.emit(|t_ns| GcEvent::TaskParked {
-                        t_ns,
-                        task,
-                        site: site.0,
-                    });
-                    return Ok(());
-                }
-            }
-            match self.vm.step() {
-                Ok(StepEvent::Continue) => {
-                    self.fuel_spent[i] += 1;
-                    if self.gc_pending {
-                        self.latency += 1;
-                    }
-                }
-                Ok(StepEvent::Done(_)) => {
-                    self.fuel_spent[i] += 1;
-                    self.finish(i, None);
-                    return Ok(());
-                }
-                Ok(StepEvent::AllocBlocked(site)) => {
-                    self.gc_pending = true;
-                    self.blocked_on_alloc[i] = Some(site);
-                    self.vm.park_thread(thread, site);
-                    self.parked[i] = true;
-                    let task = i as u32;
-                    self.vm.obs.emit(|t_ns| GcEvent::TaskParked {
-                        t_ns,
-                        task,
-                        site: site.0,
-                    });
-                    return Ok(());
-                }
-                Err(e) => return self.quarantine(i, e),
-            }
+        let pending = self.gc_pending;
+        let stop = if pending {
+            self.policy.safe_points()
+        } else {
+            SafePoints::None
+        };
+        let b = self.vm.burst(self.quantum, stop);
+        self.report_checks += self.policy.tests(b.calls, b.allocs);
+        self.fuel_spent[i] += b.completed;
+        // Suspension latency counts the instructions that ran on while
+        // the collection waited; the one that finishes a request is not
+        // among them.
+        let finished = matches!(b.end, Ok(BurstEnd::Done(_)));
+        if pending {
+            self.latency += b.completed - u64::from(finished);
         }
-        Ok(())
+        match b.end {
+            Ok(BurstEnd::Budget) => Ok(()),
+            Ok(BurstEnd::SafePoint(site)) => {
+                // The test that found the collection pending; the `Rgc`
+                // register makes it free.
+                if self.policy != SuspendPolicy::EveryCallRgc {
+                    self.report_checks += 1;
+                }
+                self.park(i, site);
+                Ok(())
+            }
+            Ok(BurstEnd::Done(_)) => {
+                self.finish(i, None);
+                Ok(())
+            }
+            Ok(BurstEnd::AllocBlocked(site)) => {
+                self.gc_pending = true;
+                self.blocked_on_alloc[i] = Some(site);
+                self.park(i, site);
+                Ok(())
+            }
+            Err(e) => self.quarantine(i, e),
+        }
+    }
+
+    /// Parks task `i` at the call or allocation `site` until the pending
+    /// collection has run.
+    fn park(&mut self, i: usize, site: CallSiteId) {
+        self.vm.park_thread(self.tasks[i], site);
+        self.parked[i] = true;
+        let task = i as u32;
+        self.vm.obs.emit(|t_ns| GcEvent::TaskParked {
+            t_ns,
+            task,
+            site: site.0,
+        });
     }
 
     /// Records a per-request error, kills the slot's stack (its heap

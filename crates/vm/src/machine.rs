@@ -12,15 +12,21 @@
 //! (§4's tasks); the cooperative scheduler lives in `tfgc-tasking`. A
 //! single-task program uses thread 0 only.
 //!
-//! There is one instruction body, `Vm::exec`. It is `#[inline(always)]`:
-//! [`Vm::run`] loops on it directly and [`Vm::step`] (`#[inline]`) wraps
-//! it, so every stepping loop — `run`, the task scheduler's quanta, an
-//! external driver — compiles the dispatch into its own loop rather than
-//! calling out once per instruction. The body builds no Rust heap value
-//! on the common path: a call writes the callee frame in place from the
-//! caller's slots, an allocation gathers its operands into one reused
-//! machine-owned buffer, and `EvalDesc` reads its template and the
-//! frame's descriptor slots where they lie.
+//! There is one instruction body, the dispatch loop behind
+//! [`Vm::burst`]. A burst runs the current thread for up to a budget of
+//! instructions with the thread's `pc`, frame pointer, code slice and
+//! stack `Vec` held in locals: they are moved out of the thread's state
+//! on entry and written back on exit and around each out-of-line path
+//! that needs the whole machine (an allocation that collects, grows the
+//! heap, blocks or meets a fault hook). The step limit is folded into the
+//! budget and a halted thread is caught once, at entry. Every entry point runs
+//! this body: [`Vm::run`] is an unbounded burst, [`Vm::step`] a burst of
+//! one, and the task scheduler runs a burst per quantum, which stops
+//! before the next safe point while a collection is pending. The body
+//! builds no Rust heap value on the common path: a call writes the
+//! callee frame in place from the caller's slots, an allocation bumps the
+//! heap and copies its payload from the frame, and `EvalDesc` reads its
+//! template and the frame's descriptor slots where they lie.
 
 use crate::error::{VmError, VmResult};
 use crate::render::render_value;
@@ -31,7 +37,7 @@ use tfgc_gc::{
 };
 use tfgc_ir::{ArithOp, CallSiteId, CmpOp, CtorRep, FnId, Instr, IrProgram, Slot};
 use tfgc_obs::{GcEvent, Obs};
-use tfgc_runtime::{ArithKind, Encoding, Heap, HeapStats, Word, HEAP_BASE};
+use tfgc_runtime::{Addr, ArithKind, Encoding, Heap, HeapStats, Word, HEAP_BASE};
 use tfgc_verify::{
     snapshot_tagfree, snapshot_tagged, verify_tagfree, verify_tagged, CanonHeap, FaultPlan,
     RootsView, StackView,
@@ -53,7 +59,7 @@ pub struct VmConfig {
     /// Maximum stack size in words (per thread).
     pub max_stack_words: usize,
     /// Cooperative mode (§4 tasking): an exhausted heap does not collect
-    /// inline; the step reports [`StepEvent::AllocBlocked`] and the
+    /// inline; the burst ends with [`BurstEnd::AllocBlocked`] and the
     /// scheduler decides when every task is suspended.
     pub cooperative: bool,
     /// Walk and check the whole reachable graph after every collection
@@ -175,14 +181,83 @@ pub enum StepEvent {
     AllocBlocked(CallSiteId),
 }
 
-/// Why a thread does not execute its next instruction. The dispatch loop
-/// tests a thread's `Option<Halt>` once per step and leaves the common
-/// path when it is set.
+/// The instructions a burst stops before while a collection is pending:
+/// the safe points of the task's suspension policy (§4: a task is
+/// suspended for collection only when it "calls an allocation routine",
+/// or, under the stricter policy, "makes any procedure call").
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SafePoints {
+    /// No collection is pending: stop before nothing.
+    None,
+    /// Stop before an allocation.
+    Allocations,
+    /// Stop before a call or an allocation.
+    CallsAndAllocations,
+}
+
+/// How a burst ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BurstEnd {
+    /// The budget ran out; the thread can run on.
+    Budget,
+    /// The thread stands before a safe point, the call or allocation at
+    /// this site, which has not run.
+    SafePoint(CallSiteId),
+    /// The thread's bottom frame returned this word.
+    Done(Word),
+    /// Cooperative mode only: the heap is exhausted; the thread is
+    /// suspended at this allocation site and re-executes the allocation
+    /// after a collection.
+    AllocBlocked(CallSiteId),
+}
+
+/// What one [`Vm::burst`] did.
+#[derive(Debug)]
+pub struct Burst {
+    /// How it ended. An error ends it at the failing instruction.
+    pub end: VmResult<BurstEnd>,
+    /// Instructions completed (a task's fuel): every instruction the
+    /// burst dispatched except one that blocked or failed.
+    pub completed: u64,
+    /// Calls dispatched, completed or not. A thread stalled on a call
+    /// dispatches it again with every instruction it burns.
+    pub calls: u64,
+    /// Allocations dispatched, completed or not, counted the same way.
+    pub allocs: u64,
+}
+
+/// Why the dispatch loop handed the thread back. Small enough to stay in
+/// registers: a burst's exit path moves no large value until it builds
+/// its [`Burst`].
+enum Exit {
+    Budget,
+    SafePoint(CallSiteId),
+    Done(Word),
+    Blocked(CallSiteId),
+    /// An allocation completed and stalled the thread
+    /// ([`FaultPlan::stall_at`]).
+    Stalled,
+    Failed(Box<VmError>),
+}
+
+/// How a burst ended, with its error boxed (see [`Exit`]).
+type Ended = Result<BurstEnd, Box<VmError>>;
+
+/// Calls and allocations a stalled thread dispatched by spinning.
+#[derive(Default)]
+struct Spun {
+    calls: u64,
+    allocs: u64,
+}
+
+/// Why a thread does not execute its next instruction. A burst tests a
+/// thread's `Option<Halt>` once, at entry, and leaves the dispatch loop
+/// when it is set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Halt {
     /// Runaway fault ([`FaultPlan::stall_at`]): the thread spins — every
-    /// step burns an instruction without advancing — until a budget ends
-    /// it.
+    /// instruction it runs is burnt without advancing — until a budget
+    /// ends it.
     Stalled,
     /// The bottom frame returned this word; the stack is empty.
     Finished(Word),
@@ -210,6 +285,74 @@ impl ThreadState {
     }
 }
 
+/// The running thread's registers while a burst holds them in locals.
+struct Regs<'p> {
+    stack: Vec<Word>,
+    fp: usize,
+    fn_id: FnId,
+    pc: usize,
+    code: &'p [Instr],
+}
+
+impl<'p> Regs<'p> {
+    /// Moves the thread's registers and stack out of `t`.
+    #[inline(always)]
+    fn take(t: &mut ThreadState, prog: &'p IrProgram) -> Regs<'p> {
+        Regs {
+            stack: std::mem::take(&mut t.stack),
+            fp: t.fp,
+            fn_id: t.fn_id,
+            pc: t.pc as usize,
+            code: &prog.fun(t.fn_id).code,
+        }
+    }
+
+    /// Writes the registers and stack back into `t`.
+    #[inline(always)]
+    fn put(self, t: &mut ThreadState) {
+        t.stack = self.stack;
+        t.fp = self.fp;
+        t.fn_id = self.fn_id;
+        t.pc = self.pc as u32;
+    }
+
+    #[inline(always)]
+    fn get(&self, s: Slot) -> Word {
+        self.stack[self.fp + FRAME_HDR + s.0 as usize]
+    }
+
+    #[inline(always)]
+    fn set(&mut self, s: Slot, w: Word) {
+        let i = self.fp + FRAME_HDR + s.0 as usize;
+        self.stack[i] = w;
+    }
+
+    /// Makes the frame at `fp` in function `f`, at `pc`, current.
+    #[inline(always)]
+    fn jump_to(&mut self, prog: &'p IrProgram, fp: usize, f: FnId, pc: usize) {
+        self.fp = fp;
+        self.fn_id = f;
+        self.code = &prog.fun(f).code;
+        self.pc = pc;
+    }
+}
+
+/// Per-run constants the dispatch loop reads, derived from the
+/// configuration once, in [`Vm::with_meta`].
+#[derive(Debug, Clone, Copy)]
+struct Consts {
+    /// [`VmConfig::max_steps`]; `u64::MAX` when unlimited.
+    max_steps: u64,
+    max_stack_words: usize,
+    /// The strategy zero-initializes frame slots a call does not pass.
+    init_frames: bool,
+    /// The word those slots receive.
+    fill: Word,
+    /// Header words in front of every heap object (1 on the tagged
+    /// heap, 0 tag-free).
+    header_words: usize,
+}
+
 /// The virtual machine.
 #[derive(Debug)]
 pub struct Vm<'p> {
@@ -228,9 +371,13 @@ pub struct Vm<'p> {
     /// site); swap in [`Obs::ring`] to record.
     pub obs: Obs,
     cfg: VmConfig,
-    allocs_since_force: u64,
+    consts: Consts,
     /// Monotone allocation sequence number (fault-plan trigger key).
     alloc_seq: u64,
+    /// The next allocation sequence number at which a forced collection
+    /// or a fault hook may fire; allocations before it take the inline
+    /// bump path.
+    next_hook: u64,
     /// Largest request a parked task is blocked on that a minor
     /// collection cannot satisfy (exceeds eden); forces the scheduler's
     /// next collection to be a major. Cleared by every major.
@@ -292,6 +439,18 @@ impl<'p> Vm<'p> {
             None => Heap::new(cfg.heap_words),
         };
         let globals = vec![enc.int(0); prog.globals.len()];
+        let init_frames = cfg.strategy.requires_frame_init();
+        let consts = Consts {
+            max_steps: cfg.max_steps.unwrap_or(u64::MAX),
+            max_stack_words: cfg.max_stack_words,
+            init_frames,
+            // Safe under either encoding (tagged: int 0 is odd). Slots
+            // that are never initialized are never traced (live ⊆
+            // assigned is validated at compile time); zero keeps runs
+            // deterministic.
+            fill: if init_frames { enc.int(0) } else { 0 },
+            header_words: enc.mode.header_words(),
+        };
         let mut vm = Vm {
             prog,
             meta,
@@ -306,14 +465,37 @@ impl<'p> Vm<'p> {
             mutator: MutatorStats::default(),
             obs: Obs::null(),
             cfg,
-            allocs_since_force: 0,
+            consts,
             alloc_seq: 0,
+            next_hook: 0,
             pending_oversize: 0,
             oracle: None,
             operands: Vec::new(),
         };
+        vm.next_hook = vm.hook_after(0);
         vm.spawn_thread(prog.main, &[]);
         vm
+    }
+
+    /// The first allocation sequence number after `seq` at which a
+    /// forced collection or a fault hook can fire (`u64::MAX`: never).
+    fn hook_after(&self, seq: u64) -> u64 {
+        let mut next = u64::MAX;
+        if let (false, Some(n)) = (self.cfg.cooperative, self.cfg.force_gc_every) {
+            let n = n.max(1);
+            next = (seq / n).saturating_add(1).saturating_mul(n);
+        }
+        if let Some(p) = self.cfg.fault_plan {
+            for at in [p.stall_at, p.alloc_fail_at, p.corrupt_discriminant_at]
+                .into_iter()
+                .flatten()
+            {
+                if at > seq {
+                    next = next.min(at);
+                }
+            }
+        }
+        next
     }
 
     /// Enables pre-collection canonical snapshots for the differential
@@ -347,8 +529,8 @@ impl<'p> Vm<'p> {
         stack.push(NO_FP);
         stack.push(MAIN_RET);
         stack.extend_from_slice(args);
-        stack.resize(FRAME_HDR + n_slots, self.frame_fill());
-        if self.cfg.strategy.requires_frame_init() {
+        stack.resize(FRAME_HDR + n_slots, self.consts.fill);
+        if self.consts.init_frames {
             self.mutator.frame_init_stores += (n_slots - args.len()) as u64;
         }
         ThreadState {
@@ -454,428 +636,536 @@ impl<'p> Vm<'p> {
         self.cfg.strategy.name()
     }
 
-    fn frame_fill(&self) -> Word {
-        if self.cfg.strategy.requires_frame_init() {
-            // Safe value under either encoding (tagged: int 0 is odd).
-            self.enc.int(0)
-        } else {
-            // Never traced (live ⊆ assigned is validated at compile
-            // time); zero keeps runs deterministic.
-            0
-        }
-    }
-
     #[inline]
     fn th(&self) -> &ThreadState {
         &self.threads[self.cur]
     }
 
-    #[inline]
-    fn th_mut(&mut self) -> &mut ThreadState {
-        &mut self.threads[self.cur]
-    }
-
-    #[inline]
-    fn get(&self, s: Slot) -> Word {
-        let t = self.th();
-        t.stack[t.fp + FRAME_HDR + s.0 as usize]
-    }
-
-    #[inline]
-    fn set(&mut self, s: Slot, w: Word) {
-        let t = self.th_mut();
-        let i = t.fp + FRAME_HDR + s.0 as usize;
-        t.stack[i] = w;
-    }
-
-    fn fn_name(&self) -> String {
-        self.prog.fun(self.th().fn_id).name.clone()
-    }
-
     /// Runs thread 0 to completion.
     pub fn run(&mut self) -> VmResult<RunOutcome> {
-        loop {
-            match self.exec()? {
-                StepEvent::Done(w) => {
-                    let result =
-                        render_value(self.prog, &self.heap, self.enc, w, &self.prog.main_ty);
-                    return Ok(RunOutcome {
-                        printed: std::mem::take(&mut self.printed),
-                        result,
-                        heap: self.heap.stats,
-                        gc: self.gc_stats,
-                        mutator: self.mutator,
-                        descs_interned: self.descs.len(),
-                        metadata_bytes: self.meta.metadata_bytes(),
-                    });
+        let w = loop {
+            match self.burst(u64::MAX, SafePoints::None).end? {
+                BurstEnd::Done(w) => break w,
+                BurstEnd::Budget => {}
+                end @ (BurstEnd::AllocBlocked(_) | BurstEnd::SafePoint(_)) => {
+                    unreachable!("non-cooperative mode collects inline: {end:?}")
                 }
-                StepEvent::AllocBlocked(_) => {
-                    unreachable!("non-cooperative mode collects inline")
-                }
-                StepEvent::Continue => {}
             }
-        }
+        };
+        let result = render_value(self.prog, &self.heap, self.enc, w, &self.prog.main_ty);
+        Ok(RunOutcome {
+            printed: std::mem::take(&mut self.printed),
+            result,
+            heap: self.heap.stats,
+            gc: self.gc_stats,
+            mutator: self.mutator,
+            descs_interned: self.descs.len(),
+            metadata_bytes: self.meta.metadata_bytes(),
+        })
     }
 
-    /// Executes one instruction of the current thread.
+    /// Executes one instruction of the current thread: a burst of one.
     ///
     /// A finished thread answers [`StepEvent::Done`] with its result
     /// again, and a killed one [`VmError::Internal`]; neither counts an
     /// instruction.
     #[inline]
     pub fn step(&mut self) -> VmResult<StepEvent> {
-        self.exec()
+        Ok(match self.burst(1, SafePoints::None).end? {
+            BurstEnd::Budget => StepEvent::Continue,
+            BurstEnd::Done(w) => StepEvent::Done(w),
+            BurstEnd::AllocBlocked(site) => StepEvent::AllocBlocked(site),
+            BurstEnd::SafePoint(_) => unreachable!("a burst with no safe points stopped at one"),
+        })
     }
 
-    /// The one instruction body behind [`Vm::run`] and [`Vm::step`],
-    /// inlined into each so that every loop over it dispatches without
-    /// a call per instruction.
-    #[inline(always)]
-    fn exec(&mut self) -> VmResult<StepEvent> {
-        if let Some(halt) = self.th().halt {
-            return self.step_halted(halt);
-        }
-        self.count_instruction()?;
-        let prog = self.prog;
-        let (fn_id, pc) = {
-            let t = self.th();
-            (t.fn_id, t.pc)
+    /// Runs the current thread for up to `budget` instructions, stopping
+    /// early when it finishes, blocks on an allocation, fails, or, with
+    /// `stop` other than [`SafePoints::None`], reaches a safe point.
+    ///
+    /// The step limit ([`VmConfig::max_steps`]) counts every instruction
+    /// dispatched; a burst that reaches it fails with
+    /// [`VmError::StepLimit`] after the last instruction the limit
+    /// allows. A thread stalled by [`FaultPlan::stall_at`], before or
+    /// during the burst, burns the rest of the budget without advancing.
+    /// A finished thread ends the burst with [`BurstEnd::Done`] at once,
+    /// and a killed one with [`VmError::Internal`].
+    #[inline]
+    pub fn burst(&mut self, budget: u64, stop: SafePoints) -> Burst {
+        let calls = self.mutator.calls + self.mutator.closure_calls;
+        let allocs = self.alloc_seq;
+        let mut completed = 0;
+        let mut spun = Spun::default();
+        let end = match self.th().halt {
+            None => self.run_burst(budget, stop, &mut completed, &mut spun),
+            Some(halt) => self.halted(halt, budget, stop, &mut completed, &mut spun),
         };
-        let ins = &prog.fun(fn_id).code[pc as usize];
-        match ins {
-            Instr::LoadInt(d, n) => {
-                let w = self.enc.int(*n);
-                self.set(*d, w);
-            }
-            Instr::LoadBool(d, b) => {
-                let w = self.enc.bool(*b);
-                self.set(*d, w);
-            }
-            Instr::LoadUnit(d) => {
-                let w = self.enc.unit();
-                self.set(*d, w);
-            }
-            Instr::LoadGlobal(d, g) => {
-                let w = self.globals[g.0 as usize];
-                self.set(*d, w);
-            }
-            Instr::StoreGlobal(g, s) => {
-                self.globals[g.0 as usize] = self.get(*s);
-            }
-            Instr::Move(d, s) => {
-                let w = self.get(*s);
-                self.set(*d, w);
-            }
-            Instr::Arith(d, op, a, b) => {
-                let x = self.enc.int_of(self.get(*a));
-                let y = self.enc.int_of(self.get(*b));
-                let (kind, val) = match op {
-                    ArithOp::Add => (ArithKind::Add, Some(x.wrapping_add(y))),
-                    ArithOp::Sub => (ArithKind::Sub, Some(x.wrapping_sub(y))),
-                    ArithOp::Mul => (ArithKind::Mul, Some(x.wrapping_mul(y))),
-                    ArithOp::Div => (ArithKind::Div, x.checked_div(y)),
-                    ArithOp::Mod => (ArithKind::Mod, x.checked_rem(y)),
-                };
-                let val = val.ok_or_else(|| VmError::DivideByZero {
-                    function: self.fn_name(),
-                })?;
-                self.mutator.tag_ops += self.enc.arith_tag_ops(kind);
-                let w = self.enc.int(val);
-                self.set(*d, w);
-            }
-            Instr::Cmp(d, op, a, b) => {
-                let x = self.enc.int_of(self.get(*a));
-                let y = self.enc.int_of(self.get(*b));
-                let r = match op {
-                    CmpOp::Eq => x == y,
-                    CmpOp::Ne => x != y,
-                    CmpOp::Lt => x < y,
-                    CmpOp::Le => x <= y,
-                    CmpOp::Gt => x > y,
-                    CmpOp::Ge => x >= y,
-                };
-                self.mutator.tag_ops += self.enc.arith_tag_ops(ArithKind::Cmp);
-                let w = self.enc.bool(r);
-                self.set(*d, w);
-            }
-            Instr::Neg(d, a) => {
-                let x = self.enc.int_of(self.get(*a));
-                self.mutator.tag_ops += self.enc.arith_tag_ops(ArithKind::Neg);
-                let w = self.enc.int(x.wrapping_neg());
-                self.set(*d, w);
-            }
-            Instr::Not(d, a) => {
-                let x = self.enc.bool_of(self.get(*a));
-                let w = self.enc.bool(!x);
-                self.set(*d, w);
-            }
-            Instr::Jump(t) => {
-                self.th_mut().pc = *t;
-                return Ok(StepEvent::Continue);
-            }
-            Instr::BranchFalse(s, t) => {
-                if !self.enc.bool_of(self.get(*s)) {
-                    self.th_mut().pc = *t;
-                    return Ok(StepEvent::Continue);
-                }
-            }
-            Instr::BranchIntNe(s, n, t) => {
-                if self.enc.int_of(self.get(*s)) != *n {
-                    self.th_mut().pc = *t;
-                    return Ok(StepEvent::Continue);
-                }
-            }
-            Instr::BranchTagNe {
-                obj,
-                data,
-                ctor,
-                target,
-            } => {
-                let w = self.get(*obj);
-                let rep = prog.ctor_rep(*data, *ctor);
-                if !self.value_matches_ctor(w, rep) {
-                    self.th_mut().pc = *target;
-                    return Ok(StepEvent::Continue);
-                }
-            }
-            Instr::GetField(d, o, i) => {
-                let w = self.get(*o);
-                let v = self.heap_field(w, *i);
-                self.set(*d, v);
-            }
-            Instr::MakeTuple { dst, elems, site } => {
-                match self.alloc_from_slots(*site, None, elems, false)? {
-                    Some(ptr) => self.set(*dst, ptr),
-                    None => return Ok(StepEvent::AllocBlocked(*site)),
-                }
-            }
-            Instr::MakeData {
-                dst,
-                data,
-                ctor,
-                fields,
-                site,
-            } => {
-                let rep = prog.ctor_rep(*data, *ctor);
-                let tag_word = match rep {
-                    CtorRep::Ptr { tag: Some(t), .. } => Some(self.encode_tag(t)),
-                    CtorRep::Ptr { tag: None, .. } => None,
-                    CtorRep::Imm(_) => {
-                        unreachable!("immediate constructors lower to LoadInt")
-                    }
-                };
-                match self.alloc_from_slots(*site, tag_word, fields, tag_word.is_some())? {
-                    Some(ptr) => self.set(*dst, ptr),
-                    None => return Ok(StepEvent::AllocBlocked(*site)),
-                }
-            }
-            Instr::MakeClosure {
-                dst,
-                f,
-                captures,
-                site,
-            } => {
-                let fn_word = self.encode_fn_id(*f);
-                match self.alloc_from_slots(*site, Some(fn_word), captures, false)? {
-                    Some(ptr) => self.set(*dst, ptr),
-                    None => return Ok(StepEvent::AllocBlocked(*site)),
-                }
-            }
-            Instr::EvalDesc { dst, template } => {
-                self.mutator.desc_evals += 1;
-                // Resolve parameter descriptors from this frame's
-                // descriptor slots.
-                let slots = &prog.fun(fn_id).desc_param_slots;
-                let t = &self.threads[self.cur];
-                let frame = &t.stack[t.fp + FRAME_HDR..];
-                let enc = self.enc;
-                let id = self.descs.eval_type(prog.desc_template(*template), &|p| {
-                    slots
-                        .iter()
-                        .find(|(q, _)| *q == p)
-                        .map(|(_, s)| tfgc_gc::DescId(decode_desc_word(enc, frame[s.0 as usize])))
-                });
-                let w = self.encode_desc_word(id.0);
-                self.set(*dst, w);
-            }
-            Instr::CallDirect { dst, f, args, site } => {
-                self.mutator.calls += 1;
-                self.push_frame(*f, *site, *dst, args)?;
-                return Ok(StepEvent::Continue);
-            }
-            Instr::CallClosure {
-                dst,
-                clos,
-                arg,
-                site,
-            } => {
-                self.mutator.closure_calls += 1;
-                let cw = self.get(*clos);
-                let f = FnId(self.decode_fn_id(self.heap_field(cw, 0)));
-                self.push_frame(f, *site, *dst, &[*clos, *arg])?;
-                return Ok(StepEvent::Continue);
-            }
-            Instr::Return(s) => {
-                let w = self.get(*s);
-                return self.do_return(w);
-            }
-            Instr::Print(s) => {
-                let v = self.enc.int_of(self.get(*s));
-                self.printed.push(v);
-            }
-            Instr::MatchFail => {
-                return Err(VmError::MatchFailure {
-                    function: self.fn_name(),
-                })
-            }
+        Burst {
+            end: end.map_err(|e| *e),
+            completed,
+            calls: self.mutator.calls + self.mutator.closure_calls - calls + spun.calls,
+            allocs: self.alloc_seq - allocs + spun.allocs,
         }
-        self.th_mut().pc += 1;
-        Ok(StepEvent::Continue)
     }
 
-    /// Enforces the step limit, then counts one executed instruction.
+    /// The running thread's part of a burst: dispatch, then account.
     #[inline(always)]
-    fn count_instruction(&mut self) -> VmResult<()> {
-        if let Some(limit) = self.cfg.max_steps {
-            if self.mutator.instructions >= limit {
-                return Err(VmError::StepLimit { limit });
+    fn run_burst(
+        &mut self,
+        budget: u64,
+        stop: SafePoints,
+        completed: &mut u64,
+        spun: &mut Spun,
+    ) -> Ended {
+        let limit = self.consts.max_steps;
+        let n = budget.min(limit.saturating_sub(self.mutator.instructions));
+        let (exit, dispatched) = self.dispatch(n, stop);
+        self.mutator.instructions += dispatched;
+        *completed = dispatched;
+        match exit {
+            Exit::Budget if n < budget => Err(Box::new(VmError::StepLimit { limit })),
+            Exit::Budget => Ok(BurstEnd::Budget),
+            Exit::SafePoint(site) => Ok(BurstEnd::SafePoint(site)),
+            Exit::Done(w) => Ok(BurstEnd::Done(w)),
+            Exit::Blocked(site) => {
+                *completed -= 1;
+                Ok(BurstEnd::AllocBlocked(site))
             }
+            Exit::Failed(e) => {
+                *completed -= 1;
+                Err(e)
+            }
+            Exit::Stalled => self.halted(Halt::Stalled, budget - dispatched, stop, completed, spun),
         }
-        self.mutator.instructions += 1;
-        Ok(())
     }
 
-    /// A step of a halted thread.
+    /// A burst of a halted thread.
     #[cold]
     #[inline(never)]
-    fn step_halted(&mut self, halt: Halt) -> VmResult<StepEvent> {
+    fn halted(
+        &mut self,
+        halt: Halt,
+        budget: u64,
+        stop: SafePoints,
+        completed: &mut u64,
+        spun: &mut Spun,
+    ) -> Ended {
         match halt {
-            // A stalled (runaway-fault) thread burns its instruction
+            // A stalled (runaway-fault) thread burns its instructions
             // without making progress; only a deadline/fuel budget or
-            // the step limit can end it.
+            // the step limit can end it. It spins on the instruction at
+            // its pc, so it meets that safe point, if it is one, with
+            // every instruction it burns.
             Halt::Stalled => {
-                self.count_instruction()?;
-                Ok(StepEvent::Continue)
+                if budget == 0 {
+                    return Ok(BurstEnd::Budget);
+                }
+                let ins = self.current_instr();
+                let (call, alloc) = match ins {
+                    Instr::CallDirect { .. } | Instr::CallClosure { .. } => (true, false),
+                    Instr::MakeTuple { .. }
+                    | Instr::MakeData { .. }
+                    | Instr::MakeClosure { .. } => (false, true),
+                    _ => (false, false),
+                };
+                let parks = match stop {
+                    SafePoints::None => false,
+                    SafePoints::Allocations => alloc,
+                    SafePoints::CallsAndAllocations => call || alloc,
+                };
+                if let (true, Some(site)) = (parks, ins.site()) {
+                    return Ok(BurstEnd::SafePoint(site));
+                }
+                let limit = self.consts.max_steps;
+                let burnt = budget.min(limit.saturating_sub(self.mutator.instructions));
+                self.mutator.instructions += burnt;
+                *completed += burnt;
+                spun.calls += if call { burnt } else { 0 };
+                spun.allocs += if alloc { burnt } else { 0 };
+                if burnt < budget {
+                    Err(Box::new(VmError::StepLimit { limit }))
+                } else {
+                    Ok(BurstEnd::Budget)
+                }
             }
-            Halt::Finished(w) => Ok(StepEvent::Done(w)),
-            Halt::Killed => Err(VmError::Internal {
+            Halt::Finished(w) => Ok(BurstEnd::Done(w)),
+            Halt::Killed => Err(Box::new(VmError::Internal {
                 detail: format!("thread {} was killed and has nothing to step", self.cur),
-            }),
+            })),
         }
     }
 
-    /// Pushes a callee frame in place on the current thread's stack:
+    /// The instruction body: runs up to `n` instructions of the current
+    /// thread with its registers in locals. Returns why it stopped and
+    /// how many instructions it dispatched: every one it began, including
+    /// one that blocked or failed, but not a safe point it stopped
+    /// before.
+    #[inline(always)]
+    fn dispatch(&mut self, n: u64, stop: SafePoints) -> (Exit, u64) {
+        let prog = self.prog;
+        let enc = self.enc;
+        let cur = self.cur;
+        let stop_calls = stop == SafePoints::CallsAndAllocations;
+        let stop_allocs = stop != SafePoints::None;
+        let mut r = Regs::take(&mut self.threads[cur], prog);
+        let mut left = n;
+        let exit = 'run: loop {
+            if left == 0 {
+                break Exit::Budget;
+            }
+            left -= 1;
+            let code = r.code;
+            // Every instruction but an allocation completes inside this
+            // block; the three allocating instructions leave it with
+            // their operands for the one allocation path below.
+            let (dst, site, head, slots, head_is_discriminant) = 'alloc: {
+                match &code[r.pc] {
+                    Instr::LoadInt(d, v) => r.set(*d, enc.int(*v)),
+                    Instr::LoadBool(d, v) => r.set(*d, enc.bool(*v)),
+                    Instr::LoadUnit(d) => r.set(*d, enc.unit()),
+                    Instr::LoadGlobal(d, g) => r.set(*d, self.globals[g.0 as usize]),
+                    Instr::StoreGlobal(g, s) => self.globals[g.0 as usize] = r.get(*s),
+                    Instr::Move(d, s) => r.set(*d, r.get(*s)),
+                    Instr::Arith(d, op, a, b) => {
+                        let x = enc.int_of(r.get(*a));
+                        let y = enc.int_of(r.get(*b));
+                        let (kind, val) = match op {
+                            ArithOp::Add => (ArithKind::Add, Some(x.wrapping_add(y))),
+                            ArithOp::Sub => (ArithKind::Sub, Some(x.wrapping_sub(y))),
+                            ArithOp::Mul => (ArithKind::Mul, Some(x.wrapping_mul(y))),
+                            ArithOp::Div => (ArithKind::Div, x.checked_div(y)),
+                            ArithOp::Mod => (ArithKind::Mod, x.checked_rem(y)),
+                        };
+                        let Some(val) = val else {
+                            break 'run Exit::Failed(Box::new(VmError::DivideByZero {
+                                function: prog.fun(r.fn_id).name.clone(),
+                            }));
+                        };
+                        self.mutator.tag_ops += enc.arith_tag_ops(kind);
+                        r.set(*d, enc.int(val));
+                    }
+                    Instr::Cmp(d, op, a, b) => {
+                        let x = enc.int_of(r.get(*a));
+                        let y = enc.int_of(r.get(*b));
+                        let v = match op {
+                            CmpOp::Eq => x == y,
+                            CmpOp::Ne => x != y,
+                            CmpOp::Lt => x < y,
+                            CmpOp::Le => x <= y,
+                            CmpOp::Gt => x > y,
+                            CmpOp::Ge => x >= y,
+                        };
+                        self.mutator.tag_ops += enc.arith_tag_ops(ArithKind::Cmp);
+                        r.set(*d, enc.bool(v));
+                    }
+                    Instr::Neg(d, a) => {
+                        let x = enc.int_of(r.get(*a));
+                        self.mutator.tag_ops += enc.arith_tag_ops(ArithKind::Neg);
+                        r.set(*d, enc.int(x.wrapping_neg()));
+                    }
+                    Instr::Not(d, a) => r.set(*d, enc.bool(!enc.bool_of(r.get(*a)))),
+                    Instr::Jump(t) => {
+                        r.pc = *t as usize;
+                        continue 'run;
+                    }
+                    Instr::BranchFalse(s, t) => {
+                        if !enc.bool_of(r.get(*s)) {
+                            r.pc = *t as usize;
+                            continue 'run;
+                        }
+                    }
+                    Instr::BranchIntNe(s, v, t) => {
+                        if enc.int_of(r.get(*s)) != *v {
+                            r.pc = *t as usize;
+                            continue 'run;
+                        }
+                    }
+                    Instr::BranchTagNe {
+                        obj,
+                        data,
+                        ctor,
+                        target,
+                    } => {
+                        if !self.value_matches_ctor(r.get(*obj), prog.ctor_rep(*data, *ctor)) {
+                            r.pc = *target as usize;
+                            continue 'run;
+                        }
+                    }
+                    Instr::GetField(d, o, i) => r.set(*d, self.heap_field(r.get(*o), *i)),
+                    Instr::MakeTuple { dst, elems, site } => {
+                        break 'alloc (*dst, *site, None, elems, false);
+                    }
+                    Instr::MakeData {
+                        dst,
+                        data,
+                        ctor,
+                        fields,
+                        site,
+                    } => {
+                        let tag = match prog.ctor_rep(*data, *ctor) {
+                            CtorRep::Ptr { tag, .. } => tag.map(|t| self.encode_tag(t)),
+                            CtorRep::Imm(_) => {
+                                unreachable!("immediate constructors lower to LoadInt")
+                            }
+                        };
+                        break 'alloc (*dst, *site, tag, fields, tag.is_some());
+                    }
+                    Instr::MakeClosure {
+                        dst,
+                        f,
+                        captures,
+                        site,
+                    } => {
+                        break 'alloc (*dst, *site, Some(self.encode_fn_id(*f)), captures, false);
+                    }
+                    Instr::EvalDesc { dst, template } => {
+                        self.mutator.desc_evals += 1;
+                        // Resolve parameter descriptors from this frame's
+                        // descriptor slots.
+                        let slots = &prog.fun(r.fn_id).desc_param_slots;
+                        let frame = &r.stack[r.fp + FRAME_HDR..];
+                        let id = self.descs.eval_type(prog.desc_template(*template), &|p| {
+                            slots.iter().find(|(q, _)| *q == p).map(|(_, s)| {
+                                tfgc_gc::DescId(decode_desc_word(enc, frame[s.0 as usize]))
+                            })
+                        });
+                        let w = self.encode_desc_word(id.0);
+                        r.set(*dst, w);
+                    }
+                    Instr::CallDirect { dst, f, args, site } => {
+                        if stop_calls {
+                            left += 1;
+                            break 'run Exit::SafePoint(*site);
+                        }
+                        self.mutator.calls += 1;
+                        if let Err(e) = self.enter(&mut r, *f, *site, *dst, args) {
+                            break 'run Exit::Failed(Box::new(e));
+                        }
+                        continue 'run;
+                    }
+                    Instr::CallClosure {
+                        dst,
+                        clos,
+                        arg,
+                        site,
+                    } => {
+                        if stop_calls {
+                            left += 1;
+                            break 'run Exit::SafePoint(*site);
+                        }
+                        self.mutator.closure_calls += 1;
+                        let f = FnId(self.decode_fn_id(self.heap_field(r.get(*clos), 0)));
+                        if let Err(e) = self.enter(&mut r, f, *site, *dst, &[*clos, *arg]) {
+                            break 'run Exit::Failed(Box::new(e));
+                        }
+                        continue 'run;
+                    }
+                    Instr::Return(s) => {
+                        let w = r.get(*s);
+                        let saved = r.stack[r.fp];
+                        if saved == NO_FP {
+                            r.stack.clear();
+                            break 'run Exit::Done(w);
+                        }
+                        let (site, dst) = tfgc_gc::unpack_ret(r.stack[r.fp + 1]);
+                        r.stack.truncate(r.fp);
+                        // Resume after the call — the paper's `jmpl
+                        // %o7+12` skipping the gc_word (ours lives in a
+                        // side table keyed by the site).
+                        let cs = prog.site(site);
+                        r.jump_to(prog, saved as usize, cs.fn_id, cs.pc as usize + 1);
+                        r.set(dst, w);
+                        continue 'run;
+                    }
+                    Instr::Print(s) => self.printed.push(enc.int_of(r.get(*s))),
+                    Instr::MatchFail => {
+                        break 'run Exit::Failed(Box::new(VmError::MatchFailure {
+                            function: prog.fun(r.fn_id).name.clone(),
+                        }));
+                    }
+                }
+                r.pc += 1;
+                continue 'run;
+            };
+            if stop_allocs {
+                left += 1;
+                break Exit::SafePoint(site);
+            }
+            let total = self.consts.header_words + usize::from(head.is_some()) + slots.len();
+            self.alloc_seq += 1;
+            let bumped = if self.alloc_seq < self.next_hook {
+                self.heap.alloc(total)
+            } else {
+                None
+            };
+            let addr = match bumped {
+                Some(a) => {
+                    self.init_object(a, site, total, head, slots.iter().map(|s| r.get(*s)), None);
+                    a
+                }
+                None => {
+                    r.put(&mut self.threads[cur]);
+                    let res = self.alloc_object(site, head, slots, head_is_discriminant, total);
+                    r = Regs::take(&mut self.threads[cur], prog);
+                    match res {
+                        Ok(Some(a)) => a,
+                        Ok(None) => break Exit::Blocked(site),
+                        Err(e) => break Exit::Failed(Box::new(e)),
+                    }
+                }
+            };
+            r.set(dst, enc.ptr(addr));
+            r.pc += 1;
+            if bumped.is_none() && self.threads[cur].halt.is_some() {
+                break Exit::Stalled;
+            }
+        };
+        r.put(&mut self.threads[cur]);
+        if let Exit::Done(w) = exit {
+            self.threads[cur].halt = Some(Halt::Finished(w));
+        }
+        (exit, n - left)
+    }
+
+    /// Pushes a callee frame in place on the running thread's stack:
     /// dynamic link, return word (the gc_word key), then the slots. The
     /// first `args.len()` slots receive the caller's slots `args`, copied
     /// directly; the rest receive the fill word.
-    #[inline]
-    fn push_frame(
+    #[inline(always)]
+    fn enter(
         &mut self,
+        r: &mut Regs<'p>,
         callee: FnId,
         site: CallSiteId,
         dst: Slot,
         args: &[Slot],
     ) -> VmResult<()> {
+        let k = self.consts;
         let n_slots = self.prog.fun(callee).slots.len();
-        let init = self.frame_fill();
-        let max = self.cfg.max_stack_words;
-        let init_frames = self.cfg.strategy.requires_frame_init();
-        let t = &mut self.threads[self.cur];
-        let new_fp = t.stack.len();
+        let new_fp = r.stack.len();
         let top = new_fp + FRAME_HDR + n_slots;
-        if top > max {
+        if top > k.max_stack_words {
             return Err(VmError::StackOverflow { words: new_fp });
         }
-        let caller = t.fp + FRAME_HDR;
-        t.stack.reserve(FRAME_HDR + n_slots);
-        t.stack.push(t.fp as Word);
-        t.stack.push(pack_ret(site, dst));
+        r.stack.reserve(FRAME_HDR + n_slots);
+        r.stack.push(r.fp as Word);
+        r.stack.push(pack_ret(site, dst));
         for s in args {
-            let w = t.stack[caller + s.0 as usize];
-            t.stack.push(w);
+            let w = r.get(*s);
+            r.stack.push(w);
         }
-        t.stack.resize(top, init);
-        t.fp = new_fp;
-        t.fn_id = callee;
-        t.pc = 0;
-        if init_frames {
+        r.stack.resize(top, k.fill);
+        r.jump_to(self.prog, new_fp, callee, 0);
+        if k.init_frames {
             self.mutator.frame_init_stores += (n_slots - args.len()) as u64;
         }
         self.mutator.max_stack_words = self.mutator.max_stack_words.max(top as u64);
         Ok(())
     }
 
-    fn do_return(&mut self, w: Word) -> VmResult<StepEvent> {
-        let prog = self.prog;
-        let t = self.th_mut();
-        let saved = t.stack[t.fp];
-        let ret = t.stack[t.fp + 1];
-        if saved == NO_FP {
-            t.halt = Some(Halt::Finished(w));
-            t.stack.clear();
-            return Ok(StepEvent::Done(w));
+    /// Writes a freshly allocated object — the tagged heap's header word,
+    /// then the head word (discriminant or closure code pointer), then
+    /// the payload — and reports the allocation. This is the one routine
+    /// that fills an object, whether the payload comes from the frame
+    /// (the inline path) or from the operand buffer a collection may
+    /// have relocated (`alloc_object`). `corrupt` carries the sequence
+    /// number of a discriminant-corruption fault to inject.
+    #[inline(always)]
+    fn init_object(
+        &mut self,
+        addr: Addr,
+        site: CallSiteId,
+        total: usize,
+        head: Option<Word>,
+        payload: impl Iterator<Item = Word>,
+        corrupt: Option<u64>,
+    ) {
+        let mut off = 0u16;
+        if self.consts.header_words == 1 {
+            self.heap.write(addr, 0, (total - 1) as Word);
+            off = 1;
         }
-        let (site, dst) = tfgc_gc::unpack_ret(ret);
-        t.stack.truncate(t.fp);
-        t.fp = saved as usize;
-        let cs = prog.site(site);
-        t.fn_id = cs.fn_id;
-        // Resume after the call — the paper's `jmpl %o7+12` skipping the
-        // gc_word (ours lives in a side table keyed by the site).
-        t.pc = cs.pc + 1;
-        self.set(dst, w);
-        Ok(StepEvent::Continue)
+        if let Some(h) = head {
+            self.heap.write(addr, off, h);
+            off += 1;
+        }
+        for w in payload {
+            self.heap.write(addr, off, w);
+            off += 1;
+        }
+        // Discriminant-corruption fault: overwrite the freshly written
+        // variant tag with a value matching no constructor. The next
+        // trace through this object must fail fast, never mistrace.
+        if let Some(seq) = corrupt {
+            let bogus = self.encode_tag(u32::MAX);
+            self.heap
+                .write(addr, self.consts.header_words as u16, bogus);
+            self.obs.emit(|t_ns| GcEvent::FaultInjected {
+                t_ns,
+                kind: "corrupt-discriminant",
+                seq,
+            });
+        }
+        self.obs.emit(|t_ns| GcEvent::Alloc {
+            t_ns,
+            site: site.0,
+            words: total as u32,
+            addr: addr.0,
+        });
     }
 
-    /// Allocates an object whose payload is the current frame's `slots`:
-    /// gathers them into the machine's operand buffer, which is taken out
-    /// of the machine for the allocation and put back afterwards, on the
-    /// error path too.
-    #[inline]
-    fn alloc_from_slots(
+    /// The out-of-line allocation path, for an allocation at a hook's
+    /// sequence number or one the bump pointer could not serve. Gathers
+    /// the current frame's `slots` into the machine's operand buffer,
+    /// which is taken out of the machine for the allocation and put back
+    /// afterwards, on the error path too. The caller has written the
+    /// running thread back and numbered the allocation.
+    #[cold]
+    #[inline(never)]
+    fn alloc_object(
         &mut self,
         site: CallSiteId,
         head: Option<Word>,
         slots: &[Slot],
         head_is_discriminant: bool,
-    ) -> VmResult<Option<Word>> {
+        total: usize,
+    ) -> VmResult<Option<Addr>> {
+        let seq = self.alloc_seq;
+        self.next_hook = self.hook_after(seq);
         let mut operands = std::mem::take(&mut self.operands);
         operands.clear();
-        operands.extend(slots.iter().map(|s| self.get(*s)));
-        let r = self.alloc_object(site, head, &mut operands, head_is_discriminant);
+        let t = self.th();
+        let frame = &t.stack[t.fp + FRAME_HDR..];
+        operands.extend(slots.iter().map(|s| frame[s.0 as usize]));
+        let r = self.alloc_operands(site, head, &mut operands, head_is_discriminant, total, seq);
         self.operands = operands;
         r
     }
 
-    /// Allocates a heap object with optional head word (discriminant or
-    /// closure code pointer) and the given payload. In cooperative mode an
-    /// exhausted heap yields `Ok(None)` (the scheduler collects); otherwise
-    /// it collects inline, growing under the bounded policy if configured.
-    /// `operands` — the machine's reused operand buffer — is a root of
-    /// every collection this triggers ([`MachineRoots::operands`]) and may
-    /// be relocated by the collector before it is written into the
-    /// object.
-    fn alloc_object(
+    /// Allocation `seq` of a `total`-word object with optional head word
+    /// (discriminant or closure code pointer) and payload `operands`,
+    /// with every hook. In cooperative mode an exhausted heap yields
+    /// `Ok(None)` (the scheduler collects); otherwise it collects inline,
+    /// growing under the bounded policy if configured. `operands` — the
+    /// machine's reused operand buffer — is a root of every collection
+    /// this triggers ([`MachineRoots::operands`]) and may be relocated by
+    /// the collector before it is written into the object.
+    fn alloc_operands(
         &mut self,
         site: CallSiteId,
         head: Option<Word>,
         operands: &mut [Word],
         head_is_discriminant: bool,
-    ) -> VmResult<Option<Word>> {
-        let payload = operands.len() + usize::from(head.is_some());
-        let total = payload + self.enc.mode.header_words();
-        self.alloc_seq += 1;
-        let seq = self.alloc_seq;
-
+        total: usize,
+        seq: u64,
+    ) -> VmResult<Option<Addr>> {
+        let plan = self.cfg.fault_plan.unwrap_or_default();
         // Runaway fault: the task thread that performs this allocation
         // starts spinning right after it completes. Task threads only —
         // stalling the main/globals phase (thread 0) or the batch
         // pipeline would hang setup instead of modeling a runaway
         // request handler.
-        if self.cfg.cooperative
-            && self.cur != 0
-            && self.cfg.fault_plan.is_some_and(|p| p.stall_at == Some(seq))
-        {
+        if self.cfg.cooperative && self.cur != 0 && plan.stall_at == Some(seq) {
             self.threads[self.cur].halt = Some(Halt::Stalled);
             self.obs.emit(|t_ns| GcEvent::FaultInjected {
                 t_ns,
@@ -883,27 +1173,19 @@ impl<'p> Vm<'p> {
                 seq,
             });
         }
-
-        if !self.cfg.cooperative {
-            if let Some(n) = self.cfg.force_gc_every {
-                self.allocs_since_force += 1;
-                if self.allocs_since_force >= n {
-                    self.allocs_since_force = 0;
-                    // Forced collections are always full: the liveness
-                    // experiments compare retained bytes at identical
-                    // program points, which a nursery-only cycle would
-                    // understate.
-                    self.collect_now(site, operands, false)?;
-                }
+        if let (false, Some(n)) = (self.cfg.cooperative, self.cfg.force_gc_every) {
+            if seq.is_multiple_of(n.max(1)) {
+                // Forced collections are always full: the liveness
+                // experiments compare retained bytes at identical
+                // program points, which a nursery-only cycle would
+                // understate.
+                self.collect_now(site, operands, false)?;
             }
         }
         // Transient-failure fault: this allocation reports an exhausted
         // heap once even though space remains, forcing the
         // collect-and-retry path.
-        let forced_fail = self
-            .cfg
-            .fault_plan
-            .is_some_and(|p| p.alloc_fail_at == Some(seq));
+        let forced_fail = plan.alloc_fail_at == Some(seq);
         if forced_fail {
             self.obs.emit(|t_ns| GcEvent::FaultInjected {
                 t_ns,
@@ -943,43 +1225,10 @@ impl<'p> Vm<'p> {
                 }
             }
         };
-        let mut off = 0u16;
-        if self.enc.mode.header_words() == 1 {
-            self.heap.write(addr, 0, payload as Word);
-            off = 1;
-        }
-        if let Some(h) = head {
-            self.heap.write(addr, off, h);
-            off += 1;
-        }
-        for (i, w) in operands.iter().enumerate() {
-            self.heap.write(addr, off + i as u16, *w);
-        }
-        // Discriminant-corruption fault: overwrite the freshly written
-        // variant tag with a value matching no constructor. The next
-        // trace through this object must fail fast, never mistrace.
-        if head_is_discriminant
-            && self
-                .cfg
-                .fault_plan
-                .is_some_and(|p| p.corrupt_discriminant_at == Some(seq))
-        {
-            let tag_off = self.enc.mode.header_words() as u16;
-            let bogus = self.encode_tag(u32::MAX);
-            self.heap.write(addr, tag_off, bogus);
-            self.obs.emit(|t_ns| GcEvent::FaultInjected {
-                t_ns,
-                kind: "corrupt-discriminant",
-                seq,
-            });
-        }
-        self.obs.emit(|t_ns| GcEvent::Alloc {
-            t_ns,
-            site: site.0,
-            words: total as u32,
-            addr: addr.0,
-        });
-        Ok(Some(self.enc.ptr(addr)))
+        let corrupt =
+            (head_is_discriminant && plan.corrupt_discriminant_at == Some(seq)).then_some(seq);
+        self.init_object(addr, site, total, head, operands.iter().copied(), corrupt);
+        Ok(Some(addr))
     }
 
     /// True when the next collection can be a nursery-only (minor)
@@ -1004,7 +1253,7 @@ impl<'p> Vm<'p> {
         operands: &mut [Word],
         total: usize,
         after_minor: bool,
-    ) -> VmResult<Option<tfgc_runtime::Addr>> {
+    ) -> VmResult<Option<Addr>> {
         if let Some(a) = self.heap.alloc(total) {
             return Ok(Some(a));
         }
@@ -1275,12 +1524,14 @@ impl<'p> Vm<'p> {
 
     // ---- encoding helpers ----------------------------------------------
 
+    #[inline]
     fn heap_field(&self, w: Word, i: u16) -> Word {
         let a = self.enc.addr_of(w);
         let hdr = self.enc.mode.header_words() as u16;
         self.heap.read(a, i + hdr)
     }
 
+    #[inline]
     fn value_matches_ctor(&self, w: Word, rep: CtorRep) -> bool {
         let imm = match self.enc.mode {
             tfgc_runtime::HeapMode::TagFree => {
@@ -1313,6 +1564,7 @@ impl<'p> Vm<'p> {
         }
     }
 
+    #[inline]
     fn encode_tag(&self, t: u32) -> Word {
         match self.enc.mode {
             tfgc_runtime::HeapMode::TagFree => Word::from(t),
@@ -1320,6 +1572,7 @@ impl<'p> Vm<'p> {
         }
     }
 
+    #[inline]
     fn encode_fn_id(&self, f: FnId) -> Word {
         match self.enc.mode {
             tfgc_runtime::HeapMode::TagFree => Word::from(f.0),
@@ -1327,6 +1580,7 @@ impl<'p> Vm<'p> {
         }
     }
 
+    #[inline]
     fn decode_fn_id(&self, w: Word) -> u32 {
         match self.enc.mode {
             tfgc_runtime::HeapMode::TagFree => w as u32,
@@ -1334,6 +1588,7 @@ impl<'p> Vm<'p> {
         }
     }
 
+    #[inline]
     fn encode_desc_word(&self, d: u32) -> Word {
         match self.enc.mode {
             tfgc_runtime::HeapMode::TagFree => Word::from(d),

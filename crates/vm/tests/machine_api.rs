@@ -1,10 +1,10 @@
 //! Tests of the VM's thread/step API and value rendering.
 
 use tfgc_gc::Strategy;
-use tfgc_ir::{lower, IrProgram};
+use tfgc_ir::{lower, Instr, IrProgram};
 use tfgc_syntax::parse_program;
 use tfgc_types::elaborate;
-use tfgc_vm::{FaultPlan, StepEvent, Vm, VmConfig, VmError};
+use tfgc_vm::{BurstEnd, FaultPlan, SafePoints, StepEvent, Vm, VmConfig, VmError};
 
 fn compile(src: &str) -> IrProgram {
     lower(&elaborate(&parse_program(src).unwrap()).unwrap()).unwrap()
@@ -241,4 +241,131 @@ fn desc_arena_stats_surface_in_outcome() {
     let out = vm.run().unwrap();
     assert!(out.descs_interned > 0, "hidden descriptors were interned");
     assert!(out.mutator.desc_evals > 0);
+}
+
+/// Thread 1 of a cooperative machine whose main has finished, set up to
+/// run `entry(arg)`.
+fn task_vm<'p>(prog: &'p IrProgram, cfg: VmConfig, entry: &str, arg: i64) -> Vm<'p> {
+    let f = (0..prog.funs.len())
+        .map(|i| tfgc_ir::FnId(i as u32))
+        .find(|f| prog.fun(*f).name.starts_with(entry))
+        .unwrap_or_else(|| panic!("no fn {entry}"));
+    let mut cfg = cfg;
+    cfg.cooperative = true;
+    let mut vm = Vm::new(prog, cfg);
+    while vm.step().unwrap() == StepEvent::Continue {}
+    let arg = vm.encode_int(arg);
+    let t = vm.spawn_thread(f, &[arg]);
+    vm.set_current_thread(t);
+    vm
+}
+
+const LISTS: &str = "fun build n = if n = 0 then [] else n :: build (n - 1) ;
+                     fun len xs = case xs of [] => 0 | _ :: r => 1 + len r ;
+                     fun work n = len (build n) ;
+                     0";
+
+#[test]
+fn a_pending_collection_stops_a_burst_before_its_first_safe_point() {
+    let prog = compile(LISTS);
+    for stop in [SafePoints::Allocations, SafePoints::CallsAndAllocations] {
+        let is_safe_point = |ins: &Instr| match ins {
+            Instr::CallDirect { .. } | Instr::CallClosure { .. } => {
+                stop == SafePoints::CallsAndAllocations
+            }
+            Instr::MakeTuple { .. } | Instr::MakeData { .. } | Instr::MakeClosure { .. } => true,
+            _ => false,
+        };
+        // Reference: step until the next instruction is a safe point.
+        let mut stepped = task_vm(&prog, VmConfig::new(Strategy::Compiled), "work", 5);
+        let calls = |vm: &Vm| vm.mutator.calls + vm.mutator.closure_calls;
+        let (start, calls_before) = (stepped.mutator.instructions, calls(&stepped));
+        while !is_safe_point(stepped.current_instr()) {
+            assert_eq!(stepped.step().unwrap(), StepEvent::Continue);
+        }
+        let ran = stepped.mutator.instructions - start;
+        let site = stepped.current_site().unwrap();
+
+        let mut vm = task_vm(&prog, VmConfig::new(Strategy::Compiled), "work", 5);
+        let b = vm.burst(1_000, stop);
+        assert_eq!(b.end, Ok(BurstEnd::SafePoint(site)), "{stop:?}");
+        assert_eq!(
+            b.completed, ran,
+            "{stop:?}: the safe point itself did not run"
+        );
+        assert_eq!(vm.mutator.instructions - start, ran, "{stop:?}");
+        assert_eq!(vm.current_site(), Some(site), "{stop:?}: pc stays on it");
+        assert_eq!(vm.stack_words(), stepped.stack_words(), "{stop:?}");
+        assert_eq!(b.allocs, 0, "{stop:?}: no allocation dispatched");
+        assert_eq!(b.calls, calls(&stepped) - calls_before, "{stop:?}");
+        // Still pending: the next burst stops at once and counts nothing.
+        let again = vm.burst(1_000, stop);
+        assert_eq!(again.end, Ok(BurstEnd::SafePoint(site)), "{stop:?}");
+        assert_eq!((again.completed, again.calls, again.allocs), (0, 0, 0));
+        assert_eq!(vm.mutator.instructions - start, ran, "{stop:?}");
+        // Collected: the safe point runs first.
+        let resumed = vm.burst(1, SafePoints::None);
+        assert_eq!(resumed.end, Ok(BurstEnd::Budget), "{stop:?}");
+        assert_eq!(resumed.calls + resumed.allocs, 1, "{stop:?}");
+    }
+}
+
+#[test]
+fn a_thread_that_stalls_mid_burst_burns_the_rest_of_its_budget() {
+    let prog = compile(LISTS);
+    let cfg = VmConfig::new(Strategy::Compiled).fault_plan(FaultPlan {
+        stall_at: Some(1),
+        ..FaultPlan::none()
+    });
+    // Reference: the instructions up to and including the allocation
+    // that stalls the thread.
+    let mut stepped = task_vm(&prog, cfg.clone(), "work", 5);
+    let start = stepped.mutator.instructions;
+    while !stepped.thread_stalled(1) {
+        assert_eq!(stepped.step().unwrap(), StepEvent::Continue);
+    }
+    let to_stall = stepped.mutator.instructions - start;
+    for budget in [to_stall, to_stall + 1, to_stall + 50] {
+        let mut vm = task_vm(&prog, cfg.clone(), "work", 5);
+        let b = vm.burst(budget, SafePoints::None);
+        assert_eq!(b.end, Ok(BurstEnd::Budget), "budget {budget}");
+        assert!(vm.thread_stalled(1), "budget {budget}");
+        assert_eq!(b.completed, budget, "budget {budget}");
+        assert_eq!(vm.mutator.instructions - start, budget, "budget {budget}");
+        assert_eq!(vm.stack_words(), stepped.stack_words(), "no progress");
+        assert_eq!(vm.current_site(), stepped.current_site(), "budget {budget}");
+    }
+}
+
+#[test]
+fn a_burst_fails_at_the_step_limit_where_a_step_loop_does() {
+    let prog = compile("fun down n = if n = 0 then 0 else down (n - 1) ; down 1000");
+    let mut cfg = VmConfig::new(Strategy::Compiled);
+    cfg.max_steps = Some(2_500);
+    let mut stepped = Vm::new(&prog, cfg.clone());
+    let err = loop {
+        match stepped.step() {
+            Ok(StepEvent::Continue) => {}
+            Ok(ev) => panic!("the step loop ended with {ev:?} under the limit"),
+            Err(e) => break e,
+        }
+    };
+    assert_eq!(err, VmError::StepLimit { limit: 2_500 });
+    assert_eq!(stepped.mutator.instructions, 2_500);
+    for budget in [1, 7, 64, 2_500, u64::MAX] {
+        let mut vm = Vm::new(&prog, cfg.clone());
+        let mut completed = 0;
+        let err = loop {
+            let b = vm.burst(budget, SafePoints::None);
+            completed += b.completed;
+            match b.end {
+                Ok(BurstEnd::Budget) => {}
+                Ok(end) => panic!("budget {budget}: {end:?}"),
+                Err(e) => break e,
+            }
+        };
+        assert_eq!(err, VmError::StepLimit { limit: 2_500 }, "budget {budget}");
+        assert_eq!(vm.mutator, stepped.mutator, "budget {budget}");
+        assert_eq!(completed, 2_500, "budget {budget}");
+    }
 }

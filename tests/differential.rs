@@ -6,7 +6,7 @@
 //! divergence is a collector soundness bug.
 
 use tfgc::gc::GcStats;
-use tfgc::vm::{StepEvent, Vm};
+use tfgc::vm::{BurstEnd, SafePoints, StepEvent, Vm};
 use tfgc::{Compiled, Strategy, VmConfig};
 
 fn differential(name: &str, src: &str, heap_words: usize) {
@@ -33,11 +33,39 @@ fn workload_suite_is_strategy_independent() {
     }
 }
 
+/// Drives `vm` to completion through `Vm::step`, or through bursts of
+/// `budget` instructions, and returns the result word.
+fn drive(vm: &mut Vm<'_>, budget: Option<u64>, what: &str) -> u64 {
+    loop {
+        let end = match budget {
+            None => vm.step().map(|ev| match ev {
+                StepEvent::Continue => None,
+                StepEvent::Done(w) => Some(w),
+                StepEvent::AllocBlocked(site) => {
+                    panic!("{what}: blocked at site {} outside tasking", site.0)
+                }
+            }),
+            Some(n) => vm.burst(n, SafePoints::None).end.map(|end| match end {
+                BurstEnd::Budget => None,
+                BurstEnd::Done(w) => Some(w),
+                other => panic!("{what}: {other:?} outside tasking"),
+            }),
+        };
+        match end {
+            Ok(Some(w)) => return w,
+            Ok(None) => {}
+            Err(e) => panic!("{what}: {e}"),
+        }
+    }
+}
+
 #[test]
 fn run_and_a_step_loop_agree() {
-    // `Vm::run` and `Vm::step` share one instruction body. A fast path
-    // added to `run` alone would show here as a differing output or
-    // counter, with collections and the verifier interleaved.
+    // `Vm::run`, `Vm::step` and a burst of any budget run one
+    // instruction body. A fast path added to one entry alone, or an
+    // instruction dropped or repeated at a burst's edge, would show here
+    // as a differing output or counter, with collections and the
+    // verifier interleaved. A budget of 64 is the benchmark's quantum.
     let untimed = |g: GcStats| GcStats {
         pause_nanos: 0,
         ..g
@@ -50,29 +78,16 @@ fn run_and_a_step_loop_agree() {
             let ran = Vm::new(prog, cfg.clone())
                 .run()
                 .unwrap_or_else(|e| panic!("{name} under {s}, run: {e}"));
-            let mut vm = Vm::new(prog, cfg);
-            let w = loop {
-                match vm.step() {
-                    Ok(StepEvent::Continue) => {}
-                    Ok(StepEvent::Done(w)) => break w,
-                    Ok(StepEvent::AllocBlocked(site)) => {
-                        panic!(
-                            "{name} under {s}: blocked at site {} outside tasking",
-                            site.0
-                        )
-                    }
-                    Err(e) => panic!("{name} under {s}, step: {e}"),
-                }
-            };
-            assert_eq!(vm.printed, ran.printed, "{name} under {s}: printed");
-            assert_eq!(vm.render(w, &prog.main_ty), ran.result, "{name} under {s}");
-            assert_eq!(vm.heap.stats, ran.heap, "{name} under {s}: heap stats");
-            assert_eq!(vm.mutator, ran.mutator, "{name} under {s}: mutator stats");
-            assert_eq!(
-                untimed(vm.gc_stats),
-                untimed(ran.gc),
-                "{name} under {s}: gc stats"
-            );
+            for budget in [None, Some(1), Some(7), Some(64)] {
+                let what = format!("{name} under {s}, budget {budget:?}");
+                let mut vm = Vm::new(prog, cfg.clone());
+                let w = drive(&mut vm, budget, &what);
+                assert_eq!(vm.printed, ran.printed, "{what}: printed");
+                assert_eq!(vm.render(w, &prog.main_ty), ran.result, "{what}");
+                assert_eq!(vm.heap.stats, ran.heap, "{what}: heap stats");
+                assert_eq!(vm.mutator, ran.mutator, "{what}: mutator stats");
+                assert_eq!(untimed(vm.gc_stats), untimed(ran.gc), "{what}: gc stats");
+            }
         }
     }
 }
