@@ -818,7 +818,7 @@ fn e15_json() -> Json {
             ),
             (
                 "peak_nursery_words",
-                Json::from(gen_rec.peak_nursery_words()),
+                Json::from(g.peak_nursery_words_sampled),
             ),
         ]));
     }

@@ -66,10 +66,12 @@ from `experiments --json`):
   --pool N                  concurrent pool slots (default 4)
   --seed N                  traffic-mix seed (default 1)
   --heap N                  semispace words (default 2048)
-  --heap-max N              growth ceiling in words (default 65536)
+  --heap-max N              growth ceiling in words, at least --heap
+                            (default 65536)
   --quantum N               instructions per scheduling quantum
   --window-ms N             steady-state metrics window (default 10)
-  --sample-every N          occupancy sample period in quanta (default 32)
+  --sample-every N          occupancy and backlog sample period in
+                            quanta (default 32)
   --generational            nursery + minor/major cycles per strategy
   --nursery-words N         nursery words (implies --generational;
                             default heap/4)
@@ -86,6 +88,7 @@ SERVE OVERLOAD OPTS (deterministic per seed):
   --admission POLICY        reject | backoff[:ATTEMPTS:BASE]
                             | degrade[:MINKIND]
   --soft-watermark PCT      heap pressure: proactive GC + throttling
+                            (PCT at most 100, below --hard-watermark)
   --hard-watermark PCT      heap pressure: shed new admissions
   --breaker-threshold K     consecutive quarantines that open a
                             kind's circuit breaker (0 = off)
@@ -543,6 +546,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let mut slo_pause_ms: Option<f64> = None;
     let mut serve_generational = false;
     let mut serve_nursery: Option<usize> = None;
+    let mut heap_max: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -558,9 +562,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             "--pool" => base.pool = flag_value(args, &mut i, "--pool")?,
             "--seed" => base.seed = flag_value(args, &mut i, "--seed")?,
             "--heap" => base.task.heap_words = flag_value(args, &mut i, "--heap")?,
-            "--heap-max" => {
-                base.task.heap_max_words = Some(flag_value(args, &mut i, "--heap-max")?)
-            }
+            "--heap-max" => heap_max = Some(flag_value(args, &mut i, "--heap-max")?),
             "--quantum" => base.task.quantum = flag_value(args, &mut i, "--quantum")?,
             "--window-ms" => base.window_ms = flag_value(args, &mut i, "--window-ms")?,
             "--sample-every" => base.sample_every = flag_value(args, &mut i, "--sample-every")?,
@@ -620,6 +622,35 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     }
     if base.task.quantum == 0 {
         return Err(usage("serve: --quantum must be at least 1"));
+    }
+    if let Some(max) = heap_max {
+        if max < base.task.heap_words {
+            return Err(usage(format!(
+                "serve: --heap-max {max} is below --heap {}, so the heap could never grow",
+                base.task.heap_words
+            )));
+        }
+        base.task.heap_max_words = Some(max);
+    }
+    // Occupancy is a percentage of capacity, and the hard level is
+    // tested first: a watermark above 100 never fires, and a soft one at
+    // or above the hard one never throttles.
+    let (soft, hard) = (
+        base.overload.soft_watermark_pct,
+        base.overload.hard_watermark_pct,
+    );
+    if soft.into_iter().chain(hard).any(|pct| pct > 100) {
+        return Err(usage(
+            "serve: a watermark is a percentage of the heap, at most 100",
+        ));
+    }
+    if let (Some(soft), Some(hard)) = (soft, hard) {
+        if soft >= hard {
+            return Err(usage(format!(
+                "serve: --soft-watermark {soft} must be below --hard-watermark {hard}, \
+                 or the soft level could never throttle"
+            )));
+        }
     }
     if serve_generational {
         // The nursery defaults to a quarter semispace — small enough
@@ -882,6 +913,15 @@ mod tests {
             vec!["serve", "--generational", "--heap", "3", "--requests", "5"],
             vec!["serve", "--soft-watermark", "ninety"],
             vec!["serve", "--breaker-threshold", "-3"],
+            vec![
+                "serve",
+                "--soft-watermark",
+                "200",
+                "--hard-watermark",
+                "300",
+            ],
+            vec!["serve", "--soft-watermark", "95", "--hard-watermark", "70"],
+            vec!["serve", "--heap", "4096", "--heap-max", "100"],
             vec!["torture", "--seeds", "NaN"],
         ] {
             let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();

@@ -11,15 +11,18 @@
 //!
 //! * per-request latency and GC pause histograms (log₂ buckets),
 //! * windowed rates (allocations, collections, completions per window),
-//! * a heap-occupancy timeline sampled at deterministic scheduler
-//!   points, and
-//! * minimum-mutator-utilization figures derived from pause intervals.
+//! * minimum-mutator-utilization figures derived from pause intervals,
+//!   and
+//! * the engine's deterministic counts: responses, sheds by reason,
+//!   deadline breaches, breaker transitions, and heap-occupancy and
+//!   backlog peaks sampled at deterministic scheduler points.
 //!
 //! [`serve_json`] is one run's profile and [`serve_rows`] its table
 //! row; E11 and E12 (`BENCH_E11.json`, `BENCH_E12.json`) are built from
-//! them. Wall-clock values sit under the shared
-//! [`tfgc_obs::WALL_CLOCK_KEYS`]; everything else is a pure function of
-//! the config and seed, and [`tfgc_obs::deterministic_view`] keeps
+//! them. Every count comes from the engine's [`ServeReport`] and every
+//! wall-clock value from the [`ServeRecorder`] sink, under the shared
+//! [`tfgc_obs::WALL_CLOCK_KEYS`]; the report's part is a pure function
+//! of the config and seed, and [`tfgc_obs::deterministic_view`] keeps
 //! exactly that part. [`check_slo`] is the gate: p99 request latency
 //! and p99 pause under fixed thresholds, zero failed requests.
 //!
@@ -143,7 +146,8 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Steady-state metrics window, in milliseconds of wall clock.
     pub window_ms: u64,
-    /// Heap-occupancy sample period, in scheduling quanta (0 = off).
+    /// Occupancy and backlog sample period, in scheduling quanta (0 =
+    /// off); the report keeps the sampled peaks.
     pub sample_every: u64,
     /// Replace every `hog_every`-th request with a `req_hog` whose live
     /// set dwarfs a torture-sized heap (0 = no hogs). Hogs report as
@@ -218,8 +222,9 @@ pub fn build_traffic(
         .collect()
 }
 
-/// One completed service run: the engine's report plus the serve-mode
-/// recorder and the per-class request counts of the generated traffic.
+/// One completed service run: the engine's report (every count), the
+/// serve-mode recorder (every wall-clock value), and the per-class
+/// request counts of the generated traffic.
 #[derive(Debug)]
 pub struct ServeRun {
     pub config: ServeConfig,
@@ -300,7 +305,8 @@ fn results_digest(report: &ServeReport) -> u64 {
 /// One run's profile: the config it ran under, its request and heap
 /// counters, the overload decisions, and the wall-clock telemetry
 /// under `"timing"` (histograms, windows, utilization). Every field but
-/// `timing` is a pure function of the config and seed.
+/// `timing` comes from the report and is a pure function of the config
+/// and seed.
 pub fn serve_json(run: &ServeRun) -> Json {
     let r = &run.report;
     // The digest is a hex *string*: JSON numbers are f64 and would
@@ -314,31 +320,31 @@ pub fn serve_json(run: &ServeRun) -> Json {
             .map(|(name, n)| (name.to_string(), Json::from(*n)))
             .collect(),
     );
-    // Goodput/shed-rate are ratios of deterministic counters; the
-    // breaker/backlog folds come from quantum-clocked events — all of it
-    // diffs clean across same-seed runs.
     let overload = Json::obj([
         ("shed", Json::from(r.shed)),
         (
             "shed_by_reason",
             Json::Obj(
-                run.rec
-                    .shed_by_reason()
-                    .iter()
-                    .map(|(reason, n)| (reason.to_string(), Json::from(*n)))
+                r.shed_by_reason()
+                    .into_iter()
+                    .map(|(reason, n)| (reason.to_string(), Json::from(n)))
                     .collect(),
             ),
         ),
-        ("deadline_exceeded", Json::from(run.rec.deadline_exceeded())),
+        ("deadline_exceeded", Json::from(r.deadline_exceeded())),
         ("breaker_trips", Json::from(r.breaker_trips)),
+        ("breaker_half_opens", Json::from(r.breaker_half_opens)),
+        ("breaker_closes", Json::from(r.breaker_closes)),
         (
             "breaker_final",
             Json::arr(r.breaker_final.iter().map(|(kind, state)| {
                 Json::obj([("kind", Json::from(*kind)), ("state", Json::str(*state))])
             })),
         ),
-        ("goodput", Json::Num(run.rec.goodput())),
-        ("shed_rate", Json::Num(run.rec.shed_rate())),
+        ("max_queued", Json::from(r.max_queued)),
+        ("max_waiting", Json::from(r.max_waiting)),
+        ("goodput", Json::Num(r.goodput())),
+        ("shed_rate", Json::Num(r.shed_rate())),
         (
             "conservation",
             Json::Bool(r.completed + r.failed + r.shed == r.outcomes.len() as u64),
@@ -370,13 +376,17 @@ pub fn serve_json(run: &ServeRun) -> Json {
         ("heap_grows", Json::from(r.heap.grows)),
         (
             "peak_heap_words_sampled",
-            Json::from(run.rec.peak_heap_words()),
+            Json::from(r.peak_heap_words_sampled),
         ),
         (
             "peak_live_words_sampled",
-            Json::from(run.rec.peak_live_words()),
+            Json::from(r.peak_live_words_sampled),
         ),
-        ("max_in_flight", Json::from(run.rec.max_in_flight())),
+        (
+            "peak_nursery_words_sampled",
+            Json::from(r.peak_nursery_words_sampled),
+        ),
+        ("max_in_flight", Json::from(r.max_in_flight)),
         ("suspension_checks", Json::from(r.suspension_checks)),
         ("suspension_events", Json::from(r.suspension_events)),
         (
@@ -408,7 +418,7 @@ pub fn serve_rows(runs: &[ServeRun]) -> Vec<Json> {
                 ("completed", Json::from(r.completed)),
                 ("failed", Json::from(r.failed)),
                 ("shed", Json::from(r.shed)),
-                ("goodput", Json::Num(run.rec.goodput())),
+                ("goodput", Json::Num(r.goodput())),
                 ("breaker_trips", Json::from(r.breaker_trips)),
                 ("collections", Json::from(r.heap.collections)),
                 ("minor_collections", Json::from(r.gc.minor_collections)),
@@ -417,7 +427,7 @@ pub fn serve_rows(runs: &[ServeRun]) -> Vec<Json> {
                 ("pause_p99_ns", Json::from(run.rec.pause_hist().p99())),
                 ("utilization", Json::Num(run.rec.utilization())),
                 ("mmu_1ms", Json::Num(run.rec.mmu(1_000_000))),
-                ("peak_heap_words", Json::from(run.rec.peak_heap_words())),
+                ("peak_heap_words", Json::from(r.peak_heap_words_sampled)),
             ])
         })
         .collect()
@@ -533,11 +543,11 @@ impl OverloadSlo {
 /// goodput above the floor, shed rate below the ceiling. Empty = pass.
 pub fn check_overload_slo(run: &ServeRun, slo: OverloadSlo) -> Vec<String> {
     let mut violations = request_integrity(&run.report, run.config.requests);
-    let goodput = run.rec.goodput();
+    let goodput = run.report.goodput();
     if goodput < slo.min_goodput {
         violations.push(format!("goodput {goodput:.3} < {:.3}", slo.min_goodput));
     }
-    let shed_rate = run.rec.shed_rate();
+    let shed_rate = run.report.shed_rate();
     if shed_rate > slo.max_shed_rate {
         violations.push(format!(
             "shed rate {shed_rate:.3} > {:.3}",
@@ -807,8 +817,12 @@ mod tests {
             "digest is a pure function of the outcomes"
         );
         // Sampled peaks come from deterministic sample points.
-        assert_eq!(a.rec.peak_heap_words(), b.rec.peak_heap_words());
-        assert_eq!(a.rec.max_in_flight(), b.rec.max_in_flight());
+        assert!(a.report.peak_heap_words_sampled > 0);
+        assert_eq!(
+            a.report.peak_heap_words_sampled,
+            b.report.peak_heap_words_sampled
+        );
+        assert_eq!(a.report.max_in_flight, b.report.max_in_flight);
     }
 
     #[test]
@@ -846,7 +860,23 @@ mod tests {
             matches!(digest, Json::Str(s) if s.len() == 16),
             "digest must be a 16-hex-char string, got {digest:?}"
         );
-        assert!(j.get("timing").and_then(|t| t.get("utilization")).is_some());
+        let Some(Json::Obj(timing)) = j.get("timing") else {
+            panic!("timing must be an object");
+        };
+        let keys: Vec<&str> = timing.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "latency_ns",
+                "pause_ns",
+                "minor_pause_ns",
+                "major_pause_ns",
+                "utilization",
+                "window_ns",
+                "windows"
+            ],
+            "timing holds wall-clock data only"
+        );
         let det = deterministic_view(&j);
         assert!(det.get("timing").is_none(), "the projection drops timing");
         assert!(det.get("results_digest").is_some());
@@ -972,8 +1002,8 @@ mod tests {
         assert!(v.is_empty(), "{v:?}");
         assert!(run.report.failed > 0, "no runaway was ever quarantined");
         assert!(
-            run.rec.deadline_exceeded() > 0,
-            "deadline events must reach the recorder"
+            run.report.deadline_exceeded() > 0,
+            "runaways must breach their deadline"
         );
         let again = serve(&overload_scenario(Strategy::Compiled, 1)).unwrap();
         assert_eq!(

@@ -167,8 +167,7 @@ pub enum GcEvent {
     },
     /// Overload management: a request was shed at admission instead of
     /// dispatched. `reason` is one of `queue-full`, `hard-watermark`,
-    /// `soft-watermark`, `breaker-open`, `backoff-exhausted`, `degrade`,
-    /// `drain`.
+    /// `breaker-open`, `backoff-exhausted`, `degrade`, `drain`.
     RequestShed {
         t_ns: u64,
         req: u64,

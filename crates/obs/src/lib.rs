@@ -20,10 +20,12 @@
 //!   [`Obs::emit`] does not run otherwise). A differential test in the
 //!   workspace proves a `NullSink` run is observably identical to a
 //!   build without observability.
-//! * [`ServeRecorder`] — the serve-mode sink: a ring plus steady-state
-//!   service metrics (per-request latency histogram, windowed
-//!   allocation/pause metrics, heap-occupancy timeline, and an
-//!   MMU-style mutator-utilization figure from the pause intervals).
+//! * [`ServeRecorder`] — the serve-mode sink: a ring plus the
+//!   wall-clock service metrics (per-request latency and pause
+//!   histograms, windowed allocation/pause metrics, and an MMU-style
+//!   mutator-utilization figure from the pause intervals). The
+//!   deterministic counts of a service run are the request engine's
+//!   report, not the sink's.
 //! * [`json`] — a hand-rolled minimal JSON model (writer + parser); the
 //!   workspace keeps its no-serde constraint (DESIGN.md §5). It also
 //!   holds the one wall-clock convention, [`WALL_CLOCK_KEYS`], and the
@@ -50,6 +52,6 @@ pub use event::{CollectionKind, GcEvent};
 pub use hist::Histogram;
 pub use json::{deterministic_view, Json, WALL_CLOCK_KEYS};
 pub use ring::{CollectionSummary, RingRecorder};
-pub use serve::{OccupancyPoint, PauseInterval, ServeRecorder, ServeWindow};
+pub use serve::{PauseInterval, ServeRecorder, ServeWindow};
 pub use sink::{GcEventSink, NullSink, Obs};
 pub use sites::{SiteProfile, SiteTable};

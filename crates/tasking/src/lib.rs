@@ -27,10 +27,13 @@
 //! The scheduler is a *request engine*: a fixed pool of thread slots
 //! drains a queue of [`Request`]s against one persistent shared heap.
 //! [`serve_requests_overload`] is the one entry point: it recycles each
-//! slot for the next queued request the moment its current one completes
-//! and emits request-lifecycle and heap-occupancy events into the
-//! attached [`Obs`] sink. [`run_tasks`] is its one-request-per-slot
-//! special case (the original batch mode).
+//! slot for the next queued request the moment its current one
+//! completes. Every deterministic count of a run (outcomes, sheds,
+//! breaker transitions, suspension accounting, sampled occupancy and
+//! backlog peaks) lands in its [`ServeReport`]; the attached [`Obs`]
+//! sink sees the same run as request-lifecycle, occupancy and overload
+//! events with wall-clock timestamps. [`run_tasks`] is its
+//! one-request-per-slot special case (the original batch mode).
 //!
 //! ## Overload management
 //!
@@ -58,9 +61,10 @@
 //!   stops admitting and lets in-flight requests finish within their
 //!   deadlines.
 //!
-//! Every transition emits a [`GcEvent`] through the zero-cost
-//! [`Obs::emit`] path; none of the decisions read the sink, so shed
-//! decisions are bit-identical between null-sink and recording runs.
+//! Every transition is counted in the [`ServeReport`] and emits a
+//! [`GcEvent`] through the zero-cost [`Obs::emit`] path; none of the
+//! decisions read the sink, so shed decisions are bit-identical between
+//! null-sink and recording runs.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -313,8 +317,10 @@ impl RequestOutcome {
     }
 }
 
-/// Result of a service run ([`serve_requests_overload`], [`run_tasks`]).
-#[derive(Debug, Clone)]
+/// Result of a service run ([`serve_requests_overload`], [`run_tasks`]):
+/// every deterministic count the run produced. Each is a function of
+/// the quantum clock and the seed, identical whatever sink is attached.
+#[derive(Debug, Clone, Default)]
 pub struct ServeReport {
     /// Per request, in submission order.
     pub outcomes: Vec<RequestOutcome>,
@@ -328,10 +334,30 @@ pub struct ServeReport {
     pub shed: u64,
     /// Circuit-breaker open transitions across the run.
     pub breaker_trips: u64,
+    /// Breaker half-open transitions (cooldown over, probe awaited).
+    pub breaker_half_opens: u64,
+    /// Breaker close transitions (a half-open probe succeeded).
+    pub breaker_closes: u64,
     /// Final breaker state per request kind that ever tripped or was
     /// tracked: `(kind, "closed" | "open" | "half-open")`, sorted by
     /// kind.
     pub breaker_final: Vec<(u32, &'static str)>,
+    /// Peak from-space words in use over the occupancy samples, which
+    /// are taken every `sample_every` quanta, at every request end and
+    /// after every collection. Every peak is 0 when `sample_every` is 0.
+    pub peak_heap_words_sampled: u64,
+    /// Peak live words after a collection, over the same samples.
+    pub peak_live_words_sampled: u64,
+    /// Peak nursery words in use, over the same samples.
+    pub peak_nursery_words_sampled: u64,
+    /// Most pool slots holding a request, over the same samples.
+    pub max_in_flight: u32,
+    /// Deepest queue of admitted requests waiting for a slot, over the
+    /// backlog samples taken every `sample_every` quanta.
+    pub max_queued: u32,
+    /// Most arrivals deferred by backoff or throttling, over the same
+    /// backlog samples.
+    pub max_waiting: u32,
     /// Interleaved `print` output across requests.
     pub printed: Vec<i64>,
     pub heap: HeapStats,
@@ -347,6 +373,44 @@ pub struct ServeReport {
     pub total_suspension_latency: u64,
     /// Worst single suspension latency.
     pub max_suspension_latency: u64,
+}
+
+impl ServeReport {
+    /// Completed requests as a fraction of all submitted work
+    /// (completed + failed + shed). 1.0 with no traffic.
+    pub fn goodput(&self) -> f64 {
+        self.fraction(self.completed, 1.0)
+    }
+
+    /// Shed requests as a fraction of all submitted work. 0.0 with no
+    /// traffic.
+    pub fn shed_rate(&self) -> f64 {
+        self.fraction(self.shed, 0.0)
+    }
+
+    fn fraction(&self, part: u64, idle: f64) -> f64 {
+        match self.completed + self.failed + self.shed {
+            0 => idle,
+            submitted => part as f64 / submitted as f64,
+        }
+    }
+
+    /// Shed requests by reason, sorted by reason name.
+    pub fn shed_by_reason(&self) -> BTreeMap<&'static str, u64> {
+        let mut by_reason = BTreeMap::new();
+        for reason in self.outcomes.iter().filter_map(|o| o.shed) {
+            *by_reason.entry(reason).or_insert(0) += 1;
+        }
+        by_reason
+    }
+
+    /// Requests quarantined for breaching a deadline or fuel budget.
+    pub fn deadline_exceeded(&self) -> u64 {
+        self.outcomes
+            .iter()
+            .filter(|o| matches!(o.error, Some(VmError::DeadlineExceeded { .. })))
+            .count() as u64
+    }
 }
 
 /// Looks up a top-level function by its source name (alpha renaming
@@ -409,12 +473,16 @@ pub fn run_tasks(
 /// per-kind circuit breakers, and graceful drain. See the module docs
 /// for the state machines; [`OverloadConfig::none`] turns all of it off.
 ///
-/// When `obs` is enabled, the engine emits `RequestStart`/`RequestEnd`
-/// events (with wall-clock latency) at every request boundary, and —
-/// when `sample_every > 0` — a `HeapSample` occupancy event every
-/// `sample_every` scheduling quanta plus one at every request boundary
-/// and collection. Sample *points* are deterministic (quantum counts),
-/// so the sampled occupancy values are reproducible across runs.
+/// When `sample_every > 0`, the engine samples heap occupancy once at
+/// the start, every `sample_every` scheduling quanta, at every request
+/// end and after every collection, and the admission backlog at the
+/// start and every `sample_every` quanta. The report keeps each
+/// sample's peak whatever the sink; an enabled `obs` also receives it
+/// as a `HeapSample` or `BacklogSample` event. Sample *points* are
+/// deterministic (quantum counts), so the peaks are reproducible across
+/// runs. When `obs` is enabled, the engine emits
+/// `RequestStart`/`RequestEnd` events (with wall-clock latency) at
+/// every request boundary.
 ///
 /// # Errors
 ///
@@ -452,23 +520,7 @@ pub fn serve_requests_overload(
     run_single(&mut vm)?;
 
     if requests.is_empty() {
-        let report = ServeReport {
-            outcomes: Vec::new(),
-            completed: 0,
-            failed: 0,
-            shed: 0,
-            breaker_trips: 0,
-            breaker_final: Vec::new(),
-            printed: std::mem::take(&mut vm.printed),
-            heap: vm.heap.stats,
-            gc: vm.gc_stats,
-            mutator: vm.mutator,
-            suspension_checks: 0,
-            suspension_events: 0,
-            total_suspension_latency: 0,
-            max_suspension_latency: 0,
-        };
-        return Ok((report, std::mem::take(&mut vm.obs)));
+        return Ok(seal(ServeReport::default(), vm));
     }
     assert!(pool > 0, "serving needs at least one pool slot");
     assert!(
@@ -520,33 +572,24 @@ pub fn serve_requests_overload(
         fuel_spent: vec![0; n],
         rng: SmallRng::seed_from_u64(overload.seed),
         breakers: BTreeMap::new(),
-        breaker_trips: 0,
         soft_armed: true,
-        shed_count: 0,
         overload,
-        report_checks: 0,
-        report_events: 0,
-        report_total_latency: 0,
-        report_max_latency: 0,
+        report: ServeReport::default(),
     };
     sched.run()?;
 
     let Scheduler {
-        mut vm,
+        vm,
         outcomes,
         breakers,
-        breaker_trips,
-        report_checks,
-        report_events,
-        report_total_latency,
-        report_max_latency,
+        mut report,
         ..
     } = sched;
 
-    let mut resolved = Vec::with_capacity(outcomes.len());
+    report.outcomes.reserve_exact(outcomes.len());
     for (ix, o) in outcomes.into_iter().enumerate() {
         match o {
-            Some(o) => resolved.push(o),
+            Some(o) => report.outcomes.push(o),
             None => {
                 return Err(VmError::Internal {
                     detail: format!("request {ix} left unresolved by the serve engine"),
@@ -554,30 +597,21 @@ pub fn serve_requests_overload(
             }
         }
     }
-    let failed = resolved.iter().filter(|o| o.error.is_some()).count() as u64;
-    let shed = resolved.iter().filter(|o| o.shed.is_some()).count() as u64;
-    let completed = resolved.len() as u64 - failed - shed;
-    let breaker_final: Vec<(u32, &'static str)> =
-        breakers.iter().map(|(k, b)| (*k, b.state.name())).collect();
-    Ok((
-        ServeReport {
-            outcomes: resolved,
-            completed,
-            failed,
-            shed,
-            breaker_trips,
-            breaker_final,
-            printed: std::mem::take(&mut vm.printed),
-            heap: vm.heap.stats,
-            gc: vm.gc_stats,
-            mutator: vm.mutator,
-            suspension_checks: report_checks,
-            suspension_events: report_events,
-            total_suspension_latency: report_total_latency,
-            max_suspension_latency: report_max_latency,
-        },
-        std::mem::take(&mut vm.obs),
-    ))
+    report.failed = report.outcomes.iter().filter(|o| o.error.is_some()).count() as u64;
+    report.shed = report.outcomes.iter().filter(|o| o.shed.is_some()).count() as u64;
+    report.completed = report.outcomes.len() as u64 - report.failed - report.shed;
+    report.breaker_final = breakers.iter().map(|(k, b)| (*k, b.state.name())).collect();
+    Ok(seal(report, vm))
+}
+
+/// Completes `report` with the machine's output and final statistics,
+/// and hands back the observation sink.
+fn seal(mut report: ServeReport, mut vm: Vm<'_>) -> (ServeReport, Obs) {
+    report.printed = std::mem::take(&mut vm.printed);
+    report.heap = vm.heap.stats;
+    report.gc = vm.gc_stats;
+    report.mutator = vm.mutator;
+    (report, std::mem::take(&mut vm.obs))
 }
 
 /// Runs the current thread to completion in one unbounded burst,
@@ -636,7 +670,7 @@ struct Scheduler<'p> {
     /// Per slot: `Obs` timestamp when its current request started (only
     /// maintained while observation is enabled).
     started_ns: Vec<u64>,
-    /// Emit a `HeapSample` every this many quanta (0 = never).
+    /// Sample occupancy and backlog every this many quanta (0 = never).
     sample_every: u64,
     /// Scheduling quanta executed (the deterministic sample clock).
     quanta: u64,
@@ -678,17 +712,13 @@ struct Scheduler<'p> {
     rng: SmallRng,
     /// Per request kind: circuit-breaker state.
     breakers: BTreeMap<u32, Breaker>,
-    /// Breaker open transitions across the run.
-    breaker_trips: u64,
     /// Soft watermark is edge-triggered: armed below the line, fires one
     /// proactive collection on crossing.
     soft_armed: bool,
-    shed_count: u64,
     overload: OverloadConfig,
-    report_checks: u64,
-    report_events: u64,
-    report_total_latency: u64,
-    report_max_latency: u64,
+    /// The counts and peaks accumulated as the run goes; outcomes and
+    /// final statistics are filled in when it ends.
+    report: ServeReport,
 }
 
 /// Per-kind circuit-breaker state machine: `Closed` (counting
@@ -884,7 +914,6 @@ impl Scheduler<'_> {
             shed: Some(reason),
         });
         self.resolved += 1;
-        self.shed_count += 1;
         let req = ix as u64;
         self.vm.obs.emit(|t_ns| GcEvent::RequestShed {
             t_ns,
@@ -968,6 +997,7 @@ impl Scheduler<'_> {
             // Cooldown elapsed: this arrival becomes the half-open
             // probe candidate.
             b.state = BreakerState::HalfOpen { probe: None };
+            self.report.breaker_half_opens += 1;
             self.vm
                 .obs
                 .emit(|t_ns| GcEvent::BreakerHalfOpen { t_ns, kind });
@@ -1005,6 +1035,7 @@ impl Scheduler<'_> {
                 if ok {
                     b.state = BreakerState::Closed;
                     b.consecutive = 0;
+                    self.report.breaker_closes += 1;
                     self.vm
                         .obs
                         .emit(|t_ns| GcEvent::BreakerClose { t_ns, kind });
@@ -1013,7 +1044,7 @@ impl Scheduler<'_> {
                     b.state = BreakerState::Open {
                         until: quanta + cooldown,
                     };
-                    self.breaker_trips += 1;
+                    self.report.breaker_trips += 1;
                     let consecutive = b.consecutive;
                     self.vm.obs.emit(|t_ns| GcEvent::BreakerOpen {
                         t_ns,
@@ -1031,7 +1062,7 @@ impl Scheduler<'_> {
                         b.state = BreakerState::Open {
                             until: quanta + cooldown,
                         };
-                        self.breaker_trips += 1;
+                        self.report.breaker_trips += 1;
                         let consecutive = b.consecutive;
                         self.vm.obs.emit(|t_ns| GcEvent::BreakerOpen {
                             t_ns,
@@ -1139,15 +1170,21 @@ impl Scheduler<'_> {
         self.sample_heap();
     }
 
-    /// Emits one heap-occupancy sample (a no-op unless sampling and
-    /// observation are both on). The occupancy fields are functions of
-    /// the instruction stream, so the sampled values are deterministic.
+    /// Takes one heap-occupancy sample into the report's peaks and emits
+    /// it as a `HeapSample` (a no-op unless sampling is on). The
+    /// occupancy fields are functions of the instruction stream, so the
+    /// sampled values are deterministic.
     fn sample_heap(&mut self) {
-        if self.sample_every == 0 || !self.vm.obs.enabled() {
+        if self.sample_every == 0 {
             return;
         }
         let occ = self.vm.heap.occupancy();
         let in_flight = self.in_flight() as u32;
+        let r = &mut self.report;
+        r.peak_heap_words_sampled = r.peak_heap_words_sampled.max(occ.heap_words);
+        r.peak_live_words_sampled = r.peak_live_words_sampled.max(occ.live_words);
+        r.peak_nursery_words_sampled = r.peak_nursery_words_sampled.max(occ.nursery_words);
+        r.max_in_flight = r.max_in_flight.max(in_flight);
         self.vm.obs.emit(|t_ns| GcEvent::HeapSample {
             t_ns,
             heap_words: occ.heap_words,
@@ -1157,14 +1194,17 @@ impl Scheduler<'_> {
         });
     }
 
-    /// Emits one backlog-depth sample on the same cadence as
+    /// Takes one backlog-depth sample into the report's peaks and emits
+    /// it as a `BacklogSample`, on the quantum cadence of
     /// [`Scheduler::sample_heap`].
     fn sample_backlog(&mut self) {
-        if self.sample_every == 0 || !self.vm.obs.enabled() {
+        if self.sample_every == 0 {
             return;
         }
         let queued = self.queue.len() as u32;
         let waiting = self.waiting.len() as u32;
+        self.report.max_queued = self.report.max_queued.max(queued);
+        self.report.max_waiting = self.report.max_waiting.max(waiting);
         let watermark = self.watermark_level();
         self.vm.obs.emit(|t_ns| GcEvent::BacklogSample {
             t_ns,
@@ -1245,7 +1285,7 @@ impl Scheduler<'_> {
             SafePoints::None
         };
         let b = self.vm.burst(self.quantum, stop);
-        self.report_checks += self.policy.tests(b.calls, b.allocs);
+        self.report.suspension_checks += self.policy.tests(b.calls, b.allocs);
         self.fuel_spent[i] += b.completed;
         // Suspension latency counts the instructions that ran on while
         // the collection waited; the one that finishes a request is not
@@ -1260,7 +1300,7 @@ impl Scheduler<'_> {
                 // The test that found the collection pending; the `Rgc`
                 // register makes it free.
                 if self.policy != SuspendPolicy::EveryCallRgc {
-                    self.report_checks += 1;
+                    self.report.suspension_checks += 1;
                 }
                 self.park(i, site);
                 Ok(())
@@ -1330,8 +1370,9 @@ impl Scheduler<'_> {
             // triggering task was quarantined). Nothing to collect for.
             self.gc_pending = false;
             self.proactive_gc = false;
-            self.report_total_latency += self.latency;
-            self.report_max_latency = self.report_max_latency.max(self.latency);
+            self.report.total_suspension_latency += self.latency;
+            self.report.max_suspension_latency =
+                self.report.max_suspension_latency.max(self.latency);
             self.latency = 0;
             return Ok(());
         };
@@ -1374,10 +1415,10 @@ impl Scheduler<'_> {
             self.vm.collect_parked(site)?;
         }
         if collected {
-            self.report_events += 1;
+            self.report.suspension_events += 1;
         }
-        self.report_total_latency += self.latency;
-        self.report_max_latency = self.report_max_latency.max(self.latency);
+        self.report.total_suspension_latency += self.latency;
+        self.report.max_suspension_latency = self.report.max_suspension_latency.max(self.latency);
         self.latency = 0;
         self.gc_pending = false;
         if self.vm.obs.enabled() {
@@ -1825,7 +1866,7 @@ mod tests {
         let q = requests(&prog, &[("worker", 10, 3), ("worker", 12, 4)]);
         let mut cfg = TaskConfig::new(Strategy::Compiled);
         cfg.heap_words = 1 << 12;
-        let (_, obs) = serve_requests_overload(
+        let (report, obs) = serve_requests_overload(
             &prog,
             &q,
             1,
@@ -1835,15 +1876,22 @@ mod tests {
             Obs::serve(1 << 12, 1_000_000),
         )
         .unwrap();
+        assert_eq!((report.completed, report.failed), (2, 0));
+        assert!(report.peak_heap_words_sampled > 0);
         let rec = obs.into_serve_recorder().expect("serve sink");
-        let (started, completed, failed) = rec.requests();
-        assert_eq!((started, completed, failed), (2, 2, 0));
         assert_eq!(rec.latency_hist().count(), 2);
+        let events = rec.ring().events();
+        let starts = events
+            .iter()
+            .filter(|e| matches!(e, GcEvent::RequestStart { .. }))
+            .count();
+        assert_eq!(starts, 2);
         assert!(
-            !rec.samples().is_empty(),
-            "quantum sampling must produce occupancy points"
+            events
+                .iter()
+                .any(|e| matches!(e, GcEvent::HeapSample { .. })),
+            "quantum sampling must emit occupancy events"
         );
-        assert!(rec.peak_heap_words() > 0);
     }
 
     #[test]
@@ -2282,6 +2330,131 @@ mod tests {
         assert_eq!(a.heap, b.heap);
         assert_eq!(a.mutator, b.mutator);
         conservation(&a);
+    }
+
+    /// An overload run in which every mechanism fires: runaways breach
+    /// their deadline, two in a row trip kind 1's breaker, a half-open
+    /// probe closes it again, and a tight queue with backoff sheds and
+    /// defers arrivals while a generational heap is sampled.
+    fn stormy_serve(obs: Obs) -> (ServeReport, Obs) {
+        let prog = compile(
+            "fun build n = if n = 0 then [] else n :: build (n - 1) ;
+             fun sum xs = case xs of [] => 0 | x :: r => x + sum r ;
+             fun worker n = if n = 0 then 0 else (sum (build 20) + worker (n - 1)) - sum (build 20) ;
+             fun runaway n = if n = 0 then 0 else runaway (n + 1) ;
+             fun ok n = n + 1 ;
+             0",
+        );
+        let (worker, runaway, ok) = (
+            find_fn(&prog, "worker").unwrap(),
+            find_fn(&prog, "runaway").unwrap(),
+            find_fn(&prog, "ok").unwrap(),
+        );
+        let q: Vec<Request> = (0..48)
+            .map(|i| match (i % 3, (i / 3) % 4) {
+                (0, 0 | 1) => Request::new(runaway, 1, 1),
+                (0, _) => Request::new(ok, i, 1),
+                _ => Request::new(worker, 4 + i % 5, 0),
+            })
+            .collect();
+        let mut cfg = TaskConfig::new(Strategy::Compiled);
+        cfg.heap_words = 1 << 10;
+        cfg.heap_max_words = Some(1 << 12);
+        cfg.nursery_words = Some(1 << 8);
+        let over = OverloadConfig {
+            queue_cap: 2,
+            admission: AdmissionPolicy::RetryBackoff {
+                max_attempts: 10,
+                base: 4,
+            },
+            deadline_quanta: Some(200),
+            soft_watermark_pct: Some(60),
+            hard_watermark_pct: Some(90),
+            breaker_threshold: 2,
+            breaker_cooldown: 64,
+            seed: 5,
+            ..OverloadConfig::none()
+        };
+        serve_requests_overload(&prog, &q, 2, 4, cfg, over, obs).unwrap()
+    }
+
+    /// The report's sampled peaks, in field order.
+    fn peaks(r: &ServeReport) -> [u64; 6] {
+        [
+            r.peak_heap_words_sampled,
+            r.peak_live_words_sampled,
+            r.peak_nursery_words_sampled,
+            u64::from(r.max_in_flight),
+            u64::from(r.max_queued),
+            u64::from(r.max_waiting),
+        ]
+    }
+
+    /// The report is the one owner of the run's counts: folding the
+    /// complete event stream by hand reproduces every shed reason,
+    /// deadline breach, breaker transition and sampled peak in it.
+    #[test]
+    fn report_equals_the_folded_event_stream() {
+        let (report, obs) = stormy_serve(Obs::ring(1 << 16));
+        let ring = obs.into_recorder().expect("ring sink");
+        assert_eq!(ring.dropped(), 0, "the ring must keep every event");
+        let mut shed = BTreeMap::new();
+        let mut deadlines = 0;
+        let mut breaker = [0u64; 3];
+        let mut folded = [0u64; 6];
+        for e in ring.events() {
+            match *e {
+                GcEvent::RequestShed { reason, .. } => *shed.entry(reason).or_insert(0) += 1,
+                GcEvent::DeadlineExceeded { .. } => deadlines += 1,
+                GcEvent::BreakerOpen { .. } => breaker[0] += 1,
+                GcEvent::BreakerHalfOpen { .. } => breaker[1] += 1,
+                GcEvent::BreakerClose { .. } => breaker[2] += 1,
+                GcEvent::HeapSample {
+                    heap_words,
+                    live_words,
+                    nursery_words,
+                    in_flight,
+                    ..
+                } => {
+                    let sample = [heap_words, live_words, nursery_words, in_flight.into()];
+                    for (peak, v) in folded.iter_mut().zip(sample) {
+                        *peak = (*peak).max(v);
+                    }
+                }
+                GcEvent::BacklogSample {
+                    queued, waiting, ..
+                } => {
+                    folded[4] = folded[4].max(queued.into());
+                    folded[5] = folded[5].max(waiting.into());
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(report.shed_by_reason(), shed);
+        assert_eq!(report.deadline_exceeded(), deadlines);
+        let transitions = [
+            report.breaker_trips,
+            report.breaker_half_opens,
+            report.breaker_closes,
+        ];
+        assert_eq!(transitions, breaker);
+        assert_eq!(peaks(&report), folded);
+        // The fold proves nothing unless every mechanism fired.
+        assert!(shed.len() >= 2, "{shed:?}");
+        assert!(deadlines > 0);
+        assert!(breaker.iter().all(|n| *n > 0), "{breaker:?}");
+        assert!(folded.iter().all(|p| *p > 0), "{folded:?}");
+        conservation(&report);
+    }
+
+    /// Sampling feeds the report whatever the sink: the same
+    /// `sample_every` gives the same peaks with no sink at all.
+    #[test]
+    fn sampled_peaks_do_not_depend_on_the_sink() {
+        let (plain, _) = stormy_serve(Obs::null());
+        let (observed, _) = stormy_serve(Obs::serve(1 << 10, 1_000_000));
+        assert_eq!(peaks(&plain), peaks(&observed));
+        assert!(peaks(&plain).iter().all(|p| *p > 0), "{:?}", peaks(&plain));
     }
 
     /// The seeded stall fault arms on a task thread and is then caught

@@ -196,12 +196,13 @@ fn serve_telemetry_is_observation_neutral() {
             "{s}: suspension accounting identical"
         );
 
-        // The telemetry itself is coherent: every request's start and
-        // end were seen, and the sampled occupancy timeline is nonempty.
+        // The telemetry itself is coherent: every request completed and
+        // its latency was seen, and only the sampling run took samples.
+        assert_eq!((observed.completed, observed.failed), (24, 0), "{s}");
+        assert!(observed.peak_heap_words_sampled > 0, "{s}");
+        assert_eq!(plain.peak_heap_words_sampled, 0, "{s}: sample_every 0");
         let rec = obs.into_serve_recorder().expect("serve sink");
-        assert_eq!(rec.requests(), (24, 24, 0), "{s}");
         assert_eq!(rec.latency_hist().count(), 24, "{s}");
-        assert!(!rec.samples().is_empty(), "{s}");
     }
 
     // The batch adapter (run_tasks) rides the same engine: its reports
