@@ -16,7 +16,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 use tfgc::gc::{GcMeta, NO_TRACE};
-use tfgc::obs::{deterministic_view, Json, Obs};
+use tfgc::obs::{deterministic_view, CollectionKind, Json, Obs};
 use tfgc::tasking::{find_fn, serve_requests_overload, ServeReport, SuspendPolicy, TaskConfig};
 use tfgc::workloads::programs;
 use tfgc::{
@@ -778,10 +778,10 @@ fn e15_json() -> Json {
             32,
             tc,
             OverloadConfig::none(),
-            Obs::serve(RING, 10_000_000),
+            Obs::ring(RING),
         )
         .expect("E15 serve run");
-        let rec = obs.into_serve_recorder().expect("serve sink attached");
+        let rec = obs.into_recorder().expect("ring sink attached");
         (report, rec)
     };
     let mut rows = Vec::new();
@@ -794,7 +794,7 @@ fn e15_json() -> Json {
         // sample counts are `baseline_collections` and
         // `minor_collections`.
         let full_p50 = base_rec.pause_hist().p50();
-        let minor_p50 = gen_rec.minor_pause_hist().p50();
+        let minor_p50 = gen_rec.pause_hist_of(CollectionKind::Minor).p50();
         regression |= minor_p50 >= full_p50;
         rows.push(Json::obj([
             ("strategy", Json::str(s.name())),
@@ -814,7 +814,7 @@ fn e15_json() -> Json {
             ("minor_pause_p50_ns", Json::from(minor_p50)),
             (
                 "major_pause_p99_ns",
-                Json::from(gen_rec.major_pause_hist().p99()),
+                Json::from(gen_rec.pause_hist_of(CollectionKind::Major).p99()),
             ),
             (
                 "peak_nursery_words",

@@ -69,7 +69,6 @@ from `experiments --json`):
   --heap-max N              growth ceiling in words, at least --heap
                             (default 65536)
   --quantum N               instructions per scheduling quantum
-  --window-ms N             steady-state metrics window (default 10)
   --sample-every N          occupancy and backlog sample period in
                             quanta (default 32)
   --generational            nursery + minor/major cycles per strategy
@@ -345,8 +344,11 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
     }
 }
 
-fn vm_config(opts: &Opts) -> VmConfig {
-    let mut cfg = VmConfig::new(opts.strategy)
+/// The configuration of a run under `strategy` with every other option
+/// as given: `run`, `profile` and `compare` build their runs from this
+/// and [`metadata_for`].
+fn vm_config(opts: &Opts, strategy: Strategy) -> VmConfig {
+    let mut cfg = VmConfig::new(strategy)
         .heap_words(opts.heap)
         .verify_heap(opts.verify_heap);
     if let Some(n) = opts.force_gc {
@@ -358,11 +360,13 @@ fn vm_config(opts: &Opts) -> VmConfig {
     cfg
 }
 
-fn metadata_for(compiled: &Compiled, opts: &Opts) -> tfgc::gc::GcMeta {
+/// The metadata `strategy` runs on: `--refined` picks the closure-flow
+/// refinement of the GC-point analysis.
+fn metadata_for(compiled: &Compiled, opts: &Opts, strategy: Strategy) -> tfgc::gc::GcMeta {
     if opts.refined {
-        compiled.metadata_refined(opts.strategy)
+        compiled.metadata_refined(strategy)
     } else {
-        compiled.metadata(opts.strategy)
+        compiled.metadata(strategy)
     }
 }
 
@@ -372,15 +376,16 @@ fn run_opts(
     opts: &Opts,
     record: bool,
 ) -> Result<(tfgc::RunOutcome, Option<RingRecorder>), String> {
-    let meta = metadata_for(compiled, opts);
+    let cfg = vm_config(opts, opts.strategy);
+    let meta = metadata_for(compiled, opts, opts.strategy);
     if record {
         let (out, obs) = compiled
-            .run_observed(vm_config(opts), meta, Obs::ring(opts.events))
+            .run_observed(cfg, meta, Obs::ring(opts.events))
             .map_err(|e| e.to_string())?;
         Ok((out, obs.into_recorder()))
     } else {
         let out = compiled
-            .run_with_meta(vm_config(opts), meta)
+            .run_with_meta(cfg, meta)
             .map_err(|e| e.to_string())?;
         Ok((out, None))
     }
@@ -459,11 +464,7 @@ fn cmd_profile(compiled: &Compiled, opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_gcmap(compiled: &Compiled, opts: &Opts) -> Result<(), String> {
-    let meta = if opts.refined {
-        compiled.metadata_refined(opts.strategy)
-    } else {
-        compiled.metadata(opts.strategy)
-    };
+    let meta = metadata_for(compiled, opts, opts.strategy);
     let mut t = Table::new(&["site", "function", "pc", "kind", "gc_word"]);
     for site in &compiled.program.sites {
         let f = &compiled.program.funs[site.fn_id.0 as usize];
@@ -564,7 +565,6 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
             "--heap" => base.task.heap_words = flag_value(args, &mut i, "--heap")?,
             "--heap-max" => heap_max = Some(flag_value(args, &mut i, "--heap-max")?),
             "--quantum" => base.task.quantum = flag_value(args, &mut i, "--quantum")?,
-            "--window-ms" => base.window_ms = flag_value(args, &mut i, "--window-ms")?,
             "--sample-every" => base.sample_every = flag_value(args, &mut i, "--sample-every")?,
             "--trace" => trace_path = Some(flag_value(args, &mut i, "--trace")?),
             "--generational" => serve_generational = true,
@@ -676,7 +676,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     print!("{}", tfgc::render_rows(&tfgc::serve_rows(&runs))?);
 
     if let Some(path) = &trace_path {
-        let events: Vec<GcEvent> = runs[0].rec.ring().events().iter().cloned().collect();
+        let events: Vec<GcEvent> = runs[0].rec.events().iter().cloned().collect();
         std::fs::write(path, write_chrome_trace(&events))
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
     }
@@ -862,19 +862,25 @@ fn cmd_fuzz(args: &[String]) -> Result<(), CliError> {
     }
 }
 
+/// `compare`'s runs: one per strategy, each configured as `run
+/// --strategy S` with the same options would be.
+fn compare_runs<'a>(
+    compiled: &'a Compiled,
+    opts: &'a Opts,
+) -> impl Iterator<Item = (Strategy, VmConfig, tfgc::gc::GcMeta)> + 'a {
+    Strategy::ALL
+        .into_iter()
+        .map(|s| (s, vm_config(opts, s), metadata_for(compiled, opts, s)))
+}
+
 fn cmd_compare(compiled: &Compiled, opts: &Opts) -> Result<(), String> {
     let mut t = Table::new(&[
         "strategy", "result", "words", "GCs", "copied", "tag-ops", "meta B",
     ]);
-    for s in Strategy::ALL {
-        let mut cfg = VmConfig::new(s).heap_words(opts.heap);
-        if let Some(n) = opts.force_gc {
-            cfg = cfg.force_gc_every(n);
-        }
-        if let Some(n) = opts.nursery_words {
-            cfg = cfg.generational(n, opts.promote_after);
-        }
-        let out = compiled.run_with(cfg).map_err(|e| format!("{s}: {e}"))?;
+    for (s, cfg, meta) in compare_runs(compiled, opts) {
+        let out = compiled
+            .run_with_meta(cfg, meta)
+            .map_err(|e| format!("{s}: {e}"))?;
         t.row(vec![
             s.to_string(),
             out.result.clone(),
@@ -892,6 +898,7 @@ fn cmd_compare(compiled: &Compiled, opts: &Opts) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tfgc::obs::Json;
 
     fn is_usage(r: Result<(), CliError>) -> bool {
         matches!(r, Err(CliError::Usage(_)))
@@ -955,6 +962,7 @@ mod tests {
         for bad in [
             vec!["run", "--frobnicate", "-e", "1"],
             vec!["serve", "--what"],
+            vec!["serve", "--window-ms", "10"],
             vec!["torture", "--loud"],
             vec!["conquer"],
         ] {
@@ -999,6 +1007,83 @@ mod tests {
         };
         let missing: Vec<_> = flags.iter().filter(|f| !listed(f)).collect();
         assert!(missing.is_empty(), "flags missing from USAGE: {missing:?}");
+    }
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// `--verify-heap` and `--refined` reach all five of `compare`'s
+    /// runs: each runs on the refined metadata, and the verifier walks
+    /// the heap after every collection.
+    #[test]
+    fn compare_runs_under_verify_heap_and_refined() {
+        let src = tfgc::workloads::programs::ho_pure(20);
+        let args = ["--verify-heap", "--refined", "--force-gc", "9", "-e", &src];
+        let opts = parse_opts(&strings(&args)).unwrap();
+        let c = Compiled::compile(&opts.source).unwrap();
+        let first_order = c.metadata(Strategy::Compiled).omitted_gc_words();
+        assert!(
+            c.metadata_refined(Strategy::Compiled).omitted_gc_words() > first_order,
+            "the program must tell refined metadata from first-order"
+        );
+        let runs: Vec<_> = compare_runs(&c, &opts).collect();
+        assert_eq!(runs.len(), Strategy::ALL.len());
+        for (s, cfg, meta) in runs {
+            let omitted = c.metadata_refined(s).omitted_gc_words();
+            assert_eq!(meta.omitted_gc_words(), omitted, "{s}");
+            let (out, obs) = c
+                .run_observed(cfg, meta, Obs::ring(1 << 14))
+                .unwrap_or_else(|e| panic!("{s}: {e}"));
+            let verified = obs
+                .recorder()
+                .unwrap()
+                .events()
+                .iter()
+                .filter(|e| matches!(e, GcEvent::VerificationEnd { ok: true, .. }))
+                .count() as u64;
+            assert!(out.heap.collections > 0, "{s}");
+            assert_eq!(verified, out.heap.collections, "{s}");
+        }
+    }
+
+    /// `serve --trace` writes the run's ring: every line after the
+    /// opening bracket is one JSON object, requests are async spans and
+    /// collections are duration events.
+    #[test]
+    fn serve_trace_holds_request_spans_and_collections() {
+        let path = std::env::temp_dir().join(format!("tfml-serve-{}.trace", std::process::id()));
+        let path_str = path.to_str().expect("utf-8 temp path").to_string();
+        let args = [
+            "serve",
+            "--strategy",
+            "compiled",
+            "--requests",
+            "24",
+            "--heap",
+            "512",
+            "--trace",
+            &path_str,
+        ];
+        run(strings(&args)).expect("serve runs");
+        let text = std::fs::read_to_string(&path).expect("trace written");
+        std::fs::remove_file(&path).ok();
+        let mut lines = text.lines();
+        assert_eq!(lines.next(), Some("["));
+        let mut phases = Vec::new();
+        for line in lines {
+            let line = line.trim_end_matches(',');
+            let v = tfgc::obs::json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            let cat = v.get("cat").cloned();
+            phases.push((v.get("ph").cloned(), cat));
+        }
+        let has = |ph: &str, cat: &str| {
+            phases
+                .iter()
+                .any(|p| *p == (Some(Json::str(ph)), Some(Json::str(cat))))
+        };
+        assert!(has("b", "request") && has("e", "request"), "{phases:?}");
+        assert!(has("X", "gc"), "a collection must show: {phases:?}");
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! invocations through [`tfgc_tasking::serve_requests_overload`] against one
 //! shared heap per strategy and reports steady-state telemetry:
 //!
-//! * per-request latency and GC pause histograms (log₂ buckets),
-//! * windowed rates (allocations, collections, completions per window),
-//! * minimum-mutator-utilization figures derived from pause intervals,
-//!   and
+//! * per-request latency and GC pause histograms (log₂ buckets; pauses
+//!   also split into minor and major collections),
+//! * mutator utilization and minimum-mutator-utilization figures
+//!   derived from the pause intervals, and
 //! * the engine's deterministic counts: responses, sheds by reason,
 //!   deadline breaches, breaker transitions, and heap-occupancy and
 //!   backlog peaks sampled at deterministic scheduler points.
@@ -20,7 +20,8 @@
 //! [`serve_json`] is one run's profile and [`serve_rows`] its table
 //! row; E11 and E12 (`BENCH_E11.json`, `BENCH_E12.json`) are built from
 //! them. Every count comes from the engine's [`ServeReport`] and every
-//! wall-clock value from the [`ServeRecorder`] sink, under the shared
+//! wall-clock value from the [`RingRecorder`] attached to the run, the
+//! same recorder a batch run uses, under the shared
 //! [`tfgc_obs::WALL_CLOCK_KEYS`]; the report's part is a pure function
 //! of the config and seed, and [`tfgc_obs::deterministic_view`] keeps
 //! exactly that part. [`check_slo`] is the gate: p99 request latency
@@ -39,7 +40,7 @@
 
 use crate::pipeline::Compiled;
 use tfgc_gc::Strategy;
-use tfgc_obs::{Json, Obs, ServeRecorder};
+use tfgc_obs::{Json, Obs, RingRecorder};
 use tfgc_tasking::{
     find_fn, serve_requests_overload, AdmissionPolicy, OverloadConfig, Request, ServeReport,
     TaskConfig,
@@ -144,8 +145,6 @@ pub struct ServeConfig {
     pub pool: usize,
     /// Traffic-mix seed (same seed → same request sequence).
     pub seed: u64,
-    /// Steady-state metrics window, in milliseconds of wall clock.
-    pub window_ms: u64,
     /// Occupancy and backlog sample period, in scheduling quanta (0 =
     /// off); the report keeps the sampled peaks.
     pub sample_every: u64,
@@ -173,8 +172,8 @@ impl ServeConfig {
     /// growable to 64Ki words (tight enough that steady-state traffic
     /// collects repeatedly — a server that never collects measures
     /// nothing), and otherwise [`TaskConfig::new`]'s every-call
-    /// suspension and 64-instruction quantum; 10 ms windows, occupancy
-    /// sampled every 32 quanta.
+    /// suspension and 64-instruction quantum; occupancy sampled every
+    /// 32 quanta.
     pub fn new(strategy: Strategy) -> ServeConfig {
         let mut task = TaskConfig::new(strategy);
         task.heap_words = 1 << 11;
@@ -184,7 +183,6 @@ impl ServeConfig {
             requests: 400,
             pool: 4,
             seed: 1,
-            window_ms: 10,
             sample_every: 32,
             hog_every: 0,
             runaway_every: 0,
@@ -223,19 +221,20 @@ pub fn build_traffic(
 }
 
 /// One completed service run: the engine's report (every count), the
-/// serve-mode recorder (every wall-clock value), and the per-class
-/// request counts of the generated traffic.
+/// recorder (every wall-clock value, and the raw events `tfml serve
+/// --trace` writes), and the per-class request counts of the generated
+/// traffic.
 #[derive(Debug)]
 pub struct ServeRun {
     pub config: ServeConfig,
     pub report: ServeReport,
-    pub rec: ServeRecorder,
+    pub rec: RingRecorder,
     /// Requests drawn per mix class (index = kind).
     pub mix_counts: Vec<u64>,
 }
 
 /// Compiles [`SERVICE_SRC`], draws the seeded traffic, and drains it
-/// through the request engine with a [`ServeRecorder`] attached.
+/// through the request engine with a [`RingRecorder`] attached.
 ///
 /// # Errors
 ///
@@ -266,7 +265,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeRun, String> {
     for r in &traffic {
         mix_counts[r.kind as usize] += 1;
     }
-    let obs = Obs::serve(RING, cfg.window_ms.max(1) * 1_000_000);
+    let obs = Obs::ring(RING);
     let mut overload = cfg.overload;
     overload.seed = cfg.seed;
     let (report, obs) = serve_requests_overload(
@@ -279,7 +278,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<ServeRun, String> {
         obs,
     )
     .map_err(|e| format!("{} serve: {e}", cfg.task.strategy))?;
-    let rec = obs.into_serve_recorder().expect("serve sink attached");
+    let rec = obs.into_recorder().expect("ring sink attached");
     Ok(ServeRun {
         config: cfg.clone(),
         report,
@@ -304,9 +303,9 @@ fn results_digest(report: &ServeReport) -> u64 {
 
 /// One run's profile: the config it ran under, its request and heap
 /// counters, the overload decisions, and the wall-clock telemetry
-/// under `"timing"` (histograms, windows, utilization). Every field but
-/// `timing` comes from the report and is a pure function of the config
-/// and seed.
+/// under `"timing"` (latency and pause histograms, utilization and
+/// MMU). Every field but `timing` comes from the report and is a pure
+/// function of the config and seed.
 pub fn serve_json(run: &ServeRun) -> Json {
     let r = &run.report;
     // The digest is a hex *string*: JSON numbers are f64 and would
@@ -394,7 +393,7 @@ pub fn serve_json(run: &ServeRun) -> Json {
             Json::from(r.max_suspension_latency),
         ),
         ("overload", overload),
-        ("timing", run.rec.serve_json()),
+        ("timing", run.rec.timing_json()),
     ])
 }
 
@@ -712,7 +711,7 @@ pub const OVERLOAD_SCENARIOS: [&str; 4] =
     ["burst", "deadline-storm", "runaway-hog", "watermark-flap"];
 
 /// Races the overload mechanisms: for each seed, every scenario under
-/// the compiled and tagged strategies, each a [`serve_case`]. Panic
+/// the compiled and tagged strategies, each a `serve_case`. Panic
 /// output is suppressed for the duration (the hook is restored before
 /// returning).
 pub fn torture_overload(seeds: &[u64]) -> Vec<ServeTortureCase> {
@@ -871,9 +870,7 @@ mod tests {
                 "pause_ns",
                 "minor_pause_ns",
                 "major_pause_ns",
-                "utilization",
-                "window_ns",
-                "windows"
+                "utilization"
             ],
             "timing holds wall-clock data only"
         );

@@ -21,7 +21,7 @@
 //!   evaluation or descriptor conversion creates it.
 //! * **Interned environments** — an environment (a frame's, a datatype
 //!   instance's arguments, a callee's θ) is interned by its entries' ids
-//!   into a small [`EnvIx`]; a lookup hashes the id slice it is given, so
+//!   into a small `EnvIx`; a lookup hashes the id slice it is given, so
 //!   a hit allocates nothing.
 //! * **Evaluation memo** — [`RtCache::eval`] keys on `(SxId, EnvIx)`.
 //! * **Extraction / descriptor memos** — Figure-3 path extraction and
@@ -30,8 +30,8 @@
 //!   once, so an extraction hit allocates nothing either).
 //! * **Frame-step memo** — the forward walk's unit of work. A frame's
 //!   environment is a pure function of its call site and of the
-//!   [`FrameState`] its caller's routine handed it (the evaluated θ or
-//!   closure routine, §3). One [`FrameStep`] per `(site, state)` records
+//!   `FrameState` its caller's routine handed it (the evaluated θ or
+//!   closure routine, §3). One `FrameStep` per `(site, state)` records
 //!   the frame's slot plans, its routine's op count and the state it hands
 //!   on, so tracing a chain of activations costs one small-integer lookup
 //!   per frame. Each frame-step lookup counts in

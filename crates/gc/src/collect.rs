@@ -77,9 +77,8 @@ use crate::stack::{walk_frames_into, FrameInfo, FRAME_HDR};
 use crate::stats::GcStats;
 use crate::strategy::Strategy;
 use crate::sx::{SxId, SxTable};
-use std::time::Instant;
 use tfgc_ir::{CallSiteId, CtorRep, IrProgram};
-use tfgc_obs::{CollectionKind, GcEvent, Obs};
+use tfgc_obs::{GcEvent, Obs};
 use tfgc_runtime::{Addr, Encoding, Heap, HeapMode, Word, HEAP_BASE};
 use tfgc_types::DataId;
 
@@ -217,63 +216,37 @@ pub struct CollectorScratch {
     pub(crate) envs: ByteEnvs,
 }
 
-/// Runs one tag-free collection. `minor` asks for a nursery-only cycle
-/// on a generational heap: the same root walk and the same relocation
-/// primitives run, but the heap's phase routes copies to the survivor
-/// half (or tenured, on promotion) and treats every tenured address as
-/// already relocated — tenured space is never touched, which is sound
-/// precisely because the immutable heap has no tenured→nursery edges.
+/// Traces one tag-free collection `seq` inside the envelope
+/// [`fn@crate::collect`] writes. On a generational heap whose phase is a
+/// minor the same root walk and the same relocation primitives run, but
+/// the heap routes copies to the survivor half (or tenured, on
+/// promotion) and treats every tenured address as already relocated —
+/// tenured space is never touched, which is sound precisely because the
+/// immutable heap has no tenured→nursery edges.
 ///
 /// # Panics
 ///
 /// Panics if a frame is suspended at a site whose gc_word was omitted —
 /// that would falsify the §5.1 analysis — or on heap corruption.
 #[allow(clippy::too_many_arguments)]
-pub fn collect_tagfree(
+pub(crate) fn collect_tagfree(
     meta: &mut GcMeta,
     prog: &IrProgram,
     heap: &mut Heap,
     descs: &DescArena,
     stats: &mut GcStats,
     obs: &mut Obs,
+    seq: u64,
     mut roots: MachineRoots<'_>,
-    minor: bool,
 ) {
-    assert_ne!(meta.strategy, Strategy::Tagged, "use collect_tagged");
     let strategy = meta.strategy;
-    let kind = if minor {
-        CollectionKind::Minor
-    } else {
-        CollectionKind::Major
-    };
-    let seq = stats.collections;
-    // Snapshots so CollectionEnd reports this collection's work alone.
-    let frames0 = stats.frames_visited;
-    let routines0 = stats.routine_invocations;
-    let nodes0 = stats.rt_nodes_built;
+    // Snapshots of the metadata cache's counters, for this collection's
+    // share in `stats`.
     let hits0 = meta.rt_cache.hits;
     let misses0 = meta.rt_cache.misses;
     let phits0 = meta.rt_cache.plans.hits;
     let pmisses0 = meta.rt_cache.plans.misses;
     let pcompiled0 = meta.rt_cache.plans.compiled;
-    let copied0 = heap.stats.words_copied;
-    let trigger_site = roots
-        .stacks
-        .get(roots.operand_stack)
-        .map_or(0, |sr| sr.current_site.0);
-    obs.emit(|t_ns| GcEvent::CollectionBegin {
-        t_ns,
-        seq,
-        kind,
-        strategy: strategy.name(),
-        trigger_site,
-        heap_used_before: heap.used() as u64,
-    });
-    // The pause clock starts *after* the begin event: sink time (snapshot
-    // formatting, ring writes) is observer overhead, not collection work,
-    // and must not skew pause statistics between sink configurations.
-    let t0 = Instant::now();
-    heap.begin_collection(minor);
     let frames_buf = &mut meta.scratch.frames;
     let mut cx = Collector {
         prog,
@@ -352,40 +325,12 @@ pub fn collect_tagfree(
     }
 
     cx.envs.clear();
-    let built = cx.build.nodes_built;
-    stats.rt_nodes_built += built;
+    stats.rt_nodes_built += cx.build.nodes_built;
     stats.rt_cache_hits += meta.rt_cache.hits - hits0;
     stats.rt_cache_misses += meta.rt_cache.misses - misses0;
     stats.plan_hits += meta.rt_cache.plans.hits - phits0;
     stats.plan_misses += meta.rt_cache.plans.misses - pmisses0;
     stats.plans_compiled += meta.rt_cache.plans.compiled - pcompiled0;
-    heap.finish_collection();
-    stats.collections += 1;
-    if minor {
-        stats.minor_collections += 1;
-        stats.promoted_words += heap.last_promoted_words();
-        stats.died_young_words += heap.last_died_young_words();
-    } else {
-        stats.major_collections += 1;
-    }
-    let pause = t0.elapsed().as_nanos() as u64;
-    stats.pause_nanos += pause;
-    obs.emit(|t_ns| GcEvent::CollectionEnd {
-        t_ns,
-        seq,
-        kind,
-        pause_ns: pause,
-        heap_used_after: heap.used() as u64,
-        words_copied: heap.stats.words_copied - copied0,
-        frames_visited: stats.frames_visited - frames0,
-        routine_invocations: stats.routine_invocations - routines0,
-        rt_nodes_built: stats.rt_nodes_built - nodes0,
-        rt_cache_hits: meta.rt_cache.hits - hits0,
-        rt_cache_misses: meta.rt_cache.misses - misses0,
-        plan_hits: meta.rt_cache.plans.hits - phits0,
-        plan_misses: meta.rt_cache.plans.misses - pmisses0,
-        plans_compiled: meta.rt_cache.plans.compiled - pcompiled0,
-    });
 }
 
 struct Collector<'c> {

@@ -14,56 +14,31 @@
 
 use crate::stack::{walk_frames, FRAME_HDR};
 use crate::stats::GcStats;
-use std::time::Instant;
 use tfgc_ir::IrProgram;
-use tfgc_obs::{CollectionKind, GcEvent, Obs};
+use tfgc_obs::{GcEvent, Obs};
 use tfgc_runtime::{Addr, Encoding, Heap, HeapMode, Word, HEAP_BASE};
 
 use crate::collect::MachineRoots;
 
-/// Runs one tagged collection. `minor` requests a nursery-only cycle on
-/// a generational heap (see `collect_tagfree`): tags still identify
-/// pointers, but the heap's phase treats tenured addresses as already
-/// relocated and routes survivors to the survivor half or tenured space.
-pub fn collect_tagged(
+/// Traces one tagged collection `seq` inside the envelope
+/// [`fn@crate::collect`] writes. Tags still identify pointers on a
+/// generational heap; there the heap's phase treats tenured addresses as
+/// already relocated and routes survivors to the survivor half or
+/// tenured space.
+pub(crate) fn collect_tagged(
     prog: &IrProgram,
     heap: &mut Heap,
     stats: &mut GcStats,
     obs: &mut Obs,
+    seq: u64,
     mut roots: MachineRoots<'_>,
-    minor: bool,
 ) {
-    let kind = if minor {
-        CollectionKind::Minor
-    } else {
-        CollectionKind::Major
-    };
-    let seq = stats.collections;
-    let frames0 = stats.frames_visited;
-    let routines0 = stats.routine_invocations;
-    let copied0 = heap.stats.words_copied;
-    let trigger_site = roots
-        .stacks
-        .get(roots.operand_stack)
-        .map_or(0, |sr| sr.current_site.0);
-    obs.emit(|t_ns| GcEvent::CollectionBegin {
-        t_ns,
-        seq,
-        kind,
-        strategy: "tagged",
-        trigger_site,
-        heap_used_before: heap.used() as u64,
-    });
-    // Pause clock starts after the begin event: sink overhead must not
-    // count as collection time (see collect_tagfree).
-    let t0 = Instant::now();
-    heap.begin_collection(minor);
     let enc = Encoding::new(HeapMode::Tagged);
     let mut scan: Vec<(Addr, usize)> = Vec::new();
 
     // Globals.
     for w in roots.globals.iter_mut() {
-        *w = reloc(heap, enc, stats, obs, seq, &mut scan, *w);
+        *w = reloc(heap, enc, obs, seq, &mut scan, *w);
     }
 
     // Every slot of every frame of every task — "every variable in every
@@ -87,14 +62,14 @@ pub fn collect_tagged(
             for i in 0..n_slots {
                 let idx = fr.fp + FRAME_HDR + i;
                 stats.words_scanned_tagged += 1;
-                sr.stack[idx] = reloc(heap, enc, stats, obs, seq, &mut scan, sr.stack[idx]);
+                sr.stack[idx] = reloc(heap, enc, obs, seq, &mut scan, sr.stack[idx]);
             }
         }
     }
 
     // Pending allocation operands.
     for w in roots.operands.iter_mut() {
-        *w = reloc(heap, enc, stats, obs, seq, &mut scan, *w);
+        *w = reloc(heap, enc, obs, seq, &mut scan, *w);
     }
 
     // Cheney scan of copied objects: fields identify themselves by tag.
@@ -103,40 +78,10 @@ pub fn collect_tagged(
             let off = (i + 1) as u16; // skip the header word
             stats.words_scanned_tagged += 1;
             let w = heap.read(addr, off);
-            let nw = reloc(heap, enc, stats, obs, seq, &mut scan, w);
+            let nw = reloc(heap, enc, obs, seq, &mut scan, w);
             heap.write(addr, off, nw);
         }
     }
-
-    heap.finish_collection();
-    stats.collections += 1;
-    if minor {
-        stats.minor_collections += 1;
-        stats.promoted_words += heap.last_promoted_words();
-        stats.died_young_words += heap.last_died_young_words();
-    } else {
-        stats.major_collections += 1;
-    }
-    let pause = t0.elapsed().as_nanos() as u64;
-    stats.pause_nanos += pause;
-    obs.emit(|t_ns| GcEvent::CollectionEnd {
-        t_ns,
-        seq,
-        kind,
-        pause_ns: pause,
-        heap_used_after: heap.used() as u64,
-        words_copied: heap.stats.words_copied - copied0,
-        frames_visited: stats.frames_visited - frames0,
-        routine_invocations: stats.routine_invocations - routines0,
-        rt_nodes_built: 0,
-        rt_cache_hits: 0,
-        rt_cache_misses: 0,
-        // The tagged baseline has no routines to lower: header-directed
-        // scanning is already a linear plan.
-        plan_hits: 0,
-        plan_misses: 0,
-        plans_compiled: 0,
-    });
 }
 
 /// Relocates one tagged word: odd = integer (skip), even = pointer to a
@@ -144,7 +89,6 @@ pub fn collect_tagged(
 fn reloc(
     heap: &mut Heap,
     enc: Encoding,
-    _stats: &mut GcStats,
     obs: &mut Obs,
     seq: u64,
     scan: &mut Vec<(Addr, usize)>,

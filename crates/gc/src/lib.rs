@@ -61,7 +61,7 @@ pub mod strategy;
 pub mod sx;
 
 pub use cache::{RtCache, RtId};
-pub use collect::{collect_tagfree, CollectorScratch, MachineRoots, StackRoots};
+pub use collect::{CollectorScratch, MachineRoots, StackRoots};
 pub use desc::{DescArena, DescId, DescNode};
 pub use ground::{GroundTable, TypeRt, TypeRtId};
 pub use meta::{Analyses, CalleePlan, FnGcMeta, GcMeta, SiteMeta};
@@ -77,8 +77,9 @@ pub use stats::GcStats;
 pub use strategy::Strategy;
 pub use sx::{SxId, SxTable, TypeSx};
 
+use std::time::Instant;
 use tfgc_ir::IrProgram;
-use tfgc_obs::Obs;
+use tfgc_obs::{CollectionKind, GcEvent, Obs};
 use tfgc_runtime::Heap;
 
 /// Runs one collection under the metadata's strategy. Collection events
@@ -87,6 +88,11 @@ use tfgc_runtime::Heap;
 /// requests a nursery-only cycle on a generational heap; pass `false`
 /// for the classic full semispace flip (the only legal value on a
 /// single-generation heap).
+///
+/// Every strategy shares the envelope written here: the begin event,
+/// the pause clock, the heap's collection phase, the counts in `stats`
+/// and the end event with this collection's own work. The strategy's
+/// collector only traces.
 #[allow(clippy::too_many_arguments)]
 pub fn collect(
     meta: &mut GcMeta,
@@ -98,8 +104,61 @@ pub fn collect(
     roots: MachineRoots<'_>,
     minor: bool,
 ) {
+    let seq = stats.collections;
+    let kind = if minor {
+        CollectionKind::Minor
+    } else {
+        CollectionKind::Major
+    };
+    // Snapshots so CollectionEnd reports this collection's work alone.
+    let before = *stats;
+    let copied0 = heap.stats.words_copied;
+    let trigger_site = roots
+        .stacks
+        .get(roots.operand_stack)
+        .map_or(0, |sr| sr.current_site.0);
+    obs.emit(|t_ns| GcEvent::CollectionBegin {
+        t_ns,
+        seq,
+        kind,
+        strategy: meta.strategy.name(),
+        trigger_site,
+        heap_used_before: heap.used() as u64,
+    });
+    // The pause clock starts *after* the begin event: sink time (snapshot
+    // formatting, ring writes) is observer overhead, not collection work,
+    // and must not skew pause statistics between sink configurations.
+    let t0 = Instant::now();
+    heap.begin_collection(minor);
     match meta.strategy {
-        Strategy::Tagged => collect_tagged::collect_tagged(prog, heap, stats, obs, roots, minor),
-        _ => collect_tagfree(meta, prog, heap, descs, stats, obs, roots, minor),
+        Strategy::Tagged => collect_tagged::collect_tagged(prog, heap, stats, obs, seq, roots),
+        _ => collect::collect_tagfree(meta, prog, heap, descs, stats, obs, seq, roots),
     }
+    heap.finish_collection();
+    stats.collections += 1;
+    if minor {
+        stats.minor_collections += 1;
+        stats.promoted_words += heap.last_promoted_words();
+        stats.died_young_words += heap.last_died_young_words();
+    } else {
+        stats.major_collections += 1;
+    }
+    let pause = t0.elapsed().as_nanos() as u64;
+    stats.pause_nanos += pause;
+    obs.emit(|t_ns| GcEvent::CollectionEnd {
+        t_ns,
+        seq,
+        kind,
+        pause_ns: pause,
+        heap_used_after: heap.used() as u64,
+        words_copied: heap.stats.words_copied - copied0,
+        frames_visited: stats.frames_visited - before.frames_visited,
+        routine_invocations: stats.routine_invocations - before.routine_invocations,
+        rt_nodes_built: stats.rt_nodes_built - before.rt_nodes_built,
+        rt_cache_hits: stats.rt_cache_hits - before.rt_cache_hits,
+        rt_cache_misses: stats.rt_cache_misses - before.rt_cache_misses,
+        plan_hits: stats.plan_hits - before.plan_hits,
+        plan_misses: stats.plan_misses - before.plan_misses,
+        plans_compiled: stats.plans_compiled - before.plans_compiled,
+    });
 }

@@ -21,7 +21,7 @@ pub const NO_TRACE: FrameRoutineId = FrameRoutineId(0);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceOp {
     /// Compiled method: trace the slot with an evaluated template
-    /// (interned in the metadata's [`SxTable`]).
+    /// (interned in the metadata's [`SxTable`](crate::SxTable)).
     Slot { slot: Slot, sx: SxId },
     /// Interpreted method: trace the slot by walking the byte descriptor
     /// at `pos` in the program's descriptor pool.
@@ -82,7 +82,7 @@ impl RoutineTable {
     /// Approximate size of all routines in bytes — the compiled method's
     /// "code size" (E4). Each op costs two words (slot + template/pos
     /// reference); the shared template trees themselves are accounted
-    /// once by [`SxTable::approx_bytes`].
+    /// once by [`SxTable::approx_bytes`](crate::SxTable::approx_bytes).
     pub fn approx_bytes(&self) -> usize {
         self.routines.iter().map(|r| 8 + r.ops.len() * 16).sum()
     }

@@ -65,7 +65,7 @@ impl Histogram {
     }
 
     /// Sum of all recorded samples. Together with [`Histogram::count`]
-    /// this lets callers derive rates (e.g. pause time per window,
+    /// this lets callers derive rates (e.g. total pause time,
     /// mutator utilization) without a parallel accumulator.
     pub fn sum(&self) -> u128 {
         self.sum

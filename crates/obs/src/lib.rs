@@ -10,9 +10,14 @@
 //!   type-closure construction, per-call-site allocation, object copy,
 //!   task park/resume, pipeline phase.
 //! * [`GcEventSink`] — where events go. [`NullSink`] drops them;
-//!   [`RingRecorder`] keeps a bounded ring of raw events plus cumulative
-//!   aggregates (pause/alloc [`Histogram`]s, a per-call-site
-//!   [`SiteProfile`] table with GC-survivor attribution).
+//!   [`RingRecorder`], the one recorder of batch and served runs alike,
+//!   keeps a bounded ring of raw events plus cumulative aggregates
+//!   (pause, allocation and request-latency [`Histogram`]s, a
+//!   per-call-site [`SiteProfile`] table with GC-survivor attribution,
+//!   a [`CollectionSummary`] per collection) and derives mutator
+//!   utilization and MMU from the collections' pause intervals. The
+//!   deterministic counts of a service run are the request engine's
+//!   report, not the recorder's.
 //! * [`Obs`] — the handle the runtime threads through the VM, the
 //!   collectors, and the scheduler. The disabled ([`Obs::null`]) path is
 //!   one predictable branch per emission site: the event value is only
@@ -20,12 +25,6 @@
 //!   [`Obs::emit`] does not run otherwise). A differential test in the
 //!   workspace proves a `NullSink` run is observably identical to a
 //!   build without observability.
-//! * [`ServeRecorder`] — the serve-mode sink: a ring plus the
-//!   wall-clock service metrics (per-request latency and pause
-//!   histograms, windowed allocation/pause metrics, and an MMU-style
-//!   mutator-utilization figure from the pause intervals). The
-//!   deterministic counts of a service run are the request engine's
-//!   report, not the sink's.
 //! * [`json`] — a hand-rolled minimal JSON model (writer + parser); the
 //!   workspace keeps its no-serde constraint (DESIGN.md §5). It also
 //!   holds the one wall-clock convention, [`WALL_CLOCK_KEYS`], and the
@@ -43,7 +42,6 @@ pub mod event;
 pub mod hist;
 pub mod json;
 pub mod ring;
-pub mod serve;
 pub mod sink;
 pub mod sites;
 
@@ -52,6 +50,5 @@ pub use event::{CollectionKind, GcEvent};
 pub use hist::Histogram;
 pub use json::{deterministic_view, Json, WALL_CLOCK_KEYS};
 pub use ring::{CollectionSummary, RingRecorder};
-pub use serve::{PauseInterval, ServeRecorder, ServeWindow};
 pub use sink::{GcEventSink, NullSink, Obs};
 pub use sites::{SiteProfile, SiteTable};

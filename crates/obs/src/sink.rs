@@ -2,7 +2,6 @@
 
 use crate::event::GcEvent;
 use crate::ring::RingRecorder;
-use crate::serve::ServeRecorder;
 use std::time::Instant;
 
 /// Where runtime events go.
@@ -29,10 +28,8 @@ enum SinkKind {
     /// No observation: `emit` is one branch, the event closure never
     /// runs.
     Null,
-    /// The standard in-memory recorder.
+    /// The in-memory recorder.
     Ring(Box<RingRecorder>),
-    /// The serve-mode recorder (a ring plus steady-state aggregates).
-    Serve(Box<ServeRecorder>),
     /// A caller-provided sink.
     Custom(Box<dyn GcEventSink>),
 }
@@ -42,7 +39,6 @@ impl std::fmt::Debug for SinkKind {
         match self {
             SinkKind::Null => write!(f, "Null"),
             SinkKind::Ring(r) => write!(f, "Ring(cap {})", r.capacity()),
-            SinkKind::Serve(s) => write!(f, "Serve(cap {})", s.ring().capacity()),
             SinkKind::Custom(_) => write!(f, "Custom"),
         }
     }
@@ -89,16 +85,6 @@ impl Obs {
         }
     }
 
-    /// Records into a [`ServeRecorder`] (serve-mode steady-state
-    /// metrics layered over a ring of `capacity` raw events, windowed
-    /// at `window_ns`).
-    pub fn serve(capacity: usize, window_ns: u64) -> Obs {
-        Obs {
-            sink: SinkKind::Serve(Box::new(ServeRecorder::new(capacity, window_ns))),
-            epoch: Instant::now(),
-        }
-    }
-
     /// Is any sink attached? Emission sites with nontrivial setup (e.g.
     /// assembling per-collection deltas) may skip it when disabled.
     #[inline]
@@ -123,10 +109,6 @@ impl Obs {
                 let t = self.epoch.elapsed().as_nanos() as u64;
                 r.record(f(t));
             }
-            SinkKind::Serve(s) => {
-                let t = self.epoch.elapsed().as_nanos() as u64;
-                s.record(f(t));
-            }
             SinkKind::Custom(s) => {
                 let t = self.epoch.elapsed().as_nanos() as u64;
                 s.record(f(t));
@@ -134,38 +116,18 @@ impl Obs {
         }
     }
 
-    /// The attached recorder, if this handle records into one (the
-    /// serve sink exposes its wrapped ring).
+    /// The attached recorder, if this handle records into one.
     pub fn recorder(&self) -> Option<&RingRecorder> {
         match &self.sink {
             SinkKind::Ring(r) => Some(r),
-            SinkKind::Serve(s) => Some(s.ring()),
             _ => None,
         }
     }
 
-    /// Consumes the handle, returning its recorder if any (the serve
-    /// sink yields its wrapped ring).
+    /// Consumes the handle, returning its recorder if any.
     pub fn into_recorder(self) -> Option<RingRecorder> {
         match self.sink {
             SinkKind::Ring(r) => Some(*r),
-            SinkKind::Serve(s) => Some(s.into_ring()),
-            _ => None,
-        }
-    }
-
-    /// The attached serve recorder, if this is a serve-mode handle.
-    pub fn serve_recorder(&self) -> Option<&ServeRecorder> {
-        match &self.sink {
-            SinkKind::Serve(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Consumes the handle, returning its serve recorder if any.
-    pub fn into_serve_recorder(self) -> Option<ServeRecorder> {
-        match self.sink {
-            SinkKind::Serve(s) => Some(*s),
             _ => None,
         }
     }

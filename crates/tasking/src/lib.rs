@@ -1809,7 +1809,7 @@ mod tests {
             8,
             cfg,
             OverloadConfig::none(),
-            Obs::serve(1 << 10, 1_000_000),
+            Obs::ring(1 << 10),
         )
         .unwrap();
         assert_eq!(a.outcomes, b.outcomes, "telemetry must not steer requests");
@@ -1873,14 +1873,14 @@ mod tests {
             4,
             cfg,
             OverloadConfig::none(),
-            Obs::serve(1 << 12, 1_000_000),
+            Obs::ring(1 << 12),
         )
         .unwrap();
         assert_eq!((report.completed, report.failed), (2, 0));
         assert!(report.peak_heap_words_sampled > 0);
-        let rec = obs.into_serve_recorder().expect("serve sink");
+        let rec = obs.into_recorder().expect("ring sink");
         assert_eq!(rec.latency_hist().count(), 2);
-        let events = rec.ring().events();
+        let events = rec.events();
         let starts = events
             .iter()
             .filter(|e| matches!(e, GcEvent::RequestStart { .. }))
@@ -2296,7 +2296,7 @@ mod tests {
 
     /// The overload engine is observation-neutral: shed decisions,
     /// breaker transitions, and outcomes are bit-identical between the
-    /// null sink and a full serve sink.
+    /// null sink and a recorder.
     #[test]
     fn overload_decisions_are_observation_neutral() {
         let prog = compile(WORKLOAD);
@@ -2322,8 +2322,7 @@ mod tests {
         let (a, _) =
             serve_requests_overload(&prog, &q, 2, 0, cfg.clone(), over, Obs::null()).unwrap();
         let (b, _) =
-            serve_requests_overload(&prog, &q, 2, 8, cfg, over, Obs::serve(1 << 10, 1_000_000))
-                .unwrap();
+            serve_requests_overload(&prog, &q, 2, 8, cfg, over, Obs::ring(1 << 10)).unwrap();
         assert_eq!(a.outcomes, b.outcomes, "telemetry must not steer admission");
         assert_eq!(a.breaker_trips, b.breaker_trips);
         assert_eq!(a.breaker_final, b.breaker_final);
@@ -2452,7 +2451,7 @@ mod tests {
     #[test]
     fn sampled_peaks_do_not_depend_on_the_sink() {
         let (plain, _) = stormy_serve(Obs::null());
-        let (observed, _) = stormy_serve(Obs::serve(1 << 10, 1_000_000));
+        let (observed, _) = stormy_serve(Obs::ring(1 << 10));
         assert_eq!(peaks(&plain), peaks(&observed));
         assert!(peaks(&plain).iter().all(|p| *p > 0), "{:?}", peaks(&plain));
     }

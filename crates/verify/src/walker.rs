@@ -2,14 +2,14 @@
 //!
 //! Two independent read-only traversals of the runtime state:
 //!
-//! * [`TypedWalker`] re-derives the collector's typed view — frame
+//! * `TypedWalker` re-derives the collector's typed view — frame
 //!   routines selected by gc_words, type-routine environments propagated
 //!   oldest → newest through θ/closure plans (§3), Figure-3 path
 //!   extraction, byte descriptors — directly from the public metadata,
 //!   *without* the collector's cache or its mutating relocation. It
 //!   checks every invariant a correct collection must preserve and
 //!   renders the reachable set as a [`CanonHeap`].
-//! * [`TaggedWalker`] walks the same roots using only tag bits and
+//! * `TaggedWalker` walks the same roots using only tag bits and
 //!   header words, exactly as `collect_tagged` would.
 //!
 //! Both discover objects breadth-first and enumerate payloads in layout

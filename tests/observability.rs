@@ -112,8 +112,8 @@ fn histogram_buckets_sum_to_recorded_events() {
 }
 
 /// Serve-mode observation neutrality: driving the request engine with
-/// the full serve telemetry sink (latency histograms, windowed
-/// steady-state metrics, occupancy sampling) produces bit-identical
+/// a recorder attached (latency and pause histograms, occupancy
+/// sampling) produces bit-identical
 /// per-request results — and identical engine reports — to a `NullSink`
 /// run, across strategies. The request-lifecycle hooks sit on the
 /// `Obs::emit` closure path, so the disabled run never even constructs
@@ -168,7 +168,7 @@ fn serve_telemetry_is_observation_neutral() {
             16,
             mk(),
             OverloadConfig::none(),
-            Obs::serve(1 << 12, 1_000_000),
+            Obs::ring(1 << 12),
         )
         .expect("observed run");
         assert!(
@@ -201,7 +201,7 @@ fn serve_telemetry_is_observation_neutral() {
         assert_eq!((observed.completed, observed.failed), (24, 0), "{s}");
         assert!(observed.peak_heap_words_sampled > 0, "{s}");
         assert_eq!(plain.peak_heap_words_sampled, 0, "{s}: sample_every 0");
-        let rec = obs.into_serve_recorder().expect("serve sink");
+        let rec = obs.into_recorder().expect("ring sink");
         assert_eq!(rec.latency_hist().count(), 24, "{s}");
     }
 
@@ -238,7 +238,7 @@ fn serve_telemetry_is_observation_neutral() {
 /// Overload decisions are observation-neutral and conserve every
 /// request: the admission policy, deadline budgets, and circuit breaker
 /// are driven by the quantum clock and the seeded jitter stream, never
-/// by telemetry — so a null-sink run and a full serve-sink run must
+/// by telemetry — so a null-sink run and a recorded run must
 /// agree bit-for-bit on which requests were shed (and why), which were
 /// quarantined, and the breaker's entire history. Checked across seeds
 /// and strategies, with `completed + failed + shed == submitted` in
@@ -296,7 +296,7 @@ fn overload_decisions_are_observation_neutral_and_conserved() {
                 |obs| serve_requests_overload(&c.program, &requests, 2, 16, mk(), overload, obs);
             let (plain, obs) = run(Obs::null()).expect("null run");
             assert!(!obs.enabled(), "{s} seed {seed}");
-            let (observed, _) = run(Obs::serve(1 << 12, 1_000_000)).expect("observed run");
+            let (observed, _) = run(Obs::ring(1 << 12)).expect("observed run");
             let (replayed, _) = run(Obs::null()).expect("replayed null run");
 
             assert_eq!(
