@@ -49,6 +49,8 @@ OPTS:
                    failing fast on any inconsistency
   --verify-oracle  replay under the tagged collector and require
                    identical reachable graphs at every collection
+                   (`run` only, with no option but --strategy, --heap
+                   and --force-gc: the replay runs its own schedule)
   --generational   bump-pointer nursery + minor/major cycles (barrier-
                    free: the immutable heap has no old-to-young edges)
   --nursery-words N  nursery size in words (implies --generational;
@@ -75,7 +77,9 @@ from `experiments --json`):
   --nursery-words N         nursery words (implies --generational;
                             default heap/4)
   --promote-after K         survivals before promotion (default 0)
-  --trace FILE              write a Chrome trace (single strategy only)
+  --trace FILE              write a Chrome trace (single strategy only;
+                            the run's last events, with a note on
+                            stderr when earlier ones were dropped)
   --slo-p99-latency-ms F    gate: p99 request latency ceiling
   --slo-p99-pause-ms F      gate: p99 GC pause ceiling
 
@@ -240,6 +244,11 @@ fn nursery(heap: usize, nursery_words: Option<usize>) -> Result<usize, CliError>
     }
 }
 
+/// The options `--verify-oracle` combines with: the tagged replay runs
+/// one strategy on one single-generation heap under a forced-collection
+/// schedule of its own, so any other run option would be ignored.
+const ORACLE_OPTS: [&str; 4] = ["--verify-oracle", "--strategy", "--heap", "--force-gc"];
+
 fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
     let mut strategy = Strategy::Compiled;
     let mut heap = 1usize << 16;
@@ -255,8 +264,10 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
     let mut nursery_words = None;
     let mut promote_after = 0u32;
     let mut source: Option<String> = None;
+    let mut flags = Vec::new();
     let mut i = 0;
     while i < args.len() {
+        flags.push(args[i].as_str());
         match args[i].as_str() {
             "--strategy" => {
                 strategy = parse_strategy(&flag_value::<String>(args, &mut i, "--strategy")?)?;
@@ -287,6 +298,17 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
             }
         }
         i += 1;
+    }
+    if verify_oracle {
+        let other = flags
+            .iter()
+            .find(|f| f.starts_with("--") && !ORACLE_OPTS.contains(f));
+        if let Some(flag) = other {
+            return Err(usage(format!(
+                "--verify-oracle cannot take {flag}: the tagged replay runs with \
+                 --strategy, --heap and --force-gc alone"
+            )));
+        }
     }
     let nursery_words = if generational {
         Some(nursery(heap, nursery_words)?)
@@ -328,6 +350,11 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
         return cmd_serve(rest);
     }
     let opts = parse_opts(rest)?;
+    if opts.verify_oracle && cmd != "run" {
+        return Err(usage(format!(
+            "--verify-oracle is valid only with `tfml run`, not `tfml {cmd}`"
+        )));
+    }
     let compiled = Compiled::compile(&opts.source).map_err(|e| CliError::Run(e.to_string()))?;
 
     match cmd.as_str() {
@@ -468,15 +495,7 @@ fn cmd_gcmap(compiled: &Compiled, opts: &Opts) -> Result<(), String> {
     let mut t = Table::new(&["site", "function", "pc", "kind", "gc_word"]);
     for site in &compiled.program.sites {
         let f = &compiled.program.funs[site.fn_id.0 as usize];
-        let kind = match &site.kind {
-            tfgc::ir::SiteKind::Direct { callee, .. } => {
-                format!("call {}", compiled.program.funs[callee.0 as usize].name)
-            }
-            tfgc::ir::SiteKind::Closure { .. } => "callclos".to_string(),
-            tfgc::ir::SiteKind::Alloc { operand_tys } => {
-                format!("alloc/{}", operand_tys.len())
-            }
-        };
+        let kind = tfgc::site_kind(&compiled.program, &site.kind);
         let word = match meta.sites[site.id.0 as usize].routine {
             None => "omitted".to_string(),
             Some(NO_TRACE) => "no_trace".to_string(),
@@ -676,9 +695,13 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     print!("{}", tfgc::render_rows(&tfgc::serve_rows(&runs))?);
 
     if let Some(path) = &trace_path {
-        let events: Vec<GcEvent> = runs[0].rec.events().iter().cloned().collect();
+        let rec = &runs[0].rec;
+        let events: Vec<GcEvent> = rec.events().iter().cloned().collect();
         std::fs::write(path, write_chrome_trace(&events))
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        if let Some(note) = trace_dropped_note(rec) {
+            eprintln!("{note}");
+        }
     }
 
     if slo_latency_ms.is_some() || slo_pause_ms.is_some() {
@@ -699,6 +722,20 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         }
     }
     Ok(())
+}
+
+/// What `serve --trace` says when the run outgrew the ring: the trace
+/// holds only the run's last events.
+fn trace_dropped_note(rec: &RingRecorder) -> Option<String> {
+    let kept = rec.events().len() as u64;
+    (rec.dropped() > 0).then(|| {
+        format!(
+            "serve: --trace kept the last {kept} of {} events (the ring holds {}); \
+             the start of the run is not in the trace",
+            kept + rec.dropped(),
+            rec.capacity()
+        )
+    })
 }
 
 /// `tfml torture`: the fault-injection matrix, plus (with `--oracle`) a
@@ -1084,6 +1121,70 @@ mod tests {
         };
         assert!(has("b", "request") && has("e", "request"), "{phases:?}");
         assert!(has("X", "gc"), "a collection must show: {phases:?}");
+    }
+
+    /// `--verify-oracle` runs a replay of its own: another command, or a
+    /// run option the replay would ignore, is a usage error naming it.
+    #[test]
+    fn verify_oracle_refuses_what_the_replay_would_ignore() {
+        for (bad, named) in [
+            (&["compare", "--verify-oracle", "-e", "1"][..], "compare"),
+            (&["profile", "--verify-oracle", "-e", "1"], "profile"),
+            (
+                &["run", "--verify-oracle", "--generational", "-e", "1"],
+                "--generational",
+            ),
+            (
+                &["run", "--verify-heap", "--verify-oracle", "-e", "1"],
+                "--verify-heap",
+            ),
+            (
+                &["run", "--verify-oracle", "--refined", "-e", "1"],
+                "--refined",
+            ),
+            (
+                &["run", "--verify-oracle", "--trace", "t.json", "-e", "1"],
+                "--trace",
+            ),
+        ] {
+            match run(strings(bad)) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains(named), "{msg}"),
+                other => panic!("`tfml {}` must exit 2: {other:?}", bad.join(" ")),
+            }
+        }
+        let src = "fun build n = if n = 0 then [] else n :: build (n - 1) ; build 30";
+        let ok = [
+            "run",
+            "--verify-oracle",
+            "--strategy",
+            "appel",
+            "--heap",
+            "1024",
+            "--force-gc",
+            "7",
+            "-e",
+            src,
+        ];
+        run(strings(&ok)).expect("the replay's own options run");
+    }
+
+    /// `serve --trace` keeps the last events of a run that outgrows the
+    /// ring, and says so.
+    #[test]
+    fn serve_trace_says_when_the_ring_dropped_events() {
+        for (requests, drops) in [(24, false), (1000, true)] {
+            let mut cfg = tfgc::ServeConfig::new(Strategy::Compiled);
+            cfg.requests = requests;
+            let run = tfgc::serve(&cfg).expect("serve runs");
+            let note = trace_dropped_note(&run.rec);
+            assert_eq!(note.is_some(), drops, "{requests} requests: {note:?}");
+            if let Some(note) = note {
+                let kept = run.rec.events().len() as u64;
+                let total = kept + run.rec.dropped();
+                let counts = format!("kept the last {kept} of {total} events");
+                assert!(note.contains(&counts), "{note}");
+            }
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod serve;
 pub mod torture;
 
 pub use pipeline::{compile_and_run, CompileError, Compiled};
-pub use profile::{metrics_json, profile_report, site_label};
+pub use profile::{metrics_json, profile_report, site_kind, site_label};
 pub use report::{ratio, render_rows, Table};
 pub use serve::{
     check_overload_slo, check_slo, overload_scenario, serve, serve_json, serve_rows,

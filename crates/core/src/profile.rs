@@ -15,15 +15,18 @@ pub fn site_label(prog: &IrProgram, site: u32) -> String {
         None => format!("site#{site}"),
         Some(s) => {
             let f = &prog.funs[s.fn_id.0 as usize];
-            let kind = match &s.kind {
-                SiteKind::Direct { callee, .. } => {
-                    format!("call {}", prog.funs[callee.0 as usize].name)
-                }
-                SiteKind::Closure { .. } => "callclos".to_string(),
-                SiteKind::Alloc { operand_tys } => format!("alloc/{}", operand_tys.len()),
-            };
-            format!("{}@{} ({kind})", f.name, s.pc)
+            format!("{}@{} ({})", f.name, s.pc, site_kind(prog, &s.kind))
         }
+    }
+}
+
+/// What a site does: `call f`, `callclos`, or `alloc/n` for an
+/// allocation of `n` operands.
+pub fn site_kind(prog: &IrProgram, kind: &SiteKind) -> String {
+    match kind {
+        SiteKind::Direct { callee, .. } => format!("call {}", prog.funs[callee.0 as usize].name),
+        SiteKind::Closure { .. } => "callclos".to_string(),
+        SiteKind::Alloc { operand_tys } => format!("alloc/{}", operand_tys.len()),
     }
 }
 

@@ -2,7 +2,7 @@
 //! exercised by tests to keep instruction coverage honest).
 
 use crate::instr::{Instr, SlotTy};
-use crate::program::{FnKind, IrProgram, SiteKind};
+use crate::program::{FnKind, IrProgram};
 use std::fmt::Write as _;
 
 /// Renders one function as assembly-style text.
@@ -129,22 +129,4 @@ fn slots(ss: &[crate::instr::Slot]) -> String {
         .map(|s| format!("s{}", s.0))
         .collect::<Vec<_>>()
         .join(", ")
-}
-
-/// One-line summary of a call site (used in experiment reports).
-pub fn describe_site(p: &IrProgram, idx: usize) -> String {
-    let s = &p.sites[idx];
-    let fname = &p.funs[s.fn_id.0 as usize].name;
-    match &s.kind {
-        SiteKind::Direct { callee, .. } => format!(
-            "site{} {fname}:{} call {}",
-            idx, s.pc, p.funs[callee.0 as usize].name
-        ),
-        SiteKind::Closure { clos, .. } => {
-            format!("site{} {fname}:{} callclos s{}", idx, s.pc, clos.0)
-        }
-        SiteKind::Alloc { operand_tys } => {
-            format!("site{} {fname}:{} alloc/{}", idx, s.pc, operand_tys.len())
-        }
-    }
 }

@@ -246,16 +246,6 @@ pub enum SlotTy {
     Desc,
 }
 
-impl SlotTy {
-    /// The TFML type, if this is a value slot.
-    pub fn as_val(&self) -> Option<&Type> {
-        match self {
-            SlotTy::Val(t) => Some(t),
-            SlotTy::Desc => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

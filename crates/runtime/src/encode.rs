@@ -13,7 +13,7 @@
 //! counter-based and wall-clock measurements of §1's second advantage are
 //! grounded.
 
-use crate::word::{Addr, HeapMode, Word};
+use crate::word::{Addr, HeapMode, Word, HEAP_BASE};
 
 /// Encoder/decoder for one heap mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,6 +74,17 @@ impl Encoding {
         match self.mode {
             HeapMode::TagFree => Addr(w),
             HeapMode::Tagged => Addr(w >> 1),
+        }
+    }
+
+    /// Is this datatype word an immediate (nullary) constructor rather
+    /// than a pointer? Tag-free, immediates are the words below the heap
+    /// base; tagged, they are the integer-tagged (odd) words.
+    #[inline]
+    pub fn is_imm(&self, w: Word) -> bool {
+        match self.mode {
+            HeapMode::TagFree => w < HEAP_BASE,
+            HeapMode::Tagged => w & 1 == 1,
         }
     }
 

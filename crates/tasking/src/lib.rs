@@ -16,7 +16,10 @@
 //!   that makes the every-call test free by folding it into the call's
 //!   target address;
 //! * when every live task is parked at a call/allocation site, the
-//!   collector runs over all stacks, and everyone resumes.
+//!   collector runs over all stacks, and everyone resumes. Where a task
+//!   is parked is the VM's record ([`Vm::parked_at`]): the burst that
+//!   stopped it leaves it there until the task's next burst or the end
+//!   of the suspension ([`Vm::resume_all`]).
 //!
 //! Experiment E7 reports the trade-off the paper describes: checking at
 //! every call suspends the system quickly but pays a per-call test;
@@ -26,6 +29,9 @@
 //!
 //! The scheduler is a *request engine*: a fixed pool of thread slots
 //! drains a queue of [`Request`]s against one persistent shared heap.
+//! A slot is idle or holds one request, with the quantum it was
+//! dispatched at, its start time, the fuel it has spent and, while it is
+//! blocked, its allocation site.
 //! [`serve_requests_overload`] is the one entry point: it recycles each
 //! slot for the next queued request the moment its current one
 //! completes. Every deterministic count of a run (outcomes, sheds,
@@ -40,10 +46,10 @@
 //! [`serve_requests_overload`] layers load protection over the engine,
 //! all of it keyed to the deterministic quantum clock (never wall time):
 //!
-//! * **budgets** — each request may carry a deadline in scheduler quanta
-//!   and an instruction-fuel budget, both checked at the quantum boundary
-//!   (the same safe-point cadence §4's suspension protocol uses); a
-//!   breach quarantines the request with
+//! * **budgets** — every request runs under the service's deadline in
+//!   scheduler quanta and instruction-fuel budget ([`OverloadConfig`]),
+//!   both checked at the quantum boundary (the same safe-point cadence
+//!   §4's suspension protocol uses); a breach quarantines the request with
 //!   [`VmError::DeadlineExceeded`], so a runaway handler can never
 //!   starve the pool;
 //! * **admission control** — a bounded admission queue with a seeded
@@ -174,7 +180,7 @@ impl TaskConfig {
 }
 
 /// One unit of service work: run `entry(arg)` to completion on some
-/// pool slot.
+/// pool slot, within the service's budgets ([`OverloadConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     pub entry: FnId,
@@ -184,37 +190,12 @@ pub struct Request {
     /// event. The engine itself only consults it for per-kind circuit
     /// breakers and the `Degrade` admission policy.
     pub kind: u32,
-    /// Deadline in scheduler quanta from dispatch (`None` = unbounded,
-    /// or the service-wide default from [`OverloadConfig`]).
-    pub deadline_quanta: Option<u64>,
-    /// Instruction-fuel budget (`None` = unbounded, or the service-wide
-    /// default from [`OverloadConfig`]).
-    pub fuel: Option<u64>,
 }
 
 impl Request {
-    /// A request with no per-request budgets (the service-wide defaults
-    /// still apply).
+    /// A request to run `entry(arg)` as class `kind`.
     pub fn new(entry: FnId, arg: i64, kind: u32) -> Request {
-        Request {
-            entry,
-            arg,
-            kind,
-            deadline_quanta: None,
-            fuel: None,
-        }
-    }
-
-    /// Sets a per-request deadline in scheduler quanta.
-    pub fn with_deadline(mut self, quanta: u64) -> Request {
-        self.deadline_quanta = Some(quanta);
-        self
-    }
-
-    /// Sets a per-request instruction-fuel budget.
-    pub fn with_fuel(mut self, fuel: u64) -> Request {
-        self.fuel = Some(fuel);
-        self
+        Request { entry, arg, kind }
     }
 }
 
@@ -244,11 +225,10 @@ pub struct OverloadConfig {
     pub queue_cap: usize,
     /// What to do with refused arrivals.
     pub admission: AdmissionPolicy,
-    /// Service-wide default deadline in quanta for requests that carry
-    /// none.
+    /// Every request's deadline in scheduler quanta from its dispatch
+    /// (`None` = unbounded).
     pub deadline_quanta: Option<u64>,
-    /// Service-wide default instruction-fuel budget for requests that
-    /// carry none.
+    /// Every request's instruction-fuel budget (`None` = unbounded).
     pub fuel: Option<u64>,
     /// Soft heap-pressure watermark in percent of semispace capacity:
     /// crossing it fires one proactive collection and throttles
@@ -467,7 +447,7 @@ pub fn run_tasks(
 /// quarantined request does not stop service: its slot is recycled like
 /// any other.
 ///
-/// `overload` layers load protection over the engine: per-request
+/// `overload` layers load protection over the engine: service-wide
 /// deadline/fuel budgets enforced at quantum boundaries, a bounded
 /// admission queue with backpressure, heap-pressure watermarks,
 /// per-kind circuit breakers, and graceful drain. See the module docs
@@ -527,49 +507,31 @@ pub fn serve_requests_overload(
         cfg.quantum > 0,
         "a zero quantum runs no instruction, so no request could finish"
     );
-    let n = pool.min(requests.len());
-
-    // Service-wide default budgets apply to requests that carry none.
-    let mut requests: Vec<Request> = requests.to_vec();
-    for r in &mut requests {
-        if r.deadline_quanta.is_none() {
-            r.deadline_quanta = overload.deadline_quanta;
-        }
-        if r.fuel.is_none() {
-            r.fuel = overload.fuel;
-        }
-    }
+    let pool = pool.min(requests.len());
 
     // Every request starts as a pending offer at quantum 0 (burst
     // arrival); the admission pump in `run` decides its fate.
     let waiting: BinaryHeap<Reverse<(u64, usize, u32)>> =
         (0..requests.len()).map(|ix| Reverse((0, ix, 0))).collect();
 
-    let outcomes_len = requests.len();
     let mut sched = Scheduler {
         vm,
         prog,
-        tasks: Vec::with_capacity(n),
+        pool,
+        slots: Vec::with_capacity(pool),
         requests,
-        slot_req: vec![0; n],
-        outcomes: vec![None; outcomes_len],
+        outcomes: vec![None; requests.len()],
         resolved: 0,
-        started_ns: vec![0; n],
         sample_every,
         quanta: 0,
         policy: cfg.policy,
         quantum: cfg.quantum,
         gc_pending: false,
         proactive_gc: false,
-        parked: vec![false; n],
-        done: vec![true; n],
-        blocked_on_alloc: vec![None; n],
         latency: 0,
         allocs_at_last_gc: None,
         waiting,
         queue: VecDeque::new(),
-        started_quanta: vec![0; n],
-        fuel_spent: vec![0; n],
         rng: SmallRng::seed_from_u64(overload.seed),
         breakers: BTreeMap::new(),
         soft_armed: true,
@@ -647,29 +609,26 @@ fn run_single(vm: &mut Vm<'_>) -> VmResult<()> {
     }
 }
 
-/// The request engine: a fixed pool of thread slots (`tasks`) draining a
-/// request queue. All per-slot vectors are indexed by pool slot, not by
-/// request.
+/// The request engine: a fixed pool of thread slots draining a request
+/// queue. Where each slot's task is parked is the VM's to say
+/// ([`Vm::parked_at`]).
 struct Scheduler<'p> {
     vm: Vm<'p>,
     prog: &'p IrProgram,
-    /// Per *activated* slot: the VM thread index it owns (fixed for the
-    /// whole run — the thread is respawned in place between requests).
-    /// Slots activate lazily in index order as requests are dispatched,
-    /// so `tasks.len() <= done.len()`.
-    tasks: Vec<usize>,
+    /// Pool width: slots `0..pool` exist, activated or not.
+    pool: usize,
+    /// The activated slots, in index order. A slot activates when its
+    /// first request is dispatched, and the lowest idle slot is always
+    /// taken first, so the slots activate in index order; a slot past
+    /// the end of this vector is idle.
+    slots: Vec<Slot>,
     /// The full submission queue.
-    requests: Vec<Request>,
-    /// Per slot: index into `requests` of the request it is running.
-    slot_req: Vec<usize>,
+    requests: &'p [Request],
     /// Per request: its outcome, filled as requests resolve.
     outcomes: Vec<Option<RequestOutcome>>,
     /// Requests resolved so far (completed + failed + shed); the run
     /// ends when every request is resolved.
     resolved: usize,
-    /// Per slot: `Obs` timestamp when its current request started (only
-    /// maintained while observation is enabled).
-    started_ns: Vec<u64>,
     /// Sample occupancy and backlog every this many quanta (0 = never).
     sample_every: u64,
     /// Scheduling quanta executed (the deterministic sample clock).
@@ -680,14 +639,6 @@ struct Scheduler<'p> {
     /// The pending collection was requested by the soft watermark, not a
     /// blocked allocation: skip the no-progress exhaustion accounting.
     proactive_gc: bool,
-    parked: Vec<bool>,
-    /// Per slot: `true` while the slot holds no request (idle or never
-    /// activated).
-    done: Vec<bool>,
-    /// Per slot: the allocation site it is blocked on, while blocked.
-    /// Distinguishes tasks starving for memory from tasks merely parked
-    /// at a call so OOM can be pinned on the right tasks.
-    blocked_on_alloc: Vec<Option<CallSiteId>>,
     /// Instructions executed since the pending collection was requested.
     latency: u64,
     /// Successful allocation count at the previous collection: if no
@@ -700,12 +651,6 @@ struct Scheduler<'p> {
     waiting: BinaryHeap<Reverse<(u64, usize, u32)>>,
     /// Admitted requests waiting for an idle slot.
     queue: VecDeque<usize>,
-    /// Per slot: the quantum its current request was dispatched at (the
-    /// deadline clock's zero).
-    started_quanta: Vec<u64>,
-    /// Per slot: instructions its current request has executed (the fuel
-    /// clock).
-    fuel_spent: Vec<u64>,
     /// Backoff jitter source, seeded from [`OverloadConfig::seed`];
     /// drawn only on admission decisions, so the stream is independent
     /// of the observation sink.
@@ -719,6 +664,32 @@ struct Scheduler<'p> {
     /// The counts and peaks accumulated as the run goes; outcomes and
     /// final statistics are filled in when it ends.
     report: ServeReport,
+}
+
+/// One activated pool slot.
+struct Slot {
+    /// The VM thread it runs its requests on, respawned in place
+    /// between requests.
+    thread: usize,
+    /// The request it holds; `None` while idle.
+    run: Option<Run>,
+}
+
+/// A request running in a slot.
+#[derive(Clone, Copy)]
+struct Run {
+    /// Index into the submission queue.
+    req: usize,
+    /// The quantum it was dispatched at (the deadline clock's zero).
+    quantum: u64,
+    /// `Obs` timestamp of its start (0 unless observation is enabled).
+    started_ns: u64,
+    /// Instructions it has executed (the fuel clock).
+    fuel: u64,
+    /// The allocation site it is blocked on, until the pending
+    /// collection resumes it. Tells a task starving for memory from one
+    /// merely parked at a safe point, so OOM lands on the right task.
+    blocked: Option<CallSiteId>,
 }
 
 /// Per-kind circuit-breaker state machine: `Closed` (counting
@@ -766,7 +737,7 @@ enum BreakerGate {
 
 impl Scheduler<'_> {
     fn run(&mut self) -> VmResult<()> {
-        let n = self.done.len();
+        let n = self.pool;
         let mut rr = 0usize;
         // Initial burst: pump admissions, fill the pool, take the
         // opening occupancy sample.
@@ -783,7 +754,10 @@ impl Scheduler<'_> {
             let mut ran = false;
             for off in 0..n {
                 let i = (rr + off) % n;
-                if self.done[i] || (self.gc_pending && self.parked[i]) {
+                let runnable = self.slots.get(i).is_some_and(|s| {
+                    s.run.is_some() && !(self.gc_pending && self.vm.parked_at(s.thread).is_some())
+                });
+                if !runnable {
                     continue;
                 }
                 rr = (i + 1) % n;
@@ -796,11 +770,11 @@ impl Scheduler<'_> {
                 ran = true;
                 break;
             }
-            if self.gc_pending {
-                let all_parked = (0..n).all(|i| self.done[i] || self.parked[i]);
-                if all_parked {
-                    self.do_collection()?;
-                }
+            // §4: the collection runs once every task is parked.
+            let idle_or_parked =
+                |s: &Slot| s.run.is_none() || self.vm.parked_at(s.thread).is_some();
+            if self.gc_pending && self.slots.iter().all(idle_or_parked) {
+                self.do_collection()?;
             }
             if !ran && !self.gc_pending {
                 // Nothing runnable: every unresolved request is a
@@ -858,7 +832,7 @@ impl Scheduler<'_> {
             self.refuse(ix, attempts, "hard-watermark");
             return;
         }
-        let idle = (0..self.done.len()).filter(|&i| self.done[i]).count();
+        let idle = self.pool - self.in_flight();
         if busy && level == 1 && !(self.queue.is_empty() && idle > 0) {
             // Soft throttle: admit direct-to-slot only; everyone else
             // waits a beat.
@@ -926,7 +900,9 @@ impl Scheduler<'_> {
     /// Fills idle slots from the admitted queue, lowest slot first.
     fn dispatch(&mut self) {
         while !self.queue.is_empty() {
-            let Some(slot) = (0..self.done.len()).find(|&i| self.done[i]) else {
+            let idle = self.slots.iter().position(|s| s.run.is_none());
+            let fresh = (self.slots.len() < self.pool).then_some(self.slots.len());
+            let Some(slot) = idle.or(fresh) else {
                 break;
             };
             let Some(ix) = self.queue.pop_front() else {
@@ -938,7 +914,7 @@ impl Scheduler<'_> {
 
     /// Pool slots currently holding a request.
     fn in_flight(&self) -> usize {
-        self.done.iter().filter(|d| !**d).count()
+        self.slots.iter().filter(|s| s.run.is_some()).count()
     }
 
     // ---- heap-pressure watermarks --------------------------------------
@@ -1075,27 +1051,8 @@ impl Scheduler<'_> {
         }
     }
 
-    /// Emits the `RequestStart` event (and stamps the latency clock) for
-    /// the request currently in slot `i`.
-    fn announce_start(&mut self, i: usize) {
-        if !self.vm.obs.enabled() {
-            return;
-        }
-        self.started_ns[i] = self.vm.obs.now_ns();
-        let req_ix = self.slot_req[i];
-        let kind = self.requests[req_ix].kind;
-        let req = req_ix as u64;
-        let task = i as u32;
-        self.vm.obs.emit(|t_ns| GcEvent::RequestStart {
-            t_ns,
-            req,
-            task,
-            kind,
-        });
-    }
-
     /// Dispatches request `req_ix` into slot `i`, activating the slot's
-    /// VM thread on first use (slots activate in index order). The
+    /// VM thread on first use, and emits its `RequestStart` event. The
     /// slot's previous request must already be resolved (its thread
     /// finished or killed).
     fn start_in_slot(&mut self, i: usize, req_ix: usize) {
@@ -1107,18 +1064,29 @@ impl Scheduler<'_> {
             fun.name
         );
         let w = self.vm.encode_int(req.arg);
-        if i == self.tasks.len() {
-            self.tasks.push(self.vm.spawn_thread(req.entry, &[w]));
+        if i == self.slots.len() {
+            let thread = self.vm.spawn_thread(req.entry, &[w]);
+            self.slots.push(Slot { thread, run: None });
         } else {
-            self.vm.respawn_thread(self.tasks[i], req.entry, &[w]);
+            self.vm
+                .respawn_thread(self.slots[i].thread, req.entry, &[w]);
         }
-        self.slot_req[i] = req_ix;
-        self.done[i] = false;
-        self.parked[i] = false;
-        self.blocked_on_alloc[i] = None;
-        self.started_quanta[i] = self.quanta;
-        self.fuel_spent[i] = 0;
-        self.announce_start(i);
+        let obs = &self.vm.obs;
+        let started_ns = if obs.enabled() { obs.now_ns() } else { 0 };
+        self.slots[i].run = Some(Run {
+            req: req_ix,
+            quantum: self.quanta,
+            started_ns,
+            fuel: 0,
+            blocked: None,
+        });
+        let (req, kind, task) = (req_ix as u64, req.kind, i as u32);
+        self.vm.obs.emit(|t_ns| GcEvent::RequestStart {
+            t_ns,
+            req,
+            task,
+            kind,
+        });
     }
 
     /// Resolves slot `i`'s current request — rendering its result (or
@@ -1126,12 +1094,14 @@ impl Scheduler<'_> {
     /// `RequestEnd` — and idles the slot; the run loop's dispatch
     /// refills it from the admitted queue.
     fn finish(&mut self, i: usize, error: Option<VmError>) {
-        let req_ix = self.slot_req[i];
+        let slot = &mut self.slots[i];
+        let run = slot.run.take().expect("only a busy slot finishes");
+        let req_ix = run.req;
         let req = self.requests[req_ix];
         let mut error = error;
         let result = match &error {
             Some(e) => format!("<error: {e}>"),
-            None => match self.vm.thread_result(self.tasks[i]) {
+            None => match self.vm.thread_result(slot.thread) {
                 Some(w) => self.vm.render(w, &self.prog.fun(req.entry).ret_ty),
                 None => {
                     let e = VmError::Internal {
@@ -1153,7 +1123,7 @@ impl Scheduler<'_> {
         });
         self.resolved += 1;
         if self.vm.obs.enabled() {
-            let started = self.started_ns[i];
+            let started = run.started_ns;
             let req = req_ix as u64;
             let task = i as u32;
             self.vm.obs.emit(|t_ns| GcEvent::RequestEnd {
@@ -1164,9 +1134,6 @@ impl Scheduler<'_> {
                 ok,
             });
         }
-        self.done[i] = true;
-        self.parked[i] = false;
-        self.blocked_on_alloc[i] = None;
         self.sample_heap();
     }
 
@@ -1225,7 +1192,7 @@ impl Scheduler<'_> {
         budget: u64,
         unit: &'static str,
     ) -> VmResult<()> {
-        let req = self.slot_req[i] as u64;
+        let req = self.busy(i).req as u64;
         let task = i as u32;
         self.vm.obs.emit(|t_ns| GcEvent::DeadlineExceeded {
             t_ns,
@@ -1257,27 +1224,15 @@ impl Scheduler<'_> {
     /// next safe point (§4) and the task parks there; the test that
     /// found the collection pending counts as one more.
     fn run_quantum(&mut self, i: usize) -> VmResult<()> {
-        let req = self.requests[self.slot_req[i]];
-        if let Some(d) = req.deadline_quanta {
-            let elapsed = self.quanta.saturating_sub(self.started_quanta[i]);
-            if elapsed >= d {
-                return self.quarantine_budget(i, elapsed, d, "quanta");
-            }
+        let run = *self.busy(i);
+        let elapsed = self.quanta.saturating_sub(run.quantum);
+        if let Some(d) = self.overload.deadline_quanta.filter(|d| elapsed >= *d) {
+            return self.quarantine_budget(i, elapsed, d, "quanta");
         }
-        if let Some(f) = req.fuel {
-            if self.fuel_spent[i] >= f {
-                return self.quarantine_budget(i, self.fuel_spent[i], f, "instructions");
-            }
+        if let Some(f) = self.overload.fuel.filter(|f| run.fuel >= *f) {
+            return self.quarantine_budget(i, run.fuel, f, "instructions");
         }
-        let thread = self.tasks[i];
-        self.vm.set_current_thread(thread);
-        if self.parked[i] {
-            self.vm.unpark_thread(thread);
-            self.parked[i] = false;
-            // Resuming retries the blocked allocation; a fresh block
-            // will re-mark the task.
-            self.blocked_on_alloc[i] = None;
-        }
+        self.vm.set_current_thread(self.slots[i].thread);
         let pending = self.gc_pending;
         let stop = if pending {
             self.policy.safe_points()
@@ -1286,7 +1241,7 @@ impl Scheduler<'_> {
         };
         let b = self.vm.burst(self.quantum, stop);
         self.report.suspension_checks += self.policy.tests(b.calls, b.allocs);
-        self.fuel_spent[i] += b.completed;
+        self.busy(i).fuel += b.completed;
         // Suspension latency counts the instructions that ran on while
         // the collection waited; the one that finishes a request is not
         // among them.
@@ -1302,7 +1257,7 @@ impl Scheduler<'_> {
                 if self.policy != SuspendPolicy::EveryCallRgc {
                     self.report.suspension_checks += 1;
                 }
-                self.park(i, site);
+                self.announce_park(i, site);
                 Ok(())
             }
             Ok(BurstEnd::Done(_)) => {
@@ -1311,19 +1266,23 @@ impl Scheduler<'_> {
             }
             Ok(BurstEnd::AllocBlocked(site)) => {
                 self.gc_pending = true;
-                self.blocked_on_alloc[i] = Some(site);
-                self.park(i, site);
+                self.busy(i).blocked = Some(site);
+                self.announce_park(i, site);
                 Ok(())
             }
             Err(e) => self.quarantine(i, e),
         }
     }
 
-    /// Parks task `i` at the call or allocation `site` until the pending
-    /// collection has run.
-    fn park(&mut self, i: usize, site: CallSiteId) {
-        self.vm.park_thread(self.tasks[i], site);
-        self.parked[i] = true;
+    /// The request slot `i` holds.
+    fn busy(&mut self, i: usize) -> &mut Run {
+        let run = self.slots[i].run.as_mut();
+        run.expect("the scheduler runs busy slots only")
+    }
+
+    /// Announces that the burst of task `i` left it parked at `site`
+    /// until the pending collection has run.
+    fn announce_park(&mut self, i: usize, site: CallSiteId) {
         let task = i as u32;
         self.vm.obs.emit(|t_ns| GcEvent::TaskParked {
             t_ns,
@@ -1347,9 +1306,7 @@ impl Scheduler<'_> {
         ) {
             return Err(e);
         }
-        self.vm.kill_thread(self.tasks[i]);
-        self.parked[i] = false;
-        self.blocked_on_alloc[i] = None;
+        self.vm.kill_thread(self.slots[i].thread);
         self.finish(i, Some(e));
         Ok(())
     }
@@ -1365,7 +1322,7 @@ impl Scheduler<'_> {
     fn do_collection(&mut self) -> VmResult<()> {
         // Any live parked task can stand for the trigger (no operands are
         // pending: blocked allocations re-execute after the collection).
-        let Some(i) = (0..self.tasks.len()).find(|i| !self.done[*i]) else {
+        let Some(i) = self.slots.iter().position(|s| s.run.is_some()) else {
             // Every slot drained before the pending collection ran (the
             // triggering task was quarantined). Nothing to collect for.
             self.gc_pending = false;
@@ -1376,15 +1333,12 @@ impl Scheduler<'_> {
             self.latency = 0;
             return Ok(());
         };
-        let thread = self.tasks[i];
+        let thread = self.slots[i].thread;
         self.vm.set_current_thread(thread);
-        let site = match self.vm.current_site() {
-            Some(s) => s,
-            None => {
-                return Err(VmError::Internal {
-                    detail: format!("parked slot {i} holds no call/alloc site"),
-                })
-            }
+        let Some(site) = self.vm.parked_at(thread) else {
+            return Err(VmError::Internal {
+                detail: format!("parked slot {i} holds no call/alloc site"),
+            });
         };
         let proactive = std::mem::replace(&mut self.proactive_gc, false);
         let allocs_now = self.vm.heap.stats.allocations;
@@ -1420,22 +1374,14 @@ impl Scheduler<'_> {
         self.report.total_suspension_latency += self.latency;
         self.report.max_suspension_latency = self.report.max_suspension_latency.max(self.latency);
         self.latency = 0;
+        // Everyone resumes: every slot still holding a request was parked.
         self.gc_pending = false;
-        if self.vm.obs.enabled() {
-            for (ix, was_parked) in self.parked.iter().enumerate() {
-                if *was_parked && !self.done[ix] {
-                    let task = ix as u32;
-                    self.vm.obs.emit(|t_ns| GcEvent::TaskResumed { t_ns, task });
-                }
-            }
-        }
-        for p in self.parked.iter_mut() {
-            *p = false;
-        }
-        for (ix, t) in self.tasks.iter().enumerate() {
-            if !self.done[ix] {
-                self.blocked_on_alloc[ix] = None;
-                self.vm.unpark_thread(*t);
+        self.vm.resume_all();
+        for (ix, slot) in self.slots.iter_mut().enumerate() {
+            if let Some(run) = &mut slot.run {
+                run.blocked = None;
+                let task = ix as u32;
+                self.vm.obs.emit(|t_ns| GcEvent::TaskResumed { t_ns, task });
             }
         }
         self.sample_heap();
@@ -1451,9 +1397,12 @@ impl Scheduler<'_> {
     fn quarantine_starving(&mut self, trigger: CallSiteId) -> VmResult<()> {
         let live = self.vm.heap.used();
         let strategy = self.vm.strategy_name();
-        let victim =
-            (0..self.tasks.len()).find(|&j| !self.done[j] && self.blocked_on_alloc[j].is_some());
-        let Some(j) = victim else {
+        let victim = self
+            .slots
+            .iter()
+            .enumerate()
+            .find_map(|(j, s)| Some((j, s.run?.blocked?)));
+        let Some((j, bsite)) = victim else {
             // Defensive: nobody is waiting on memory yet nothing was
             // freed — surface the exhaustion globally.
             return Err(VmError::OutOfMemory {
@@ -1463,14 +1412,7 @@ impl Scheduler<'_> {
                 strategy,
             });
         };
-        let Some(bsite) = self.blocked_on_alloc[j] else {
-            return Err(VmError::Internal {
-                detail: format!("starving victim slot {j} lost its blocked-allocation site"),
-            });
-        };
-        self.vm.kill_thread(self.tasks[j]);
-        self.parked[j] = false;
-        self.blocked_on_alloc[j] = None;
+        self.vm.kill_thread(self.slots[j].thread);
         self.finish(
             j,
             Some(VmError::OutOfMemory {
@@ -1929,52 +1871,56 @@ mod tests {
     }
 
     /// Acceptance: a seeded runaway request is quarantined with a
-    /// structured `DeadlineExceeded` within its budget while sibling
-    /// requests complete normally.
+    /// structured `DeadlineExceeded` within the service's deadline while
+    /// sibling requests complete normally.
     #[test]
-    fn deadline_quarantines_runaway_while_siblings_complete() {
+    fn service_wide_default_deadline_applies_to_plain_requests() {
         let prog = compile(RUNAWAY);
-        let q = vec![
-            Request::new(find_fn(&prog, "runaway").unwrap(), 1, 0).with_deadline(40),
-            Request::new(find_fn(&prog, "ok").unwrap(), 41, 1),
-            Request::new(find_fn(&prog, "ok").unwrap(), 1, 1),
-        ];
-        let cfg = TaskConfig::new(Strategy::Compiled);
-        let (report, _) =
-            serve_requests_overload(&prog, &q, 2, 0, cfg, OverloadConfig::none(), Obs::null())
-                .unwrap();
-        assert!(
-            matches!(
-                report.outcomes[0].error,
-                Some(VmError::DeadlineExceeded {
-                    unit: "quanta",
-                    budget: 40,
-                    ..
-                })
-            ),
-            "{:?}",
-            report.outcomes[0].error
-        );
-        assert!(report.outcomes[0]
-            .result
-            .starts_with("<error: deadline exceeded"));
-        assert_eq!(report.outcomes[1].result, "42");
-        assert_eq!(report.outcomes[2].result, "2");
-        assert_eq!((report.completed, report.failed, report.shed), (2, 1, 0));
-        conservation(&report);
+        for (deadline, oks) in [(25, &[1][..]), (40, &[41, 1][..])] {
+            let mut specs = vec![("runaway", 1, 0)];
+            specs.extend(oks.iter().map(|a| ("ok", *a, 1)));
+            let q = requests(&prog, &specs);
+            let cfg = TaskConfig::new(Strategy::Compiled);
+            let over = OverloadConfig {
+                deadline_quanta: Some(deadline),
+                ..OverloadConfig::none()
+            };
+            let (report, _) =
+                serve_requests_overload(&prog, &q, 2, 0, cfg, over, Obs::null()).unwrap();
+            assert!(
+                matches!(
+                    report.outcomes[0].error,
+                    Some(VmError::DeadlineExceeded {
+                        unit: "quanta",
+                        budget,
+                        ..
+                    }) if budget == deadline
+                ),
+                "{:?}",
+                report.outcomes[0].error
+            );
+            assert!(report.outcomes[0]
+                .result
+                .starts_with("<error: deadline exceeded"));
+            for (o, a) in report.outcomes[1..].iter().zip(oks) {
+                assert_eq!(o.result, (a + 1).to_string());
+            }
+            let counts = (report.completed, report.failed, report.shed);
+            assert_eq!(counts, (oks.len() as u64, 1, 0));
+            conservation(&report);
+        }
     }
 
     #[test]
     fn fuel_budget_quarantines_in_instructions() {
         let prog = compile(RUNAWAY);
-        let q = vec![
-            Request::new(find_fn(&prog, "runaway").unwrap(), 1, 0).with_fuel(500),
-            Request::new(find_fn(&prog, "ok").unwrap(), 6, 1),
-        ];
+        let q = requests(&prog, &[("runaway", 1, 0), ("ok", 6, 1)]);
         let cfg = TaskConfig::new(Strategy::Compiled);
-        let (report, _) =
-            serve_requests_overload(&prog, &q, 2, 0, cfg, OverloadConfig::none(), Obs::null())
-                .unwrap();
+        let over = OverloadConfig {
+            fuel: Some(500),
+            ..OverloadConfig::none()
+        };
+        let (report, _) = serve_requests_overload(&prog, &q, 2, 0, cfg, over, Obs::null()).unwrap();
         let Some(VmError::DeadlineExceeded {
             spent,
             budget: 500,
@@ -1985,24 +1931,6 @@ mod tests {
         };
         assert!(spent >= 500, "quarantined only once past the budget");
         assert_eq!(report.outcomes[1].result, "7");
-        conservation(&report);
-    }
-
-    #[test]
-    fn service_wide_default_deadline_applies_to_plain_requests() {
-        let prog = compile(RUNAWAY);
-        let q = requests(&prog, &[("runaway", 1, 0), ("ok", 1, 1)]);
-        let cfg = TaskConfig::new(Strategy::Compiled);
-        let over = OverloadConfig {
-            deadline_quanta: Some(25),
-            ..OverloadConfig::none()
-        };
-        let (report, _) = serve_requests_overload(&prog, &q, 2, 0, cfg, over, Obs::null()).unwrap();
-        assert!(matches!(
-            report.outcomes[0].error,
-            Some(VmError::DeadlineExceeded { budget: 25, .. })
-        ));
-        assert_eq!(report.outcomes[1].result, "2");
         conservation(&report);
     }
 

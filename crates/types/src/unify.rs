@@ -32,11 +32,6 @@ impl InferCtx {
         Type::Var(id)
     }
 
-    /// Number of variables allocated so far.
-    pub fn num_vars(&self) -> usize {
-        self.bindings.len()
-    }
-
     /// Follows bindings until the head of `t` is not a bound variable.
     pub fn shallow_resolve<'a>(&'a self, t: &'a Type) -> &'a Type {
         self.last_binding(t).map_or(t, Rc::as_ref)

@@ -31,13 +31,14 @@
 use crate::error::{VmError, VmResult};
 use crate::render::render_value;
 use crate::stats::MutatorStats;
+use std::ops::Deref;
 use tfgc_gc::{
     collect, pack_ret, Analyses, DescArena, GcMeta, GcStats, MachineRoots, StackRoots, Strategy,
     FRAME_HDR, MAIN_RET, NO_FP,
 };
 use tfgc_ir::{ArithOp, CallSiteId, CmpOp, CtorRep, FnId, Instr, IrProgram, Slot};
 use tfgc_obs::{GcEvent, Obs};
-use tfgc_runtime::{Addr, ArithKind, Encoding, Heap, HeapStats, Word, HEAP_BASE};
+use tfgc_runtime::{Addr, ArithKind, Encoding, Heap, HeapStats, Word};
 use tfgc_verify::{
     snapshot_tagfree, snapshot_tagged, verify_tagfree, verify_tagged, CanonHeap, FaultPlan,
     RootsView, StackView,
@@ -272,8 +273,10 @@ struct ThreadState {
     fp: usize,
     fn_id: FnId,
     pc: u32,
-    /// Where the scheduler parked this thread (valid while suspended).
-    parked_site: Option<CallSiteId>,
+    /// The call or allocation site this thread is parked at: set when a
+    /// burst of it stops before a safe point or blocks on an allocation,
+    /// and cleared by its next burst or [`Vm::resume_all`].
+    parked: Option<CallSiteId>,
     /// `None` while the thread executes normally.
     halt: Option<Halt>,
 }
@@ -538,7 +541,7 @@ impl<'p> Vm<'p> {
             fp: 0,
             fn_id: f,
             pc: 0,
-            parked_site: None,
+            parked: None,
             halt: None,
         }
     }
@@ -587,11 +590,6 @@ impl<'p> Vm<'p> {
         self.cur = i;
     }
 
-    /// The currently executing thread.
-    pub fn current_thread(&self) -> usize {
-        self.cur
-    }
-
     /// The result of thread `i`, if it finished.
     pub fn thread_result(&self, i: usize) -> Option<Word> {
         match self.threads[i].halt {
@@ -600,15 +598,22 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Records where the scheduler parked thread `i` (§4: tasks suspend
-    /// only at procedure calls / allocation sites).
-    pub fn park_thread(&mut self, i: usize, site: CallSiteId) {
-        self.threads[i].parked_site = Some(site);
+    /// Where thread `i` is parked: the call or allocation site its last
+    /// burst stopped before ([`BurstEnd::SafePoint`]) or blocked at
+    /// ([`BurstEnd::AllocBlocked`]), until its next burst or
+    /// [`Vm::resume_all`]. §4 suspends a task only there, and a
+    /// collection walks every other live thread's stack from its park.
+    pub fn parked_at(&self, i: usize) -> Option<CallSiteId> {
+        self.threads[i].parked
     }
 
-    /// Clears a thread's parked state (on resume).
-    pub fn unpark_thread(&mut self, i: usize) {
-        self.threads[i].parked_site = None;
+    /// Ends every thread's park once a suspension is over. A resumed
+    /// thread still stands at its site, so a collection requested before
+    /// it runs again parks it there anew with its next burst.
+    pub fn resume_all(&mut self) {
+        for t in &mut self.threads {
+            t.parked = None;
+        }
     }
 
     /// Quarantines a failed thread: clears its stack so the collector
@@ -621,7 +626,7 @@ impl<'p> Vm<'p> {
     pub fn kill_thread(&mut self, i: usize) {
         let t = &mut self.threads[i];
         t.stack.clear();
-        t.parked_site = None;
+        t.parked = None;
         t.halt = Some(Halt::Killed);
     }
 
@@ -689,7 +694,9 @@ impl<'p> Vm<'p> {
     /// allows. A thread stalled by [`FaultPlan::stall_at`], before or
     /// during the burst, burns the rest of the budget without advancing.
     /// A finished thread ends the burst with [`BurstEnd::Done`] at once,
-    /// and a killed one with [`VmError::Internal`].
+    /// and a killed one with [`VmError::Internal`]. A burst that ends at a
+    /// safe point or blocked leaves the thread parked there
+    /// ([`Vm::parked_at`]); any other end leaves it unparked.
     #[inline]
     pub fn burst(&mut self, budget: u64, stop: SafePoints) -> Burst {
         let calls = self.mutator.calls + self.mutator.closure_calls;
@@ -699,6 +706,10 @@ impl<'p> Vm<'p> {
         let end = match self.th().halt {
             None => self.run_burst(budget, stop, &mut completed, &mut spun),
             Some(halt) => self.halted(halt, budget, stop, &mut completed, &mut spun),
+        };
+        self.threads[self.cur].parked = match end {
+            Ok(BurstEnd::SafePoint(site) | BurstEnd::AllocBlocked(site)) => Some(site),
+            _ => None,
         };
         Burst {
             end: end.map_err(|e| *e),
@@ -903,7 +914,7 @@ impl<'p> Vm<'p> {
                         site,
                     } => {
                         let tag = match prog.ctor_rep(*data, *ctor) {
-                            CtorRep::Ptr { tag, .. } => tag.map(|t| self.encode_tag(t)),
+                            CtorRep::Ptr { tag, .. } => tag.map(|t| enc.int(i64::from(t))),
                             CtorRep::Imm(_) => {
                                 unreachable!("immediate constructors lower to LoadInt")
                             }
@@ -916,7 +927,8 @@ impl<'p> Vm<'p> {
                         captures,
                         site,
                     } => {
-                        break 'alloc (*dst, *site, Some(self.encode_fn_id(*f)), captures, false);
+                        let code = enc.int(i64::from(f.0));
+                        break 'alloc (*dst, *site, Some(code), captures, false);
                     }
                     Instr::EvalDesc { dst, template } => {
                         self.mutator.desc_evals += 1;
@@ -926,11 +938,10 @@ impl<'p> Vm<'p> {
                         let frame = &r.stack[r.fp + FRAME_HDR..];
                         let id = self.descs.eval_type(prog.desc_template(*template), &|p| {
                             slots.iter().find(|(q, _)| *q == p).map(|(_, s)| {
-                                tfgc_gc::DescId(decode_desc_word(enc, frame[s.0 as usize]))
+                                tfgc_gc::DescId(enc.int_of(frame[s.0 as usize]) as u32)
                             })
                         });
-                        let w = self.encode_desc_word(id.0);
-                        r.set(*dst, w);
+                        r.set(*dst, enc.int(i64::from(id.0)));
                     }
                     Instr::CallDirect { dst, f, args, site } => {
                         if stop_calls {
@@ -954,7 +965,7 @@ impl<'p> Vm<'p> {
                             break 'run Exit::SafePoint(*site);
                         }
                         self.mutator.closure_calls += 1;
-                        let f = FnId(self.decode_fn_id(self.heap_field(r.get(*clos), 0)));
+                        let f = FnId(enc.int_of(self.heap_field(r.get(*clos), 0)) as u32);
                         if let Err(e) = self.enter(&mut r, f, *site, *dst, &[*clos, *arg]) {
                             break 'run Exit::Failed(Box::new(e));
                         }
@@ -1097,7 +1108,7 @@ impl<'p> Vm<'p> {
         // variant tag with a value matching no constructor. The next
         // trace through this object must fail fast, never mistrace.
         if let Some(seq) = corrupt {
-            let bogus = self.encode_tag(u32::MAX);
+            let bogus = self.enc.int(i64::from(u32::MAX));
             self.heap
                 .write(addr, self.consts.header_words as u16, bogus);
             self.obs.emit(|t_ns| GcEvent::FaultInjected {
@@ -1361,38 +1372,17 @@ impl<'p> Vm<'p> {
     /// whose survivor half overflowed can escalate to a major within
     /// the same pause.
     fn run_collection(&mut self, site: CallSiteId, operands: &mut [Word], minor: bool) {
-        let prog = self.prog;
-        let cur = self.cur;
-        let mut stacks = Vec::new();
-        let mut operand_stack = 0;
-        for (i, t) in self.threads.iter_mut().enumerate() {
-            if !t.is_live() {
-                continue;
-            }
-            let current_site = if i == cur {
-                site
-            } else {
-                match t.parked_site {
-                    Some(s) => s,
-                    None => panic!(
-                        "collection while task {i} (fn {} `{}`, pc {}) is not parked at a \
-                         call site — scheduler invariant violated (trigger site {})",
-                        t.fn_id.0,
-                        prog.fun(t.fn_id).name,
-                        t.pc,
-                        site.0
-                    ),
-                }
-            };
-            if i == cur {
-                operand_stack = stacks.len();
-            }
-            stacks.push(StackRoots {
-                stack: &mut t.stack,
+        let (stacks, operand_stack) = live_stacks(
+            self.threads.iter_mut(),
+            self.prog,
+            self.cur,
+            site,
+            |t, current_site| StackRoots {
                 top_fp: t.fp,
+                stack: &mut t.stack,
                 current_site,
-            });
-        }
+            },
+        );
         collect(
             &mut self.meta,
             self.prog,
@@ -1417,7 +1407,14 @@ impl<'p> Vm<'p> {
         if self.oracle.is_none() {
             return Ok(());
         }
-        let roots = build_roots_view(&self.threads, &self.globals, operands, self.cur, site);
+        let roots = roots_view(
+            &self.threads,
+            self.prog,
+            &self.globals,
+            operands,
+            self.cur,
+            site,
+        );
         let snap = if self.cfg.strategy == Strategy::Tagged {
             let o = self.oracle.as_ref().expect("oracle checked above");
             snapshot_tagged(&o.root_meta, self.prog, &self.heap, &roots)
@@ -1459,7 +1456,14 @@ impl<'p> Vm<'p> {
                 detail,
             });
         }
-        let roots = build_roots_view(&self.threads, &self.globals, operands, self.cur, site);
+        let roots = roots_view(
+            &self.threads,
+            self.prog,
+            &self.globals,
+            operands,
+            self.cur,
+            site,
+        );
         let res = if self.cfg.strategy == Strategy::Tagged {
             verify_tagged(self.prog, &self.heap, &roots)
         } else {
@@ -1533,66 +1537,12 @@ impl<'p> Vm<'p> {
 
     #[inline]
     fn value_matches_ctor(&self, w: Word, rep: CtorRep) -> bool {
-        let imm = match self.enc.mode {
-            tfgc_runtime::HeapMode::TagFree => {
-                if w < HEAP_BASE {
-                    Some(w as u32)
-                } else {
-                    None
-                }
-            }
-            tfgc_runtime::HeapMode::Tagged => {
-                if self.enc.is_tagged_ptr(w) {
-                    None
-                } else {
-                    Some(self.enc.int_of(w) as u32)
-                }
-            }
-        };
-        match (imm, rep) {
-            (Some(k), CtorRep::Imm(i)) => k == i,
-            (Some(_), CtorRep::Ptr { .. }) | (None, CtorRep::Imm(_)) => false,
-            (None, CtorRep::Ptr { tag: None, .. }) => true,
-            (None, CtorRep::Ptr { tag: Some(t), .. }) => {
-                let stored = self.heap_field(w, 0);
-                let raw = match self.enc.mode {
-                    tfgc_runtime::HeapMode::TagFree => stored as u32,
-                    tfgc_runtime::HeapMode::Tagged => self.enc.int_of(stored) as u32,
-                };
-                raw == t
-            }
-        }
-    }
-
-    #[inline]
-    fn encode_tag(&self, t: u32) -> Word {
-        match self.enc.mode {
-            tfgc_runtime::HeapMode::TagFree => Word::from(t),
-            tfgc_runtime::HeapMode::Tagged => self.enc.int(i64::from(t)),
-        }
-    }
-
-    #[inline]
-    fn encode_fn_id(&self, f: FnId) -> Word {
-        match self.enc.mode {
-            tfgc_runtime::HeapMode::TagFree => Word::from(f.0),
-            tfgc_runtime::HeapMode::Tagged => self.enc.int(i64::from(f.0)),
-        }
-    }
-
-    #[inline]
-    fn decode_fn_id(&self, w: Word) -> u32 {
-        match self.enc.mode {
-            tfgc_runtime::HeapMode::TagFree => w as u32,
-            tfgc_runtime::HeapMode::Tagged => self.enc.int_of(w) as u32,
-        }
-    }
-
-    #[inline]
-    fn encode_desc_word(&self, d: u32) -> Word {
-        match self.enc.mode {
-            tfgc_runtime::HeapMode::TagFree => Word::from(d),
-            tfgc_runtime::HeapMode::Tagged => self.enc.int(i64::from(d)),
+        let enc = self.enc;
+        match rep {
+            CtorRep::Imm(k) => enc.is_imm(w) && enc.int_of(w) as u32 == k,
+            CtorRep::Ptr { .. } if enc.is_imm(w) => false,
+            CtorRep::Ptr { tag: None, .. } => true,
+            CtorRep::Ptr { tag: Some(t), .. } => enc.int_of(self.heap_field(w, 0)) as u32 == t,
         }
     }
 
@@ -1635,49 +1585,65 @@ impl<'p> Vm<'p> {
     }
 }
 
-fn decode_desc_word(enc: Encoding, w: Word) -> u32 {
-    match enc.mode {
-        tfgc_runtime::HeapMode::TagFree => w as u32,
-        tfgc_runtime::HeapMode::Tagged => enc.int_of(w) as u32,
+/// Every live thread's stack roots, built by `root` from the thread and
+/// the site its newest frame is suspended at: `site`, the trigger, for
+/// the current thread and its park for every other. Returns them in
+/// thread order with the current thread's position among them (the
+/// stack the allocation's operands belong to).
+///
+/// # Panics
+///
+/// Panics (structured: "collection while task …") if another live
+/// thread is not parked: a scheduler invariant violation, not a
+/// recoverable error.
+fn live_stacks<T: Deref<Target = ThreadState>, R>(
+    threads: impl IntoIterator<Item = T>,
+    prog: &IrProgram,
+    cur: usize,
+    site: CallSiteId,
+    mut root: impl FnMut(T, CallSiteId) -> R,
+) -> (Vec<R>, usize) {
+    let mut stacks = Vec::new();
+    let mut operand_stack = 0;
+    for (i, t) in threads.into_iter().enumerate() {
+        if !t.is_live() {
+            continue;
+        }
+        let current_site = if i == cur {
+            operand_stack = stacks.len();
+            site
+        } else {
+            t.parked.unwrap_or_else(|| {
+                panic!(
+                    "collection while task {i} (fn {} `{}`, pc {}) is not parked at a call \
+                     site — scheduler invariant violated (trigger site {})",
+                    t.fn_id.0,
+                    prog.fun(t.fn_id).name,
+                    t.pc,
+                    site.0
+                )
+            })
+        };
+        stacks.push(root(t, current_site));
     }
+    (stacks, operand_stack)
 }
 
-/// Builds the verifier's read-only view of the collector's roots — the
-/// same thread filtering and operand attribution as `collect_now`.
-fn build_roots_view<'t>(
+/// The verifier's read-only view of the roots the collector walks.
+fn roots_view<'t>(
     threads: &'t [ThreadState],
+    prog: &IrProgram,
     globals: &'t [Word],
     operands: &'t [Word],
     cur: usize,
     site: CallSiteId,
 ) -> RootsView<'t> {
-    let mut stacks = Vec::new();
-    let mut operand_stack = 0;
-    for (i, t) in threads.iter().enumerate() {
-        if !t.is_live() {
-            continue;
-        }
-        let current_site = if i == cur {
-            site
-        } else {
-            match t.parked_site {
-                Some(s) => s,
-                None => panic!(
-                    "collection while task {i} is not parked at a call site — scheduler \
-                     invariant violated (trigger site {})",
-                    site.0
-                ),
-            }
-        };
-        if i == cur {
-            operand_stack = stacks.len();
-        }
-        stacks.push(StackView {
+    let (stacks, operand_stack) =
+        live_stacks(threads, prog, cur, site, |t, current_site| StackView {
             stack: &t.stack,
             top_fp: t.fp,
             current_site,
         });
-    }
     RootsView {
         stacks,
         globals,

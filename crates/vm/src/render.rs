@@ -2,7 +2,7 @@
 //! and differential testing across strategies).
 
 use tfgc_ir::{CtorRep, IrProgram};
-use tfgc_runtime::{Encoding, Heap, Word, HEAP_BASE};
+use tfgc_runtime::{Encoding, Heap, Word};
 use tfgc_types::{Type, CONS_TAG, LIST_DATA, NIL_TAG};
 
 /// Renders `w` at type `ty` as TFML-ish text. Lists print as `[a, b]`,
@@ -41,7 +41,7 @@ fn render(prog: &IrProgram, heap: &Heap, enc: Encoding, w: Word, ty: &Type, dept
             let mut cur = w;
             let mut fuel = 1_000_000u32;
             loop {
-                if is_imm(enc, cur) {
+                if enc.is_imm(cur) {
                     break;
                 }
                 items.push(render(
@@ -65,8 +65,8 @@ fn render(prog: &IrProgram, heap: &Heap, enc: Encoding, w: Word, ty: &Type, dept
         Type::Data(d, args) => {
             let def = prog.data_env.def(*d);
             let reps = &prog.ctor_reps[d.0 as usize];
-            let ctor_idx = if is_imm(enc, w) {
-                let k = imm_value(enc, w);
+            let ctor_idx = if enc.is_imm(w) {
+                let k = enc.int_of(w) as u32;
                 reps.iter()
                     .position(|r| matches!(r, CtorRep::Imm(i) if *i == k))
                     .unwrap_or(0)
@@ -74,7 +74,7 @@ fn render(prog: &IrProgram, heap: &Heap, enc: Encoding, w: Word, ty: &Type, dept
                 .iter()
                 .any(|r| matches!(r, CtorRep::Ptr { tag: Some(_), .. }))
             {
-                let t = raw_tag(heap, enc, w);
+                let t = enc.int_of(field(heap, enc, w, 0)) as u32;
                 reps.iter()
                     .position(|r| matches!(r, CtorRep::Ptr { tag: Some(tag), .. } if *tag == t))
                     .unwrap_or(0)
@@ -111,27 +111,5 @@ fn render(prog: &IrProgram, heap: &Heap, enc: Encoding, w: Word, ty: &Type, dept
                 }
             }
         }
-    }
-}
-
-fn is_imm(enc: Encoding, w: Word) -> bool {
-    match enc.mode {
-        tfgc_runtime::HeapMode::TagFree => w < HEAP_BASE,
-        tfgc_runtime::HeapMode::Tagged => !enc.is_tagged_ptr(w),
-    }
-}
-
-fn imm_value(enc: Encoding, w: Word) -> u32 {
-    match enc.mode {
-        tfgc_runtime::HeapMode::TagFree => w as u32,
-        tfgc_runtime::HeapMode::Tagged => enc.int_of(w) as u32,
-    }
-}
-
-fn raw_tag(heap: &Heap, enc: Encoding, w: Word) -> u32 {
-    let t = field(heap, enc, w, 0);
-    match enc.mode {
-        tfgc_runtime::HeapMode::TagFree => t as u32,
-        tfgc_runtime::HeapMode::Tagged => enc.int_of(t) as u32,
     }
 }

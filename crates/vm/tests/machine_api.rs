@@ -4,7 +4,9 @@ use tfgc_gc::Strategy;
 use tfgc_ir::{lower, Instr, IrProgram};
 use tfgc_syntax::parse_program;
 use tfgc_types::elaborate;
-use tfgc_vm::{BurstEnd, FaultPlan, SafePoints, StepEvent, Vm, VmConfig, VmError};
+use tfgc_vm::{
+    capture_panics_mut, BurstEnd, FaultPlan, SafePoints, StepEvent, Vm, VmConfig, VmError,
+};
 
 fn compile(src: &str) -> IrProgram {
     lower(&elaborate(&parse_program(src).unwrap()).unwrap()).unwrap()
@@ -243,13 +245,18 @@ fn desc_arena_stats_surface_in_outcome() {
     assert!(out.mutator.desc_evals > 0);
 }
 
+/// The function whose name starts with `name`.
+fn fn_named(prog: &IrProgram, name: &str) -> tfgc_ir::FnId {
+    (0..prog.funs.len())
+        .map(|i| tfgc_ir::FnId(i as u32))
+        .find(|f| prog.fun(*f).name.starts_with(name))
+        .unwrap_or_else(|| panic!("no fn {name}"))
+}
+
 /// Thread 1 of a cooperative machine whose main has finished, set up to
 /// run `entry(arg)`.
 fn task_vm<'p>(prog: &'p IrProgram, cfg: VmConfig, entry: &str, arg: i64) -> Vm<'p> {
-    let f = (0..prog.funs.len())
-        .map(|i| tfgc_ir::FnId(i as u32))
-        .find(|f| prog.fun(*f).name.starts_with(entry))
-        .unwrap_or_else(|| panic!("no fn {entry}"));
+    let f = fn_named(prog, entry);
     let mut cfg = cfg;
     cfg.cooperative = true;
     let mut vm = Vm::new(prog, cfg);
@@ -368,4 +375,67 @@ fn a_burst_fails_at_the_step_limit_where_a_step_loop_does() {
         assert_eq!(vm.mutator, stepped.mutator, "budget {budget}");
         assert_eq!(completed, 2_500, "budget {budget}");
     }
+}
+
+#[test]
+fn a_thread_stays_parked_at_its_site_until_its_next_burst() {
+    let prog = compile(LISTS);
+    let mut vm = task_vm(&prog, VmConfig::new(Strategy::Compiled), "work", 5);
+    assert_eq!(vm.parked_at(1), None, "a fresh thread is not parked");
+    let Ok(BurstEnd::SafePoint(site)) = vm.burst(1_000, SafePoints::CallsAndAllocations).end else {
+        panic!("the burst must stop at a safe point");
+    };
+    assert_eq!(vm.parked_at(1), Some(site));
+    assert_eq!(vm.burst(1, SafePoints::None).end, Ok(BurstEnd::Budget));
+    assert_eq!(vm.parked_at(1), None, "the next burst clears the park");
+
+    // A blocked allocation parks its thread too, across the collection,
+    // until the suspension ends.
+    let cfg = VmConfig::new(Strategy::Compiled).heap_words(64);
+    let mut vm = task_vm(&prog, cfg, "work", 200);
+    let site = loop {
+        match vm.burst(u64::MAX, SafePoints::None).end {
+            Ok(BurstEnd::AllocBlocked(site)) => break site,
+            Ok(BurstEnd::Budget) => {}
+            end => panic!("a 64-word heap must block: {end:?}"),
+        }
+    };
+    assert_eq!(vm.parked_at(1), Some(site));
+    vm.collect_parked(site).unwrap();
+    assert_eq!(vm.parked_at(1), Some(site), "a collection moves no park");
+    vm.resume_all();
+    assert_eq!(vm.parked_at(1), None);
+}
+
+#[test]
+fn a_collection_walks_parked_threads_and_refuses_one_stopped_by_its_budget() {
+    let prog = compile(LISTS);
+    let mut vm = task_vm(&prog, VmConfig::new(Strategy::Compiled), "work", 5);
+    let stop = SafePoints::CallsAndAllocations;
+    assert!(matches!(
+        vm.burst(1_000, stop).end,
+        Ok(BurstEnd::SafePoint(_))
+    ));
+    let arg = vm.encode_int(7);
+    let t2 = vm.spawn_thread(fn_named(&prog, "work"), &[arg]);
+    vm.set_current_thread(t2);
+    let Ok(BurstEnd::SafePoint(site)) = vm.burst(1_000, stop).end else {
+        panic!("the burst must stop at a safe point");
+    };
+    vm.collect_parked(site).unwrap();
+    assert_eq!(vm.gc_stats.collections, 1, "both stacks were walked");
+
+    // Thread 1 runs on and its budget stops it, off any safe point.
+    vm.resume_all();
+    vm.set_current_thread(1);
+    assert_eq!(vm.burst(1, SafePoints::None).end, Ok(BurstEnd::Budget));
+    assert_eq!(vm.parked_at(1), None);
+    vm.set_current_thread(t2);
+    let caught = capture_panics_mut("", || vm.collect_parked(site)).unwrap_err();
+    assert!(caught.structured, "{}", caught.message);
+    assert!(
+        caught.message.starts_with("collection while task 1 (fn "),
+        "{}",
+        caught.message
+    );
 }
