@@ -32,13 +32,24 @@
 //! writes the same verdicts with every run's value. The exit status is 1
 //! when a metric regresses, a count differs or an operation failed, and
 //! 2 on a usage error.
+//!
+//! `--layers` compares the work instead of the time: it runs each binary
+//! once per workload with `--trace 1` and requires every per-layer metric
+//! of `BENCHMARK.json` whose unit counts work (`count`, `words`, `B`,
+//! `KiB` or `instructions`) to read the same on both sides. It prints
+//! each metric that differs, or how many counts agreed, and exits 1 when
+//! one differs or an operation failed. Times and ratios are not
+//! compared; `--pairs` and `--json` do not apply.
 
 use std::process::{Command, ExitCode};
 use tfgc::obs::json::parse;
 use tfgc::obs::Json;
 
 const USAGE: &str = "usage: pairs --parent BIN --change BIN [--workload W]... [--seed N] \
-                     [--seconds S] [--pairs N] [--json OUT] [--spec BENCHMARK.json]";
+                     [--seconds S] [--pairs N | --layers] [--json OUT] [--spec BENCHMARK.json]";
+
+/// Per-layer units that count work rather than time it.
+const COUNT_UNITS: [&str; 5] = ["count", "words", "B", "KiB", "instructions"];
 
 /// One end-to-end metric as `BENCHMARK.json` declares it.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,6 +72,8 @@ impl Metric {
 struct Spec {
     workloads: Vec<String>,
     metrics: Vec<Metric>,
+    /// The per-layer metrics whose unit is one of [`COUNT_UNITS`].
+    layer_counts: Vec<String>,
     run_seconds: f64,
 }
 
@@ -93,6 +106,12 @@ fn read_spec(text: &str) -> Result<Spec, String> {
             })
         })
         .collect::<Result<_, String>>()?;
+    let mut layer_counts = Vec::new();
+    for m in list("per_layer")? {
+        if COUNT_UNITS.contains(&str_of(m, "unit")?.as_str()) {
+            layer_counts.push(str_of(m, "name")?);
+        }
+    }
     let run_seconds = doc
         .get("run_seconds")
         .and_then(Json::as_f64)
@@ -100,6 +119,7 @@ fn read_spec(text: &str) -> Result<Spec, String> {
     Ok(Spec {
         workloads,
         metrics,
+        layer_counts,
         run_seconds,
     })
 }
@@ -336,11 +356,41 @@ fn judged_json(j: &Judged) -> Json {
     ])
 }
 
-/// Runs one benchmark binary once and reads its result line.
-fn run_once(bin: &str, workload: &str, seed: u64, seconds: f64) -> Result<RunResult, String> {
+/// One count of the `--layers` comparison that did not repeat: its
+/// value on each side (`None` where that run did not report it).
+#[derive(Debug, Clone, PartialEq)]
+struct CountDiff {
+    name: String,
+    parent: Option<f64>,
+    change: Option<f64>,
+}
+
+/// The counts among `names` that differ between two traced runs.
+fn differing_counts(names: &[String], parent: &RunResult, change: &RunResult) -> Vec<CountDiff> {
+    names
+        .iter()
+        .map(|name| CountDiff {
+            name: name.clone(),
+            parent: parent.value(name),
+            change: change.value(name),
+        })
+        .filter(|d| d.parent != d.change)
+        .collect()
+}
+
+/// Runs one benchmark binary once and reads its result line; `traced`
+/// adds `--trace 1`, for the per-layer metrics.
+fn run_once(
+    bin: &str,
+    workload: &str,
+    seed: u64,
+    seconds: f64,
+    traced: bool,
+) -> Result<RunResult, String> {
     let out = Command::new(bin)
         .args(["--workload", workload, "--seed", &seed.to_string()])
         .args(["--seconds", &seconds.to_string()])
+        .args(if traced { &["--trace", "1"][..] } else { &[] })
         .output()
         .map_err(|e| format!("cannot run `{bin}`: {e}"))?;
     read_result(&String::from_utf8_lossy(&out.stdout))
@@ -354,6 +404,7 @@ struct Args {
     seed: u64,
     seconds: Option<f64>,
     pairs: usize,
+    layers: bool,
     json: Option<String>,
     spec: String,
 }
@@ -366,11 +417,18 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         seed: 2,
         seconds: None,
         pairs: 10,
+        layers: false,
         json: None,
         spec: "BENCHMARK.json".into(),
     };
+    let mut paired = false;
     let mut i = 0;
     while i < args.len() {
+        if args[i] == "--layers" {
+            a.layers = true;
+            i += 1;
+            continue;
+        }
         let value = args
             .get(i + 1)
             .cloned()
@@ -382,8 +440,14 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--workload" => a.workloads.push(value),
             "--seed" => a.seed = value.parse().map_err(|_| number("--seed"))?,
             "--seconds" => a.seconds = Some(value.parse().map_err(|_| number("--seconds"))?),
-            "--pairs" => a.pairs = value.parse().map_err(|_| number("--pairs"))?,
-            "--json" => a.json = Some(value),
+            "--pairs" => {
+                a.pairs = value.parse().map_err(|_| number("--pairs"))?;
+                paired = true;
+            }
+            "--json" => {
+                a.json = Some(value);
+                paired = true;
+            }
             "--spec" => a.spec = value,
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -394,6 +458,9 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
     }
     if a.pairs == 0 {
         return Err("--pairs must be at least 1".into());
+    }
+    if a.layers && paired {
+        return Err("--layers runs each side once and writes no JSON".into());
     }
     Ok(a)
 }
@@ -407,7 +474,12 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match compare(&args) {
+    let verdict = if args.layers {
+        compare_layers(&args)
+    } else {
+        compare(&args)
+    };
+    match verdict {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(e) => {
@@ -417,9 +489,8 @@ fn main() -> ExitCode {
     }
 }
 
-/// Runs the pairs and prints the verdicts; `Ok(false)` when a metric
-/// regressed, a count differed or an operation failed.
-fn compare(args: &Args) -> Result<bool, String> {
+/// The spec, the workloads to run and the seconds per run.
+fn plan(args: &Args) -> Result<(Spec, Vec<String>, f64), String> {
     let text = std::fs::read_to_string(&args.spec)
         .map_err(|e| format!("cannot read `{}`: {e}", args.spec))?;
     let spec = read_spec(&text)?;
@@ -429,6 +500,46 @@ fn compare(args: &Args) -> Result<bool, String> {
         args.workloads.clone()
     };
     let seconds = args.seconds.unwrap_or(spec.run_seconds);
+    Ok((spec, workloads, seconds))
+}
+
+/// `--layers`: one traced run per side and workload, and every per-layer
+/// count compared; `Ok(false)` when a count differed or an operation
+/// failed.
+fn compare_layers(args: &Args) -> Result<bool, String> {
+    let (spec, workloads, seconds) = plan(args)?;
+    let mut ok = true;
+    for w in &workloads {
+        let parent = run_once(&args.parent, w, args.seed, seconds, true)?;
+        let change = run_once(&args.change, w, args.seed, seconds, true)?;
+        let diffs = differing_counts(&spec.layer_counts, &parent, &change);
+        let value = |v: Option<f64>| v.map_or("missing".into(), |v| v.to_string());
+        for d in &diffs {
+            println!(
+                "{w:<10} {:<40} parent {:>14} change {:>14}",
+                d.name,
+                value(d.parent),
+                value(d.change)
+            );
+        }
+        if diffs.is_empty() {
+            println!(
+                "{w:<10} {} per-layer counts equal",
+                spec.layer_counts
+                    .iter()
+                    .filter(|n| parent.value(n).is_some())
+                    .count()
+            );
+        }
+        ok &= diffs.is_empty() && parent.failed == 0.0 && change.failed == 0.0;
+    }
+    Ok(ok)
+}
+
+/// Runs the pairs and prints the verdicts; `Ok(false)` when a metric
+/// regressed, a count differed or an operation failed.
+fn compare(args: &Args) -> Result<bool, String> {
+    let (spec, workloads, seconds) = plan(args)?;
     let mut ok = true;
     let mut rows = vec![table_header()];
     let mut docs = Vec::new();
@@ -440,8 +551,8 @@ fn compare(args: &Args) -> Result<bool, String> {
             } else {
                 (&args.change, &args.parent)
             };
-            let a = run_once(first, w, args.seed, seconds)?;
-            let b = run_once(second, w, args.seed, seconds)?;
+            let a = run_once(first, w, args.seed, seconds, false)?;
+            let b = run_once(second, w, args.seed, seconds, false)?;
             let (parent, change) = if k % 2 == 0 { (a, b) } else { (b, a) };
             eprintln!(
                 "{w} pair {}/{}: failed {}/{}",
@@ -605,6 +716,67 @@ mod tests {
         assert_eq!((even.q1, even.median, even.q3), (2.0, 4.0, 6.0));
     }
 
+    /// A traced run's result line with the given per-layer values.
+    fn traced_line(values: &[(&str, f64, &str)]) -> String {
+        let metrics: Vec<String> = values
+            .iter()
+            .map(|(n, v, u)| format!("\"{n}\":{{\"value\":{v},\"unit\":\"{u}\"}}"))
+            .collect();
+        format!(
+            "{{\"correct\":true,\"attempted\":4,\"failed\":0,\"metrics\":{{{}}}}}",
+            metrics.join(",")
+        )
+    }
+
+    #[test]
+    fn layers_compare_every_count_and_no_time() {
+        let spec = read_spec(include_str!("../../../../BENCHMARK.json")).unwrap();
+        let counts = &spec.layer_counts;
+        for name in [
+            "vm.instructions",
+            "runtime.words_copied",
+            "gc.desc_bytes_read",
+        ] {
+            assert!(counts.iter().any(|n| n == name), "{name} is a count");
+        }
+        for name in ["gc.ns_per_frame", "gc.share", "syntax.parse_ms"] {
+            assert!(!counts.iter().any(|n| n == name), "{name} is not a count");
+        }
+        let parent = traced_line(&[
+            ("vm.instructions", 5000.0, "count"),
+            ("gc.frames_visited", 320.0, "count"),
+            ("runtime.words_copied", 56.0, "words"),
+            ("tasking.max_suspension_latency", 9.0, "instructions"),
+            ("gc.collect_ms", 2.5, "ms"),
+            ("gc.share", 0.4, "ratio"),
+        ]);
+        // Times and ratios move; a count moves; another is missing.
+        let change = traced_line(&[
+            ("vm.instructions", 5000.0, "count"),
+            ("gc.frames_visited", 321.0, "count"),
+            ("tasking.max_suspension_latency", 9.0, "instructions"),
+            ("gc.collect_ms", 1.1, "ms"),
+            ("gc.share", 0.2, "ratio"),
+        ]);
+        let (p, c) = (read_result(&parent).unwrap(), read_result(&change).unwrap());
+        assert_eq!(
+            differing_counts(counts, &p, &c),
+            [
+                CountDiff {
+                    name: "runtime.words_copied".into(),
+                    parent: Some(56.0),
+                    change: None,
+                },
+                CountDiff {
+                    name: "gc.frames_visited".into(),
+                    parent: Some(320.0),
+                    change: Some(321.0),
+                },
+            ]
+        );
+        assert!(differing_counts(counts, &p, &p).is_empty());
+    }
+
     #[test]
     fn arguments_need_both_binaries() {
         let args = |s: &[&str]| parse_args(&s.iter().map(|a| a.to_string()).collect::<Vec<_>>());
@@ -613,5 +785,9 @@ mod tests {
         assert!(args(&["--parent", "a", "--change", "b", "--seed"]).is_err());
         let a = args(&["--parent", "a", "--change", "b", "--workload", "serve"]).unwrap();
         assert_eq!((a.seed, a.pairs, a.workloads.len()), (2, 10, 1));
+        assert!(!a.layers);
+        let a = args(&["--layers", "--parent", "a", "--change", "b"]).unwrap();
+        assert!(a.layers);
+        assert!(args(&["--layers", "--parent", "a", "--change", "b", "--pairs", "3"]).is_err());
     }
 }

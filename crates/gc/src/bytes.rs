@@ -39,14 +39,36 @@ pub struct BytePool {
     pub data_fields: Vec<Vec<Vec<u32>>>,
 }
 
-/// A parsed descriptor head.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A parsed descriptor head. A tuple's fields and a datatype's arguments
+/// stay where they lie in the pool: [`BytePool::children`] reads their
+/// positions, so a parse builds nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DescView {
     Prim,
     Param(u16),
-    Tuple(Vec<u32>),
-    Data(DataId, Vec<u32>),
+    Tuple(Children),
+    Data(DataId, Children),
     Arrow(u32, u32),
+}
+
+/// The child descriptors of a tuple or datatype descriptor: `len`
+/// descriptors laid end to end from position `start`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Children {
+    start: u32,
+    len: u16,
+}
+
+impl Children {
+    /// How many children there are.
+    pub fn len(self) -> usize {
+        usize::from(self.len)
+    }
+
+    /// True when there are none.
+    pub fn is_empty(self) -> bool {
+        self.len == 0
+    }
 }
 
 impl BytePool {
@@ -97,103 +119,92 @@ impl BytePool {
         pos
     }
 
-    /// Parses the descriptor head at `pos`, collecting child positions
-    /// (this sequential decode *is* the interpretation cost; the caller
-    /// accounts `bytes_read`).
+    /// Parses the descriptor head at `pos`, reading past its children
+    /// to find where it ends (this sequential decode *is* the
+    /// interpretation cost). Adds the bytes it reads to `bytes_read`:
+    /// the whole descriptor, except an arrow's result descriptor, which
+    /// is parsed only on demand.
     pub fn parse(&self, pos: u32, bytes_read: &mut u64) -> DescView {
         let mut cur = pos as usize;
-
-        self.parse_at(&mut cur, bytes_read, true)
-    }
-
-    fn parse_at(&self, cur: &mut usize, bytes_read: &mut u64, top: bool) -> DescView {
-        let op = self.bytes[*cur];
-        *cur += 1;
-        *bytes_read += 1;
-        match op {
+        let op = self.bytes[cur];
+        cur += 1;
+        let view = match op {
             OP_PRIM => DescView::Prim,
-            OP_PARAM => {
-                let i = self.read_u16(cur, bytes_read);
-                DescView::Param(i)
-            }
+            OP_PARAM => DescView::Param(self.read_u16(&mut cur)),
             OP_TUPLE => {
-                let n = self.read_u16(cur, bytes_read) as usize;
-                let mut fields = Vec::with_capacity(n);
-                for _ in 0..n {
-                    fields.push(*cur as u32);
-                    self.skip(cur, bytes_read);
-                }
-                DescView::Tuple(fields)
+                let len = self.read_u16(&mut cur);
+                DescView::Tuple(self.skip_children(&mut cur, len))
             }
             OP_DATA => {
-                let d = self.read_u32(cur, bytes_read);
-                let n = self.bytes[*cur] as usize;
-                *cur += 1;
-                *bytes_read += 1;
-                let mut args = Vec::with_capacity(n);
-                for _ in 0..n {
-                    args.push(*cur as u32);
-                    self.skip(cur, bytes_read);
-                }
-                DescView::Data(DataId(d), args)
+                let d = self.read_u32(&mut cur);
+                let len = u16::from(self.bytes[cur]);
+                cur += 1;
+                DescView::Data(DataId(d), self.skip_children(&mut cur, len))
             }
             OP_ARROW => {
-                let a = *cur as u32;
-                self.skip(cur, bytes_read);
-                let b = *cur as u32;
-                if top {
-                    // The result descriptor is only parsed on demand.
-                }
-                DescView::Arrow(a, b)
+                let a = cur as u32;
+                self.skip(&mut cur);
+                DescView::Arrow(a, cur as u32)
             }
             other => panic!("corrupt descriptor opcode {other}"),
-        }
+        };
+        *bytes_read += (cur - pos as usize) as u64;
+        view
     }
 
-    /// Skips one descriptor, advancing `cur` (counted: real interpreters
-    /// pay to find sibling fields).
-    fn skip(&self, cur: &mut usize, bytes_read: &mut u64) {
+    /// The positions of `children`, in order. Each is found by skipping
+    /// its predecessors again; [`BytePool::parse`] has already counted
+    /// their bytes.
+    pub fn children(&self, children: Children) -> impl Iterator<Item = u32> + '_ {
+        let mut cur = children.start as usize;
+        (0..children.len).map(move |_| {
+            let pos = cur as u32;
+            self.skip(&mut cur);
+            pos
+        })
+    }
+
+    /// Skips `len` descriptors laid end to end from `cur`.
+    fn skip_children(&self, cur: &mut usize, len: u16) -> Children {
+        let start = *cur as u32;
+        for _ in 0..len {
+            self.skip(cur);
+        }
+        Children { start, len }
+    }
+
+    /// Skips one descriptor, advancing `cur`.
+    fn skip(&self, cur: &mut usize) {
         let op = self.bytes[*cur];
         *cur += 1;
-        *bytes_read += 1;
         match op {
             OP_PRIM => {}
-            OP_PARAM => {
-                *cur += 2;
-                *bytes_read += 2;
-            }
+            OP_PARAM => *cur += 2,
             OP_TUPLE => {
-                let n = self.read_u16(cur, bytes_read) as usize;
-                for _ in 0..n {
-                    self.skip(cur, bytes_read);
-                }
+                let len = self.read_u16(cur);
+                self.skip_children(cur, len);
             }
             OP_DATA => {
                 *cur += 4;
-                *bytes_read += 4;
-                let n = self.bytes[*cur] as usize;
+                let len = u16::from(self.bytes[*cur]);
                 *cur += 1;
-                *bytes_read += 1;
-                for _ in 0..n {
-                    self.skip(cur, bytes_read);
-                }
+                self.skip_children(cur, len);
             }
             OP_ARROW => {
-                self.skip(cur, bytes_read);
-                self.skip(cur, bytes_read);
+                self.skip(cur);
+                self.skip(cur);
             }
             other => panic!("corrupt descriptor opcode {other}"),
         }
     }
 
-    fn read_u16(&self, cur: &mut usize, bytes_read: &mut u64) -> u16 {
+    fn read_u16(&self, cur: &mut usize) -> u16 {
         let v = u16::from_le_bytes([self.bytes[*cur], self.bytes[*cur + 1]]);
         *cur += 2;
-        *bytes_read += 2;
         v
     }
 
-    fn read_u32(&self, cur: &mut usize, bytes_read: &mut u64) -> u32 {
+    fn read_u32(&self, cur: &mut usize) -> u32 {
         let v = u32::from_le_bytes([
             self.bytes[*cur],
             self.bytes[*cur + 1],
@@ -201,7 +212,6 @@ impl BytePool {
             self.bytes[*cur + 3],
         ]);
         *cur += 4;
-        *bytes_read += 4;
         v
     }
 }
@@ -268,11 +278,37 @@ mod tests {
             DescView::Data(d, args) => {
                 assert_eq!(d, tfgc_types::LIST_DATA);
                 assert_eq!(args.len(), 1);
-                assert_eq!(pool.parse(args[0], &mut n), DescView::Prim);
+                let arg: Vec<u32> = pool.children(args).collect();
+                assert_eq!(pool.parse(arg[0], &mut n), DescView::Prim);
             }
             other => panic!("expected data, got {other:?}"),
         }
         assert!(n > 0, "interpretation reads bytes");
+    }
+
+    #[test]
+    fn parse_counts_the_whole_descriptor_but_an_arrows_result() {
+        let p = prog("0");
+        let mut pool = BytePool::new(&p);
+        let pair = Type::Tuple(vec![Type::Int, Type::list(Type::Int)]);
+        let pos = pool.encode_type(&pair, &HashMap::new(), &[]);
+        // TUPLE u16 | PRIM | DATA u32 u8 PRIM
+        let mut n = 0;
+        let DescView::Tuple(fields) = pool.parse(pos, &mut n) else {
+            panic!("expected a tuple");
+        };
+        assert_eq!(n, 3 + 1 + 7);
+        let before = n;
+        assert_eq!(pool.children(fields).count(), 2);
+        assert_eq!(n, before, "reading the children again counts nothing");
+
+        let arrow = pool.encode_type(&Type::arrow(pair, Type::Int), &HashMap::new(), &[]);
+        let mut m = 0;
+        let DescView::Arrow(a, b) = pool.parse(arrow, &mut m) else {
+            panic!("expected an arrow");
+        };
+        assert_eq!((a, b), (arrow + 1, arrow + 12));
+        assert_eq!(m, 1 + 11, "the result descriptor is parsed on demand");
     }
 
     #[test]
@@ -298,7 +334,8 @@ mod tests {
         match pool.parse(cons[1], &mut n) {
             DescView::Data(d, args) => {
                 assert_eq!(d, tfgc_types::LIST_DATA);
-                assert_eq!(pool.parse(args[0], &mut n), DescView::Param(0));
+                let arg: Vec<u32> = pool.children(args).collect();
+                assert_eq!(pool.parse(arg[0], &mut n), DescView::Param(0));
             }
             other => panic!("expected data, got {other:?}"),
         }
@@ -316,6 +353,7 @@ mod tests {
         let mut n = 0;
         match pool.parse(pos, &mut n) {
             DescView::Tuple(fields) => {
+                let fields: Vec<u32> = pool.children(fields).collect();
                 assert_eq!(fields.len(), 3);
                 assert_eq!(pool.parse(fields[0], &mut n), DescView::Prim);
                 assert!(matches!(

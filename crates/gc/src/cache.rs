@@ -34,8 +34,11 @@
 //!   closure routine, §3). One `FrameStep` per `(site, state)` records
 //!   the frame's slot plans, its routine's op count and the state it hands
 //!   on, so tracing a chain of activations costs one small-integer lookup
-//!   per frame. Each frame-step lookup counts in
-//!   [`RtCache::hits`]/[`RtCache::misses`] like any other memo lookup.
+//!   per frame that ran since the last collection. A frame below its
+//!   stack's floor is replayed from the stack's walk record (`stack.rs`)
+//!   with no lookup, and counts the hit its lookup would have scored.
+//!   Each frame-step lookup counts in [`RtCache::hits`]/[`RtCache::misses`]
+//!   like any other memo lookup.
 //!
 //! Correctness: `eval_sx` is a pure function of the template and the
 //! environment, so memoization cannot change any collection outcome. The
@@ -138,8 +141,8 @@ pub struct RtCache {
     /// Node per id; `index` hash-conses them.
     nodes: Vec<RtNode>,
     index: HashMap<RtNode, RtId>,
-    envs: HashMap<Box<[RtId]>, EnvIx>,
-    env_list: Vec<Box<[RtId]>>,
+    envs: HashMap<Rc<[RtId]>, EnvIx>,
+    env_list: Vec<Rc<[RtId]>>,
     eval_memo: HashMap<(SxId, EnvIx), RtId>,
     desc_memo: HashMap<DescId, RtId>,
     paths: HashMap<Box<[u16]>, u32>,
@@ -288,14 +291,21 @@ impl RtCache {
             return *ix;
         }
         let ix = EnvIx(self.env_list.len() as u32);
-        self.envs.insert(env.into(), ix);
-        self.env_list.push(env.into());
+        let env: Rc<[RtId]> = env.into();
+        self.envs.insert(Rc::clone(&env), ix);
+        self.env_list.push(env);
         ix
     }
 
     /// The environment behind an interned id.
     pub(crate) fn env(&self, ix: EnvIx) -> &[RtId] {
         &self.env_list[ix.0 as usize]
+    }
+
+    /// The environment behind an interned id, shared: it stays readable
+    /// while the cache evaluates under it.
+    pub(crate) fn shared_env(&self, ix: EnvIx) -> Rc<[RtId]> {
+        Rc::clone(&self.env_list[ix.0 as usize])
     }
 
     /// Looks up the frame step of `site` entered with `state`, counting

@@ -55,12 +55,18 @@
 //! activation with a key evaluates anything. Later ones replay the
 //! recorded frame step — the traced slots with their resolved plans (or
 //! descriptor positions) and the outgoing state — so a deep chain of
-//! activations costs one small-integer lookup per frame, not a θ
-//! evaluation, an environment vector and plan lookups. Appel's walk is
-//! never memoized. The worklist, the decoded-frame vector and the
+//! activations costs one small-integer lookup per frame that ran since
+//! the last collection, not a θ evaluation, an environment vector and
+//! plan lookups. Frames below the stack's floor ran before it and cost
+//! no lookup and no decoding: the walk replays them from the stack's
+//! [`WalkRecord`], a run of activations at a time, and relocates a word
+//! that repeats the last one a replayed slot held without looking at it
+//! again. Appel's walk is never memoized and always decodes the whole
+//! chain. The worklist, the decoded-frame vector and the
 //! descriptor-environment arena live in [`CollectorScratch`] (owned by
-//! `GcMeta`) and are reused across collections; the heap's forwarding
-//! bitmap is likewise allocated once and only zeroed per collection (see
+//! `GcMeta`), and each walk record in its stack's thread; all are reused
+//! across collections. The heap's forwarding bitmap is likewise
+//! allocated once and only zeroed per collection (see
 //! `tfgc_runtime::Heap`).
 
 use crate::bytes::{BytePool, DescView};
@@ -73,7 +79,7 @@ use crate::plan::{
 };
 use crate::routines::{RoutineTable, TraceOp};
 use crate::rtval::{EvalCx, RtBuildStats};
-use crate::stack::{walk_frames_into, FrameInfo, FRAME_HDR};
+use crate::stack::{walk_frames_into, FrameInfo, Run, WalkRecord, FRAME_HDR};
 use crate::stats::GcStats;
 use crate::strategy::Strategy;
 use crate::sx::{SxId, SxTable};
@@ -94,6 +100,13 @@ pub struct StackRoots<'m> {
     /// triggered this collection, or the call a task is parked at — §4
     /// suspends tasks only at procedure calls).
     pub current_site: CallSiteId,
+    /// No frame based below it has run or been popped since `record`
+    /// was written; 0 when that is not known, and at most `top_fp`.
+    pub floor: usize,
+    /// The stack's record of its last forward walk: the forward
+    /// strategies replay its frames below `floor` and rewrite the rest.
+    /// Appel's walk and the tagged collector leave it alone.
+    pub record: &'m mut WalkRecord,
 }
 
 /// The mutator state handed to the collector.
@@ -269,6 +282,7 @@ pub(crate) fn collect_tagfree(
         work: &mut meta.scratch.work,
         envs: &mut meta.scratch.envs,
         frame_env: None,
+        last_moved: (0, 0),
         enc: Encoding::new(HeapMode::TagFree),
     };
 
@@ -283,27 +297,14 @@ pub(crate) fn collect_tagfree(
     }
 
     // Each task's stack is traversed in turn (§4).
-    let mut operand_env: Vec<RtId> = Vec::new();
-    let mut operand_site = None;
+    let mut operands_under = None;
     for (ti, sr) in roots.stacks.iter_mut().enumerate() {
-        walk_frames_into(frames_buf, sr.stack, sr.top_fp, sr.current_site, prog);
-        cx.stats.frames_visited += frames_buf.len() as u64;
-        if cx.obs.enabled() {
-            for fr in frames_buf.iter() {
-                cx.obs.emit(|_| GcEvent::FrameVisit {
-                    seq,
-                    fn_id: fr.fn_id.0,
-                    site: fr.site.0,
-                });
-            }
-        }
         let newest_env = match strategy {
-            Strategy::AppelPerFn => cx.appel_walk(frames_buf, sr.stack),
-            _ => cx.forward_walk(frames_buf, sr.stack),
+            Strategy::AppelPerFn => cx.appel_walk(frames_buf, sr),
+            _ => cx.forward_walk(frames_buf, sr),
         };
         if ti == roots.operand_stack {
-            operand_env = newest_env;
-            operand_site = Some(sr.current_site);
+            operands_under = Some((sr.current_site, newest_env));
         }
     }
 
@@ -311,13 +312,14 @@ pub(crate) fn collect_tagfree(
     // traced under its newest frame's environment.
     // (`operands` may be empty even at an allocation site: §4 tasks
     // re-execute a blocked allocation after the collection.)
-    if let Some(site) = operand_site {
+    if let Some((site, env)) = operands_under {
         cx.cur = EvalCx::Operands { site: site.0 };
+        let env = cx.cache.shared_env(env);
         let sites = cx.sites;
         let ops = &sites[site.0 as usize].operands;
         for (op, w) in ops.iter().zip(roots.operands.iter_mut()) {
             if let Some(sx) = op {
-                let rt = cx.eval(*sx, &operand_env);
+                let rt = cx.eval(*sx, &env);
                 *w = cx.reloc_rt(*w, rt);
             }
         }
@@ -359,6 +361,11 @@ struct Collector<'c> {
     /// The byte environment a replayed frame step last decoded under, by
     /// its interned environment: a recursion replays one step per frame.
     frame_env: Option<(EnvIx, u32)>,
+    /// The last `(old word, new word)` a replayed slot relocated. Within
+    /// one collection a word relocates to the same word every time, so
+    /// a recursion that passes one value down relocates it once. `(0,
+    /// 0)` to start: an immediate relocates to itself.
+    last_moved: (Word, Word),
     enc: Encoding,
 }
 
@@ -385,21 +392,91 @@ impl Collector<'_> {
         self.cache.desc(self.descs, id, &mut self.build)
     }
 
+    /// Counts the frames of one stack's walk and reports each, newest
+    /// first: `decoded` (newest first), then the record's `kept` runs
+    /// below them.
+    fn visit(&mut self, decoded: &[FrameInfo], kept: &[Run]) {
+        let kept_frames: usize = kept.iter().map(|r| r.count).sum();
+        self.stats.frames_visited += (decoded.len() + kept_frames) as u64;
+        if self.obs.enabled() {
+            let seq = self.seq;
+            let kept = kept
+                .iter()
+                .rev()
+                .flat_map(|r| std::iter::repeat_n((r.fn_id, r.site), r.count));
+            for (fn_id, site) in decoded.iter().map(|fr| (fr.fn_id, fr.site)).chain(kept) {
+                self.obs.emit(|_| GcEvent::FrameVisit {
+                    seq,
+                    fn_id: fn_id.0,
+                    site: site.0,
+                });
+            }
+        }
+    }
+
     /// §3's traversal: oldest to newest, propagating type routine
     /// environments through the recorded θ / closure-type plans, through
-    /// the frame-step memo. Each frame is one `(site, incoming state)`
-    /// lookup — skipped outright when the frame repeats the previous
-    /// frame's key, as every frame of a recursion does — then one
-    /// relocation per traced slot, then the drain of what those slots
-    /// reached. A miss traces the frame on the plain path and records its
-    /// step. Frames that read a type parameter from a descriptor slot
-    /// depend on their own stack words, so they always take the plain
-    /// path; the state they hand on is a plain key, so the frames above
-    /// them stay memoized. Returns the newest frame's environment.
-    fn forward_walk(&mut self, frames: &[FrameInfo], stack: &mut [Word]) -> Vec<RtId> {
+    /// the frame-step memo. Only the frames at or above the stack's floor
+    /// are decoded and keyed; the ones below it have not run since the
+    /// last walk, so they replay their recorded runs first, with no
+    /// lookup. A decoded frame is one `(site, incoming state)` lookup —
+    /// skipped outright when the frame repeats the previous frame's key,
+    /// as every frame of a recursion does — then one relocation per
+    /// traced slot, then the drain of what those slots reached. A miss
+    /// traces the frame on the plain path and records its step. Frames
+    /// that read a type parameter from a descriptor slot depend on their
+    /// own stack words, so they always take the plain path, kept or not;
+    /// the state they hand on is a plain key, so the frames above them
+    /// stay memoized. Every decoded frame is appended to the record.
+    /// Returns the newest frame's environment.
+    fn forward_walk(&mut self, frames: &mut Vec<FrameInfo>, sr: &mut StackRoots<'_>) -> EnvIx {
+        let stop = walk_frames_into(
+            frames,
+            sr.stack,
+            sr.top_fp,
+            sr.current_site,
+            sr.floor,
+            self.prog,
+        );
+        let (stack, record) = (&mut *sr.stack, &mut *sr.record);
+        record.keep_below(sr.floor);
+        assert_eq!(
+            record.newest_base(),
+            stop,
+            "walk record out of step with its stack: decoding stopped below floor {} at \
+             the frame based at {stop:?}, but the record's newest frame below the floor \
+             is based at {:?}",
+            sr.floor,
+            record.newest_base()
+        );
+        self.visit(frames, record.runs());
         let mut state = FrameState::None;
         let mut last: Option<(CallSiteId, FrameState, u32)> = None;
         let mut newest = self.cache.env_ix(&[]);
+        for run in record.runs() {
+            self.cur = EvalCx::Frame {
+                fn_id: run.fn_id.0,
+                site: run.site.0,
+            };
+            match run.step {
+                Some(f) => {
+                    self.cache.hits += run.count as u64;
+                    self.replay(f, run.site, run.base, run.count, run.stride, stack);
+                    let step = self.cache.frame(f);
+                    (state, newest) = (step.out, step.env);
+                }
+                None => {
+                    for k in 0..run.count {
+                        let (step, _) = self.trace_plain(&run.frame(k), run.state, stack);
+                        (state, newest) = (step.out, step.env);
+                        if !self.work.is_empty() {
+                            self.drain();
+                        }
+                    }
+                }
+            }
+            last = run.step.map(|f| (run.site, run.state, f));
+        }
         for fr in frames.iter().rev() {
             self.cur = EvalCx::Frame {
                 fn_id: fr.fn_id.0,
@@ -408,17 +485,18 @@ impl Collector<'_> {
             let memo = match last {
                 Some((site, s, f)) if site == fr.site && s == state => {
                     self.cache.hits += 1;
-                    self.replay_frame(fr, f, stack);
+                    self.replay(f, fr.site, fr.fp, 1, 0, stack);
                     Some(f)
                 }
                 _ if self.reads_desc_slot(fr) => {
                     let (step, _) = self.trace_plain(fr, state, stack);
+                    record.push(fr, state, None);
                     (state, newest) = (step.out, step.env);
                     None
                 }
                 _ => Some(match self.cache.find_frame(fr.site.0, state) {
                     Some(f) => {
-                        self.replay_frame(fr, f, stack);
+                        self.replay(f, fr.site, fr.fp, 1, 0, stack);
                         f
                     }
                     None => {
@@ -429,6 +507,7 @@ impl Collector<'_> {
             };
             last = memo.map(|f| (fr.site, state, f));
             if let Some(f) = memo {
+                record.push(fr, state, Some(f));
                 let step = self.cache.frame(f);
                 (state, newest) = (step.out, step.env);
             }
@@ -436,7 +515,7 @@ impl Collector<'_> {
                 self.drain();
             }
         }
-        self.cache.env(newest).to_vec()
+        newest
     }
 
     /// True when the frame's function reads a type parameter from one of
@@ -468,30 +547,55 @@ impl Collector<'_> {
         (step, slots)
     }
 
-    /// Traces a frame from its recorded step: the same routine run, the
-    /// same relocations in the same order, with every plan already
-    /// resolved.
-    fn replay_frame(&mut self, fr: &FrameInfo, f: u32, stack: &mut [Word]) {
+    /// Traces `count` activations of frame step `f`'s call site, based
+    /// `stride` words apart from `base` up, from the recorded step: for
+    /// each, the same routine run and the same relocations in the same
+    /// order as the plain path, with every plan already resolved, then
+    /// the drain of what they reached.
+    fn replay(
+        &mut self,
+        f: u32,
+        site: CallSiteId,
+        base: usize,
+        count: usize,
+        stride: usize,
+        stack: &mut [Word],
+    ) {
         let FrameStep { ops, env, .. } = *self.cache.frame(f);
-        self.stats.routine_invocations += 1;
-        self.stats.slots_traced += u64::from(ops);
+        let slots = self.cache.frame_slots(f);
+        self.stats.routine_invocations += count as u64;
+        self.stats.slots_traced += count as u64 * u64::from(ops);
         let seq = self.seq;
-        self.obs.emit(|_| GcEvent::RoutineRun {
-            seq,
-            site: fr.site.0,
-            ops,
-        });
-        for i in self.cache.frame_slots(f) {
-            match self.cache.slot_step(i) {
-                SlotStep::Plan { slot, plan } => {
-                    let idx = fr.fp + FRAME_HDR + slot as usize;
-                    stack[idx] = self.reloc_plan(stack[idx], plan);
+        for k in 0..count {
+            let fp = base + k * stride;
+            self.obs.emit(|_| GcEvent::RoutineRun {
+                seq,
+                site: site.0,
+                ops,
+            });
+            for i in slots.clone() {
+                match self.cache.slot_step(i) {
+                    SlotStep::Plan { slot, plan } => {
+                        let idx = fp + FRAME_HDR + slot as usize;
+                        let w = stack[idx];
+                        stack[idx] = match self.last_moved {
+                            (old, new) if old == w => new,
+                            _ => {
+                                let new = self.reloc_plan(w, plan);
+                                self.last_moved = (w, new);
+                                new
+                            }
+                        };
+                    }
+                    SlotStep::Bytes { slot, pos } => {
+                        let benv = self.replayed_env(env);
+                        let idx = fp + FRAME_HDR + slot as usize;
+                        stack[idx] = self.reloc_bytes(stack[idx], pos, benv);
+                    }
                 }
-                SlotStep::Bytes { slot, pos } => {
-                    let benv = self.replayed_env(env);
-                    let idx = fr.fp + FRAME_HDR + slot as usize;
-                    stack[idx] = self.reloc_bytes(stack[idx], pos, benv);
-                }
+            }
+            if !self.work.is_empty() {
+                self.drain();
             }
         }
     }
@@ -509,11 +613,15 @@ impl Collector<'_> {
         }
     }
 
-    /// Appel's traversal: newest to oldest, re-deriving each frame's
-    /// environment by walking down the chain with no caching. Returns the
-    /// newest frame's environment.
-    fn appel_walk(&mut self, frames: &[FrameInfo], stack: &mut [Word]) -> Vec<RtId> {
-        let mut newest_env = Vec::new();
+    /// Appel's traversal: decodes the whole chain, then walks it newest
+    /// to oldest, re-deriving each frame's environment by walking down
+    /// the chain with no caching. It ignores the stack's floor and
+    /// record. Returns the newest frame's environment.
+    fn appel_walk(&mut self, frames: &mut Vec<FrameInfo>, sr: &mut StackRoots<'_>) -> EnvIx {
+        walk_frames_into(frames, sr.stack, sr.top_fp, sr.current_site, 0, self.prog);
+        self.visit(frames, &[]);
+        let stack = &mut *sr.stack;
+        let mut newest = self.cache.env_ix(&[]);
         for k in 0..frames.len() {
             let env = self.appel_env(frames, k, stack);
             self.cur = EvalCx::Frame {
@@ -523,10 +631,10 @@ impl Collector<'_> {
             self.run_frame_routine(&frames[k], &env, stack, None);
             self.drain();
             if k == 0 {
-                newest_env = env;
+                newest = self.cache.env_ix(&env);
             }
         }
-        newest_env
+        newest
     }
 
     /// Re-derives frame `k`'s environment by descending to the bottom of
@@ -718,8 +826,9 @@ impl Collector<'_> {
                     Err(nw) => return nw,
                 };
                 let new = self.evacuate(a, fields.len());
-                for (i, p) in fields.iter().enumerate() {
-                    self.push(new, i as u16, Ty::Bytes { pos: *p, env });
+                let pool = self.pool;
+                for (i, pos) in pool.children(fields).enumerate() {
+                    self.push(new, i as u16, Ty::Bytes { pos, env });
                 }
                 self.enc.ptr(new)
             }
@@ -731,12 +840,12 @@ impl Collector<'_> {
                 let (ctor, rep) = self.ctor_of(a, w, d);
                 let new = self.evacuate(a, rep.heap_words());
                 let start = self.envs.items.len();
-                for p in arg_positions {
+                let pool = self.pool;
+                for p in pool.children(arg_positions) {
                     let e = self.collapse(p, env);
                     self.envs.items.push(e);
                 }
                 let arg_env = self.envs.close(start, env);
-                let pool = self.pool;
                 let fields = &pool.data_fields[d.0 as usize][ctor];
                 for (i, p) in fields.iter().enumerate() {
                     self.push(
@@ -798,10 +907,21 @@ impl Collector<'_> {
                 }
             }
             DescView::Tuple(fields) => {
-                RtNode::Tuple(fields.iter().map(|p| self.bytes_to_rt(*p, env)).collect())
+                let pool = self.pool;
+                RtNode::Tuple(
+                    pool.children(fields)
+                        .map(|p| self.bytes_to_rt(p, env))
+                        .collect(),
+                )
             }
             DescView::Data(d, args) => {
-                RtNode::Data(d, args.iter().map(|p| self.bytes_to_rt(*p, env)).collect())
+                let pool = self.pool;
+                RtNode::Data(
+                    d,
+                    pool.children(args)
+                        .map(|p| self.bytes_to_rt(p, env))
+                        .collect(),
+                )
             }
             DescView::Arrow(a, b) => {
                 RtNode::Arrow(self.bytes_to_rt(a, env), self.bytes_to_rt(b, env))

@@ -24,12 +24,15 @@
 //!   mechanism for polymorphic captures the 1991 scheme cannot recover
 //!   (see DESIGN.md).
 //! * [`stack`] — Figure 1's activation-record layout: the return word *is*
-//!   the gc_word key.
+//!   the gc_word key; each stack's floor and walk record let a collection
+//!   decode only the frames that ran since the last one.
 //!
 //! The entry point a VM uses is [`fn@collect`]:
 //!
 //! ```no_run
-//! use tfgc_gc::{collect, Analyses, DescArena, GcMeta, GcStats, MachineRoots, StackRoots, Strategy};
+//! use tfgc_gc::{
+//!     collect, Analyses, DescArena, GcMeta, GcStats, MachineRoots, StackRoots, Strategy, WalkRecord,
+//! };
 //! # fn demo(prog: &tfgc_ir::IrProgram, heap: &mut tfgc_runtime::Heap,
 //! #         stack: &mut [u64], globals: &mut [u64], operands: &mut [u64],
 //! #         site: tfgc_ir::CallSiteId) {
@@ -38,8 +41,10 @@
 //! let descs = DescArena::new();
 //! let mut stats = GcStats::default();
 //! let mut obs = tfgc_obs::Obs::null(); // or Obs::ring(n) to record events
+//! // Kept with the stack: floor 0 and an empty record walk all of it.
+//! let mut record = WalkRecord::default();
 //! collect(&mut meta, prog, heap, &descs, &mut stats, &mut obs, MachineRoots {
-//!     stacks: vec![StackRoots { stack, top_fp: 0, current_site: site }],
+//!     stacks: vec![StackRoots { stack, top_fp: 0, current_site: site, floor: 0, record: &mut record }],
 //!     globals, operands, operand_stack: 0,
 //! }, false); // `true` = minor (nursery-only) cycle on a generational heap
 //! # }
@@ -71,7 +76,8 @@ pub use plan::{
 pub use routines::{FrameRoutine, FrameRoutineId, RoutineTable, TraceOp, NO_TRACE};
 pub use rtval::{EvalCx, RtVal};
 pub use stack::{
-    pack_ret, unpack_ret, walk_frames, walk_frames_into, FrameInfo, FRAME_HDR, MAIN_RET, NO_FP,
+    pack_ret, unpack_ret, walk_frames, walk_frames_into, FrameInfo, WalkRecord, FRAME_HDR,
+    MAIN_RET, NO_FP,
 };
 pub use stats::GcStats;
 pub use strategy::Strategy;

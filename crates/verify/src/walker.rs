@@ -545,20 +545,21 @@ impl<'a> TypedWalker<'a> {
                         self.classify(w, &sub)
                     }
                     DescView::Tuple(fields) => {
-                        let ftys = fields
-                            .iter()
-                            .map(|p| VTy::Bytes {
-                                pos: *p,
+                        let ftys = self
+                            .pool
+                            .children(fields)
+                            .map(|pos| VTy::Bytes {
+                                pos,
                                 env: env.clone(),
                             })
                             .collect();
                         self.object(w, Shape::Tuple(ftys))
                     }
                     DescView::Data(d, arg_positions) => {
+                        let pool = self.pool;
                         let arg_env: Rc<Vec<VTy>> = Rc::new(
-                            arg_positions
-                                .iter()
-                                .map(|p| self.collapse(*p, &env))
+                            pool.children(arg_positions)
+                                .map(|p| self.collapse(p, &env))
                                 .collect::<Result<_, _>>()?,
                         );
                         self.object(
@@ -631,11 +632,12 @@ impl<'a> TypedWalker<'a> {
                         self.vty_to_rt(&sub)
                     }
                     DescView::Tuple(fields) => {
-                        let fs = fields
-                            .iter()
-                            .map(|p| {
+                        let pool = self.pool;
+                        let fs = pool
+                            .children(fields)
+                            .map(|pos| {
                                 self.vty_to_rt(&VTy::Bytes {
-                                    pos: *p,
+                                    pos,
                                     env: env.clone(),
                                 })
                             })
@@ -643,11 +645,12 @@ impl<'a> TypedWalker<'a> {
                         Ok(RtVal::Tuple(Rc::new(fs)))
                     }
                     DescView::Data(d, args) => {
-                        let xs = args
-                            .iter()
-                            .map(|p| {
+                        let pool = self.pool;
+                        let xs = pool
+                            .children(args)
+                            .map(|pos| {
                                 self.vty_to_rt(&VTy::Bytes {
-                                    pos: *p,
+                                    pos,
                                     env: env.clone(),
                                 })
                             })

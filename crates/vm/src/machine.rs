@@ -27,6 +27,14 @@
 //! callee frame in place from the caller's slots, an allocation bumps the
 //! heap and copies its payload from the frame, and `EvalDesc` reads its
 //! template and the frame's descriptor slots where they lie.
+//!
+//! Each thread also keeps a *floor* for the collector: no frame based
+//! below it has run or been popped since the last collection. `Return`
+//! lowers it to the caller's base with one `min`, a collection raises it
+//! to the top frame's base, and spawning, respawning or killing the
+//! thread resets it to 0 with the thread's walk record. The collector
+//! decodes and keys only the frames at or above it, and replays the
+//! rest from the record of its last walk ([`tfgc_gc::WalkRecord`]).
 
 use crate::error::{VmError, VmResult};
 use crate::render::render_value;
@@ -34,7 +42,7 @@ use crate::stats::MutatorStats;
 use std::ops::Deref;
 use tfgc_gc::{
     collect, pack_ret, Analyses, DescArena, GcMeta, GcStats, MachineRoots, StackRoots, Strategy,
-    FRAME_HDR, MAIN_RET, NO_FP,
+    WalkRecord, FRAME_HDR, MAIN_RET, NO_FP,
 };
 use tfgc_ir::{ArithOp, CallSiteId, CmpOp, CtorRep, FnId, Instr, IrProgram, Slot};
 use tfgc_obs::{GcEvent, Obs};
@@ -279,6 +287,13 @@ struct ThreadState {
     parked: Option<CallSiteId>,
     /// `None` while the thread executes normally.
     halt: Option<Halt>,
+    /// No frame based below it has run or been popped since the last
+    /// collection: `Return` lowers it to the caller's base, a collection
+    /// raises it to the top frame's base.
+    floor: usize,
+    /// The collector's record of its last walk of `stack`, replayed
+    /// below `floor`.
+    record: WalkRecord,
 }
 
 impl ThreadState {
@@ -295,6 +310,7 @@ struct Regs<'p> {
     fn_id: FnId,
     pc: usize,
     code: &'p [Instr],
+    floor: usize,
 }
 
 impl<'p> Regs<'p> {
@@ -307,6 +323,7 @@ impl<'p> Regs<'p> {
             fn_id: t.fn_id,
             pc: t.pc as usize,
             code: &prog.fun(t.fn_id).code,
+            floor: t.floor,
         }
     }
 
@@ -317,6 +334,7 @@ impl<'p> Regs<'p> {
         t.fp = self.fp;
         t.fn_id = self.fn_id;
         t.pc = self.pc as u32;
+        t.floor = self.floor;
     }
 
     #[inline(always)]
@@ -522,12 +540,19 @@ impl<'p> Vm<'p> {
     }
 
     /// Builds a fresh bottom frame running `f` with `args` already in
-    /// its first slots, written into `stack` after emptying it (shared by
-    /// spawn and respawn; accounts the frame init stores identically in
-    /// both).
-    fn make_thread(&mut self, mut stack: Vec<Word>, f: FnId, args: &[Word]) -> ThreadState {
+    /// its first slots, written into `stack` after emptying it, with the
+    /// floor at 0 and `record` emptied (shared by spawn and respawn;
+    /// accounts the frame init stores identically in both).
+    fn make_thread(
+        &mut self,
+        mut stack: Vec<Word>,
+        mut record: WalkRecord,
+        f: FnId,
+        args: &[Word],
+    ) -> ThreadState {
         let n_slots = self.prog.fun(f).slots.len();
         stack.clear();
+        record.clear();
         stack.reserve(FRAME_HDR + n_slots);
         stack.push(NO_FP);
         stack.push(MAIN_RET);
@@ -543,13 +568,15 @@ impl<'p> Vm<'p> {
             pc: 0,
             parked: None,
             halt: None,
+            floor: 0,
+            record,
         }
     }
 
     /// Spawns a new thread whose bottom frame runs `f` with `args` already
     /// in its first slots. Returns the thread index.
     pub fn spawn_thread(&mut self, f: FnId, args: &[Word]) -> usize {
-        let t = self.make_thread(Vec::new(), f, args);
+        let t = self.make_thread(Vec::new(), WalkRecord::default(), f, args);
         self.threads.push(t);
         self.threads.len() - 1
     }
@@ -571,8 +598,9 @@ impl<'p> Vm<'p> {
             !self.threads[i].is_live(),
             "thread {i} is still running; respawn would drop live frames"
         );
-        let stack = std::mem::take(&mut self.threads[i].stack);
-        self.threads[i] = self.make_thread(stack, f, args);
+        let t = &mut self.threads[i];
+        let (stack, record) = (std::mem::take(&mut t.stack), std::mem::take(&mut t.record));
+        self.threads[i] = self.make_thread(stack, record, f, args);
     }
 
     /// Number of threads (including finished ones).
@@ -618,14 +646,17 @@ impl<'p> Vm<'p> {
 
     /// Quarantines a failed thread: clears its stack so the collector
     /// stops tracing it (its heap data dies at the next collection) and
-    /// drops its parked state. The scheduler uses this to let sibling
-    /// tasks run on after one task errors.
+    /// drops its parked state, its floor and its walk record. The
+    /// scheduler uses this to let sibling tasks run on after one task
+    /// errors.
     ///
     /// Stepping a killed thread is an error ([`VmError::Internal`]) until
     /// [`Vm::respawn_thread`] gives it new work.
     pub fn kill_thread(&mut self, i: usize) {
         let t = &mut self.threads[i];
         t.stack.clear();
+        t.floor = 0;
+        t.record.clear();
         t.parked = None;
         t.halt = Some(Halt::Killed);
     }
@@ -980,6 +1011,9 @@ impl<'p> Vm<'p> {
                         }
                         let (site, dst) = tfgc_gc::unpack_ret(r.stack[r.fp + 1]);
                         r.stack.truncate(r.fp);
+                        // The caller runs again: it and everything above
+                        // it must be decoded at the next collection.
+                        r.floor = r.floor.min(saved as usize);
                         // Resume after the call — the paper's `jmpl
                         // %o7+12` skipping the gc_word (ours lives in a
                         // side table keyed by the site).
@@ -1368,9 +1402,10 @@ impl<'p> Vm<'p> {
     }
 
     /// Gathers every live thread's stack as roots and runs one
-    /// collection cycle. Factored out of [`Vm::collect_now`] so a minor
-    /// whose survivor half overflowed can escalate to a major within
-    /// the same pause.
+    /// collection cycle, after which no frame below a live thread's top
+    /// frame has run: its floor rises there. Factored out of
+    /// [`Vm::collect_now`] so a minor whose survivor half overflowed can
+    /// escalate to a major within the same pause.
     fn run_collection(&mut self, site: CallSiteId, operands: &mut [Word], minor: bool) {
         let (stacks, operand_stack) = live_stacks(
             self.threads.iter_mut(),
@@ -1381,6 +1416,8 @@ impl<'p> Vm<'p> {
                 top_fp: t.fp,
                 stack: &mut t.stack,
                 current_site,
+                floor: t.floor,
+                record: &mut t.record,
             },
         );
         collect(
@@ -1398,6 +1435,9 @@ impl<'p> Vm<'p> {
             },
             minor,
         );
+        for t in self.threads.iter_mut().filter(|t| t.is_live()) {
+            t.floor = t.fp;
+        }
     }
 
     /// Oracle hook: renders everything reachable from the collector's

@@ -439,3 +439,46 @@ fn a_collection_walks_parked_threads_and_refuses_one_stopped_by_its_budget() {
         caught.message
     );
 }
+
+#[test]
+fn a_respawned_thread_is_walked_whole_at_its_first_collection() {
+    // A collection deep in a recursion leaves the thread's floor high and
+    // its walk recorded. Killing the thread must forget both: its
+    // successor allocates in its bottom frame before any return could
+    // lower the floor, so the collection there must decode every frame.
+    let prog = compile(
+        "fun build n = if n = 0 then [] else n :: build (n - 1) ;
+         fun len xs = case xs of [] => 0 | _ :: r => 1 + len r ;
+         fun deep n = if n = 0 then len (build 3) else 1 + deep (n - 1) ;
+         val keep = build 5 ;
+         fun fresh n = len (n :: keep) ;
+         0",
+    );
+    let cfg = VmConfig::new(Strategy::Compiled).verify_heap(true);
+    let mut vm = task_vm(&prog, cfg, "deep", 300);
+    let stop = SafePoints::Allocations;
+    let Ok(BurstEnd::SafePoint(site)) = vm.burst(u64::MAX, stop).end else {
+        panic!("the recursion must stop before its first allocation");
+    };
+    assert!(vm.stack_words() > 900, "{} words", vm.stack_words());
+    vm.collect_parked(site).unwrap();
+
+    vm.kill_thread(1);
+    let arg = vm.encode_int(7);
+    vm.respawn_thread(1, fn_named(&prog, "fresh"), &[arg]);
+    let one_frame = vm.stack_words();
+    let Ok(BurstEnd::SafePoint(site)) = vm.burst(u64::MAX, stop).end else {
+        panic!("`fresh` must stop before its allocation");
+    };
+    assert_eq!(vm.stack_words(), one_frame, "still in the bottom frame");
+    vm.collect_parked(site).unwrap();
+    assert_eq!(vm.gc_stats.collections, 2);
+    let w = loop {
+        match vm.burst(u64::MAX, SafePoints::None).end {
+            Ok(BurstEnd::Done(w)) => break w,
+            Ok(BurstEnd::Budget) => {}
+            end => panic!("`fresh` must finish: {end:?}"),
+        }
+    };
+    assert_eq!(vm.decode_int(w), 6);
+}

@@ -51,6 +51,15 @@ fn deep_recursion_builds_o_sites_not_o_frames() {
             out.gc.rt_cache_misses,
             out.gc.frames_visited
         );
+        // A frame kept below its thread's floor is replayed with no
+        // lookup, and still counts the hit its lookup would have scored.
+        assert!(
+            out.gc.rt_cache_hits + out.gc.rt_cache_misses >= out.gc.frames_visited,
+            "{s}: {} hits and {} misses for {} frame visits — one lookup per frame",
+            out.gc.rt_cache_hits,
+            out.gc.rt_cache_misses,
+            out.gc.frames_visited
+        );
     }
 }
 
