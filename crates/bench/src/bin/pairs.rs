@@ -38,8 +38,12 @@
 //! of `BENCHMARK.json` whose unit counts work (`count`, `words`, `B`,
 //! `KiB` or `instructions`) to read the same on both sides. It prints
 //! each metric that differs, or how many counts agreed, and exits 1 when
-//! one differs or an operation failed. Times and ratios are not
-//! compared; `--pairs` and `--json` do not apply.
+//! one differs or an operation failed. Then it prints every per-layer
+//! metric that is not a count (in `BENCHMARK.json`: the times and
+//! ratios), both sides and change/parent, so a change can show which
+//! layer its time moved in (a time both sides read as 0 is left out). Those come from one traced
+//! run per side and get no verdict: they never decide the exit status.
+//! `--pairs` and `--json` do not apply.
 
 use std::process::{Command, ExitCode};
 use tfgc::obs::json::parse;
@@ -74,6 +78,9 @@ struct Spec {
     metrics: Vec<Metric>,
     /// The per-layer metrics whose unit is one of [`COUNT_UNITS`].
     layer_counts: Vec<String>,
+    /// Every other per-layer metric: `--layers` prints them and judges
+    /// none.
+    layer_times: Vec<String>,
     run_seconds: f64,
 }
 
@@ -106,10 +113,13 @@ fn read_spec(text: &str) -> Result<Spec, String> {
             })
         })
         .collect::<Result<_, String>>()?;
-    let mut layer_counts = Vec::new();
+    let (mut layer_counts, mut layer_times) = (Vec::new(), Vec::new());
     for m in list("per_layer")? {
-        if COUNT_UNITS.contains(&str_of(m, "unit")?.as_str()) {
+        let unit = str_of(m, "unit")?;
+        if COUNT_UNITS.contains(&unit.as_str()) {
             layer_counts.push(str_of(m, "name")?);
+        } else {
+            layer_times.push(str_of(m, "name")?);
         }
     }
     let run_seconds = doc
@@ -120,6 +130,7 @@ fn read_spec(text: &str) -> Result<Spec, String> {
         workloads,
         metrics,
         layer_counts,
+        layer_times,
         run_seconds,
     })
 }
@@ -378,6 +389,34 @@ fn differing_counts(names: &[String], parent: &RunResult, change: &RunResult) ->
         .collect()
 }
 
+/// The `--layers` printout of the times among `names`: one line each,
+/// both sides and change/parent. A time neither traced run reported, or
+/// that both read as 0 (a layer the workload does not run), is left out.
+fn layer_time_rows(
+    workload: &str,
+    names: &[String],
+    parent: &RunResult,
+    change: &RunResult,
+) -> Vec<String> {
+    let value = |v: Option<f64>| v.map_or("missing".into(), |v| format!("{v:.4}"));
+    names
+        .iter()
+        .filter_map(|name| {
+            let (p, c) = (parent.value(name), change.value(name));
+            let ratio = match (p, c) {
+                (Some(p), Some(c)) if p != 0.0 => format!("{:.3}", c / p),
+                (None | Some(0.0), None | Some(0.0)) => return None,
+                _ => "n/a".into(),
+            };
+            Some(format!(
+                "{workload:<10} {name:<40} parent {:>14} change {:>14} change/parent {ratio:>7}",
+                value(p),
+                value(c)
+            ))
+        })
+        .collect()
+}
+
 /// Runs one benchmark binary once and reads its result line; `traced`
 /// adds `--trace 1`, for the per-layer metrics.
 fn run_once(
@@ -503,12 +542,14 @@ fn plan(args: &Args) -> Result<(Spec, Vec<String>, f64), String> {
     Ok((spec, workloads, seconds))
 }
 
-/// `--layers`: one traced run per side and workload, and every per-layer
-/// count compared; `Ok(false)` when a count differed or an operation
-/// failed.
+/// `--layers`: one traced run per side and workload, every per-layer
+/// count compared, then every other per-layer metric printed side by side;
+/// `Ok(false)` when a count differed or an operation failed.
 fn compare_layers(args: &Args) -> Result<bool, String> {
     let (spec, workloads, seconds) = plan(args)?;
     let mut ok = true;
+    let mut times =
+        vec!["per-layer times and ratios: one traced run per side, no verdict".to_string()];
     for w in &workloads {
         let parent = run_once(&args.parent, w, args.seed, seconds, true)?;
         let change = run_once(&args.change, w, args.seed, seconds, true)?;
@@ -532,7 +573,9 @@ fn compare_layers(args: &Args) -> Result<bool, String> {
             );
         }
         ok &= diffs.is_empty() && parent.failed == 0.0 && change.failed == 0.0;
+        times.extend(layer_time_rows(w, &spec.layer_times, &parent, &change));
     }
+    println!("{}", times.join("\n"));
     Ok(ok)
 }
 
@@ -775,6 +818,49 @@ mod tests {
             ]
         );
         assert!(differing_counts(counts, &p, &p).is_empty());
+    }
+
+    #[test]
+    fn layers_print_every_time_side_by_side() {
+        let spec = read_spec(include_str!("../../../../BENCHMARK.json")).unwrap();
+        let times = &spec.layer_times;
+        for name in ["gc.collect_ms", "gc.ns_per_word_copied", "gc.share"] {
+            assert!(times.iter().any(|n| n == name), "{name} is printed");
+        }
+        assert!(!times.iter().any(|n| spec.layer_counts.contains(n)));
+        let parent = traced_line(&[
+            ("vm.instructions", 5000.0, "count"),
+            ("gc.collect_ms", 2.5, "ms"),
+            ("gc.share", 0.4, "ratio"),
+            ("vm.ns_per_instr", 0.0, "ns"),
+            ("gc.ns_per_frame", 0.0, "ns"),
+        ]);
+        let change = traced_line(&[
+            ("vm.instructions", 5000.0, "count"),
+            ("gc.collect_ms", 1.1, "ms"),
+            ("vm.ns_per_instr", 6.0, "ns"),
+            ("gc.ns_per_frame", 0.0, "ns"),
+        ]);
+        let (p, c) = (read_result(&parent).unwrap(), read_result(&change).unwrap());
+        let rows = layer_time_rows("gc_wide", times, &p, &c);
+        let row = |name: &str| {
+            rows.iter()
+                .find(|r| r.split_whitespace().nth(1) == Some(name))
+                .map(|r| r.split_whitespace().collect::<Vec<_>>())
+        };
+        // Both sides and change/parent; a side that did not report the
+        // metric, or a zero parent, has no ratio; a count, and a time
+        // both sides read as 0, is not printed.
+        assert_eq!(
+            row("gc.collect_ms").unwrap()[2..].join(" "),
+            "parent 2.5000 change 1.1000 change/parent 0.440"
+        );
+        assert_eq!(row("gc.share").unwrap()[5], "missing");
+        assert_eq!(row("gc.share").unwrap()[7], "n/a");
+        assert_eq!(row("vm.ns_per_instr").unwrap()[7], "n/a");
+        assert!(row("vm.instructions").is_none());
+        assert!(row("gc.ns_per_frame").is_none());
+        assert_eq!(rows.len(), 3, "a time neither side reported is left out");
     }
 
     #[test]

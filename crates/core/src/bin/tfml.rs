@@ -42,7 +42,7 @@ tfml help | --help                       print this text
 OPTS:
   --strategy S     compiled | compiled-nolive | interpreted | appel | tagged
   --heap N         semispace words (default 65536)
-  --force-gc N     force a collection every N allocations
+  --force-gc N     force a collection every N allocations (N >= 1)
   --refined        use the closure-flow-refined GC-point analysis
   --stats          print run statistics
   --verify-heap    walk the reachable graph after every collection,
@@ -298,6 +298,11 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
             }
         }
         i += 1;
+    }
+    if force_gc == Some(0) {
+        return Err(usage(
+            "--force-gc must be at least 1: it forces a collection every N allocations",
+        ));
     }
     if verify_oracle {
         let other = flags
@@ -947,6 +952,7 @@ mod tests {
             vec!["run", "--heap", "x", "-e", "1"],
             vec!["run", "--heap", "-e"],
             vec!["run", "--force-gc", "ten", "-e", "1"],
+            vec!["run", "--force-gc", "0", "-e", "[1, 2, 3]"],
             vec!["run", "--events", "1.5", "-e", "1"],
             vec!["serve", "--requests", "many"],
             vec!["serve", "--pool", "0"],

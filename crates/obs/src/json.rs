@@ -227,8 +227,10 @@ fn write_str(s: &str, out: &mut String) {
 /// Keys whose values are wall-clock measurements. Every exported
 /// document follows one convention: a wall-clock value, or a subtree of
 /// them, sits under one of these keys, and everything else is a pure
-/// function of the workload, config and seed.
-pub const WALL_CLOCK_KEYS: [&str; 13] = [
+/// function of the workload, config and seed. A verdict computed from
+/// timed samples (E13's and E15's pause gates) is a wall-clock value
+/// too.
+pub const WALL_CLOCK_KEYS: [&str; 15] = [
     "pause_ns",
     "pause_ns_total",
     "timing",
@@ -242,6 +244,8 @@ pub const WALL_CLOCK_KEYS: [&str; 13] = [
     "latency_p99_ns",
     "pause_p99_ns",
     "mmu_1ms",
+    "plan_pause_regression",
+    "minor_pause_regression",
 ];
 
 /// The deterministic projection of a document: every [`WALL_CLOCK_KEYS`]

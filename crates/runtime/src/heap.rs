@@ -24,8 +24,12 @@
 //! already dealt with an address (it needs no move, or it was forwarded)
 //! and where it lives now; on `None`, [`Heap::evacuate`] copies the object
 //! to its destination for the current phase and forwards it. Each call
-//! decodes the address region once, and both are `#[inline]` so the
-//! collector's copy loop compiles them into its own body.
+//! decodes the address region once. Both, and a major's copy, are
+//! `#[inline(always)]`; the generational `copy_minor` stays a call of its
+//! own. In the benchmark's default release profile (no LTO, 16 codegen
+//! units) the tag-free plan executor's assembly (`cargo rustc --release
+//! -p tfgc-gc --lib -- --emit asm`) shows `Collector::reloc_plan` calling
+//! neither function; no other profile was checked.
 //!
 //! **Generational tier.** [`Heap::new_generational`] fronts the two
 //! tenured spaces with a bump-pointer *nursery* at its own disjoint base,
@@ -493,7 +497,7 @@ impl Heap {
     /// minor — a minor never moves tenured objects), its forwarding
     /// address when [`Heap::evacuate`] already copied it, and `None` when
     /// it still has to be copied. Decodes the address region once.
-    #[inline]
+    #[inline(always)]
     pub fn relocated(&self, a: Addr) -> Option<Addr> {
         let (region, i) = Self::index(a);
         if region == 2 {
@@ -534,7 +538,7 @@ impl Heap {
     /// live ≤ allocated and to-space covers from-space plus the nursery
     /// at collection time; cannot happen for minors: the caller
     /// checked full-promotion headroom before starting one).
-    #[inline]
+    #[inline(always)]
     pub fn evacuate(&mut self, src: Addr, n: usize) -> Addr {
         let (region, i) = Self::index(src);
         let dst = match self.phase {
@@ -557,7 +561,7 @@ impl Heap {
         dst
     }
 
-    #[inline]
+    #[inline(always)]
     fn copy_major(&mut self, src: Addr, region: u8, si: usize, n: usize) -> Addr {
         assert!(
             self.to_alloc + n <= self.space_to().len(),
@@ -579,6 +583,7 @@ impl Heap {
         Addr(self.to_base() + di as u64)
     }
 
+    #[inline(never)]
     fn copy_minor(&mut self, region: u8, si: usize, n: usize) -> Addr {
         assert_eq!(region, 2, "minor collection asked to copy a tenured object");
         let age = self.ages[si].saturating_add(1);

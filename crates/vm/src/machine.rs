@@ -61,7 +61,8 @@ pub struct VmConfig {
     pub heap_words: usize,
     /// Force a collection every `n` allocations (used by the liveness
     /// precision experiment to compare retained bytes at identical
-    /// program points).
+    /// program points). See [`VmConfig::force_gc_every`] for the
+    /// contract on `n`.
     pub force_gc_every: Option<u64>,
     /// Instruction budget (`None` = unlimited).
     pub max_steps: Option<u64>,
@@ -125,7 +126,9 @@ impl VmConfig {
         self
     }
 
-    /// Forces a collection every `n` allocations.
+    /// Forces a full collection every `n` allocations. `n` must be at
+    /// least 1 (`tfml --force-gc 0` is a usage error); the VM reads a
+    /// period of 0 as 1.
     pub fn force_gc_every(mut self, n: u64) -> VmConfig {
         self.force_gc_every = Some(n);
         self
