@@ -2,10 +2,14 @@
 //!
 //! §1.1.1 points out that uninitialized variables "present a problem to
 //! the garbage collector (it may think that an uninitialized pointer
-//! contains a valid address)". Our compiled frame routines trace
-//! `live ∩ assigned` slots; this module computes the *definitely assigned
-//! before pc* sets and doubles as a compile-time validator that generated
-//! code never leaves a live slot uninitialized at a GC point.
+//! contains a valid address)". This module computes the *definitely
+//! assigned before pc* sets. The compiled and interpreted frame routines
+//! trace only slots in them (the metadata build starts each site's slot
+//! set from its assigned set, then narrows it to the live ones), so no
+//! routine reads an uninitialized slot.
+//! [`InitAnalysis::validate_live_assigned`] checks the stronger property
+//! that generated code never leaves a live slot unassigned at a GC point;
+//! only tests run it.
 //!
 //! The Appel-style single-descriptor strategy (§1.1.1) cannot consult
 //! per-site assignment information, which is why that strategy forces the

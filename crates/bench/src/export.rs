@@ -17,14 +17,14 @@ use std::io;
 use std::path::{Path, PathBuf};
 use tfgc::gc::{GcMeta, NO_TRACE};
 use tfgc::obs::{deterministic_view, CollectionKind, Json, Obs};
-use tfgc::tasking::{find_fn, serve_requests_overload, ServeReport, SuspendPolicy, TaskConfig};
+use tfgc::tasking::{find_fn, serve_requests_overload, ServeReport, SuspendPolicy};
 use tfgc::workloads::programs;
 use tfgc::{
     Compiled, OverloadConfig, OverloadSlo, Request, RunOutcome, ServeConfig, ServeRun, Strategy,
     VmConfig,
 };
 
-/// Raw events retained per profiled run (aggregates are exact anyway).
+/// Timeline events retained per profiled run (aggregates are exact anyway).
 const RING: usize = 1 << 14;
 
 /// All experiment ids, in order. E14 is the fuzz campaign's report,
@@ -359,7 +359,7 @@ fn e7_json() -> Json {
         .enumerate()
         .map(|(i, (f, arg))| Request::new(*f, *arg, i as u32))
         .collect();
-    let serve = |cfg: TaskConfig, obs: Obs| -> (ServeReport, Obs) {
+    let serve = |cfg: VmConfig, obs: Obs| -> (ServeReport, Obs) {
         serve_requests_overload(
             &c.program,
             &tasks,
@@ -380,7 +380,7 @@ fn e7_json() -> Json {
     ]
     .iter()
     .map(|policy| {
-        let mut cfg = TaskConfig::new(Strategy::Compiled);
+        let mut cfg = VmConfig::new(Strategy::Compiled);
         cfg.heap_words = 1 << 11;
         cfg.policy = *policy;
         cfg.quantum = 48;
@@ -407,7 +407,7 @@ fn e7_json() -> Json {
     let profiles = Strategy::ALL
         .iter()
         .map(|s| {
-            let mut cfg = TaskConfig::new(*s);
+            let mut cfg = VmConfig::new(*s);
             cfg.heap_words = 1 << 14;
             cfg.quantum = 48;
             let (r, obs) = serve(cfg, Obs::ring(RING));
@@ -768,7 +768,7 @@ fn e15_json() -> Json {
     ];
     let traffic = tfgc::serve::build_traffic(&c.program, 1, 400, &mix);
     let run = |s: Strategy, nursery: Option<usize>| {
-        let mut tc = TaskConfig::new(s);
+        let mut tc = VmConfig::new(s);
         tc.heap_words = 1 << 14;
         tc.heap_max_words = Some(1 << 14);
         tc.policy = SuspendPolicy::EveryCall;
@@ -836,7 +836,7 @@ fn e15_json() -> Json {
         .iter()
         .map(|m| {
             let traffic = tfgc::serve::build_traffic(&c.program, 1, 120, std::slice::from_ref(m));
-            let mut tc = TaskConfig::new(Strategy::Compiled);
+            let mut tc = VmConfig::new(Strategy::Compiled);
             tc.heap_words = 1 << 11;
             tc.heap_max_words = Some(1 << 16);
             tc.policy = SuspendPolicy::EveryCall;

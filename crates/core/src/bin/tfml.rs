@@ -59,7 +59,7 @@ OPTS:
                    generation (default 0 = promote on first survival)
   --trace FILE     write a Chrome-trace-event JSONL file (run/profile)
   --metrics FILE   write a JSON metrics document (run/profile)
-  --events N       raw events retained for --trace (default 65536)
+  --events N       timeline events retained for --trace (default 65536)
 
 SERVE OPTS (one table row per strategy; the E11/E12 documents come
 from `experiments --json`):
@@ -172,19 +172,15 @@ where
 }
 
 struct Opts {
-    strategy: Strategy,
-    heap: usize,
-    force_gc: Option<u64>,
+    /// The run the options configure: `run`, `profile` and `gcmap` use
+    /// it as given, and `compare` under each strategy in turn.
+    vm: VmConfig,
     refined: bool,
     stats: bool,
-    verify_heap: bool,
     verify_oracle: bool,
     trace: Option<String>,
     metrics: Option<String>,
     events: usize,
-    /// The nursery size when the run is generational.
-    nursery_words: Option<usize>,
-    promote_after: u32,
     source: String,
 }
 
@@ -250,19 +246,14 @@ fn nursery(heap: usize, nursery_words: Option<usize>) -> Result<usize, CliError>
 const ORACLE_OPTS: [&str; 4] = ["--verify-oracle", "--strategy", "--heap", "--force-gc"];
 
 fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
-    let mut strategy = Strategy::Compiled;
-    let mut heap = 1usize << 16;
-    let mut force_gc = None;
+    let mut vm = VmConfig::new(Strategy::Compiled);
     let mut refined = false;
     let mut stats = false;
-    let mut verify_heap = false;
     let mut verify_oracle = false;
     let mut trace = None;
     let mut metrics = None;
     let mut events = 1usize << 16;
     let mut generational = false;
-    let mut nursery_words = None;
-    let mut promote_after = 0u32;
     let mut source: Option<String> = None;
     let mut flags = Vec::new();
     let mut i = 0;
@@ -270,20 +261,20 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
         flags.push(args[i].as_str());
         match args[i].as_str() {
             "--strategy" => {
-                strategy = parse_strategy(&flag_value::<String>(args, &mut i, "--strategy")?)?;
+                vm.strategy = parse_strategy(&flag_value::<String>(args, &mut i, "--strategy")?)?;
             }
-            "--heap" => heap = flag_value(args, &mut i, "--heap")?,
-            "--force-gc" => force_gc = Some(flag_value(args, &mut i, "--force-gc")?),
+            "--heap" => vm.heap_words = flag_value(args, &mut i, "--heap")?,
+            "--force-gc" => vm.force_gc_every = Some(flag_value(args, &mut i, "--force-gc")?),
             "--refined" => refined = true,
             "--stats" => stats = true,
-            "--verify-heap" => verify_heap = true,
+            "--verify-heap" => vm.verify_heap = true,
             "--verify-oracle" => verify_oracle = true,
             "--generational" => generational = true,
             "--nursery-words" => {
                 generational = true;
-                nursery_words = Some(flag_value(args, &mut i, "--nursery-words")?);
+                vm.nursery_words = Some(flag_value(args, &mut i, "--nursery-words")?);
             }
-            "--promote-after" => promote_after = flag_value(args, &mut i, "--promote-after")?,
+            "--promote-after" => vm.promote_after = flag_value(args, &mut i, "--promote-after")?,
             "--trace" => trace = Some(flag_value(args, &mut i, "--trace")?),
             "--metrics" => metrics = Some(flag_value(args, &mut i, "--metrics")?),
             "--events" => events = flag_value(args, &mut i, "--events")?,
@@ -299,7 +290,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
         }
         i += 1;
     }
-    if force_gc == Some(0) {
+    if vm.force_gc_every == Some(0) {
         return Err(usage(
             "--force-gc must be at least 1: it forces a collection every N allocations",
         ));
@@ -315,24 +306,17 @@ fn parse_opts(args: &[String]) -> Result<Opts, CliError> {
             )));
         }
     }
-    let nursery_words = if generational {
-        Some(nursery(heap, nursery_words)?)
-    } else {
-        None
-    };
+    if generational {
+        vm.nursery_words = Some(nursery(vm.heap_words, vm.nursery_words)?);
+    }
     Ok(Opts {
-        strategy,
-        heap,
-        force_gc,
+        vm,
         refined,
         stats,
-        verify_heap,
         verify_oracle,
         trace,
         metrics,
         events,
-        nursery_words,
-        promote_after,
         source: source.ok_or_else(|| usage("no program given (file path or -e SRC)"))?,
     })
 }
@@ -376,22 +360,6 @@ fn run(args: Vec<String>) -> Result<(), CliError> {
     }
 }
 
-/// The configuration of a run under `strategy` with every other option
-/// as given: `run`, `profile` and `compare` build their runs from this
-/// and [`metadata_for`].
-fn vm_config(opts: &Opts, strategy: Strategy) -> VmConfig {
-    let mut cfg = VmConfig::new(strategy)
-        .heap_words(opts.heap)
-        .verify_heap(opts.verify_heap);
-    if let Some(n) = opts.force_gc {
-        cfg = cfg.force_gc_every(n);
-    }
-    if let Some(n) = opts.nursery_words {
-        cfg = cfg.generational(n, opts.promote_after);
-    }
-    cfg
-}
-
 /// The metadata `strategy` runs on: `--refined` picks the closure-flow
 /// refinement of the GC-point analysis.
 fn metadata_for(compiled: &Compiled, opts: &Opts, strategy: Strategy) -> tfgc::gc::GcMeta {
@@ -408,8 +376,8 @@ fn run_opts(
     opts: &Opts,
     record: bool,
 ) -> Result<(tfgc::RunOutcome, Option<RingRecorder>), String> {
-    let cfg = vm_config(opts, opts.strategy);
-    let meta = metadata_for(compiled, opts, opts.strategy);
+    let meta = metadata_for(compiled, opts, opts.vm.strategy);
+    let cfg = opts.vm.clone();
     if record {
         let (out, obs) = compiled
             .run_observed(cfg, meta, Obs::ring(opts.events))
@@ -423,13 +391,22 @@ fn run_opts(
     }
 }
 
-/// Writes the `--trace` / `--metrics` files from a recorded run.
-fn write_exports(compiled: &Compiled, opts: &Opts, rec: &RingRecorder) -> Result<(), String> {
+/// Writes the `--trace` / `--metrics` files from a run of `cmd` that
+/// was recorded.
+fn write_exports(
+    cmd: &str,
+    compiled: &Compiled,
+    opts: &Opts,
+    rec: &RingRecorder,
+) -> Result<(), String> {
     if let Some(path) = &opts.trace {
         let mut events: Vec<GcEvent> = compiled.phases.clone();
         events.extend(rec.events().iter().cloned());
         std::fs::write(path, write_chrome_trace(&events))
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
+        if let Some(note) = trace_dropped_note(cmd, rec) {
+            eprintln!("{note}");
+        }
     }
     if let Some(path) = &opts.metrics {
         let doc = tfgc::metrics_json(rec, &compiled.program);
@@ -447,21 +424,21 @@ fn cmd_run(compiled: &Compiled, opts: &Opts) -> Result<(), String> {
         let (out, collections) = oracle_check(
             &compiled.program,
             &compiled.analyses,
-            opts.strategy,
-            opts.heap,
-            opts.force_gc.unwrap_or(64),
+            opts.vm.strategy,
+            opts.vm.heap_words,
+            opts.vm.force_gc_every.unwrap_or(64),
         )?;
         println!("{}", out.result);
         eprintln!(
             "oracle: {collections} collection(s) under {} match the tagged replay",
-            opts.strategy
+            opts.vm.strategy
         );
         return Ok(());
     }
     let record = opts.trace.is_some() || opts.metrics.is_some();
     let (out, rec) = run_opts(compiled, opts, record)?;
     if let Some(rec) = &rec {
-        write_exports(compiled, opts, rec)?;
+        write_exports("run", compiled, opts, rec)?;
     }
     for v in &out.printed {
         println!("{v}");
@@ -489,14 +466,14 @@ fn cmd_profile(compiled: &Compiled, opts: &Opts) -> Result<(), String> {
     let rec = rec.ok_or_else(|| {
         "profile: the run produced no recorder (ring sink failed to attach)".to_string()
     })?;
-    write_exports(compiled, opts, &rec)?;
+    write_exports("profile", compiled, opts, &rec)?;
     println!("result {}", out.result);
     print!("{}", tfgc::profile_report(&rec, &compiled.program));
     Ok(())
 }
 
 fn cmd_gcmap(compiled: &Compiled, opts: &Opts) -> Result<(), String> {
-    let meta = metadata_for(compiled, opts, opts.strategy);
+    let meta = metadata_for(compiled, opts, opts.vm.strategy);
     let mut t = Table::new(&["site", "function", "pc", "kind", "gc_word"]);
     for site in &compiled.program.sites {
         let f = &compiled.program.funs[site.fn_id.0 as usize];
@@ -704,7 +681,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
         let events: Vec<GcEvent> = rec.events().iter().cloned().collect();
         std::fs::write(path, write_chrome_trace(&events))
             .map_err(|e| format!("cannot write `{path}`: {e}"))?;
-        if let Some(note) = trace_dropped_note(rec) {
+        if let Some(note) = trace_dropped_note("serve", rec) {
             eprintln!("{note}");
         }
     }
@@ -729,13 +706,13 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// What `serve --trace` says when the run outgrew the ring: the trace
-/// holds only the run's last events.
-fn trace_dropped_note(rec: &RingRecorder) -> Option<String> {
+/// What `cmd --trace` says when the run outgrew the ring: the trace
+/// holds only the run's last timeline events.
+fn trace_dropped_note(cmd: &str, rec: &RingRecorder) -> Option<String> {
     let kept = rec.events().len() as u64;
     (rec.dropped() > 0).then(|| {
         format!(
-            "serve: --trace kept the last {kept} of {} events (the ring holds {}); \
+            "{cmd}: --trace kept the last {kept} of {} events (the ring holds {}); \
              the start of the run is not in the trace",
             kept + rec.dropped(),
             rec.capacity()
@@ -910,9 +887,13 @@ fn compare_runs<'a>(
     compiled: &'a Compiled,
     opts: &'a Opts,
 ) -> impl Iterator<Item = (Strategy, VmConfig, tfgc::gc::GcMeta)> + 'a {
-    Strategy::ALL
-        .into_iter()
-        .map(|s| (s, vm_config(opts, s), metadata_for(compiled, opts, s)))
+    Strategy::ALL.into_iter().map(|s| {
+        let cfg = VmConfig {
+            strategy: s,
+            ..opts.vm.clone()
+        };
+        (s, cfg, metadata_for(compiled, opts, s))
+    })
 }
 
 fn cmd_compare(compiled: &Compiled, opts: &Opts) -> Result<(), String> {
@@ -1090,13 +1071,24 @@ mod tests {
         }
     }
 
+    /// Runs `tfml ARGS --trace FILE` and returns what it wrote to FILE, a
+    /// temporary file named after `name`.
+    fn trace_of(name: &str, args: &[&str]) -> String {
+        let path = std::env::temp_dir().join(format!("tfml-{name}-{}.trace", std::process::id()));
+        let mut args = strings(args);
+        args.push("--trace".to_string());
+        args.push(path.to_str().expect("utf-8 temp path").to_string());
+        run(args).expect("tfml runs");
+        let text = std::fs::read_to_string(&path).expect("trace written");
+        std::fs::remove_file(&path).ok();
+        text
+    }
+
     /// `serve --trace` writes the run's ring: every line after the
     /// opening bracket is one JSON object, requests are async spans and
     /// collections are duration events.
     #[test]
     fn serve_trace_holds_request_spans_and_collections() {
-        let path = std::env::temp_dir().join(format!("tfml-serve-{}.trace", std::process::id()));
-        let path_str = path.to_str().expect("utf-8 temp path").to_string();
         let args = [
             "serve",
             "--strategy",
@@ -1105,12 +1097,8 @@ mod tests {
             "24",
             "--heap",
             "512",
-            "--trace",
-            &path_str,
         ];
-        run(strings(&args)).expect("serve runs");
-        let text = std::fs::read_to_string(&path).expect("trace written");
-        std::fs::remove_file(&path).ok();
+        let text = trace_of("serve", &args);
         let mut lines = text.lines();
         assert_eq!(lines.next(), Some("["));
         let mut phases = Vec::new();
@@ -1174,23 +1162,60 @@ mod tests {
         run(strings(&ok)).expect("the replay's own options run");
     }
 
-    /// `serve --trace` keeps the last events of a run that outgrows the
-    /// ring, and says so.
+    /// `--trace` keeps the last timeline events of a run that outgrows
+    /// the ring, and says so: a served run fits its ring, and a run
+    /// recorded into a ring of 8 keeps only its last four collections.
     #[test]
     fn serve_trace_says_when_the_ring_dropped_events() {
-        for (requests, drops) in [(24, false), (1000, true)] {
-            let mut cfg = tfgc::ServeConfig::new(Strategy::Compiled);
-            cfg.requests = requests;
-            let run = tfgc::serve(&cfg).expect("serve runs");
-            let note = trace_dropped_note(&run.rec);
-            assert_eq!(note.is_some(), drops, "{requests} requests: {note:?}");
-            if let Some(note) = note {
-                let kept = run.rec.events().len() as u64;
-                let total = kept + run.rec.dropped();
-                let counts = format!("kept the last {kept} of {total} events");
-                assert!(note.contains(&counts), "{note}");
-            }
-        }
+        let mut cfg = tfgc::ServeConfig::new(Strategy::Compiled);
+        cfg.requests = 24;
+        let run = tfgc::serve(&cfg).expect("serve runs");
+        assert_eq!(trace_dropped_note("serve", &run.rec), None);
+
+        let c =
+            Compiled::compile("fun build n = if n = 0 then [] else n :: build (n - 1) ; build 60")
+                .unwrap();
+        let cfg = VmConfig::new(Strategy::Compiled).force_gc_every(5);
+        let (out, obs) = c
+            .run_observed(cfg, c.metadata(Strategy::Compiled), Obs::ring(8))
+            .expect("runs");
+        let rec = obs.into_recorder().unwrap();
+        assert!(out.heap.collections > 4);
+        let note = trace_dropped_note("run", &rec).expect("the ring overflowed");
+        let total = 2 * out.heap.collections;
+        let counts = format!("run: --trace kept the last 8 of {total} events");
+        assert!(note.starts_with(&counts), "{note}");
+    }
+
+    /// The trace of a 1,000-request service holds every request's span:
+    /// the ring keeps no per-allocation record.
+    #[test]
+    fn serve_trace_keeps_every_request_of_a_long_run() {
+        let args = ["serve", "--strategy", "compiled", "--requests", "1000"];
+        let text = trace_of("long", &args);
+        let begins = text
+            .lines()
+            .filter(|l| l.contains(r#""ph":"b""#) && l.contains(r#""cat":"request""#))
+            .count();
+        assert_eq!(begins, 1000);
+    }
+
+    /// A deep stack visited by 80 forced collections emits hundreds of
+    /// thousands of frame and routine records; the trace still holds
+    /// every collection.
+    #[test]
+    fn run_trace_keeps_every_collection_of_a_deep_run() {
+        let src = "fun build n = if n = 0 then [] else n :: build (n - 1) ; \
+                   fun sum xs = case xs of [] => 0 | x :: r => x + sum r ; \
+                   fun deep n = if n = 0 then sum (build 20) else 1 + deep (n - 1) ; \
+                   fun go k = if k = 0 then 0 else deep 2000 + go (k - 1) ; \
+                   print (go 200)";
+        let text = trace_of("deep", &["run", "--force-gc", "50", "-e", src]);
+        let collections = text
+            .lines()
+            .filter(|l| l.contains(r#""cat":"gc","ph":"X""#))
+            .count();
+        assert_eq!(collections, 80);
     }
 
     #[test]

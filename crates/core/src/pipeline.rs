@@ -157,7 +157,7 @@ impl Compiled {
     }
 
     /// Runs under `cfg`'s strategy with a [`tfgc_obs::RingRecorder`] of
-    /// `ring_capacity` raw events attached, returning the outcome and
+    /// `ring_capacity` timeline events attached, returning the outcome and
     /// the recorder (histograms, allocation-site profile, per-collection
     /// summaries).
     ///

@@ -43,9 +43,8 @@ use tfgc_gc::Strategy;
 use tfgc_obs::{Json, Obs, RingRecorder};
 use tfgc_tasking::{
     find_fn, serve_requests_overload, AdmissionPolicy, OverloadConfig, Request, ServeReport,
-    TaskConfig,
 };
-use tfgc_vm::{capture_panics_mut, with_quiet_panics, FaultPlan, VmError};
+use tfgc_vm::{capture_panics_mut, with_quiet_panics, FaultPlan, VmConfig, VmError};
 use tfgc_workloads::{fnv1a64, SmallRng};
 
 /// The service program: a persistent global table (the shared heap
@@ -129,16 +128,18 @@ pub const MIX: [MixEntry; 5] = [
     },
 ];
 
-/// Raw events retained per run (what `tfml serve --trace` writes; the
+/// Timeline events retained per run (what `tfml serve --trace` writes; the
 /// aggregates are exact regardless).
 const RING: usize = 1 << 14;
 
 /// Service-run configuration (`tfml serve` flags map 1:1 onto this).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// The shared heap and scheduler every request runs on: strategy,
-    /// heap size and growth ceiling, quantum, fault plan, nursery.
-    pub task: TaskConfig,
+    /// The run every request shares: strategy, heap size and growth
+    /// ceiling, nursery, fault plan, suspension policy and quantum. It
+    /// must not set [`VmConfig::force_gc_every`], which the request
+    /// engine refuses.
+    pub task: VmConfig,
     /// Total requests to drain.
     pub requests: usize,
     /// Concurrent pool slots.
@@ -171,11 +172,11 @@ impl ServeConfig {
     /// Defaults: 400 requests over 4 slots, seed 1, 2Ki-word semispaces
     /// growable to 64Ki words (tight enough that steady-state traffic
     /// collects repeatedly — a server that never collects measures
-    /// nothing), and otherwise [`TaskConfig::new`]'s every-call
+    /// nothing), and otherwise [`VmConfig::new`]'s every-call
     /// suspension and 64-instruction quantum; occupancy sampled every
     /// 32 quanta.
     pub fn new(strategy: Strategy) -> ServeConfig {
-        let mut task = TaskConfig::new(strategy);
+        let mut task = VmConfig::new(strategy);
         task.heap_words = 1 << 11;
         task.heap_max_words = Some(1 << 16);
         ServeConfig {
@@ -221,7 +222,7 @@ pub fn build_traffic(
 }
 
 /// One completed service run: the engine's report (every count), the
-/// recorder (every wall-clock value, and the raw events `tfml serve
+/// recorder (every wall-clock value, and the timeline events `tfml serve
 /// --trace` writes), and the per-class request counts of the generated
 /// traffic.
 #[derive(Debug)]

@@ -8,10 +8,12 @@
 //! (strip the `[` header line and any trailing comma and each line
 //! parses as JSON).
 //!
+//! Only timeline events ([`GcEvent::is_timeline`]) are written.
 //! Mapping:
 //! * collections and pipeline phases → complete (`"ph": "X"`) duration
 //!   events on the GC/compile tracks;
-//! * allocations and task park/resume → instant (`"ph": "i"`) events;
+//! * task park/resume, verifier passes, faults and heap growth →
+//!   instant (`"ph": "i"`) events;
 //! * serve-mode heap samples → counter (`"ph": "C"`) events on the
 //!   `heap_words`, `live_words`, and `in_flight_requests` tracks, so
 //!   occupancy and load render as timelines under the duration events;
@@ -23,8 +25,10 @@
 //! * request sheds and deadline breaches → instant events;
 //! * serve-mode request start/end → async (`"ph": "b"`/`"e"`) events
 //!   keyed by request id, so each request renders as a span;
-//! * frame visits, routine runs, and object copies are deliberately not
-//!   exported (volume) — their aggregates live in the metrics document.
+//! * allocations, frame visits, routine runs, and object copies are not
+//!   exported (volume): their aggregates (per-site allocation counts,
+//!   the allocation histogram, per-collection summaries) live in the
+//!   metrics document.
 
 use crate::event::GcEvent;
 use crate::json::Json;
@@ -82,13 +86,13 @@ fn async_line(name: &str, cat: &str, ph: &str, ts_us: f64, id: u64, args: Json) 
     l
 }
 
-/// Renders `events` as a Chrome-loadable trace. Returns the full file
-/// contents.
+/// Renders the timeline events among `events` as a Chrome-loadable
+/// trace. Returns the full file contents.
 pub fn write_chrome_trace(events: &[GcEvent]) -> String {
     let mut out = String::from("[\n");
     // Collection begin timestamps, for pairing with their ends.
     let mut begins: HashMap<u64, (u64, &'static str)> = HashMap::new();
-    for ev in events {
+    for ev in events.iter().filter(|e| e.is_timeline()) {
         // Heap samples expand to one counter line per series.
         if let GcEvent::HeapSample {
             t_ns,
@@ -177,16 +181,6 @@ pub fn write_chrome_trace(events: &[GcEvent]) -> String {
                     ]),
                 ))
             }
-            GcEvent::Alloc {
-                t_ns, site, words, ..
-            } => Some(trace_line(
-                "alloc",
-                "alloc",
-                "i",
-                us(t_ns),
-                None,
-                Json::obj([("site", Json::from(site)), ("words", Json::from(words))]),
-            )),
             GcEvent::TaskParked { t_ns, task, site } => Some(trace_line(
                 &format!("park t{task}"),
                 "task",
@@ -349,6 +343,7 @@ pub fn write_chrome_trace(events: &[GcEvent]) -> String {
             GcEvent::FrameVisit { .. }
             | GcEvent::RoutineRun { .. }
             | GcEvent::ObjectCopied { .. }
+            | GcEvent::Alloc { .. }
             | GcEvent::HeapSample { .. }
             | GcEvent::BacklogSample { .. } => None,
         };
@@ -436,13 +431,15 @@ mod tests {
             assert!(v.get("ts").is_some());
             n += 1;
         }
-        // Phase + alloc + gc + park + resume (copies/frames not emitted).
-        assert_eq!(n, 5);
+        // Phase + gc + park + resume (allocations and copies are not
+        // timeline events).
+        assert_eq!(n, 4);
+        assert!(!text.contains("\"alloc\""), "{text}");
         // Whole-file: closing the array makes it strict JSON, as
         // Chrome's tolerant parser effectively does.
         let closed = format!("{}]", text.trim_end().trim_end_matches(','));
         let doc = json::parse(&closed).expect("array form parses");
-        assert_eq!(doc.as_arr().unwrap().len(), 5);
+        assert_eq!(doc.as_arr().unwrap().len(), 4);
     }
 
     /// Counter events: each heap sample expands to the three counter

@@ -211,6 +211,21 @@ pub enum GcEvent {
 }
 
 impl GcEvent {
+    /// Is this a timeline event, one a trace shows on its own? Every kind
+    /// is but the per-frame, per-routine, per-copy and per-allocation
+    /// records: a run emits those by the thousand, so only their
+    /// aggregates (site profiles, histograms, collection summaries) are
+    /// kept.
+    pub fn is_timeline(&self) -> bool {
+        !matches!(
+            self,
+            GcEvent::FrameVisit { .. }
+                | GcEvent::RoutineRun { .. }
+                | GcEvent::ObjectCopied { .. }
+                | GcEvent::Alloc { .. }
+        )
+    }
+
     /// A short stable name for the event kind (trace/export labels).
     pub fn kind(&self) -> &'static str {
         match self {

@@ -9,9 +9,9 @@
 //!   collection begin/end, per-frame visit, frame-routine invocation,
 //!   type-closure construction, per-call-site allocation, object copy,
 //!   task park/resume, pipeline phase.
-//! * [`GcEventSink`] — where events go. [`NullSink`] drops them;
-//!   [`RingRecorder`], the one recorder of batch and served runs alike,
-//!   keeps a bounded ring of raw events plus cumulative aggregates
+//! * [`GcEventSink`] — where events go. [`RingRecorder`], the one
+//!   recorder of batch and served runs alike, keeps a bounded ring of
+//!   timeline events ([`GcEvent::is_timeline`]) plus cumulative aggregates
 //!   (pause, allocation and request-latency [`Histogram`]s, a
 //!   per-call-site [`SiteProfile`] table with GC-survivor attribution,
 //!   a [`CollectionSummary`] per collection) and derives mutator
@@ -23,8 +23,8 @@
 //!   one predictable branch per emission site: the event value is only
 //!   constructed when a sink is attached (the closure passed to
 //!   [`Obs::emit`] does not run otherwise). A differential test in the
-//!   workspace proves a `NullSink` run is observably identical to a
-//!   build without observability.
+//!   workspace proves a recorded run is observably identical to an
+//!   unobserved one.
 //! * [`json`] — a hand-rolled minimal JSON model (writer + parser); the
 //!   workspace keeps its no-serde constraint (DESIGN.md §5). It also
 //!   holds the one wall-clock convention, [`WALL_CLOCK_KEYS`], and the
@@ -33,9 +33,10 @@
 //!   per line (Chrome's JSON Array Format, which tolerates a missing
 //!   closing bracket, so the file is simultaneously line-parseable).
 //!
-//! Event volume is bounded: the ring drops the oldest events past its
-//! capacity (counting the drops), while histograms and site profiles
-//! aggregate over *all* events ever recorded.
+//! Event volume is bounded: the ring keeps no per-frame, per-routine,
+//! per-copy or per-allocation record and drops the oldest timeline events
+//! past its capacity (counting the drops), while histograms and site
+//! profiles aggregate over *all* events ever recorded.
 
 pub mod chrome;
 pub mod event;
@@ -50,5 +51,5 @@ pub use event::{CollectionKind, GcEvent};
 pub use hist::Histogram;
 pub use json::{deterministic_view, Json, WALL_CLOCK_KEYS};
 pub use ring::{CollectionSummary, RingRecorder};
-pub use sink::{GcEventSink, NullSink, Obs};
+pub use sink::{GcEventSink, Obs};
 pub use sites::{SiteProfile, SiteTable};

@@ -1,6 +1,7 @@
-//! The in-memory recorder: a bounded ring of raw events plus exact
-//! cumulative aggregates. Batch and served runs attach the same one; a
-//! served run also reads its request latencies and pause intervals.
+//! The in-memory recorder: a bounded ring of timeline events plus exact
+//! cumulative aggregates over every event. Batch and served runs attach
+//! the same one; a served run also reads its request latencies and pause
+//! intervals.
 
 use crate::event::{CollectionKind, GcEvent};
 use crate::hist::Histogram;
@@ -35,15 +36,16 @@ pub struct CollectionSummary {
     pub plans_compiled: u64,
 }
 
-/// Records events into a bounded ring and maintains aggregates over the
-/// complete event stream: pause-time, allocation-size and request-latency
-/// histograms, per-call-site allocation/survivor profiles, one summary
-/// per collection, and the run's wall-clock extent.
+/// Records timeline events ([`GcEvent::is_timeline`]) into a bounded
+/// ring and maintains aggregates over the complete event stream:
+/// pause-time, allocation-size and request-latency histograms,
+/// per-call-site allocation/survivor profiles, one summary per
+/// collection, and the run's wall-clock extent.
 #[derive(Debug, Clone, Default)]
 pub struct RingRecorder {
     capacity: usize,
     events: VecDeque<GcEvent>,
-    /// Events discarded because the ring was full.
+    /// Timeline events discarded because the ring was full.
     dropped: u64,
     pause_hist: Histogram,
     alloc_hist: Histogram,
@@ -58,7 +60,7 @@ pub struct RingRecorder {
 }
 
 impl RingRecorder {
-    /// A recorder keeping at most `capacity` raw events.
+    /// A recorder keeping at most `capacity` timeline events.
     pub fn new(capacity: usize) -> RingRecorder {
         RingRecorder {
             capacity,
@@ -66,18 +68,18 @@ impl RingRecorder {
         }
     }
 
-    /// Maximum raw events retained.
+    /// Maximum timeline events retained.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// The retained raw events, oldest first.
+    /// The retained timeline events, oldest first.
     pub fn events(&self) -> &VecDeque<GcEvent> {
         &self.events
     }
 
-    /// Events discarded because the ring was full. Aggregates still
-    /// include them.
+    /// Timeline events discarded because the ring was full. Aggregates
+    /// still include them.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
@@ -383,6 +385,9 @@ pub fn hist_json(h: &Histogram) -> Json {
 impl GcEventSink for RingRecorder {
     fn record(&mut self, ev: GcEvent) {
         self.aggregate(&ev);
+        if !ev.is_timeline() {
+            return;
+        }
         if self.capacity == 0 {
             self.dropped += 1;
             return;
@@ -437,6 +442,26 @@ mod tests {
     #[test]
     fn ring_drops_oldest_but_aggregates_all() {
         let mut r = RingRecorder::new(2);
+        for seq in 0..3u64 {
+            r.record(begin(seq));
+            r.record(end(seq, 100 * (seq + 1)));
+        }
+        assert_eq!(r.events().len(), 2);
+        assert_eq!(r.dropped(), 4);
+        assert!(matches!(
+            r.events()[0],
+            GcEvent::CollectionBegin { seq: 2, .. }
+        ));
+        assert_eq!(r.collections().len(), 3, "aggregates see every event");
+        assert_eq!(r.pause_hist().count(), 3);
+    }
+
+    /// Per-object records feed the aggregates but never the ring, so
+    /// they can neither fill it nor push a timeline event out.
+    #[test]
+    fn ring_keeps_only_timeline_events() {
+        let mut r = RingRecorder::new(2);
+        r.record(begin(0));
         for i in 0..5u64 {
             r.record(GcEvent::Alloc {
                 t_ns: i,
@@ -444,9 +469,16 @@ mod tests {
                 words: 2,
                 addr: 0x1000 + i * 16,
             });
+            r.record(GcEvent::FrameVisit {
+                seq: 0,
+                fn_id: 1,
+                site: 0,
+            });
         }
+        r.record(end(0, 10));
         assert_eq!(r.events().len(), 2);
-        assert_eq!(r.dropped(), 3);
+        assert_eq!(r.dropped(), 0);
+        assert!(r.events().iter().all(GcEvent::is_timeline));
         assert_eq!(r.alloc_hist().count(), 5, "aggregates see every event");
         assert_eq!(r.sites().profile(0).allocs, 5);
     }

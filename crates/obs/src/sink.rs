@@ -14,16 +14,6 @@ pub trait GcEventSink {
     fn record(&mut self, ev: GcEvent);
 }
 
-/// Drops every event. Exists so code can be written against
-/// [`GcEventSink`] uniformly; the runtime's disabled path uses
-/// [`Obs::null`], which never even constructs the event.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl GcEventSink for NullSink {
-    fn record(&mut self, _ev: GcEvent) {}
-}
-
 enum SinkKind {
     /// No observation: `emit` is one branch, the event closure never
     /// runs.

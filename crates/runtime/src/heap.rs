@@ -6,7 +6,8 @@
 //! [`Heap::reserve_to_space`]) without moving the other — growth never
 //! relocates live objects, only a subsequent collection does. The mutator
 //! bump-allocates in from-space; a collector copies live objects into
-//! to-space and calls [`Heap::flip`].
+//! to-space between [`Heap::begin_collection`] and
+//! [`Heap::finish_collection`], which flips the spaces.
 //!
 //! **Forwarding without tags.** A copying collector must detect
 //! already-copied objects. Tag-free objects have no header word to spare,
@@ -14,13 +15,14 @@
 //! object sets its bit and overwrites its first word with the new address.
 //! The bitmap is collector-private transient state (1 bit per from-space
 //! word, cleared at flip), not per-object mutator-visible space, so the
-//! paper's "no heap-space overhead" claim is preserved; its size is
-//! reported in [`HeapStats`]. The tagged collector uses the same mechanism
-//! for uniformity (a real tagged runtime would smuggle the forwarding
-//! pointer into the header).
+//! paper's "no heap-space overhead" claim is preserved. No run reports its
+//! size; [`Heap::collector_side_bytes`] computes it. The tagged collector
+//! uses the same mechanism for uniformity (a real tagged runtime would
+//! smuggle the forwarding pointer into the header).
 //!
 //! **One relocation protocol.** Both collectors move an object with two
-//! calls. [`Heap::relocated`] answers whether the current collection has
+//! calls, and only inside a collection's bracket (debug builds assert
+//! it). [`Heap::relocated`] answers whether the current collection has
 //! already dealt with an address (it needs no move, or it was forwarded)
 //! and where it lives now; on `None`, [`Heap::evacuate`] copies the object
 //! to its destination for the current phase and forwards it. Each call
@@ -69,8 +71,7 @@ pub const MAX_SPACE_WORDS: usize = 1 << 40;
 /// cycles through identical collector code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    /// Mutator running (or a legacy un-bracketed major, which behaves
-    /// identically to `Major`).
+    /// Mutator running: no collection is in progress.
     Idle,
     /// Minor: sources = nursery, destinations = survivor-to + tenured
     /// from-space.
@@ -464,10 +465,8 @@ impl Heap {
     /// full-promotion worst case). `!minor` prepares a major: in
     /// generational mode the to-space reservation is widened to cover
     /// worst-case nursery evacuation on top of the tenured live set.
-    ///
-    /// Legacy single-generation callers may skip the bracket entirely
-    /// and use `relocated`/`evacuate`/`flip` directly — `Idle`
-    /// behaves exactly like `Major`.
+    /// [`Heap::relocated`] and [`Heap::evacuate`] run only between this
+    /// and [`Heap::finish_collection`].
     pub fn begin_collection(&mut self, minor: bool) {
         assert_eq!(self.phase, Phase::Idle, "collection already in progress");
         if minor {
@@ -499,6 +498,7 @@ impl Heap {
     /// it still has to be copied. Decodes the address region once.
     #[inline(always)]
     pub fn relocated(&self, a: Addr) -> Option<Addr> {
+        debug_assert_ne!(self.phase, Phase::Idle, "relocation outside a collection");
         let (region, i) = Self::index(a);
         if region == 2 {
             if self.phase == Phase::Minor {
@@ -540,6 +540,7 @@ impl Heap {
     /// checked full-promotion headroom before starting one).
     #[inline(always)]
     pub fn evacuate(&mut self, src: Addr, n: usize) -> Addr {
+        debug_assert_ne!(self.phase, Phase::Idle, "evacuation outside a collection");
         let (region, i) = Self::index(src);
         let dst = match self.phase {
             Phase::Minor => self.copy_minor(region, i, n),
@@ -645,12 +646,16 @@ impl Heap {
 
     /// Brackets the end of a collection. A minor swaps the survivor
     /// halves, resets eden, clears the nursery's forwarding bitmap and
-    /// dead ages, and records promoted/died-young words. A major (or a
-    /// legacy un-bracketed flip) performs the semispace [`Heap::flip`]
-    /// and, in generational mode, additionally resets the whole nursery
-    /// (a major evacuates it into to-space).
+    /// dead ages, and records promoted/died-young words. A major flips
+    /// the semispaces and, in generational mode, additionally resets the
+    /// whole nursery (a major evacuates it into to-space).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no collection is in progress.
     pub fn finish_collection(&mut self) {
         match self.phase {
+            Phase::Idle => panic!("finish_collection without begin_collection"),
             Phase::Minor => {
                 let survived = self.sur_to_alloc + self.minor_promoted;
                 self.last_promoted_words = self.minor_promoted as u64;
@@ -674,7 +679,7 @@ impl Heap {
                     .peak_live_words
                     .max(self.stats.live_words_after_last_gc);
             }
-            _ => {
+            Phase::Major => {
                 self.last_promoted_words = 0;
                 self.last_died_young_words = 0;
                 self.minor_sur_overflow = false;
@@ -705,10 +710,10 @@ impl Heap {
         self.last_died_young_words
     }
 
-    /// Finishes a (major) collection: to-space becomes from-space, the
+    /// Finishes a major collection: to-space becomes from-space, the
     /// bitmap is cleared (and resized to cover the new from-space),
     /// statistics are updated.
-    pub fn flip(&mut self) {
+    fn flip(&mut self) {
         self.a_is_from = !self.a_is_from;
         self.from_alloc = self.to_alloc;
         self.to_alloc = 0;
@@ -796,8 +801,9 @@ mod tests {
         let mut h = Heap::new(16);
         let a = h.alloc(2).unwrap();
         h.write(a, 0, 42);
+        h.begin_collection(false);
         let na = h.evacuate(a, 2);
-        h.flip();
+        h.finish_collection();
         assert!(h.in_from(na));
         assert!(!h.in_from(a));
         assert_eq!(h.read(na, 0), 42);
@@ -813,11 +819,14 @@ mod tests {
     fn forwarding_bitmap_clears_on_flip() {
         let mut h = Heap::new(16);
         let a = h.alloc(1).unwrap();
+        h.begin_collection(false);
         let na = h.evacuate(a, 1);
-        h.flip();
+        h.finish_collection();
         // `na` occupies the same offset class; it must not read as
         // forwarded in the new from-space.
+        h.begin_collection(false);
         assert!(h.relocated(na).is_none());
+        h.finish_collection();
     }
 
     #[test]
@@ -826,10 +835,12 @@ mod tests {
         let a = h.alloc(2).unwrap();
         h.write(a, 0, 1);
         h.write(a, 1, 2);
+        h.begin_collection(false);
         let n1 = h.evacuate(a, 2);
-        h.flip();
+        h.finish_collection();
+        h.begin_collection(false);
         let n2 = h.evacuate(n1, 2);
-        h.flip();
+        h.finish_collection();
         assert_eq!(h.read(n2, 0), 1);
         assert_eq!(h.read(n2, 1), 2);
         assert_eq!(h.stats.collections, 2);
@@ -840,9 +851,10 @@ mod tests {
         let mut h = Heap::new(8);
         let a = h.alloc(8).unwrap();
         assert_eq!(a, Addr(HEAP_BASE));
+        h.begin_collection(false);
         let na = h.evacuate(a, 8);
         assert_eq!(na, Addr(SPACE_B_BASE));
-        h.flip();
+        h.finish_collection();
         // After the flip new allocations come from space B's range.
         let b = h.alloc(0).unwrap();
         assert!(b.0 >= SPACE_B_BASE);
@@ -860,8 +872,9 @@ mod tests {
         // Grow to-space, "collect" the one live object, flip, then grow
         // the other space: capacity doubles and data survives in place.
         assert!(h.reserve_to_space(8));
+        h.begin_collection(false);
         let na = h.evacuate(a, 4);
-        h.flip();
+        h.finish_collection();
         assert!(h.reserve_to_space(8));
         assert_eq!(h.capacity(), 8);
         assert_eq!(h.to_space_capacity(), 8);
@@ -878,13 +891,16 @@ mod tests {
         let mut h = Heap::new(64);
         let a = h.alloc(64).unwrap();
         h.reserve_to_space(256);
+        h.begin_collection(false);
         h.evacuate(a, 64);
-        h.flip();
+        h.finish_collection();
         // Bitmap now covers the 256-word from-space.
         assert_eq!(h.collector_side_bytes(), 256usize.div_ceil(64) * 8);
         let b = h.alloc(150).unwrap();
         let _ = b;
+        h.begin_collection(false);
         assert!(h.relocated(Addr(h.live_span().0 + 199)).is_none());
+        h.finish_collection();
     }
 
     // ---- generational tier --------------------------------------------
@@ -919,7 +935,9 @@ mod tests {
         assert_eq!((h.stats.objects_copied, h.stats.words_copied), (1, 2));
         h.finish_collection();
         assert!(h.in_from(na));
+        h.begin_collection(false);
         assert_eq!(h.relocated(na), None, "forwarding ends with the flip");
+        h.finish_collection();
     }
 
     #[test]

@@ -24,7 +24,6 @@ pub mod ast;
 pub mod error;
 pub mod lexer;
 pub mod parser;
-pub mod pretty;
 pub mod span;
 
 pub use ast::{

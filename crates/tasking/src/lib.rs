@@ -74,110 +74,20 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
-use std::fmt;
-use tfgc_gc::{GcStats, Strategy};
+use tfgc_gc::GcStats;
 use tfgc_ir::{CallSiteId, FnId, IrProgram};
 use tfgc_obs::{GcEvent, Obs};
 use tfgc_runtime::HeapStats;
-use tfgc_vm::{BurstEnd, FaultPlan, MutatorStats, SafePoints, Vm, VmConfig, VmError, VmResult};
+use tfgc_vm::{BurstEnd, MutatorStats, SafePoints, Vm, VmConfig, VmError, VmResult};
 use tfgc_workloads::rng::SmallRng;
 
-/// When may a task be parked for collection? (§4.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SuspendPolicy {
-    /// "The heap is exhausted and the process calls an allocation
-    /// routine": only allocation sites are safe points. No per-call
-    /// overhead, potentially long suspension latency.
-    AllocationOnly,
-    /// "The heap is exhausted and the process makes any procedure call":
-    /// calls and allocations are safe points; a test executes at every
-    /// call.
-    EveryCall,
-    /// Same protocol as [`SuspendPolicy::EveryCall`], but the test is the
-    /// paper's `Rgc` register trick — the register is added to every call
-    /// target, so the check costs nothing ("it may be possible to utilize
-    /// the addressing modes of some processors to make the test
-    /// inexpensive").
-    EveryCallRgc,
-}
+pub use tfgc_vm::SuspendPolicy;
 
-impl SuspendPolicy {
-    /// Suspension tests executed at `calls` calls and `allocs`
-    /// allocations under this policy's cost model: one per safe point,
-    /// and none at all with the `Rgc` register.
-    fn tests(self, calls: u64, allocs: u64) -> u64 {
-        match self {
-            SuspendPolicy::AllocationOnly => allocs,
-            SuspendPolicy::EveryCall => calls + allocs,
-            SuspendPolicy::EveryCallRgc => 0,
-        }
-    }
-
-    /// The instructions a task stops before while a collection is
-    /// pending.
-    fn safe_points(self) -> SafePoints {
-        match self {
-            SuspendPolicy::AllocationOnly => SafePoints::Allocations,
-            SuspendPolicy::EveryCall | SuspendPolicy::EveryCallRgc => {
-                SafePoints::CallsAndAllocations
-            }
-        }
-    }
-}
-
-impl fmt::Display for SuspendPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            SuspendPolicy::AllocationOnly => "alloc-only",
-            SuspendPolicy::EveryCall => "every-call",
-            SuspendPolicy::EveryCallRgc => "every-call-rgc",
-        };
-        write!(f, "{s}")
-    }
-}
-
-/// Scheduler configuration.
-#[derive(Debug, Clone)]
-pub struct TaskConfig {
-    pub strategy: Strategy,
-    pub heap_words: usize,
-    pub policy: SuspendPolicy,
-    /// Instructions per scheduling quantum.
-    pub quantum: u64,
-    /// Total instruction budget across all tasks.
-    pub max_steps: u64,
-    /// Bounded growth policy: grow each semispace up to this many words
-    /// when a collection cannot satisfy an allocation (`None` = fixed
-    /// heap).
-    pub heap_max_words: Option<usize>,
-    /// Run the post-collection heap verifier after every collection.
-    pub verify_heap: bool,
-    /// Deterministic fault schedule injected into the VM.
-    pub fault_plan: Option<FaultPlan>,
-    /// Generational tier: nursery size in words (`None` = classic
-    /// single-generation heap). See `VmConfig::nursery_words`.
-    pub nursery_words: Option<usize>,
-    /// Minor survivals before promotion (see `VmConfig::promote_after`).
-    pub promote_after: u32,
-}
-
-impl TaskConfig {
-    /// Defaults: 64Ki-word semispaces, every-call policy, quantum 64.
-    pub fn new(strategy: Strategy) -> TaskConfig {
-        TaskConfig {
-            strategy,
-            heap_words: 1 << 16,
-            policy: SuspendPolicy::EveryCall,
-            quantum: 64,
-            max_steps: 500_000_000,
-            heap_max_words: None,
-            verify_heap: false,
-            fault_plan: None,
-            nursery_words: None,
-            promote_after: 0,
-        }
-    }
-}
+/// The old name of the scheduler's configuration, which is the run's
+/// [`VmConfig`]: its [`VmConfig::policy`] and [`VmConfig::quantum`] are
+/// the engine's own settings. It stays only because the repository
+/// benchmark (`examples/benchmark`) names it.
+pub type TaskConfig = VmConfig;
 
 /// One unit of service work: run `entry(arg)` to completion on some
 /// pool slot, within the service's budgets ([`OverloadConfig`]).
@@ -413,11 +323,12 @@ pub fn find_fn(prog: &IrProgram, name: &str) -> Option<FnId> {
 ///
 /// # Panics
 ///
-/// Panics if an entry function does not take exactly one argument.
+/// Panics if an entry function does not take exactly one argument, or
+/// as [`serve_requests_overload`] does on `cfg`.
 pub fn run_tasks(
     prog: &IrProgram,
     entries: &[(FnId, i64)],
-    cfg: TaskConfig,
+    cfg: VmConfig,
 ) -> VmResult<ServeReport> {
     // Batch mode is the one-request-per-slot special case of the serve
     // engine: pool width = request count, so no slot is ever recycled.
@@ -473,26 +384,26 @@ pub fn run_tasks(
 ///
 /// # Panics
 ///
-/// Panics if `pool` or `cfg.quantum` is zero (with a non-empty queue) or
-/// a request entry does not take exactly one argument.
+/// Panics if `pool` or `cfg.quantum` is zero (with a non-empty queue), if
+/// `cfg.force_gc_every` is set (a cooperative VM never forces a
+/// collection, so the setting would be dropped), or if a request entry
+/// does not take exactly one argument.
 pub fn serve_requests_overload(
     prog: &IrProgram,
     requests: &[Request],
     pool: usize,
     sample_every: u64,
-    cfg: TaskConfig,
+    mut cfg: VmConfig,
     overload: OverloadConfig,
     obs: Obs,
 ) -> VmResult<(ServeReport, Obs)> {
-    let mut vm_cfg = VmConfig::new(cfg.strategy).heap_words(cfg.heap_words);
-    vm_cfg.cooperative = true;
-    vm_cfg.max_steps = Some(cfg.max_steps);
-    vm_cfg.heap_max_words = cfg.heap_max_words;
-    vm_cfg.verify_heap = cfg.verify_heap;
-    vm_cfg.fault_plan = cfg.fault_plan;
-    vm_cfg.nursery_words = cfg.nursery_words;
-    vm_cfg.promote_after = cfg.promote_after;
-    let mut vm = Vm::new(prog, vm_cfg);
+    assert!(
+        cfg.force_gc_every.is_none(),
+        "force_gc_every is not served: a cooperative VM never forces a collection"
+    );
+    let (policy, quantum) = (cfg.policy, cfg.quantum);
+    cfg.cooperative = true;
+    let mut vm = Vm::new(prog, cfg);
     vm.obs = obs;
 
     // Phase 1: run main alone (it initializes globals — the persistent
@@ -504,7 +415,7 @@ pub fn serve_requests_overload(
     }
     assert!(pool > 0, "serving needs at least one pool slot");
     assert!(
-        cfg.quantum > 0,
+        quantum > 0,
         "a zero quantum runs no instruction, so no request could finish"
     );
     let pool = pool.min(requests.len());
@@ -524,8 +435,8 @@ pub fn serve_requests_overload(
         resolved: 0,
         sample_every,
         quanta: 0,
-        policy: cfg.policy,
-        quantum: cfg.quantum,
+        policy,
+        quantum,
         gc_pending: false,
         proactive_gc: false,
         latency: 0,
@@ -1429,9 +1340,11 @@ impl Scheduler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tfgc_gc::Strategy;
     use tfgc_ir::lower;
     use tfgc_syntax::parse_program;
     use tfgc_types::elaborate;
+    use tfgc_vm::FaultPlan;
 
     fn compile(src: &str) -> IrProgram {
         lower(&elaborate(&parse_program(src).unwrap()).unwrap()).unwrap()
@@ -1460,7 +1373,7 @@ mod tests {
         let prog = compile(WORKLOAD);
         let es = entries(&prog, &[("worker", 30), ("worker", 30)]);
         for strategy in Strategy::ALL {
-            let mut cfg = TaskConfig::new(strategy);
+            let mut cfg = VmConfig::new(strategy);
             // The no-liveness strategies retain each frame's dead lists,
             // so they need headroom.
             cfg.heap_words = 1 << 12;
@@ -1480,7 +1393,7 @@ mod tests {
             SuspendPolicy::EveryCall,
             SuspendPolicy::EveryCallRgc,
         ] {
-            let mut cfg = TaskConfig::new(Strategy::Compiled);
+            let mut cfg = VmConfig::new(Strategy::Compiled);
             cfg.heap_words = 1 << 11;
             cfg.policy = policy;
             let report = run_tasks(&prog, &es, cfg).unwrap_or_else(|e| panic!("{policy}: {e}"));
@@ -1495,12 +1408,12 @@ mod tests {
     fn every_call_pays_checks_rgc_does_not() {
         let prog = compile(WORKLOAD);
         let es = entries(&prog, &[("worker", 20), ("worker", 20)]);
-        let mut every = TaskConfig::new(Strategy::Compiled);
+        let mut every = VmConfig::new(Strategy::Compiled);
         every.heap_words = 1 << 11;
         every.policy = SuspendPolicy::EveryCall;
         let r_every = run_tasks(&prog, &es, every).unwrap();
 
-        let mut rgc = TaskConfig::new(Strategy::Compiled);
+        let mut rgc = VmConfig::new(Strategy::Compiled);
         rgc.heap_words = 1 << 11;
         rgc.policy = SuspendPolicy::EveryCallRgc;
         let r_rgc = run_tasks(&prog, &es, rgc).unwrap();
@@ -1519,7 +1432,7 @@ mod tests {
         let prog = compile(WORKLOAD);
         let es = entries(&prog, &[("worker", 40), ("spin", 3000)]);
         let mk = |policy| {
-            let mut cfg = TaskConfig::new(Strategy::Compiled);
+            let mut cfg = VmConfig::new(Strategy::Compiled);
             cfg.heap_words = 1 << 11;
             cfg.policy = policy;
             cfg.quantum = 32;
@@ -1549,7 +1462,7 @@ mod tests {
              0",
         );
         let es = entries(&prog, &[("taskf", 1), ("taskf", 2)]);
-        let report = run_tasks(&prog, &es, TaskConfig::new(Strategy::Compiled)).unwrap();
+        let report = run_tasks(&prog, &es, VmConfig::new(Strategy::Compiled)).unwrap();
         assert_eq!(results(&report), vec!["101", "102"]);
     }
 
@@ -1560,8 +1473,8 @@ mod tests {
              0",
         );
         let es = entries(&prog, &[("chatty", 3), ("chatty", 3)]);
-        let a = run_tasks(&prog, &es, TaskConfig::new(Strategy::Compiled)).unwrap();
-        let b = run_tasks(&prog, &es, TaskConfig::new(Strategy::Compiled)).unwrap();
+        let a = run_tasks(&prog, &es, VmConfig::new(Strategy::Compiled)).unwrap();
+        let b = run_tasks(&prog, &es, VmConfig::new(Strategy::Compiled)).unwrap();
         assert_eq!(a.printed, b.printed, "scheduler must be deterministic");
         let mut sorted = a.printed.clone();
         sorted.sort_unstable();
@@ -1580,7 +1493,7 @@ mod tests {
              0",
         );
         let es = entries(&prog, &[("hog", 2000)]);
-        let mut cfg = TaskConfig::new(Strategy::Compiled);
+        let mut cfg = VmConfig::new(Strategy::Compiled);
         cfg.heap_words = 1 << 9; // far too small for 2000 live cons cells
         let report = run_tasks(&prog, &es, cfg).unwrap();
         let err = report.outcomes[0]
@@ -1625,7 +1538,7 @@ mod tests {
         );
         let es = entries(&prog, &[("hog", 4000), ("worker", 25)]);
         for strategy in Strategy::ALL {
-            let mut cfg = TaskConfig::new(strategy);
+            let mut cfg = VmConfig::new(strategy);
             // Headroom for the no-liveness strategies' retained dead
             // lists, yet far below hog's ~8000-word live set.
             cfg.heap_words = 1 << 12;
@@ -1650,7 +1563,7 @@ mod tests {
              0",
         );
         let es = entries(&prog, &[("crash", 7), ("ok", 41)]);
-        let report = run_tasks(&prog, &es, TaskConfig::new(Strategy::Compiled)).unwrap();
+        let report = run_tasks(&prog, &es, VmConfig::new(Strategy::Compiled)).unwrap();
         assert!(
             matches!(report.outcomes[0].error, Some(VmError::DivideByZero { .. })),
             "{:?}",
@@ -1671,7 +1584,7 @@ mod tests {
              0",
         );
         let es = entries(&prog, &[("hog", 2000)]);
-        let mut cfg = TaskConfig::new(Strategy::Compiled);
+        let mut cfg = VmConfig::new(Strategy::Compiled);
         cfg.heap_words = 1 << 9;
         cfg.heap_max_words = Some(1 << 15);
         cfg.verify_heap = true;
@@ -1703,7 +1616,7 @@ mod tests {
             .map(|i| Request::new(find_fn(&prog, "worker").unwrap(), 5 + (i % 3), i as u32))
             .collect();
         for strategy in Strategy::ALL {
-            let mut cfg = TaskConfig::new(strategy);
+            let mut cfg = VmConfig::new(strategy);
             cfg.heap_words = 1 << 12;
             let (report, _) =
                 serve_requests_overload(&prog, &q, 3, 0, cfg, OverloadConfig::none(), Obs::null())
@@ -1732,7 +1645,7 @@ mod tests {
                 ("worker", 25, 0),
             ],
         );
-        let mut cfg = TaskConfig::new(Strategy::Compiled);
+        let mut cfg = VmConfig::new(Strategy::Compiled);
         cfg.heap_words = 1 << 11;
         let (a, _) = serve_requests_overload(
             &prog,
@@ -1784,7 +1697,7 @@ mod tests {
             &q,
             2,
             0,
-            TaskConfig::new(Strategy::Compiled),
+            VmConfig::new(Strategy::Compiled),
             OverloadConfig::none(),
             Obs::null(),
         )
@@ -1802,11 +1715,57 @@ mod tests {
         assert_eq!(report.outcomes[3].result, "4");
     }
 
+    /// A served run takes its `VmConfig` whole: a small
+    /// `max_stack_words` quarantines the one request that recurses past
+    /// it while its siblings complete, and the same request completes
+    /// under the default limit.
+    #[test]
+    fn served_stack_limit_quarantines_only_the_deep_request() {
+        let prog = compile("fun depth n = if n = 0 then 0 else 1 + depth (n - 1) ; 0");
+        let q = requests(
+            &prog,
+            &[("depth", 10, 0), ("depth", 20_000, 1), ("depth", 20, 0)],
+        );
+        let serve = |cfg: VmConfig| {
+            serve_requests_overload(&prog, &q, 2, 0, cfg, OverloadConfig::none(), Obs::null())
+                .map(|(report, _)| report)
+                .unwrap()
+        };
+        let mut small = VmConfig::new(Strategy::Compiled);
+        small.max_stack_words = 1 << 12;
+        let report = serve(small);
+        assert_eq!((report.completed, report.failed), (2, 1));
+        assert!(
+            matches!(
+                report.outcomes[1].error,
+                Some(VmError::StackOverflow { .. })
+            ),
+            "{:?}",
+            report.outcomes[1].error
+        );
+        assert_eq!(report.outcomes[0].result, "10");
+        assert_eq!(report.outcomes[2].result, "20");
+        let report = serve(VmConfig::new(Strategy::Compiled));
+        assert_eq!((report.completed, report.failed), (3, 0));
+        assert_eq!(report.outcomes[1].result, "20000");
+    }
+
+    /// A cooperative VM never forces a collection, so the engine refuses
+    /// a forced-collection period rather than drop it.
+    #[test]
+    #[should_panic(expected = "force_gc_every")]
+    fn serving_refuses_a_forced_collection_period() {
+        let prog = compile("fun ok n = n + 1 ; 0");
+        let q = requests(&prog, &[("ok", 1, 0)]);
+        let cfg = VmConfig::new(Strategy::Compiled).force_gc_every(10);
+        let _ = serve_requests_overload(&prog, &q, 1, 0, cfg, OverloadConfig::none(), Obs::null());
+    }
+
     #[test]
     fn serve_emits_request_lifecycle_and_occupancy_events() {
         let prog = compile(WORKLOAD);
         let q = requests(&prog, &[("worker", 10, 3), ("worker", 12, 4)]);
-        let mut cfg = TaskConfig::new(Strategy::Compiled);
+        let mut cfg = VmConfig::new(Strategy::Compiled);
         cfg.heap_words = 1 << 12;
         let (report, obs) = serve_requests_overload(
             &prog,
@@ -1847,7 +1806,7 @@ mod tests {
         );
         let es = entries(&prog, &[("churner", 40), ("churner", 40)]);
         for strategy in Strategy::ALL {
-            let mut cfg = TaskConfig::new(strategy);
+            let mut cfg = VmConfig::new(strategy);
             cfg.heap_words = 1 << 11;
             let report = run_tasks(&prog, &es, cfg).unwrap_or_else(|e| panic!("{strategy}: {e}"));
             assert_eq!(results(&report), vec!["15", "15"], "{strategy}");
@@ -1880,7 +1839,7 @@ mod tests {
             let mut specs = vec![("runaway", 1, 0)];
             specs.extend(oks.iter().map(|a| ("ok", *a, 1)));
             let q = requests(&prog, &specs);
-            let cfg = TaskConfig::new(Strategy::Compiled);
+            let cfg = VmConfig::new(Strategy::Compiled);
             let over = OverloadConfig {
                 deadline_quanta: Some(deadline),
                 ..OverloadConfig::none()
@@ -1915,7 +1874,7 @@ mod tests {
     fn fuel_budget_quarantines_in_instructions() {
         let prog = compile(RUNAWAY);
         let q = requests(&prog, &[("runaway", 1, 0), ("ok", 6, 1)]);
-        let cfg = TaskConfig::new(Strategy::Compiled);
+        let cfg = VmConfig::new(Strategy::Compiled);
         let over = OverloadConfig {
             fuel: Some(500),
             ..OverloadConfig::none()
@@ -1943,7 +1902,7 @@ mod tests {
         let q: Vec<Request> = (0..6)
             .map(|_| Request::new(find_fn(&prog, "crash").unwrap(), 1, 0))
             .collect();
-        let cfg = TaskConfig::new(Strategy::Compiled);
+        let cfg = VmConfig::new(Strategy::Compiled);
         let over = OverloadConfig {
             queue_cap: 1,
             ..OverloadConfig::none()
@@ -1966,7 +1925,7 @@ mod tests {
         let q: Vec<Request> = (0..6)
             .map(|i| Request::new(find_fn(&prog, "ok").unwrap(), i, 0))
             .collect();
-        let cfg = TaskConfig::new(Strategy::Compiled);
+        let cfg = VmConfig::new(Strategy::Compiled);
         let over = OverloadConfig {
             queue_cap: 1,
             admission: AdmissionPolicy::RetryBackoff {
@@ -1999,7 +1958,7 @@ mod tests {
         let q: Vec<Request> = (0..5)
             .map(|_| Request::new(find_fn(&prog, "crash").unwrap(), 1, 0))
             .collect();
-        let cfg = TaskConfig::new(Strategy::Compiled);
+        let cfg = VmConfig::new(Strategy::Compiled);
         let over = OverloadConfig {
             queue_cap: 1,
             admission: AdmissionPolicy::RetryBackoff {
@@ -2026,7 +1985,7 @@ mod tests {
             .iter()
             .map(|k| Request::new(find_fn(&prog, "ok").unwrap(), 1, *k))
             .collect();
-        let cfg = TaskConfig::new(Strategy::Compiled);
+        let cfg = VmConfig::new(Strategy::Compiled);
         let over = OverloadConfig {
             queue_cap: 1,
             admission: AdmissionPolicy::Degrade { low_kind_min: 1 },
@@ -2058,7 +2017,7 @@ mod tests {
         let q: Vec<Request> = (0..4)
             .map(|i| Request::new(find_fn(&prog, "ok").unwrap(), i, 0))
             .collect();
-        let cfg = TaskConfig::new(Strategy::Compiled);
+        let cfg = VmConfig::new(Strategy::Compiled);
         let over = OverloadConfig {
             // Degenerate 0% hard watermark: pressure is permanent, so
             // only the first arrival (idle service) is admitted.
@@ -2086,7 +2045,7 @@ mod tests {
     fn soft_watermark_collects_proactively() {
         let prog = compile(WORKLOAD);
         let q = requests(&prog, &[("worker", 30, 0), ("worker", 30, 1)]);
-        let mut cfg = TaskConfig::new(Strategy::Compiled);
+        let mut cfg = VmConfig::new(Strategy::Compiled);
         cfg.heap_words = 1 << 11;
         let baseline_cfg = cfg.clone();
         let (baseline, _) = serve_requests_overload(
@@ -2124,7 +2083,7 @@ mod tests {
         let q: Vec<Request> = (0..6)
             .map(|_| Request::new(find_fn(&prog, "crash").unwrap(), 1, 0))
             .collect();
-        let cfg = TaskConfig::new(Strategy::Compiled);
+        let cfg = VmConfig::new(Strategy::Compiled);
         let over = OverloadConfig {
             queue_cap: 1,
             breaker_threshold: 2,
@@ -2155,7 +2114,7 @@ mod tests {
             Request::new(ok, 1, 0),
             Request::new(ok, 2, 0),
         ];
-        let cfg = TaskConfig::new(Strategy::Compiled);
+        let cfg = VmConfig::new(Strategy::Compiled);
         let mk = |cooldown| OverloadConfig {
             queue_cap: 1,
             admission: AdmissionPolicy::RetryBackoff {
@@ -2202,7 +2161,7 @@ mod tests {
         let q: Vec<Request> = (0..5)
             .map(|i| Request::new(find_fn(&prog, "worker").unwrap(), 8, i))
             .collect();
-        let mut cfg = TaskConfig::new(Strategy::Compiled);
+        let mut cfg = VmConfig::new(Strategy::Compiled);
         cfg.heap_words = 1 << 12;
         let over = OverloadConfig {
             queue_cap: 1,
@@ -2231,7 +2190,7 @@ mod tests {
         let q: Vec<Request> = (0..8)
             .map(|i| Request::new(find_fn(&prog, "worker").unwrap(), 6 + (i % 3), i as u32 % 2))
             .collect();
-        let mut cfg = TaskConfig::new(Strategy::Compiled);
+        let mut cfg = VmConfig::new(Strategy::Compiled);
         cfg.heap_words = 1 << 12;
         let over = OverloadConfig {
             queue_cap: 1,
@@ -2284,7 +2243,7 @@ mod tests {
                 _ => Request::new(worker, 4 + i % 5, 0),
             })
             .collect();
-        let mut cfg = TaskConfig::new(Strategy::Compiled);
+        let mut cfg = VmConfig::new(Strategy::Compiled);
         cfg.heap_words = 1 << 10;
         cfg.heap_max_words = Some(1 << 12);
         cfg.nursery_words = Some(1 << 8);
@@ -2390,7 +2349,7 @@ mod tests {
     fn stall_fault_is_detected_by_deadline_budget() {
         let prog = compile(WORKLOAD);
         let q = requests(&prog, &[("worker", 20, 0), ("worker", 20, 1)]);
-        let mut cfg = TaskConfig::new(Strategy::Compiled);
+        let mut cfg = VmConfig::new(Strategy::Compiled);
         cfg.heap_words = 1 << 12;
         cfg.fault_plan = Some(FaultPlan {
             stall_at: Some(8),

@@ -3,8 +3,9 @@
 use tfgc_gc::Strategy;
 use tfgc_ir::lower;
 use tfgc_syntax::parse_program;
-use tfgc_tasking::{find_fn, run_tasks, ServeReport, SuspendPolicy, TaskConfig};
+use tfgc_tasking::{find_fn, run_tasks, ServeReport, SuspendPolicy};
 use tfgc_types::elaborate;
+use tfgc_vm::VmConfig;
 
 fn compile(src: &str) -> tfgc_ir::IrProgram {
     lower(&elaborate(&parse_program(src).unwrap()).unwrap()).unwrap()
@@ -23,7 +24,7 @@ fn single_task_behaves_like_sequential() {
          0",
     );
     let f = find_fn(&prog, "taskf").unwrap();
-    let mut cfg = TaskConfig::new(Strategy::Compiled);
+    let mut cfg = VmConfig::new(Strategy::Compiled);
     cfg.heap_words = 1 << 9;
     let report = run_tasks(&prog, &[(f, 200)], cfg).unwrap();
     assert_eq!(results(&report), vec!["200"]);
@@ -42,7 +43,7 @@ fn quantum_size_does_not_change_results() {
     let entries = vec![(f, 15), (f, 10)];
     let mut results = Vec::new();
     for quantum in [1u64, 7, 64, 1000] {
-        let mut cfg = TaskConfig::new(Strategy::Compiled);
+        let mut cfg = VmConfig::new(Strategy::Compiled);
         cfg.heap_words = 1 << 10;
         cfg.quantum = quantum;
         let r =
@@ -62,7 +63,7 @@ fn oom_detected_when_live_exceeds_heap() {
          0",
     );
     let f = find_fn(&prog, "hold").unwrap();
-    let mut cfg = TaskConfig::new(Strategy::Compiled);
+    let mut cfg = VmConfig::new(Strategy::Compiled);
     cfg.heap_words = 128;
     let report = run_tasks(&prog, &[(f, 500)], cfg).unwrap();
     let err = report.outcomes[0]
@@ -89,7 +90,7 @@ fn eight_tasks_complete() {
     );
     let f = find_fn(&prog, "taskf").unwrap();
     let entries: Vec<_> = (1..=8).map(|i| (f, i * 10)).collect();
-    let mut cfg = TaskConfig::new(Strategy::Compiled);
+    let mut cfg = VmConfig::new(Strategy::Compiled);
     cfg.heap_words = 1 << 11;
     let report = run_tasks(&prog, &entries, cfg).unwrap();
     let want: Vec<String> = (1..=8).map(|i| (i * 10).to_string()).collect();
@@ -108,7 +109,7 @@ fn mixed_strategies_under_tasking_agree() {
     let entries = vec![(f, 12), (f, 18)];
     let mut base: Option<Vec<String>> = None;
     for s in Strategy::ALL {
-        let mut cfg = TaskConfig::new(s);
+        let mut cfg = VmConfig::new(s);
         cfg.heap_words = 1 << 11;
         cfg.policy = SuspendPolicy::EveryCall;
         let r = run_tasks(&prog, &entries, cfg).unwrap_or_else(|e| panic!("{s}: {e}"));

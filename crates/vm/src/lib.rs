@@ -33,7 +33,9 @@ pub mod stats;
 
 pub use case::{fault_case, oracle_check, run_case, CaseOutcome};
 pub use error::{VmError, VmResult};
-pub use machine::{run_program, Burst, BurstEnd, RunOutcome, SafePoints, StepEvent, Vm, VmConfig};
+pub use machine::{
+    run_program, Burst, BurstEnd, RunOutcome, SafePoints, StepEvent, SuspendPolicy, Vm, VmConfig,
+};
 pub use render::render_value;
 pub use stats::MutatorStats;
 /// Re-exported so VM embedders (scheduler, CLI, torture harness) can

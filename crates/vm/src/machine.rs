@@ -39,6 +39,7 @@
 use crate::error::{VmError, VmResult};
 use crate::render::render_value;
 use crate::stats::MutatorStats;
+use std::fmt;
 use std::ops::Deref;
 use tfgc_gc::{
     collect, pack_ret, Analyses, DescArena, GcMeta, GcStats, MachineRoots, StackRoots, Strategy,
@@ -91,10 +92,18 @@ pub struct VmConfig {
     /// promoted to tenured space (0 = promote on first survival; the
     /// nursery then has no survivor half).
     pub promote_after: u32,
+    /// Where the task scheduler may suspend a task for collection (§4).
+    /// Read only by the request engine in `tfgc-tasking`.
+    pub policy: SuspendPolicy,
+    /// Instructions per scheduling quantum. Read only by the request
+    /// engine.
+    pub quantum: u64,
 }
 
 impl VmConfig {
-    /// A configuration with sensible defaults for `strategy`.
+    /// A configuration with sensible defaults for `strategy`: 64Ki-word
+    /// semispaces, a 200M-instruction step limit and, for the task
+    /// scheduler, every-call suspension with a 64-instruction quantum.
     pub fn new(strategy: Strategy) -> VmConfig {
         VmConfig {
             strategy,
@@ -108,6 +117,8 @@ impl VmConfig {
             heap_max_words: None,
             nursery_words: None,
             promote_after: 0,
+            policy: SuspendPolicy::EveryCall,
+            quantum: 64,
         }
     }
 
@@ -205,6 +216,62 @@ pub enum SafePoints {
     Allocations,
     /// Stop before a call or an allocation.
     CallsAndAllocations,
+}
+
+/// When may a task be parked for collection? (§4.) The task scheduler
+/// stops each task before its policy's [`SafePoints`] while a collection
+/// is pending.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SuspendPolicy {
+    /// "The heap is exhausted and the process calls an allocation
+    /// routine": only allocation sites are safe points. No per-call
+    /// overhead, potentially long suspension latency.
+    AllocationOnly,
+    /// "The heap is exhausted and the process makes any procedure call":
+    /// calls and allocations are safe points; a test executes at every
+    /// call.
+    EveryCall,
+    /// Same protocol as [`SuspendPolicy::EveryCall`], but the test is the
+    /// paper's `Rgc` register trick — the register is added to every call
+    /// target, so the check costs nothing ("it may be possible to utilize
+    /// the addressing modes of some processors to make the test
+    /// inexpensive").
+    EveryCallRgc,
+}
+
+impl SuspendPolicy {
+    /// Suspension tests executed at `calls` calls and `allocs`
+    /// allocations under this policy's cost model: one per safe point,
+    /// and none at all with the `Rgc` register.
+    pub fn tests(self, calls: u64, allocs: u64) -> u64 {
+        match self {
+            SuspendPolicy::AllocationOnly => allocs,
+            SuspendPolicy::EveryCall => calls + allocs,
+            SuspendPolicy::EveryCallRgc => 0,
+        }
+    }
+
+    /// The instructions a task stops before while a collection is
+    /// pending.
+    pub fn safe_points(self) -> SafePoints {
+        match self {
+            SuspendPolicy::AllocationOnly => SafePoints::Allocations,
+            SuspendPolicy::EveryCall | SuspendPolicy::EveryCallRgc => {
+                SafePoints::CallsAndAllocations
+            }
+        }
+    }
+}
+
+impl fmt::Display for SuspendPolicy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            SuspendPolicy::AllocationOnly => "alloc-only",
+            SuspendPolicy::EveryCall => "every-call",
+            SuspendPolicy::EveryCallRgc => "every-call-rgc",
+        };
+        write!(f, "{s}")
+    }
 }
 
 /// How a burst ended.
@@ -468,9 +535,12 @@ impl<'p> Vm<'p> {
             max_steps: cfg.max_steps.unwrap_or(u64::MAX),
             max_stack_words: cfg.max_stack_words,
             init_frames,
-            // Safe under either encoding (tagged: int 0 is odd). Slots
-            // that are never initialized are never traced (live ⊆
-            // assigned is validated at compile time); zero keeps runs
+            // Safe under either encoding (tagged: int 0 is odd). Appel
+            // and Tagged trace whole frames, so their slots must hold a
+            // valid word from entry on. The other strategies' routines
+            // trace a subset of the site's definitely-assigned slots
+            // (`GcMeta::build_opts` intersects with `site_assigned`), so
+            // they never read an unassigned slot; zero keeps runs
             // deterministic.
             fill: if init_frames { enc.int(0) } else { 0 },
             header_words: enc.mode.header_words(),

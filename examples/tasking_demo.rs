@@ -8,8 +8,8 @@
 //! cargo run --example tasking_demo
 //! ```
 
-use tfgc::tasking::{find_fn, run_tasks, SuspendPolicy, TaskConfig};
-use tfgc::{Compiled, Strategy, Table};
+use tfgc::tasking::{find_fn, run_tasks, SuspendPolicy};
+use tfgc::{Compiled, Strategy, Table, VmConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let source = "
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         SuspendPolicy::EveryCall,
         SuspendPolicy::EveryCallRgc,
     ] {
-        let mut cfg = TaskConfig::new(Strategy::Compiled);
+        let mut cfg = VmConfig::new(Strategy::Compiled);
         cfg.heap_words = 1 << 11;
         cfg.policy = policy;
         cfg.quantum = 48;

@@ -100,8 +100,21 @@ fn deep_recursion_appel_backward_scheme() {
 /// result.
 #[test]
 fn frame_memo_is_exact_on_adjacent_frames_that_differ() {
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use tfgc::gc::meta::FrameParamSrc;
-    use tfgc::obs::GcEvent;
+    use tfgc::obs::{GcEvent, GcEventSink, Obs};
+
+    /// The functions of the frames each collection visited.
+    type Visits = std::collections::HashMap<u64, Vec<u32>>;
+    struct FrameVisits(Rc<RefCell<Visits>>);
+    impl GcEventSink for FrameVisits {
+        fn record(&mut self, ev: GcEvent) {
+            if let GcEvent::FrameVisit { seq, fn_id, .. } = ev {
+                self.0.borrow_mut().entry(seq).or_default().push(fn_id);
+            }
+        }
+    }
 
     let src = include_str!("corpus/frame_memo_alternating.tfml");
     let c = Compiled::compile(src).expect("compiles");
@@ -146,14 +159,15 @@ fn frame_memo_is_exact_on_adjacent_frames_that_differ() {
         Strategy::CompiledNoLiveness,
         Strategy::Interpreted,
     ] {
-        let (memo, rec) = c
-            .run_profiled(base(s), 1 << 20)
+        let visits = Rc::new(RefCell::new(Visits::default()));
+        let obs = Obs::custom(Box::new(FrameVisits(Rc::clone(&visits))));
+        let (memo, _) = c
+            .run_observed(base(s), c.metadata(s), obs)
             .unwrap_or_else(|e| panic!("{s}: {e}"));
         for (r, out) in &references {
             assert_eq!(memo.result, out.result, "{s}: result vs {r}");
             assert_eq!(memo.printed, out.printed, "{s}: printed vs {r}");
         }
-        assert_eq!(rec.dropped(), 0, "{s}: ring large enough");
         assert!(
             memo.heap.collections > 10,
             "{s}: collections strike at depth"
@@ -161,12 +175,7 @@ fn frame_memo_is_exact_on_adjacent_frames_that_differ() {
 
         // Every shape the test is about was on the stack when a
         // collection struck, and one collection saw `via` more than once.
-        let mut visits: std::collections::HashMap<u64, Vec<u32>> = Default::default();
-        for ev in rec.events() {
-            if let GcEvent::FrameVisit { seq, fn_id, .. } = ev {
-                visits.entry(*seq).or_default().push(*fn_id);
-            }
-        }
+        let visits = visits.borrow();
         let seen = |f: &u32| visits.values().any(|v| v.contains(f));
         assert!(
             desc_fns.iter().any(seen),

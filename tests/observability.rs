@@ -101,26 +101,25 @@ fn histogram_buckets_sum_to_recorded_events() {
         "alloc buckets sum to alloc count"
     );
 
-    // The retained raw stream agrees too (capacity was not exceeded).
+    // Allocations feed the histogram alone: the ring keeps only
+    // timeline events, so none is retained.
     assert_eq!(rec.dropped(), 0);
-    let raw_allocs = rec
+    assert!(!rec
         .events()
         .iter()
-        .filter(|e| matches!(e, GcEvent::Alloc { .. }))
-        .count() as u64;
-    assert_eq!(raw_allocs, out.heap.allocations);
+        .any(|e| matches!(e, GcEvent::Alloc { .. })));
 }
 
 /// Serve-mode observation neutrality: driving the request engine with
 /// a recorder attached (latency and pause histograms, occupancy
 /// sampling) produces bit-identical
-/// per-request results — and identical engine reports — to a `NullSink`
+/// per-request results — and identical engine reports — to an `Obs::null`
 /// run, across strategies. The request-lifecycle hooks sit on the
 /// `Obs::emit` closure path, so the disabled run never even constructs
 /// the events.
 #[test]
 fn serve_telemetry_is_observation_neutral() {
-    use tfgc::tasking::{serve_requests_overload, Request, SuspendPolicy, TaskConfig};
+    use tfgc::tasking::{serve_requests_overload, Request, SuspendPolicy};
     use tfgc::OverloadConfig;
 
     let c = Compiled::compile(
@@ -145,7 +144,7 @@ fn serve_telemetry_is_observation_neutral() {
 
     for s in [Strategy::Compiled, Strategy::Tagged, Strategy::AppelPerFn] {
         let mk = || {
-            let mut tc = TaskConfig::new(s);
+            let mut tc = VmConfig::new(s);
             tc.heap_words = 1 << 10;
             tc.policy = SuspendPolicy::EveryCall;
             tc
@@ -209,7 +208,7 @@ fn serve_telemetry_is_observation_neutral() {
     // must also be sink-independent.
     let entries = vec![(churn, 12), (churn, 15), (spin, 200)];
     let cfg = || {
-        let mut tc = TaskConfig::new(Strategy::Compiled);
+        let mut tc = VmConfig::new(Strategy::Compiled);
         tc.heap_words = 1 << 10;
         tc
     };
@@ -247,7 +246,6 @@ fn serve_telemetry_is_observation_neutral() {
 fn overload_decisions_are_observation_neutral_and_conserved() {
     use tfgc::tasking::{
         serve_requests_overload, AdmissionPolicy, OverloadConfig, Request, SuspendPolicy,
-        TaskConfig,
     };
 
     let c = Compiled::compile(
@@ -287,7 +285,7 @@ fn overload_decisions_are_observation_neutral_and_conserved() {
                 ..OverloadConfig::none()
             };
             let mk = || {
-                let mut tc = TaskConfig::new(s);
+                let mut tc = VmConfig::new(s);
                 tc.heap_words = 1 << 10;
                 tc.policy = SuspendPolicy::EveryCall;
                 tc
