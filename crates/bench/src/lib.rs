@@ -134,4 +134,125 @@ mod tests {
             );
         }
     }
+
+    /// The files and directories under `root`, as paths relative to it,
+    /// without git's store and build outputs (`target`).
+    fn tree(root: &Path) -> Vec<String> {
+        let (mut out, mut dirs) = (Vec::new(), vec![String::new()]);
+        while let Some(dir) = dirs.pop() {
+            for entry in std::fs::read_dir(root.join(&dir)).unwrap() {
+                let entry = entry.unwrap();
+                let name = entry.file_name().into_string().unwrap();
+                if name == ".git" || name == "target" {
+                    continue;
+                }
+                let path = if dir.is_empty() {
+                    name
+                } else {
+                    format!("{dir}/{name}")
+                };
+                if entry.file_type().unwrap().is_dir() {
+                    dirs.push(path.clone());
+                }
+                out.push(path);
+            }
+        }
+        out
+    }
+
+    /// Every file path a document shows in backticks outside its code
+    /// blocks names a file or directory in the tree; a bare file name or
+    /// a path suffix matches. A span is a path when it is one word of
+    /// path characters that contains a `/` or ends in a file name with
+    /// an extension. Paths under `target/` exist only after a build.
+    #[test]
+    fn docs_name_only_files_in_the_tree() {
+        const EXTS: [&str; 9] = [
+            "rs", "md", "json", "toml", "tfml", "digests", "yml", "lock", "jsonl",
+        ];
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let tree = tree(&root);
+        let is_path = |span: &str| {
+            let word = span.trim_end_matches('/');
+            let chars = |part: &str| {
+                !part.is_empty()
+                    && part
+                        .chars()
+                        .all(|c| c.is_alphanumeric() || matches!(c, '.' | '_' | '-'))
+            };
+            let file = word.rsplit('/').next().unwrap().rsplit_once('.');
+            !span.starts_with('-')
+                && !span.starts_with("target/")
+                && word.split('/').all(chars)
+                && (span.contains('/')
+                    || file.is_some_and(|(stem, ext)| !stem.is_empty() && EXTS.contains(&ext)))
+        };
+        let mut checked = 0;
+        let mut missing = Vec::new();
+        for doc in [
+            "README.md",
+            "DESIGN.md",
+            "EXPERIMENTS.md",
+            ".claude/skills/verify/SKILL.md",
+        ] {
+            let text = std::fs::read_to_string(root.join(doc)).unwrap();
+            let mut fenced = false;
+            let prose: String = text
+                .lines()
+                .filter(|l| {
+                    fenced ^= l.starts_with("```");
+                    !fenced && !l.starts_with("```")
+                })
+                .map(|l| format!("{l}\n"))
+                .collect();
+            for span in prose.split('`').skip(1).step_by(2).filter(|s| is_path(s)) {
+                checked += 1;
+                let path = span.trim_end_matches('/');
+                if !tree
+                    .iter()
+                    .any(|t| t == path || t.ends_with(&format!("/{path}")))
+                {
+                    missing.push(format!("{doc}: `{span}`"));
+                }
+            }
+        }
+        assert!(
+            checked > 50,
+            "the scan must find the docs' paths: {checked}"
+        );
+        assert!(
+            missing.is_empty(),
+            "paths naming no file in the tree: {missing:#?}"
+        );
+    }
+
+    /// The root manifest keeps debug assertions and overflow checks on in
+    /// the profiles tests build with (`dev`, and `test`, which inherits
+    /// it): the heap's collection-bracket checks are debug assertions.
+    /// Reads the manifest, so it holds under `cargo test --release` too.
+    #[test]
+    fn test_profiles_keep_debug_assertions_and_overflow_checks() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap();
+        let mut section = "";
+        let mut off = Vec::new();
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+                continue;
+            }
+            let Some((key, value)) = line.split_once('=') else {
+                continue;
+            };
+            let testing =
+                section.starts_with("[profile.dev") || section.starts_with("[profile.test");
+            let key = key.trim();
+            let value = value.split('#').next().unwrap().trim();
+            if testing && matches!(key, "debug-assertions" | "overflow-checks") && value == "false"
+            {
+                off.push(format!("{section} {line}"));
+            }
+        }
+        assert!(off.is_empty(), "a test profile turns checks off: {off:?}");
+    }
 }

@@ -1033,6 +1033,49 @@ mod tests {
         assert!(missing.is_empty(), "flags missing from USAGE: {missing:?}");
     }
 
+    /// The flags README documents for `tfml` — every `--flag` of its part
+    /// from "The `tfml` CLI" to the next section, leaving out cargo's
+    /// (before a command line's ` -- `) and the `experiments` binary's —
+    /// are exactly the flags USAGE lists.
+    #[test]
+    fn readme_documents_the_flags_usage_lists() {
+        fn flags(text: &str) -> std::collections::BTreeSet<&str> {
+            let mut out = std::collections::BTreeSet::new();
+            for line in text.lines() {
+                let line = match line.split_once(" -- ") {
+                    Some((head, tail)) if head.contains("cargo ") => tail,
+                    _ => line,
+                };
+                for (i, _) in line.match_indices("--") {
+                    let rest = &line[i + 2..];
+                    let len = rest
+                        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                        .unwrap_or(rest.len());
+                    let head = &line[..i];
+                    let word = !head.ends_with(|c: char| c.is_alphanumeric() || c == '-');
+                    if word
+                        && rest.starts_with(|c: char| c.is_ascii_lowercase())
+                        && !head.ends_with("experiments ")
+                    {
+                        out.insert(&line[i..i + 2 + len]);
+                    }
+                }
+            }
+            out
+        }
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+        let readme = std::fs::read_to_string(path).unwrap();
+        let start = readme.find("The `tfml` CLI").expect("README's tfml part");
+        let len = readme[start..].find("\n## ").expect("a section after it");
+        let (documented, listed) = (flags(&readme[start..start + len]), flags(USAGE));
+        assert!(
+            documented == listed,
+            "README documents {:?} that USAGE lacks, and lacks {:?}",
+            documented.difference(&listed).collect::<Vec<_>>(),
+            listed.difference(&documented).collect::<Vec<_>>()
+        );
+    }
+
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
     }

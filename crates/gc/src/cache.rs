@@ -349,15 +349,10 @@ impl RtCache {
         &self.frames[f as usize]
     }
 
-    /// Indices of frame step `f`'s slot steps, for [`RtCache::slot_step`].
-    pub(crate) fn frame_slots(&self, f: u32) -> std::ops::Range<usize> {
+    /// Frame step `f`'s slot steps, in its routine's op order.
+    pub(crate) fn frame_slots(&self, f: u32) -> &[SlotStep] {
         let (start, len) = self.frames[f as usize].steps;
-        start as usize..(start + len) as usize
-    }
-
-    /// One recorded slot step.
-    pub(crate) fn slot_step(&self, i: usize) -> SlotStep {
-        self.slot_steps[i]
+        &self.slot_steps[start as usize..(start + len) as usize]
     }
 
     /// Drops every frame step, for when the frames' parameter sources

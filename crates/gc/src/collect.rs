@@ -63,20 +63,26 @@
 //! state its caller's routine hands it, and only the first
 //! activation with a key evaluates anything. Later ones replay the
 //! recorded frame step — the traced slots with their resolved plans (or
-//! descriptor positions) and the outgoing state — so a deep chain of
-//! activations costs one small-integer lookup per frame that ran since
-//! the last collection, not a θ evaluation, an environment vector and
-//! plan lookups. Frames below the stack's floor ran before it and cost
-//! no lookup and no decoding: the walk replays them from the stack's
-//! [`WalkRecord`], a run of activations at a time, and relocates a word
-//! that repeats the last one a replayed slot held without looking at it
-//! again. Appel's walk is never memoized and always decodes the whole
-//! chain. The worklist, the decoded-frame vector and the
-//! descriptor-environment arena live in [`CollectorScratch`] (owned by
-//! `GcMeta`), and each walk record in its stack's thread; all are reused
-//! across collections. The heap's forwarding bitmap is likewise
-//! allocated once and only zeroed per collection (see
-//! `tfgc_runtime::Heap`).
+//! descriptor positions) and the outgoing state. The walk's unit is the
+//! *run*: consecutive activations of one call site entered with one
+//! state, one stride apart, as a recursion's frames are. Frames below
+//! the stack's floor ran before it: their runs come from the stack's
+//! [`WalkRecord`] with no decoding and no lookup. Above the floor each
+//! frame is decoded (its two header words) and compared with the run it
+//! may extend, and each run costs one small-integer lookup, one replay
+//! call and one append to the record, not a θ evaluation, an
+//! environment vector and plan lookups per frame. A replay reads the
+//! step's slots once per run (and resolves Interpreted's byte
+//! environment once); per frame it then costs a read and a write per
+//! traced slot, and a word that repeats the last one a replayed slot
+//! held, or that is already relocated, enters neither the plan executor
+//! nor the drain. Appel's walk is never memoized and always decodes the
+//! whole chain. The worklist, the decoded-frame vector, a replayed
+//! step's slot list and the descriptor-environment arena live in
+//! [`CollectorScratch`] (owned by `GcMeta`), and each walk record in its
+//! stack's thread; all are reused across collections. The heap's
+//! forwarding bitmap is likewise allocated once and only zeroed per
+//! collection (see `tfgc_runtime::Heap`).
 
 use crate::bytes::{BytePool, DescView};
 use crate::cache::{EnvIx, FrameState, FrameStep, RtCache, RtId, RtNode, SlotStep};
@@ -227,15 +233,18 @@ impl ByteEnvs {
 /// Persistent collector buffers, owned by `GcMeta` so one allocation
 /// serves every collection of a run: the typed worklist, the decoded
 /// dynamic-chain vector (a deep stack is decoded without growing a fresh
-/// `Vec` each pause) and the byte-descriptor environment arena. The
-/// fourth reused structure — the forwarding side bitmap — already lives
-/// in `tfgc_runtime::Heap`, sized once at heap construction and zeroed
-/// (not reallocated) on each flip.
+/// `Vec` each pause), a replayed frame step's slot list and the
+/// byte-descriptor environment arena. The last reused structure — the
+/// forwarding side bitmap — already lives in `tfgc_runtime::Heap`, sized
+/// once at heap construction and zeroed (not reallocated) on each flip.
 #[derive(Debug, Clone, Default)]
 pub struct CollectorScratch {
     pub(crate) work: Vec<WorkItem>,
     pub(crate) frames: Vec<FrameInfo>,
     pub(crate) envs: ByteEnvs,
+    /// A replayed frame step's traced slots, as `(word offset in the
+    /// frame, plan id or descriptor position)`, read once per run.
+    pub(crate) slots: Vec<(usize, u32)>,
 }
 
 /// Traces one tag-free collection `seq` inside the envelope
@@ -290,6 +299,7 @@ pub(crate) fn collect_tagfree(
         build: RtBuildStats::default(),
         work: &mut meta.scratch.work,
         envs: &mut meta.scratch.envs,
+        slots: &mut meta.scratch.slots,
         frame_env: None,
         last_moved: (0, 0),
     };
@@ -366,6 +376,7 @@ struct Collector<'c> {
     build: RtBuildStats,
     work: &'c mut Vec<WorkItem>,
     envs: &'c mut ByteEnvs,
+    slots: &'c mut Vec<(usize, u32)>,
     /// The byte environment a replayed frame step last decoded under, by
     /// its interned environment: a recursion replays one step per frame.
     frame_env: Option<(EnvIx, u32)>,
@@ -423,19 +434,21 @@ impl Collector<'_> {
 
     /// §3's traversal: oldest to newest, propagating type routine
     /// environments through the recorded θ / closure-type plans, through
-    /// the frame-step memo. Only the frames at or above the stack's floor
-    /// are decoded and keyed; the ones below it have not run since the
-    /// last walk, so they replay their recorded runs first, with no
-    /// lookup. A decoded frame is one `(site, incoming state)` lookup —
-    /// skipped outright when the frame repeats the previous frame's key,
-    /// as every frame of a recursion does — then one relocation per
-    /// traced slot, then the drain of what those slots reached. A miss
-    /// traces the frame on the plain path and records its step. Frames
-    /// that read a type parameter from a descriptor slot depend on their
-    /// own stack words, so they always take the plain path, kept or not;
-    /// the state they hand on is a plain key, so the frames above them
-    /// stay memoized. Every decoded frame is appended to the record.
-    /// Returns the newest frame's environment.
+    /// the frame-step memo, a run of activations at a time. Only the
+    /// frames at or above the stack's floor are decoded and keyed; the
+    /// ones below it have not run since the last walk, so they replay
+    /// their recorded runs first, with no lookup. Above the floor,
+    /// consecutive frames form one run while each repeats the previous
+    /// frame's `(site, incoming state)` one stride higher, as every
+    /// frame of a recursion does: the run is keyed once — one `(site,
+    /// incoming state)` lookup — replayed by one call, and appended to
+    /// the record whole. A miss traces the run's first frame on the plain
+    /// path and records its step, and the rest of the run replays it.
+    /// Frames that read a type parameter from a descriptor slot depend
+    /// on their own stack words, so they always take the plain path, a
+    /// frame at a time, kept or not; the state they hand on is a plain
+    /// key, so the frames above them stay memoized. Returns the newest
+    /// frame's environment.
     fn forward_walk(&mut self, frames: &mut Vec<FrameInfo>, sr: &mut StackRoots<'_>) -> EnvIx {
         let stop = walk_frames_into(
             frames,
@@ -458,7 +471,6 @@ impl Collector<'_> {
         );
         self.visit(frames, record.runs());
         let mut state = FrameState::None;
-        let mut last: Option<(CallSiteId, FrameState, u32)> = None;
         let mut newest = self.cache.env_ix(&[]);
         for run in record.runs() {
             self.cur = EvalCx::Frame {
@@ -468,59 +480,55 @@ impl Collector<'_> {
             match run.step {
                 Some(f) => {
                     self.cache.hits += run.count as u64;
-                    self.replay(f, run.site, run.base, run.count, run.stride, stack);
+                    self.replay(f, *run, stack);
                     let step = self.cache.frame(f);
                     (state, newest) = (step.out, step.env);
                 }
                 None => {
                     for k in 0..run.count {
-                        let (step, _) = self.trace_plain(&run.frame(k), run.state, stack);
+                        let step = self.trace_plain(&run.frame(k), run.state, stack, None);
                         (state, newest) = (step.out, step.env);
-                        if !self.work.is_empty() {
-                            self.drain();
-                        }
                     }
                 }
             }
-            last = run.step.map(|f| (run.site, run.state, f));
         }
-        for fr in frames.iter().rev() {
+        // `frames` is newest first: walk it from the end.
+        let mut left = frames.len();
+        while left > 0 {
+            left -= 1;
+            let fr = frames[left];
             self.cur = EvalCx::Frame {
                 fn_id: fr.fn_id.0,
                 site: fr.site.0,
             };
-            let memo = match last {
-                Some((site, s, f)) if site == fr.site && s == state => {
-                    self.cache.hits += 1;
-                    self.replay(f, fr.site, fr.fp, 1, 0, stack);
-                    Some(f)
-                }
-                _ if self.reads_desc_slot(fr) => {
-                    let (step, _) = self.trace_plain(fr, state, stack);
-                    record.push(fr, state, None);
-                    (state, newest) = (step.out, step.env);
-                    None
-                }
-                _ => Some(match self.cache.find_frame(fr.site.0, state) {
-                    Some(f) => {
-                        self.replay(f, fr.site, fr.fp, 1, 0, stack);
-                        f
-                    }
-                    None => {
-                        let (step, slots) = self.trace_plain(fr, state, stack);
-                        self.cache.insert_frame(fr.site.0, state, step, &slots)
-                    }
-                }),
-            };
-            last = memo.map(|f| (fr.site, state, f));
-            if let Some(f) = memo {
-                record.push(fr, state, Some(f));
-                let step = self.cache.frame(f);
+            if self.reads_desc_slot(&fr) {
+                record.push(Run::one(&fr, state, None));
+                let step = self.trace_plain(&fr, state, stack, None);
                 (state, newest) = (step.out, step.env);
+                continue;
             }
-            if !self.work.is_empty() {
-                self.drain();
+            let (f, traced) = match self.cache.find_frame(fr.site.0, state) {
+                Some(f) => (f, 0),
+                None => {
+                    let mut slots = Vec::new();
+                    let step = self.trace_plain(&fr, state, stack, Some(&mut slots));
+                    (self.cache.insert_frame(fr.site.0, state, step, &slots), 1)
+                }
+            };
+            let mut run = Run::one(&fr, state, Some(f));
+            let step = *self.cache.frame(f);
+            left -= run.grow_over(&frames[..left], step.out);
+            self.cache.hits += (run.count - 1) as u64;
+            if run.count > traced {
+                let rest = Run {
+                    base: run.base + traced * run.stride,
+                    count: run.count - traced,
+                    ..run
+                };
+                self.replay(f, rest, stack);
             }
+            record.push(run);
+            (state, newest) = (step.out, step.env);
         }
         newest
     }
@@ -534,76 +542,114 @@ impl Collector<'_> {
             .any(|s| matches!(s, FrameParamSrc::DescSlot(_)))
     }
 
-    /// Traces a frame on the plain path from its incoming state. Returns
-    /// the frame step this activation amounts to and its traced slots.
+    /// Traces a frame on the plain path from its incoming state, then
+    /// drains what its slots reached. With `record`, each traced slot's
+    /// step is appended for the frame-step memo. Returns the frame step
+    /// this activation amounts to.
     fn trace_plain(
         &mut self,
         fr: &FrameInfo,
         state: FrameState,
         stack: &mut [Word],
-    ) -> (FrameStep, Vec<SlotStep>) {
+        record: Option<&mut Vec<SlotStep>>,
+    ) -> FrameStep {
         let env = self.frame_env(fr, stack, state);
-        let mut slots = Vec::new();
-        let ops = self.run_frame_routine(fr, &env, stack, Some(&mut slots));
+        let ops = self.run_frame_routine(fr, &env, stack, record);
         let step = FrameStep {
             ops,
             steps: (0, 0),
             out: self.eval_plan(fr.site, &env),
             env: self.cache.env_ix(&env),
         };
-        (step, slots)
+        if !self.work.is_empty() {
+            self.drain();
+        }
+        step
     }
 
-    /// Traces `count` activations of frame step `f`'s call site, based
-    /// `stride` words apart from `base` up, from the recorded step: for
+    /// Traces `run`'s activations from frame step `f`, oldest first: for
     /// each, the same routine run and the same relocations in the same
-    /// order as the plain path, with every plan already resolved, then
-    /// the drain of what they reached.
-    fn replay(
-        &mut self,
-        f: u32,
-        site: CallSiteId,
-        base: usize,
-        count: usize,
-        stride: usize,
-        stack: &mut [Word],
-    ) {
+    /// order as the plain path, then the drain of what they reached. The
+    /// step's slots are read once per run into `self.slots`, and the sink
+    /// flag, the frame base and the last relocation are kept in locals; a
+    /// slot enters the plan executor, and its frame the drain, only when
+    /// its word has not been relocated yet.
+    fn replay(&mut self, f: u32, run: Run, stack: &mut [Word]) {
         let FrameStep { ops, env, .. } = *self.cache.frame(f);
-        let slots = self.cache.frame_slots(f);
-        self.stats.routine_invocations += count as u64;
-        self.stats.slots_traced += count as u64 * u64::from(ops);
-        let seq = self.seq;
-        for k in 0..count {
-            let fp = base + k * stride;
-            self.obs.emit(|_| GcEvent::RoutineRun {
-                seq,
-                site: site.0,
-                ops,
-            });
-            for i in slots.clone() {
-                match self.cache.slot_step(i) {
-                    SlotStep::Plan { slot, plan } => {
-                        let idx = fp + FRAME_HDR + slot as usize;
-                        let w = stack[idx];
-                        stack[idx] = match self.last_moved {
-                            (old, new) if old == w => new,
-                            _ => {
-                                let new = self.reloc_plan(w, plan);
-                                self.last_moved = (w, new);
-                                new
-                            }
-                        };
-                    }
-                    SlotStep::Bytes { slot, pos } => {
-                        let benv = self.replayed_env(env);
-                        let idx = fp + FRAME_HDR + slot as usize;
-                        stack[idx] = self.reloc_bytes(stack[idx], pos, benv);
-                    }
+        self.stats.routine_invocations += run.count as u64;
+        self.stats.slots_traced += run.count as u64 * u64::from(ops);
+        let mut slots = std::mem::take(self.slots);
+        slots.clear();
+        slots.extend(self.cache.frame_slots(f).iter().map(|s| match *s {
+            SlotStep::Plan { slot, plan } => (FRAME_HDR + slot as usize, plan.0),
+            SlotStep::Bytes { slot, pos } => (FRAME_HDR + slot as usize, pos),
+        }));
+        let traced = self.obs.enabled();
+        if self.strategy == Strategy::Interpreted {
+            let benv = if slots.is_empty() {
+                0
+            } else {
+                self.replayed_env(env)
+            };
+            for fp in (0..run.count).map(|k| run.base + k * run.stride) {
+                if traced {
+                    self.routine_run(run.site, ops);
+                }
+                for &(off, pos) in &slots {
+                    stack[fp + off] = self.reloc_bytes(stack[fp + off], pos, benv);
+                }
+                if !self.work.is_empty() {
+                    self.drain();
                 }
             }
-            if !self.work.is_empty() {
-                self.drain();
+        } else {
+            let (mut old, mut new) = self.last_moved;
+            let mut fp = run.base;
+            for _ in 0..run.count {
+                if traced {
+                    self.routine_run(run.site, ops);
+                }
+                let mut copied = false;
+                for &(off, plan) in &slots {
+                    let slot = &mut stack[fp + off];
+                    if *slot != old {
+                        let entered;
+                        (new, entered) = self.reloc_slot(*slot, PlanId(plan));
+                        old = *slot;
+                        copied |= entered;
+                    }
+                    *slot = new;
+                }
+                if copied {
+                    self.drain();
+                }
+                fp += run.stride;
             }
+            self.last_moved = (old, new);
+        }
+        *self.slots = slots;
+    }
+
+    /// Reports a replayed frame's routine run to the attached sink.
+    #[inline(never)]
+    fn routine_run(&mut self, site: CallSiteId, ops: u32) {
+        let seq = self.seq;
+        self.obs.emit(|_| GcEvent::RoutineRun {
+            seq,
+            site: site.0,
+            ops,
+        });
+    }
+
+    /// Relocates a replayed slot's word, returning its new word and
+    /// whether it entered the plan executor: only a word this collection
+    /// has not relocated yet does. Out of line, so that replaying a slot
+    /// that repeats the last word stays a load, a compare and a store.
+    #[inline(never)]
+    fn reloc_slot(&mut self, w: Word, plan: PlanId) -> (Word, bool) {
+        match self.unrelocated(w) {
+            Ok(_) => (self.reloc_plan(w, plan), true),
+            Err(nw) => (nw, false),
         }
     }
 

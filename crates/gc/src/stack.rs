@@ -24,6 +24,11 @@
 //! [`WalkRecord`] of that collection's forward walk.
 //! [`walk_frames_into`] decodes only the frames at or above the floor;
 //! the collector replays the record's prefix below it.
+//!
+//! The record is kept in runs, not frames, so its cost is per run: a
+//! recursion of any depth is one run, keeping a prefix cuts at most one
+//! run, and `WalkRecord::push` appends a whole run of decoded frames
+//! in one step, merging it into the newest run it continues.
 
 use crate::cache::FrameState;
 use tfgc_ir::{CallSiteId, FnId, IrProgram, Slot};
@@ -122,7 +127,7 @@ pub struct WalkRecord {
 
 /// `count` activations of `site`, based `stride` words apart from `base`
 /// up, each entered with `state`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Run {
     pub base: usize,
     pub count: usize,
@@ -137,6 +142,19 @@ pub(crate) struct Run {
 }
 
 impl Run {
+    /// One activation, `fr`, entered with `state`.
+    pub fn one(fr: &FrameInfo, state: FrameState, step: Option<u32>) -> Run {
+        Run {
+            base: fr.fp,
+            count: 1,
+            stride: 0,
+            site: fr.site,
+            fn_id: fr.fn_id,
+            state,
+            step,
+        }
+    }
+
     /// The run's `k`-th frame, oldest first.
     pub fn frame(&self, k: usize) -> FrameInfo {
         FrameInfo {
@@ -144,6 +162,40 @@ impl Run {
             fn_id: self.fn_id,
             site: self.site,
         }
+    }
+
+    /// Adds the frame based at `fp` when it lies one stride above the
+    /// run's newest frame: a second frame sets the run's stride, later
+    /// ones must keep it. The caller has checked the frame's site, state
+    /// and step.
+    pub fn grow(&mut self, fp: usize) -> bool {
+        let stride = match self.count {
+            1 => fp.saturating_sub(self.base),
+            _ => self.stride,
+        };
+        let grows = stride > 0 && fp == self.base + self.count * stride;
+        if grows {
+            self.stride = stride;
+            self.count += 1;
+        }
+        grows
+    }
+
+    /// Grows the run by the decoded frames above it (`newer`, newest
+    /// first, so taken from its end) while each repeats the run's site
+    /// one stride higher. Each such frame enters with `out`, the state
+    /// the run's step hands on: when that is not the run's own state, no
+    /// frame joins. Returns how many joined.
+    pub fn grow_over(&mut self, newer: &[FrameInfo], out: FrameState) -> usize {
+        if out != self.state {
+            return 0;
+        }
+        let site = self.site;
+        newer
+            .iter()
+            .rev()
+            .take_while(|fr| fr.site == site && self.grow(fr.fp))
+            .count()
     }
 }
 
@@ -177,32 +229,27 @@ impl WalkRecord {
         }
     }
 
-    /// Appends a walked frame, entered with `state`, on top of the record:
-    /// the newest run grows by it when it repeats the run's site, state
-    /// and step one stride above the run's newest frame.
-    pub(crate) fn push(&mut self, fr: &FrameInfo, state: FrameState, step: Option<u32>) {
-        if let Some(run) = self.runs.last_mut() {
-            // A second frame sets the run's stride; later ones must keep it.
-            let stride = match run.count {
-                1 => fr.fp.saturating_sub(run.base),
-                _ => run.stride,
-            };
-            let repeats = run.site == fr.site && run.state == state && run.step == step;
-            if repeats && stride > 0 && fr.fp == run.base + run.count * stride {
-                run.stride = stride;
-                run.count += 1;
-                return;
+    /// Appends a run of walked frames on top of the record, exactly as
+    /// appending its frames one at a time would: the newest run grows by
+    /// each frame that repeats its site, state and step one stride above
+    /// its newest frame.
+    pub(crate) fn push(&mut self, mut run: Run) {
+        if let Some(last) = self.runs.last_mut() {
+            let repeats = last.site == run.site && last.state == run.state && last.step == run.step;
+            if repeats && last.grow(run.base) {
+                if run.count == 1 || run.stride == last.stride {
+                    last.count += run.count - 1;
+                    return;
+                }
+                // The run's other frames are off `last`'s stride.
+                run.base += run.stride;
+                run.count -= 1;
+                if run.count == 1 {
+                    run.stride = 0;
+                }
             }
         }
-        self.runs.push(Run {
-            base: fr.fp,
-            count: 1,
-            stride: 0,
-            site: fr.site,
-            fn_id: fr.fn_id,
-            state,
-            step,
-        });
+        self.runs.push(run);
     }
 }
 
@@ -227,13 +274,13 @@ mod tests {
     #[test]
     fn a_record_keeps_evenly_spaced_repeats_as_one_run() {
         let mut r = WalkRecord::default();
-        r.push(&frame(0, 1), FrameState::None, None);
+        r.push(Run::one(&frame(0, 1), FrameState::None, None));
         for k in 0..100 {
-            r.push(&frame(4 + 5 * k, 2), FrameState::None, Some(7));
+            r.push(Run::one(&frame(4 + 5 * k, 2), FrameState::None, Some(7)));
         }
         // A gap in the bases starts a run, as does another step.
-        r.push(&frame(600, 2), FrameState::None, Some(7));
-        r.push(&frame(605, 2), FrameState::None, Some(8));
+        r.push(Run::one(&frame(600, 2), FrameState::None, Some(7)));
+        r.push(Run::one(&frame(605, 2), FrameState::None, Some(8)));
         assert_eq!(r.runs().len(), 4);
         let frames = |r: &WalkRecord| r.runs().iter().map(|run| run.count).sum::<usize>();
         assert_eq!(frames(&r), 103);
@@ -254,7 +301,79 @@ mod tests {
     }
 
     #[test]
+    fn appending_a_run_builds_the_runs_its_frames_would() {
+        let run = |base, count, stride, site, step| Run {
+            base,
+            count,
+            stride,
+            site: CallSiteId(site),
+            fn_id: FnId(site),
+            state: FrameState::None,
+            step: Some(step),
+        };
+        let by_frames = |r: &mut WalkRecord, run: &Run| {
+            for k in 0..run.count {
+                r.push(Run::one(&run.frame(k), run.state, run.step));
+            }
+        };
+        // A recursion of 100 frames at 4, 9, ..., 499, cut by a floor,
+        // then the runs the walk appends above it; and the runs each
+        // record ends with.
+        let deep = run(4, 100, 5, 2, 7);
+        let cases = [
+            // The walk resumes the cut run, another call site interrupts
+            // it, and it starts again.
+            (
+                250,
+                vec![
+                    run(254, 30, 5, 2, 7),
+                    run(404, 1, 0, 3, 9),
+                    run(409, 4, 5, 2, 7),
+                ],
+                vec![
+                    run(4, 80, 5, 2, 7),
+                    run(404, 1, 0, 3, 9),
+                    run(409, 4, 5, 2, 7),
+                ],
+            ),
+            // The floor keeps one frame, which sets the stride.
+            (5, vec![run(9, 10, 5, 2, 7)], vec![run(4, 11, 5, 2, 7)]),
+            // Another step starts a run, and so does a gap.
+            (
+                250,
+                vec![run(254, 3, 5, 2, 8), run(300, 2, 5, 2, 8)],
+                vec![
+                    run(4, 50, 5, 2, 7),
+                    run(254, 3, 5, 2, 8),
+                    run(300, 2, 5, 2, 8),
+                ],
+            ),
+            // Only the first frame of a run off the kept run's stride
+            // continues it.
+            (
+                250,
+                vec![run(254, 3, 6, 2, 7)],
+                vec![run(4, 51, 5, 2, 7), run(260, 2, 6, 2, 7)],
+            ),
+        ];
+        for (floor, above, expected) in cases {
+            let (mut whole, mut frames) = (WalkRecord::default(), WalkRecord::default());
+            for r in [&mut whole, &mut frames] {
+                by_frames(r, &deep);
+                r.keep_below(floor);
+            }
+            for run in &above {
+                whole.push(*run);
+                by_frames(&mut frames, run);
+            }
+            assert_eq!(whole.runs(), frames.runs(), "floor {floor}, then {above:?}");
+            assert_eq!(whole.runs(), expected, "floor {floor}, then {above:?}");
+        }
+    }
+
+    #[test]
     fn decoding_stops_at_the_floor() {
+        use crate::cache::RtId;
         // Three frames at 0, 3 and 7, each suspended at its own site.
         let p = {
             use tfgc_ir::lower;
@@ -273,6 +392,15 @@ mod tests {
         assert_eq!(out.iter().map(|f| f.fp).collect::<Vec<_>>(), [7]);
         assert_eq!(walk_frames_into(&mut out, &stack, 7, site, 3, &p), Some(0));
         assert_eq!(out.len(), 2);
+
+        // The frame at 0 starts a run, the one at 3 sets its stride, and
+        // the one at 7 is off that stride. Under a step that hands on
+        // another state, none joins.
+        walk_frames_into(&mut out, &stack, 7, site, 0, &p);
+        let mut run = Run::one(&out[2], FrameState::None, Some(0));
+        assert_eq!(run.grow_over(&out[..2], FrameState::Clos(RtId::CONST)), 0);
+        assert_eq!(run.grow_over(&out[..2], FrameState::None), 1);
+        assert_eq!((run.count, run.stride, run.frame(1)), (2, 3, out[1]));
     }
 
     #[test]
