@@ -119,8 +119,7 @@ mod tests {
 
     /// EXPERIMENTS.md shows each committed document's table verbatim,
     /// as one fenced block: regenerate it with `experiments --render .`
-    /// when a baseline changes. The frozen historical tables beside them
-    /// are not rendered from anything.
+    /// when a baseline changes.
     #[test]
     fn experiments_md_shows_every_committed_table() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");

@@ -200,25 +200,22 @@ fn parse_admission(s: &str) -> Result<tfgc::AdmissionPolicy, CliError> {
     let mut parts = s.split(':');
     let head = parts.next().unwrap_or_default();
     let rest: Vec<&str> = parts.collect();
-    let arg = |i: usize, what: &str| -> Result<u64, CliError> {
-        rest.get(i)
-            .ok_or_else(|| usage(format!("--admission {head} needs {what}")))?
-            .parse()
-            .map_err(|e| usage(format!("bad --admission {what}: {e}")))
+    let bad = |what: &'static str| {
+        move |e: std::num::ParseIntError| usage(format!("bad --admission {what}: {e}"))
     };
-    Ok(match (head, rest.len()) {
-        ("reject", 0) => tfgc::AdmissionPolicy::Reject,
-        ("backoff", 0) => tfgc::AdmissionPolicy::RetryBackoff {
+    Ok(match (head, rest.as_slice()) {
+        ("reject", []) => tfgc::AdmissionPolicy::Reject,
+        ("backoff", []) => tfgc::AdmissionPolicy::RetryBackoff {
             max_attempts: 6,
             base: 16,
         },
-        ("backoff", 2) => tfgc::AdmissionPolicy::RetryBackoff {
-            max_attempts: arg(0, "ATTEMPTS")? as u32,
-            base: arg(1, "BASE")?,
+        ("backoff", [attempts, base]) => tfgc::AdmissionPolicy::RetryBackoff {
+            max_attempts: attempts.parse().map_err(bad("ATTEMPTS"))?,
+            base: base.parse().map_err(bad("BASE"))?,
         },
-        ("degrade", 0) => tfgc::AdmissionPolicy::Degrade { low_kind_min: 2 },
-        ("degrade", 1) => tfgc::AdmissionPolicy::Degrade {
-            low_kind_min: arg(0, "MINKIND")? as u32,
+        ("degrade", []) => tfgc::AdmissionPolicy::Degrade { low_kind_min: 2 },
+        ("degrade", [min_kind]) => tfgc::AdmissionPolicy::Degrade {
+            low_kind_min: min_kind.parse().map_err(bad("MINKIND"))?,
         },
         _ => {
             return Err(usage(format!(
@@ -424,7 +421,7 @@ fn cmd_run(compiled: &Compiled, opts: &Opts) -> Result<(), String> {
         let (out, collections) = oracle_check(
             &compiled.program,
             &compiled.analyses,
-            opts.vm.strategy,
+            compiled.metadata(opts.vm.strategy),
             opts.vm.heap_words,
             opts.vm.force_gc_every.unwrap_or(64),
         )?;
@@ -793,8 +790,9 @@ fn cmd_torture(args: &[String]) -> Result<(), CliError> {
             let compiled =
                 Compiled::compile(&src).map_err(|e| CliError::Run(format!("{name}: {e}")))?;
             for s in Strategy::ALL {
+                let meta = compiled.metadata(s);
                 let (_, collections) =
-                    oracle_check(&compiled.program, &compiled.analyses, s, 1 << 16, 64)
+                    oracle_check(&compiled.program, &compiled.analyses, meta, 1 << 16, 64)
                         .map_err(|e| CliError::Run(format!("oracle: {name} under {s}: {e}")))?;
                 println!("oracle ok: {name} under {s} ({collections} collections)");
             }
@@ -971,6 +969,10 @@ mod tests {
             vec!["serve", "--admission", "backoff:3"],
             vec!["serve", "--admission", "degrade:low"],
             vec!["serve", "--admission", "lottery"],
+            // ATTEMPTS and MINKIND are u32: one past u32::MAX, and 2^32,
+            // must not wrap to 1 and 0.
+            vec!["serve", "--admission", "backoff:4294967297:16"],
+            vec!["serve", "--admission", "degrade:4294967296"],
         ] {
             let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             assert!(

@@ -117,7 +117,7 @@ pub fn torture(seeds: &[u64]) -> TortureReport {
                         strategy: s,
                         seed,
                         plan,
-                        outcome: fault_case(&c.program, &c.analyses, s, plan),
+                        outcome: fault_case(&c.program, c.metadata(s), plan),
                     });
                 }
             }
@@ -164,8 +164,9 @@ mod tests {
     fn oracle_agrees_under_all_strategies() {
         let c = Compiled::compile(&programs::naive_rev(40)).unwrap();
         for s in Strategy::ALL {
-            let (out, collections) = oracle_check(&c.program, &c.analyses, s, 1 << 14, 32)
-                .unwrap_or_else(|e| panic!("{s}: {e}"));
+            let (out, collections) =
+                oracle_check(&c.program, &c.analyses, c.metadata(s), 1 << 14, 32)
+                    .unwrap_or_else(|e| panic!("{s}: {e}"));
             assert!(collections > 0, "{s}: no collections compared");
             assert_eq!(out.result, "40", "{s}");
         }
@@ -175,8 +176,9 @@ mod tests {
     fn oracle_agrees_on_polymorphic_closures() {
         let c = Compiled::compile(&programs::poly_capture(60)).unwrap();
         for s in Strategy::ALL {
-            let (_, collections) = oracle_check(&c.program, &c.analyses, s, 1 << 14, 24)
-                .unwrap_or_else(|e| panic!("{s}: {e}"));
+            let (_, collections) =
+                oracle_check(&c.program, &c.analyses, c.metadata(s), 1 << 14, 24)
+                    .unwrap_or_else(|e| panic!("{s}: {e}"));
             assert!(collections > 0, "{s}: no collections compared");
         }
     }

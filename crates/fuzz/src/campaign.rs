@@ -364,7 +364,8 @@ pub(crate) fn check_program(
     // --- Oracle passes ---------------------------------------------
     for s in Strategy::ALL {
         stats.cases += 1;
-        if let Err(e) = oracle_check(&compiled.program, &compiled.analyses, s, 1 << 14, 16) {
+        let meta = compiled.metadata(s);
+        if let Err(e) = oracle_check(&compiled.program, &compiled.analyses, meta, 1 << 14, 16) {
             findings.push(RawFinding {
                 kind: DivergenceKind::OracleFailure,
                 fingerprint: format!("oracle-failure|oracle|{s}"),
@@ -393,7 +394,7 @@ pub(crate) fn check_program(
     let plan = FaultPlan::from_seed(seed);
     for s in Strategy::ALL {
         stats.cases += 1;
-        match fault_case(&compiled.program, &compiled.analyses, s, plan) {
+        match fault_case(&compiled.program, compiled.metadata(s), plan) {
             CaseOutcome::RawPanic(msg) => findings.push(RawFinding {
                 kind: DivergenceKind::NonGracefulFault,
                 fingerprint: format!("non-graceful-fault|panic|{s}"),

@@ -28,17 +28,19 @@
 //!   descriptor conversion ([`RtCache::extract`], [`RtCache::desc`]) are
 //!   pure given their inputs and memoize the same way (paths are interned
 //!   once, so an extraction hit allocates nothing either).
-//! * **Frame-step memo** — the forward walk's unit of work. A frame's
-//!   environment is a pure function of its call site and of the
-//!   `FrameState` its caller's routine handed it (the evaluated θ or
-//!   closure routine, §3). One `FrameStep` per `(site, state)` records
-//!   the frame's slot plans, its routine's op count and the state it hands
-//!   on, so tracing a chain of activations costs one small-integer lookup
-//!   per frame that ran since the last collection. A frame below its
-//!   stack's floor is replayed from the stack's walk record (`stack.rs`)
-//!   with no lookup, and counts the hit its lookup would have scored.
-//!   Each frame-step lookup counts in [`RtCache::hits`]/[`RtCache::misses`]
-//!   like any other memo lookup.
+//! * **Frame-step memo** — the forward walk's unit of work. The collector
+//!   traces every frame by replaying a `FrameStep`: its routine's op
+//!   count, the state it hands on, its environment, and its traced slots
+//!   as `(word offset in the frame, plan id or descriptor position)`
+//!   pairs. A frame's environment is a pure function of its call site and
+//!   of the `FrameState` its caller's routine handed it (the evaluated θ
+//!   or closure routine, §3), so one step per `(site, state)` is kept
+//!   here, and tracing a chain of activations costs one small-integer
+//!   lookup per run of frames that ran since the last collection. A frame
+//!   below its stack's floor is replayed from the stack's walk record
+//!   (`stack.rs`) with no lookup, and counts the hit its lookup would
+//!   have scored. Each frame-step lookup counts in
+//!   [`RtCache::hits`]/[`RtCache::misses`] like any other memo lookup.
 //!
 //! Correctness: `eval_sx` is a pure function of the template and the
 //! environment, so memoization cannot change any collection outcome. The
@@ -52,7 +54,7 @@
 
 use crate::desc::{DescArena, DescId, DescNode};
 use crate::ground::{GroundTable, TypeRtId};
-use crate::plan::{PlanId, PlanStore};
+use crate::plan::PlanStore;
 use crate::rtval::{bad_path, extract_ground, param_lookup, EvalCx, RtBuildStats, RtVal};
 use crate::sx::{SxId, SxTable, TypeSx};
 use std::collections::HashMap;
@@ -104,30 +106,20 @@ pub(crate) enum FrameState {
     Clos(RtId),
 }
 
-/// One traced slot of a memoized frame step.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum SlotStep {
-    /// Relocate the slot under an already-lowered plan.
-    Plan { slot: u16, plan: PlanId },
-    /// Interpreted method: decode the descriptor at `pos` under the
-    /// step's environment, as every activation must (§2.4).
-    Bytes { slot: u16, pos: u32 },
-}
-
-/// A memoized frame step: everything the forward walk needs to trace one
-/// activation of a call site entered with one incoming state.
+/// A frame step: everything but its traced slots that the collector
+/// needs to trace one activation of a call site entered with one
+/// incoming state. The slots travel beside it, as `(word offset in the
+/// frame, plan id or descriptor position)` pairs.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FrameStep {
     /// Op count of the site's frame routine (`RoutineRun`,
-    /// `slots_traced`); no-op slots are absent from the step list.
+    /// `slots_traced`); no-op slots are absent from the slot list.
     pub ops: u32,
-    /// `(start, len)` of the slot steps; set by [`RtCache::insert_frame`].
-    pub steps: (u32, u32),
     /// The state this frame's routine hands the next (newer) frame.
     pub out: FrameState,
     /// The frame's own environment (the newest frame's environment types
-    /// the pending allocation operands, and [`SlotStep::Bytes`] steps
-    /// decode under it).
+    /// the pending allocation operands, and Interpreted's descriptor
+    /// slots decode under it).
     pub env: EnvIx,
 }
 
@@ -150,8 +142,10 @@ pub struct RtCache {
     /// Per call site, the recorded `(incoming state, frame step)` pairs:
     /// a site meets few distinct states, so a short scan beats hashing.
     frame_ix: Vec<Vec<(FrameState, u32)>>,
-    frames: Vec<FrameStep>,
-    slot_steps: Vec<SlotStep>,
+    /// Each frame step with the `(start, len)` of its slots in
+    /// `frame_slots`.
+    frames: Vec<(FrameStep, (u32, u32))>,
+    frame_slots: Vec<(usize, u32)>,
     /// Flat trace plans lowered from routine ids (the fast execution tier
     /// on top of this cache — see `plan.rs`).
     pub plans: PlanStore,
@@ -173,7 +167,7 @@ impl RtCache {
             extract_memo: HashMap::new(),
             frame_ix: Vec::new(),
             frames: Vec::new(),
-            slot_steps: Vec::new(),
+            frame_slots: Vec::new(),
             plans: PlanStore::new(),
         }
     }
@@ -324,18 +318,19 @@ impl RtCache {
         f
     }
 
-    /// Records the frame step of `site` entered with `state`.
+    /// Records the frame step of `site` entered with `state`, with its
+    /// traced slots.
     pub(crate) fn insert_frame(
         &mut self,
         site: u32,
         state: FrameState,
-        mut step: FrameStep,
-        slots: &[SlotStep],
+        step: FrameStep,
+        slots: &[(usize, u32)],
     ) -> u32 {
-        step.steps = (self.slot_steps.len() as u32, slots.len() as u32);
-        self.slot_steps.extend_from_slice(slots);
+        let span = (self.frame_slots.len() as u32, slots.len() as u32);
+        self.frame_slots.extend_from_slice(slots);
         let f = self.frames.len() as u32;
-        self.frames.push(step);
+        self.frames.push((step, span));
         let site = site as usize;
         if self.frame_ix.len() <= site {
             self.frame_ix.resize_with(site + 1, Vec::new);
@@ -346,13 +341,13 @@ impl RtCache {
 
     /// A recorded frame step.
     pub(crate) fn frame(&self, f: u32) -> &FrameStep {
-        &self.frames[f as usize]
+        &self.frames[f as usize].0
     }
 
-    /// Frame step `f`'s slot steps, in its routine's op order.
-    pub(crate) fn frame_slots(&self, f: u32) -> &[SlotStep] {
-        let (start, len) = self.frames[f as usize].steps;
-        &self.slot_steps[start as usize..(start + len) as usize]
+    /// Frame step `f`'s traced slots, in its routine's op order.
+    pub(crate) fn frame_slots(&self, f: u32) -> &[(usize, u32)] {
+        let (start, len) = self.frames[f as usize].1;
+        &self.frame_slots[start as usize..(start + len) as usize]
     }
 
     /// Drops every frame step, for when the frames' parameter sources
@@ -360,7 +355,7 @@ impl RtCache {
     pub fn forget_frames(&mut self) {
         self.frame_ix.clear();
         self.frames.clear();
-        self.slot_steps.clear();
+        self.frame_slots.clear();
     }
 
     /// Extracts the sub-routine at `path` (§3, Figure 3), memoized per

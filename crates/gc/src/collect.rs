@@ -57,35 +57,40 @@
 //! profile was checked. The executor decodes pointers in the tag-free
 //! encoding directly: a pointer is its address.
 //!
-//! Template evaluation, Figure-3 path extraction, and descriptor
-//! conversion all route through the metadata's [`RtCache`]. The forward
-//! walk goes further: each frame is keyed on its call site and the
-//! state its caller's routine hands it, and only the first
-//! activation with a key evaluates anything. Later ones replay the
-//! recorded frame step — the traced slots with their resolved plans (or
-//! descriptor positions) and the outgoing state. The walk's unit is the
-//! *run*: consecutive activations of one call site entered with one
-//! state, one stride apart, as a recursion's frames are. Frames below
-//! the stack's floor ran before it: their runs come from the stack's
-//! [`WalkRecord`] with no decoding and no lookup. Above the floor each
-//! frame is decoded (its two header words) and compared with the run it
-//! may extend, and each run costs one small-integer lookup, one replay
-//! call and one append to the record, not a θ evaluation, an
-//! environment vector and plan lookups per frame. A replay reads the
-//! step's slots once per run (and resolves Interpreted's byte
+//! Every frame is traced one way. A *frame step* is the site's frame
+//! routine read under the frame's environment: its op count, and each
+//! traced slot as a `(word offset in the frame, plan id or descriptor
+//! position)` pair, no-op slots left out. Building a step relocates
+//! nothing; replaying it over a run of frames is the only code that
+//! relocates a frame slot. Template evaluation, Figure-3 path
+//! extraction, and descriptor conversion all route through the
+//! metadata's [`RtCache`], and the forward walk memoizes the steps too:
+//! each frame is keyed on its call site and the state its caller's
+//! routine hands it, and only the first activation with a key builds
+//! one. The walk's unit is the *run*: consecutive activations of one
+//! call site entered with one state, one stride apart, as a recursion's
+//! frames are. Frames below the stack's floor ran before it: their runs
+//! come from the stack's [`WalkRecord`] with no decoding and no lookup.
+//! Above the floor each frame is decoded (its two header words) and
+//! compared with the run it may extend, and each run costs one
+//! small-integer lookup, one replay call and one append to the record,
+//! not a θ evaluation, an environment vector and plan lookups per
+//! frame. A frame that reads a type parameter from its own descriptor
+//! slot builds a fresh step that is never memoized, and Appel's walk
+//! builds one per frame from its unmemoized environment. A replay reads
+//! the step's slots once per run (and resolves Interpreted's byte
 //! environment once); per frame it then costs a read and a write per
 //! traced slot, and a word that repeats the last one a replayed slot
 //! held, or that is already relocated, enters neither the plan executor
-//! nor the drain. Appel's walk is never memoized and always decodes the
-//! whole chain. The worklist, the decoded-frame vector, a replayed
-//! step's slot list and the descriptor-environment arena live in
-//! [`CollectorScratch`] (owned by `GcMeta`), and each walk record in its
-//! stack's thread; all are reused across collections. The heap's
+//! nor the drain. The worklist, the decoded-frame vector, the slot list
+//! of the step being replayed and the descriptor-environment arena live
+//! in [`CollectorScratch`] (owned by `GcMeta`), and each walk record in
+//! its stack's thread; all are reused across collections. The heap's
 //! forwarding bitmap is likewise allocated once and only zeroed per
 //! collection (see `tfgc_runtime::Heap`).
 
 use crate::bytes::{BytePool, DescView};
-use crate::cache::{EnvIx, FrameState, FrameStep, RtCache, RtId, RtNode, SlotStep};
+use crate::cache::{EnvIx, FrameState, FrameStep, RtCache, RtId, RtNode};
 use crate::desc::{DescArena, DescId};
 use crate::ground::{GroundTable, TypeRt, TypeRtId};
 use crate::meta::{CalleePlan, ClosParamSrc, FnGcMeta, FrameParamSrc, GcMeta, SiteMeta};
@@ -233,17 +238,18 @@ impl ByteEnvs {
 /// Persistent collector buffers, owned by `GcMeta` so one allocation
 /// serves every collection of a run: the typed worklist, the decoded
 /// dynamic-chain vector (a deep stack is decoded without growing a fresh
-/// `Vec` each pause), a replayed frame step's slot list and the
-/// byte-descriptor environment arena. The last reused structure — the
-/// forwarding side bitmap — already lives in `tfgc_runtime::Heap`, sized
-/// once at heap construction and zeroed (not reallocated) on each flip.
+/// `Vec` each pause), the slot list of the frame step being built or
+/// replayed and the byte-descriptor environment arena. The last reused
+/// structure — the forwarding side bitmap — already lives in
+/// `tfgc_runtime::Heap`, sized once at heap construction and zeroed (not
+/// reallocated) on each flip.
 #[derive(Debug, Clone, Default)]
 pub struct CollectorScratch {
     pub(crate) work: Vec<WorkItem>,
     pub(crate) frames: Vec<FrameInfo>,
     pub(crate) envs: ByteEnvs,
-    /// A replayed frame step's traced slots, as `(word offset in the
-    /// frame, plan id or descriptor position)`, read once per run.
+    /// The traced slots of the frame step being built or replayed, as
+    /// `(word offset in the frame, plan id or descriptor position)`.
     pub(crate) slots: Vec<(usize, u32)>,
 }
 
@@ -442,13 +448,12 @@ impl Collector<'_> {
     /// frame's `(site, incoming state)` one stride higher, as every
     /// frame of a recursion does: the run is keyed once — one `(site,
     /// incoming state)` lookup — replayed by one call, and appended to
-    /// the record whole. A miss traces the run's first frame on the plain
-    /// path and records its step, and the rest of the run replays it.
-    /// Frames that read a type parameter from a descriptor slot depend
-    /// on their own stack words, so they always take the plain path, a
-    /// frame at a time, kept or not; the state they hand on is a plain
-    /// key, so the frames above them stay memoized. Returns the newest
-    /// frame's environment.
+    /// the record whole. A miss builds the run's step and records it
+    /// before the run is replayed. Frames that read a type parameter
+    /// from a descriptor slot depend on their own stack words, so each
+    /// of them, kept or not, replays a fresh step that is never
+    /// memoized; the state they hand on is a plain key, so the frames
+    /// above them stay memoized. Returns the newest frame's environment.
     fn forward_walk(&mut self, frames: &mut Vec<FrameInfo>, sr: &mut StackRoots<'_>) -> EnvIx {
         let stop = walk_frames_into(
             frames,
@@ -477,20 +482,10 @@ impl Collector<'_> {
                 fn_id: run.fn_id.0,
                 site: run.site.0,
             };
-            match run.step {
-                Some(f) => {
-                    self.cache.hits += run.count as u64;
-                    self.replay(f, *run, stack);
-                    let step = self.cache.frame(f);
-                    (state, newest) = (step.out, step.env);
-                }
-                None => {
-                    for k in 0..run.count {
-                        let step = self.trace_plain(&run.frame(k), run.state, stack, None);
-                        (state, newest) = (step.out, step.env);
-                    }
-                }
+            if run.step.is_some() {
+                self.cache.hits += run.count as u64;
             }
+            (state, newest) = self.trace_run(*run, stack);
         }
         // `frames` is newest first: walk it from the end.
         let mut left = frames.len();
@@ -501,34 +496,21 @@ impl Collector<'_> {
                 fn_id: fr.fn_id.0,
                 site: fr.site.0,
             };
-            if self.reads_desc_slot(&fr) {
-                record.push(Run::one(&fr, state, None));
-                let step = self.trace_plain(&fr, state, stack, None);
-                (state, newest) = (step.out, step.env);
-                continue;
-            }
-            let (f, traced) = match self.cache.find_frame(fr.site.0, state) {
-                Some(f) => (f, 0),
-                None => {
-                    let mut slots = Vec::new();
-                    let step = self.trace_plain(&fr, state, stack, Some(&mut slots));
-                    (self.cache.insert_frame(fr.site.0, state, step, &slots), 1)
-                }
-            };
-            let mut run = Run::one(&fr, state, Some(f));
-            let step = *self.cache.frame(f);
-            left -= run.grow_over(&frames[..left], step.out);
-            self.cache.hits += (run.count - 1) as u64;
-            if run.count > traced {
-                let rest = Run {
-                    base: run.base + traced * run.stride,
-                    count: run.count - traced,
-                    ..run
+            let mut run = Run::one(&fr, state, None);
+            if !self.reads_desc_slot(&fr) {
+                let f = match self.cache.find_frame(fr.site.0, state) {
+                    Some(f) => f,
+                    None => {
+                        let step = self.build_frame(&fr, state, stack);
+                        self.cache.insert_frame(fr.site.0, state, step, self.slots)
+                    }
                 };
-                self.replay(f, rest, stack);
+                run.step = Some(f);
+                left -= run.grow_over(&frames[..left], self.cache.frame(f).out);
+                self.cache.hits += (run.count - 1) as u64;
             }
             record.push(run);
-            (state, newest) = (step.out, step.env);
+            (state, newest) = self.trace_run(run, stack);
         }
         newest
     }
@@ -542,48 +524,87 @@ impl Collector<'_> {
             .any(|s| matches!(s, FrameParamSrc::DescSlot(_)))
     }
 
-    /// Traces a frame on the plain path from its incoming state, then
-    /// drains what its slots reached. With `record`, each traced slot's
-    /// step is appended for the frame-step memo. Returns the frame step
-    /// this activation amounts to.
-    fn trace_plain(
-        &mut self,
-        fr: &FrameInfo,
-        state: FrameState,
-        stack: &mut [Word],
-        record: Option<&mut Vec<SlotStep>>,
-    ) -> FrameStep {
-        let env = self.frame_env(fr, stack, state);
-        let ops = self.run_frame_routine(fr, &env, stack, record);
-        let step = FrameStep {
-            ops,
-            steps: (0, 0),
-            out: self.eval_plan(fr.site, &env),
-            env: self.cache.env_ix(&env),
-        };
-        if !self.work.is_empty() {
-            self.drain();
+    /// Traces `run` and returns the state its newest frame hands on, with
+    /// that frame's environment. A memoized run replays its step whole;
+    /// each frame of a run that reads a descriptor slot builds a fresh
+    /// step and replays it alone.
+    fn trace_run(&mut self, run: Run, stack: &mut [Word]) -> (FrameState, EnvIx) {
+        if let Some(f) = run.step {
+            let step = *self.cache.frame(f);
+            self.slots.clear();
+            self.slots.extend_from_slice(self.cache.frame_slots(f));
+            self.replay(step, run, stack);
+            return (step.out, step.env);
         }
-        step
+        let mut last = None;
+        for k in 0..run.count {
+            let fr = run.frame(k);
+            let step = self.build_frame(&fr, run.state, stack);
+            self.replay(step, Run::one(&fr, run.state, None), stack);
+            last = Some((step.out, step.env));
+        }
+        last.expect("a run holds at least one frame")
     }
 
-    /// Traces `run`'s activations from frame step `f`, oldest first: for
-    /// each, the same routine run and the same relocations in the same
-    /// order as the plain path, then the drain of what they reached. The
-    /// step's slots are read once per run into `self.slots`, and the sink
-    /// flag, the frame base and the last relocation are kept in locals; a
-    /// slot enters the plan executor, and its frame the drain, only when
-    /// its word has not been relocated yet.
-    fn replay(&mut self, f: u32, run: Run, stack: &mut [Word]) {
-        let FrameStep { ops, env, .. } = *self.cache.frame(f);
+    /// Builds the step of frame `fr` entered with `state`, with its
+    /// traced slots in `self.slots`: the frame's environment, its
+    /// routine's slots under it, and the state it hands on. Relocates
+    /// nothing.
+    fn build_frame(&mut self, fr: &FrameInfo, state: FrameState, stack: &[Word]) -> FrameStep {
+        let env = self.frame_env(fr, stack, state);
+        FrameStep {
+            ops: self.build_step(fr, &env),
+            out: self.eval_plan(fr.site, &env),
+            env: self.cache.env_ix(&env),
+        }
+    }
+
+    /// Reads the frame routine selected by the frame's suspension site —
+    /// the gc_word lookup of §2.1 — into `self.slots` under `env`, and
+    /// returns its op count. Each traced slot keeps the plan its
+    /// evaluated routine lowers to, no-op slots left out, or under
+    /// Interpreted its descriptor position. Relocates nothing.
+    fn build_step(&mut self, fr: &FrameInfo, env: &[RtId]) -> u32 {
+        let sites = self.sites;
+        let rid = sites[fr.site.0 as usize].routine.unwrap_or_else(|| {
+            panic!(
+                "collection while suspended at site {} whose gc_word was omitted \
+                 (GC-point analysis would be unsound)",
+                fr.site.0
+            )
+        });
+        let routines = self.routines;
+        let ops = &routines.routine(rid).ops;
+        self.slots.clear();
+        for op in ops {
+            let (slot, ty) = match *op {
+                TraceOp::Slot { slot, sx } => {
+                    let rt = self.eval(sx, env);
+                    let plan = self.plan_for_rt(rt);
+                    if plan == NOOP_PLAN {
+                        continue;
+                    }
+                    (slot, plan.0)
+                }
+                TraceOp::SlotBytes { slot, pos } => (slot, pos),
+            };
+            self.slots.push((FRAME_HDR + slot.0 as usize, ty));
+        }
+        ops.len() as u32
+    }
+
+    /// Traces `run`'s activations from `step`, whose traced slots
+    /// `self.slots` holds, oldest first: for each, the routine run, the
+    /// relocation of each traced slot in op order, then the drain of
+    /// what they reached. It is the only code that relocates a frame
+    /// slot. The sink flag, the frame base and the last relocation are
+    /// kept in locals; a slot enters the plan executor, and its frame the
+    /// drain, only when its word has not been relocated yet.
+    fn replay(&mut self, step: FrameStep, run: Run, stack: &mut [Word]) {
+        let FrameStep { ops, env, .. } = step;
         self.stats.routine_invocations += run.count as u64;
         self.stats.slots_traced += run.count as u64 * u64::from(ops);
-        let mut slots = std::mem::take(self.slots);
-        slots.clear();
-        slots.extend(self.cache.frame_slots(f).iter().map(|s| match *s {
-            SlotStep::Plan { slot, plan } => (FRAME_HDR + slot as usize, plan.0),
-            SlotStep::Bytes { slot, pos } => (FRAME_HDR + slot as usize, pos),
-        }));
+        let slots = std::mem::take(self.slots);
         let traced = self.obs.enabled();
         if self.strategy == Strategy::Interpreted {
             let benv = if slots.is_empty() {
@@ -668,23 +689,29 @@ impl Collector<'_> {
 
     /// Appel's traversal: decodes the whole chain, then walks it newest
     /// to oldest, re-deriving each frame's environment by walking down
-    /// the chain with no caching. It ignores the stack's floor and
-    /// record. Returns the newest frame's environment.
+    /// the chain with no caching, and replays a step built from it. It
+    /// ignores the stack's floor and record. Returns the newest frame's
+    /// environment.
     fn appel_walk(&mut self, frames: &mut Vec<FrameInfo>, sr: &mut StackRoots<'_>) -> EnvIx {
         walk_frames_into(frames, sr.stack, sr.top_fp, sr.current_site, 0, self.prog);
         self.visit(frames, &[]);
         let stack = &mut *sr.stack;
         let mut newest = self.cache.env_ix(&[]);
         for k in 0..frames.len() {
+            let fr = frames[k];
             let env = self.appel_env(frames, k, stack);
             self.cur = EvalCx::Frame {
-                fn_id: frames[k].fn_id.0,
-                site: frames[k].site.0,
+                fn_id: fr.fn_id.0,
+                site: fr.site.0,
             };
-            self.run_frame_routine(&frames[k], &env, stack, None);
-            self.drain();
+            let step = FrameStep {
+                ops: self.build_step(&fr, &env),
+                out: FrameState::None,
+                env: self.cache.env_ix(&env),
+            };
+            self.replay(step, Run::one(&fr, FrameState::None, None), stack);
             if k == 0 {
-                newest = self.cache.env_ix(&env);
+                newest = step.env;
             }
         }
         newest
@@ -750,60 +777,6 @@ impl Collector<'_> {
                 _ => RtId::CONST,
             })
             .collect()
-    }
-
-    /// Runs the frame routine selected by the frame's suspension site —
-    /// the gc_word lookup of §2.1. With `record`, each traced slot's step
-    /// is appended for the frame-step memo. Returns the routine's op
-    /// count.
-    fn run_frame_routine(
-        &mut self,
-        fr: &FrameInfo,
-        env: &[RtId],
-        stack: &mut [Word],
-        mut record: Option<&mut Vec<SlotStep>>,
-    ) -> u32 {
-        let sites = self.sites;
-        let rid = sites[fr.site.0 as usize].routine.unwrap_or_else(|| {
-            panic!(
-                "collection while suspended at site {} whose gc_word was omitted \
-                 (GC-point analysis would be unsound)",
-                fr.site.0
-            )
-        });
-        self.stats.routine_invocations += 1;
-        let routines = self.routines;
-        let ops = &routines.routine(rid).ops;
-        let seq = self.seq;
-        self.obs.emit(|_| GcEvent::RoutineRun {
-            seq,
-            site: fr.site.0,
-            ops: ops.len() as u32,
-        });
-        let mut benv: Option<u32> = None;
-        for op in ops {
-            self.stats.slots_traced += 1;
-            match *op {
-                TraceOp::Slot { slot, sx } => {
-                    let rt = self.eval(sx, env);
-                    let idx = fr.fp + FRAME_HDR + slot.0 as usize;
-                    let plan = self.plan_for_rt(rt);
-                    if let Some(steps) = record.as_deref_mut().filter(|_| plan != NOOP_PLAN) {
-                        steps.push(SlotStep::Plan { slot: slot.0, plan });
-                    }
-                    stack[idx] = self.reloc_plan(stack[idx], plan);
-                }
-                TraceOp::SlotBytes { slot, pos } => {
-                    let benv = *benv.get_or_insert_with(|| self.envs.add_rts(env));
-                    let idx = fr.fp + FRAME_HDR + slot.0 as usize;
-                    if let Some(steps) = record.as_deref_mut() {
-                        steps.push(SlotStep::Bytes { slot: slot.0, pos });
-                    }
-                    stack[idx] = self.reloc_bytes(stack[idx], pos, benv);
-                }
-            }
-        }
-        ops.len() as u32
     }
 
     /// Relocates a word typed by an evaluated routine value.

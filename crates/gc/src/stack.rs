@@ -136,8 +136,8 @@ pub(crate) struct Run {
     pub site: CallSiteId,
     pub fn_id: FnId,
     pub state: FrameState,
-    /// The activations' memoized frame step; `None` for frames traced on
-    /// the plain path, which read a type parameter from their own slots.
+    /// The activations' memoized frame step; `None` for frames that read
+    /// a type parameter from their own slots, which each build a fresh one.
     pub step: Option<u32>,
 }
 

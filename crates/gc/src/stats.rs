@@ -27,8 +27,8 @@ pub struct GcStats {
     /// GC-time cache lookups that returned a memoized result: a routine,
     /// or a whole frame step of the forward walk.
     pub rt_cache_hits: u64,
-    /// GC-time cache lookups that had to evaluate (or trace a frame on the
-    /// plain path and record its step).
+    /// GC-time cache lookups that had to evaluate (or build a frame's
+    /// step and record it).
     pub rt_cache_misses: u64,
     /// Trace-plan lookups that found an already-lowered plan.
     pub plan_hits: u64,

@@ -408,7 +408,7 @@ pub fn serve_requests_overload(
 
     // Phase 1: run main alone (it initializes globals — the persistent
     // shared heap the whole service runs against).
-    run_single(&mut vm)?;
+    vm.run_to_end()?;
 
     if requests.is_empty() {
         return Ok(seal(ServeReport::default(), vm));
@@ -485,39 +485,6 @@ fn seal(mut report: ServeReport, mut vm: Vm<'_>) -> (ServeReport, Obs) {
     report.gc = vm.gc_stats;
     report.mutator = vm.mutator;
     (report, std::mem::take(&mut vm.obs))
-}
-
-/// Runs the current thread to completion in one unbounded burst,
-/// collecting whenever it blocks (single-task mode for the main/global
-/// phase).
-fn run_single(vm: &mut Vm<'_>) -> VmResult<()> {
-    let mut retried = false;
-    loop {
-        let b = vm.burst(u64::MAX, SafePoints::None);
-        match b.end? {
-            BurstEnd::Done(_) => return Ok(()),
-            BurstEnd::AllocBlocked(site) => {
-                if retried && b.completed == 0 {
-                    // The collection freed nothing and the allocation
-                    // already retried once: growing is the only way
-                    // forward.
-                    if !vm.grow_parked(site)? {
-                        return Err(VmError::OutOfMemory {
-                            requested: 0,
-                            live: vm.heap.used(),
-                            site: site.0,
-                            strategy: vm.strategy_name(),
-                        });
-                    }
-                } else {
-                    vm.collect_parked(site)?;
-                }
-                retried = true;
-            }
-            BurstEnd::Budget => {}
-            BurstEnd::SafePoint(_) => unreachable!("a burst with no safe points stopped at one"),
-        }
-    }
 }
 
 /// The request engine: a fixed pool of thread slots draining a request

@@ -83,25 +83,20 @@ pub fn run_case(prog: &IrProgram, meta: GcMeta, cfg: VmConfig, context: &str) ->
     }
 }
 
-/// Runs `prog` under `strategy` with `plan` armed: a 1 Ki-word heap
-/// growable to 16 Ki words, the heap verifier on.
-pub fn fault_case(
-    prog: &IrProgram,
-    analyses: &Analyses,
-    strategy: Strategy,
-    plan: FaultPlan,
-) -> CaseOutcome {
+/// Runs `prog` with `meta`, under its strategy, and `plan` armed: a
+/// 1 Ki-word heap growable to 16 Ki words, the heap verifier on.
+pub fn fault_case(prog: &IrProgram, meta: GcMeta, plan: FaultPlan) -> CaseOutcome {
+    let strategy = meta.strategy;
     let cfg = VmConfig::new(strategy)
         .heap_words(1 << 10)
         .heap_max_words(1 << 14)
         .verify_heap(true)
         .fault_plan(plan);
-    let meta = GcMeta::build(prog, analyses, strategy);
     let context = format!("{strategy} ({})", plan.describe());
     run_case(prog, meta, cfg, &context)
 }
 
-/// Differential oracle: runs `prog` under `strategy` and again under the
+/// Differential oracle: runs `prog` under `meta` and again under the
 /// fully tagged collector with the same heap size and forced-collection
 /// schedule, then requires identical canonical reachable graphs at every
 /// collection and identical results and printed output. Returns the
@@ -110,7 +105,8 @@ pub fn fault_case(
 /// The tagged replay receives the tag-free run's metadata purely to
 /// locate root slots; everything below the roots is traced by tags
 /// alone, so agreement shows the type-driven walk reconstructed exactly
-/// the reachable set the tags describe.
+/// the reachable set the tags describe. `analyses` builds the tagged
+/// replay's own metadata.
 ///
 /// # Errors
 ///
@@ -119,11 +115,11 @@ pub fn fault_case(
 pub fn oracle_check(
     prog: &IrProgram,
     analyses: &Analyses,
-    strategy: Strategy,
+    meta: GcMeta,
     heap_words: usize,
     force_gc_every: u64,
 ) -> Result<(RunOutcome, usize), String> {
-    let meta = GcMeta::build(prog, analyses, strategy);
+    let strategy = meta.strategy;
     // Snapshot root enumeration always follows a *tag-free* metadata
     // set. For the tagged strategy itself (whose own metadata omits
     // every gc_word) borrow the no-liveness build, which keeps all of
@@ -222,7 +218,11 @@ mod tests {
             exhaust_at: Some(1),
             ..FaultPlan::none()
         };
-        let oom = fault_case(&prog, &an, Strategy::Compiled, exhaust);
+        let oom = fault_case(
+            &prog,
+            GcMeta::build(&prog, &an, Strategy::Compiled),
+            exhaust,
+        );
         let CaseOutcome::Error(e) = &oom else {
             panic!("expected a structured error, got {oom:?}");
         };

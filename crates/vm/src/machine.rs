@@ -752,15 +752,7 @@ impl<'p> Vm<'p> {
 
     /// Runs thread 0 to completion.
     pub fn run(&mut self) -> VmResult<RunOutcome> {
-        let w = loop {
-            match self.burst(u64::MAX, SafePoints::None).end? {
-                BurstEnd::Done(w) => break w,
-                BurstEnd::Budget => {}
-                end @ (BurstEnd::AllocBlocked(_) | BurstEnd::SafePoint(_)) => {
-                    unreachable!("non-cooperative mode collects inline: {end:?}")
-                }
-            }
-        };
+        let w = self.run_to_end()?;
         let result = render_value(self.prog, &self.heap, self.enc, w, &self.prog.main_ty);
         Ok(RunOutcome {
             printed: std::mem::take(&mut self.printed),
@@ -771,6 +763,43 @@ impl<'p> Vm<'p> {
             descs_interned: self.descs.len(),
             metadata_bytes: self.meta.metadata_bytes(),
         })
+    }
+
+    /// Runs the current thread to its end in unbounded bursts, returning
+    /// its result. A cooperative VM blocks on a full heap instead of
+    /// collecting inline: it then collects and retries, and when the
+    /// retry blocks again before running an instruction, it grows the
+    /// heap or ends in [`VmError::OutOfMemory`].
+    pub fn run_to_end(&mut self) -> VmResult<Word> {
+        let mut retried = false;
+        loop {
+            let b = self.burst(u64::MAX, SafePoints::None);
+            match b.end? {
+                BurstEnd::Done(w) => return Ok(w),
+                BurstEnd::AllocBlocked(site) => {
+                    if retried && b.completed == 0 {
+                        // The collection freed nothing and the allocation
+                        // already retried once: growing is the only way
+                        // forward.
+                        if !self.grow_parked(site)? {
+                            return Err(VmError::OutOfMemory {
+                                requested: 0,
+                                live: self.heap.used(),
+                                site: site.0,
+                                strategy: self.strategy_name(),
+                            });
+                        }
+                    } else {
+                        self.collect_parked(site)?;
+                    }
+                    retried = true;
+                }
+                BurstEnd::Budget => {}
+                BurstEnd::SafePoint(_) => {
+                    unreachable!("a burst with no safe points stopped at one")
+                }
+            }
+        }
     }
 
     /// Executes one instruction of the current thread: a burst of one.

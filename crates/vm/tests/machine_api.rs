@@ -166,7 +166,7 @@ fn cooperative_alloc_block_reexecutes_cleanly() {
     );
     let mut cfg = VmConfig::new(Strategy::Compiled).heap_words(256);
     cfg.cooperative = true;
-    let mut vm = Vm::new(&prog, cfg);
+    let mut vm = Vm::new(&prog, cfg.clone());
     let mut blocks = 0;
     loop {
         match vm.step().unwrap() {
@@ -184,6 +184,11 @@ fn cooperative_alloc_block_reexecutes_cleanly() {
     }
     assert!(blocks > 0, "tiny heap must block at least once");
     assert_eq!(vm.gc_stats.collections, blocks);
+
+    // `Vm::run` on a fresh cooperative VM collects at each block too.
+    let out = Vm::new(&prog, cfg).run().unwrap();
+    assert_eq!(out.result, "0");
+    assert_eq!(out.gc.collections, blocks);
 }
 
 #[test]

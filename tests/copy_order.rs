@@ -1,7 +1,9 @@
 //! Pins the order in which the collectors copy objects. Every program of
-//! the workload suite runs under all five strategies on a small heap
-//! with forced collections: once on a single-generation heap, and once
-//! with a nursery whose survivor half is small enough to overflow. Each
+//! the workload suite, and one corpus program whose frames read a type
+//! parameter from their own descriptor slot (no suite program has one),
+//! runs under all five strategies on a small heap with forced
+//! collections: once on a single-generation heap, and once with a
+//! nursery whose survivor half is small enough to overflow. Each
 //! run's copies — the `(collection, from, to, words)` of every
 //! `ObjectCopied` event, after its collection's number and kind — are
 //! hashed into one digest.
@@ -112,7 +114,11 @@ fn copy_order_matches_pinned_digests() {
     let mut mismatches = Vec::new();
     let mut lines = Vec::new();
     let mut escalations = 0;
-    for (name, src) in tfgc::workloads::suite() {
+    let kept_plain_frame = include_str!("corpus/kept_plain_frame.tfml").to_string();
+    let programs = tfgc::workloads::suite()
+        .into_iter()
+        .chain([("kept_plain_frame", kept_plain_frame)]);
+    for (name, src) in programs {
         let c = Compiled::compile(&src).unwrap_or_else(|e| panic!("{name}: {e}"));
         for s in Strategy::ALL {
             let [flat, nursery] = configs(s).map(|cfg| {
